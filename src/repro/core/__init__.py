@@ -16,7 +16,7 @@ Highlights, mapped to the paper:
   handle before MPI has been invoked (§3.1).
 * :class:`~repro.core.offload_comm.OffloadCommunicator` — the facade
   that turns an ordinary communicator's API into enqueued commands;
-  blocking calls are converted to nonblocking + completion-flag spin
+  blocking calls are converted to nonblocking + completion-flag wait
   (§3.3), so a blocking call from one application thread never stalls
   the engine.
 * :func:`~repro.core.interpose.offloaded` — transparent interposition

@@ -41,7 +41,7 @@ from repro.core.request_pool import (
     OffloadRequestPool,
 )
 from repro.dst import hooks as _dst
-from repro.lockfree.atomics import AtomicFlag
+from repro.lockfree.atomics import AtomicFlag, Doorbell
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
 from repro import obs
 
@@ -56,13 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover
 _BATCH = 64
 #: Default per-thread request-pool cache chunk (``pool_cache`` knob).
 _POOL_CACHE = 8
-#: Idle sleep when there is nothing to do (lets app threads run; the
-#: Python analogue of the offload thread sitting on its own core).
-_IDLE_SLEEP = 2e-5
-#: Ceiling for the exponential idle backoff: a fully idle engine still
-#: pumps progress at this period, bounding the latency of serving
-#: incoming RMA/rendezvous traffic while not starving app threads.
-_IDLE_SLEEP_MAX = 1e-3
+#: Safety tick: the longest the loop parks without looking around.
+#: Every hand-off has a doorbell (DESIGN.md §17); the tick only keeps
+#: ``heartbeat``, fault-plan maturation and work-stealing alive.
+_TICK = 1e-3
+_NEVER = float("inf")
 
 
 def _is_rank_dead(exc: BaseException) -> bool:
@@ -166,7 +164,9 @@ class OffloadEngine:
         #: fail a partially processed batch after a mid-batch crash
         self._drained: deque[Command] = deque()
         self._thread: threading.Thread | None = None
-        self._wake = threading.Event()
+        self._wake = Doorbell()
+        #: earliest deadline among in-flight operations (last sweep)
+        self._next_deadline = _NEVER
         self._dead: BaseException | None = None
         self._in_flight: list[_InFlight] = []
         self._flushes: list[Command] = []
@@ -442,7 +442,7 @@ class OffloadEngine:
                     # yield so it can run the draining engine thread.
                     _dst.yield_point("engine.submit.retry")
                 else:
-                    threading.Event().wait(1e-5)
+                    time.sleep(1e-5)
         if tm is not None:
             tm.counters.inc("enqueues")
         self._wake.set()
@@ -454,9 +454,8 @@ class OffloadEngine:
         rank = self.comm.engine.rank
         self._prev_funnel = world.funnel_thread(rank)
         world.set_funnel_thread(rank, threading.get_ident())
-        self._started_evt.set()
         shutdown = False
-        idle_sleep = _IDLE_SLEEP
+        timed_out = False
         tm = self._telem
         counters = tm.counters if tm is not None else None
         # Mirror engine telemetry into the substrate's progress engine
@@ -470,15 +469,24 @@ class OffloadEngine:
         ):
             progress_engine.trace = tm.trace
             attached_trace = True
+        # Every arrival at this rank and every completion of a request
+        # it owns rings `_wake` for as long as the loop lives.
+        progress_engine.add_doorbell(self._wake.set)
+        self._started_evt.set()
         try:
             while self._dead is None:
                 self.heartbeat += 1
+                # clear → look → park (DESIGN.md §17): a ringer that
+                # published before this clear is seen by the look
+                # below; one that publishes after it leaves `_wake`
+                # set and the park at the bottom returns at once —
+                # whether or not the look found work.
+                self._wake.clear()
                 did = 0
-                # One drain call per iteration pulls a whole batch off
-                # the ring; the batch is fully issued before the single
-                # progress pump + retry/deadline sweep below, so the
-                # per-iteration overhead is paid once per *batch*, not
-                # once per command.
+                # One drain call pulls a whole batch off the ring; it
+                # is fully issued before the single progress pump +
+                # retry/deadline sweep below, so the per-iteration
+                # overhead is paid once per *batch*, not per command.
                 batch = self.queue.drain(self.batch_size)
                 if batch:
                     did += len(batch)
@@ -520,8 +528,8 @@ class OffloadEngine:
                     self._drained.extend(tail)
                     if counters is not None:
                         counters.inc("commands_drained", len(tail))
-                    if self._process_batch():
-                        shutdown = True
+                    self._process_batch()
+                stole = 0
                 if (
                     did == 0
                     and not shutdown
@@ -530,36 +538,24 @@ class OffloadEngine:
                 ):
                     # Fully idle with siblings possibly backed up:
                     # batch-steal from the deepest sibling ring.
-                    did += self._try_steal()
-                if did == 0:
-                    if self._in_flight:
-                        # Work in flight: keep pumping progress, just
-                        # yield the GIL briefly so app threads run —
-                        # the Python stand-in for spinning on a
-                        # dedicated core.
-                        time.sleep(0)
-                    else:
-                        # Fully idle: block cheaply with exponential
-                        # backoff (still pumping progress each wake so
-                        # incoming RMA/rendezvous traffic is served),
-                        # wake immediately on a new command.
-                        if counters is not None:
-                            counters.inc("idle_backoff_entries")
-                        wait_for = idle_sleep
-                        if self._retries:
-                            wait_for = min(
-                                wait_for,
-                                max(
-                                    1e-5,
-                                    self._retries[0][0]
-                                    - time.perf_counter(),
-                                ),
-                            )
-                        self._wake.wait(wait_for)
-                        self._wake.clear()
-                        idle_sleep = min(idle_sleep * 2, _IDLE_SLEEP_MAX)
-                else:
-                    idle_sleep = _IDLE_SLEEP
+                    stole = self._try_steal()
+                if timed_out and (did or stole) and counters is not None:
+                    counters.inc("timed_wakes")
+                timed_out = False
+                if stole or len(batch) == self.batch_size:
+                    # More may wait that no ring will announce: the
+                    # rest of a deep ring, another stealable batch.
+                    continue
+                # Park until a doorbell rings (at once if one already
+                # has), a retry or deadline falls due, or the tick.
+                due = self._next_deadline
+                if self._retries:
+                    due = min(due, self._retries[0][0])
+                timed_out = not self._wake.wait(
+                    min(_TICK, max(0.0, due - time.perf_counter()))
+                )
+                if counters is not None and not timed_out:
+                    counters.inc("doorbell_wakes")
             if self._dead is not None:
                 # Poisoned while running (abort/watchdog on a wedged
                 # loop): we are the only legal queue consumer, so fail
@@ -576,6 +572,7 @@ class OffloadEngine:
             self._dead = died
             self._fail_pending(died)
         finally:
+            progress_engine.remove_doorbell(self._wake.set)
             if attached_trace:
                 progress_engine.trace = None
             # Restore the funnel designation only if we still hold it —
@@ -1049,6 +1046,7 @@ class OffloadEngine:
         still: list[_InFlight] = []
         done = 0
         now = -1.0
+        soonest = _NEVER
         for entry in self._in_flight:
             if entry.inner.done:
                 self._finish(entry)
@@ -1062,8 +1060,10 @@ class OffloadEngine:
                     self._expire_entry(entry)
                     done += 1
                     continue
+                soonest = min(soonest, cmd.deadline)
             still.append(entry)
         self._in_flight = still
+        self._next_deadline = soonest
         return done
 
     def _expire_entry(self, entry: _InFlight) -> None:

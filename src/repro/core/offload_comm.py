@@ -10,7 +10,8 @@ the calling thread never enters MPI:
 * nonblocking calls allocate a request-pool slot and return an
   :class:`~repro.core.request_pool.OffloadRequest` immediately — the
   paper's constant ~140 ns post cost (Figure 4);
-* blocking calls spin on the command's done flag (§3.1);
+* blocking calls wait on the command's done flag (§3.1: the paper's
+  caller spins on it; under one GIL it parks, see DESIGN.md §17);
 * many application threads may call concurrently — the queue and pool
   are lock-free, which is the paper's ``MPI_THREAD_MULTIPLE`` story
   (§3.3, Figure 6).
@@ -46,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.communicator import Communicator
 
 K = CommandKind
+
+#: Longest :func:`offload_waitany` sleeps between scans of its handles.
+_WAITANY_SLICE = 1e-3
 
 
 class EagerCoalescer:
@@ -866,7 +870,12 @@ def offload_waitall(
 def offload_waitany(
     requests: Sequence[OffloadRequest], timeout: float | None = None
 ) -> tuple[int, Status]:
-    """Wait until one handle completes; returns its index and status."""
+    """Wait until one handle completes; returns its index and status.
+
+    Between scans the caller parks on the first handle, in slices: that
+    handle completing wakes it at once, any other is seen one slice
+    later.  ``timeout`` bounds the whole wait.
+    """
     if not requests:
         raise ValueError("offload_waitany on empty list")
     deadline = None if timeout is None else time.perf_counter() + timeout
@@ -874,6 +883,9 @@ def offload_waitany(
         for i, r in enumerate(requests):
             if r.done:
                 return i, r.wait()
-        if deadline is not None and time.perf_counter() > deadline:
-            raise TimeoutError("offload_waitany: nothing completed")
-        time.sleep(1e-6)
+        step = _WAITANY_SLICE
+        if deadline is not None:
+            step = min(step, deadline - time.perf_counter())
+            if step <= 0:
+                raise TimeoutError("offload_waitany: nothing completed")
+        requests[0].park(step)

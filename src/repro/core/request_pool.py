@@ -380,6 +380,11 @@ class OffloadRequest:
         self._check_fresh()
         self._pool.register_continuation(self._idx, self._generation, fn)
 
+    def park(self, timeout: float) -> bool:
+        """Block up to ``timeout`` for completion *without* consuming
+        the request (the slot stays allocated); True once done."""
+        return self._check_fresh().flag.wait(timeout)
+
     def test(self) -> tuple[bool, Status | None]:
         """Flag check only; frees the slot on completion."""
         slot = self._check_fresh()
@@ -388,7 +393,7 @@ class OffloadRequest:
         return True, self._finish(slot)
 
     def wait(self, timeout: float | None = None) -> Status:
-        """Spin-then-block on the done flag; frees the slot."""
+        """Block on the done flag; frees the slot."""
         slot = self._check_fresh()
         engine = self._engine
         if engine is not None and engine.recovery is not None:

@@ -108,6 +108,19 @@ added two more:
     (:attr:`OffloadRequestPool._unsafe_skip_fire_once_guard` skips the
     claim).
 
+The event-driven hand-off PR (DESIGN.md §17) added one whose broken
+variant is injected from here, not by a flag in production code:
+
+``park-vs-ring``
+    The engine loop parks on its doorbell in the order clear → look →
+    park.  Looking *before* clearing erases a ring that lands between
+    the look and the clear: the loop parks with work pending and, with
+    the safety tick out of the picture, never wakes.  The target runs
+    the real ``OffloadEngine._run`` against a submit, an arrival
+    (``inject``) and a receive completed from the peer's thread; the
+    harness swaps the loop's ``_wake`` for :class:`_Bell`, whose
+    ``late_clear`` mode is the broken order.
+
 This module imports :mod:`repro.core` and therefore must never be
 imported from :mod:`repro.dst.hooks`'s import path (see the package
 docstring); consumers reach it via ``repro.dst.targets`` directly or
@@ -116,6 +129,8 @@ lazily through ``repro.dst``.
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -1078,6 +1093,177 @@ class ContinuationDoubleFireProgram:
 
 
 # ---------------------------------------------------------------------------
+# Regression race 13: the engine's park vs. its three kinds of ringer
+# ---------------------------------------------------------------------------
+
+
+class _Bell:
+    """``OffloadEngine._wake`` stand-in under the scheduler.
+
+    Every operation is a choice point, and ``wait`` blocks
+    cooperatively with *no* timeout: under DST the safety tick cannot
+    paper over a lost wake-up, it surfaces as a deadlock.
+
+    ``late_clear`` is the broken protocol, injected from here so that
+    production carries no switch for it: ``clear()`` — which the loop
+    calls before it looks — does nothing, and the flag is reset at the
+    start of ``wait()`` instead.  The loop then runs look → clear →
+    park, and a ring landing between look and clear is erased.
+    """
+
+    def __init__(self, late_clear: bool) -> None:
+        self._late_clear = late_clear
+        self._flag = False
+
+    def is_set(self) -> bool:
+        return self._flag
+
+    def set(self) -> None:
+        _dst.yield_point("bell.set")
+        self._flag = True
+
+    def clear(self) -> None:
+        if not self._late_clear:
+            _dst.yield_point("bell.clear")
+            self._flag = False
+
+    def wait(self, timeout: float | None = None) -> bool:
+        _dst.yield_point("bell.wait")
+        if self._late_clear:
+            self._flag = False
+        _dst.wait_until(self.is_set)
+        return True
+
+
+class _PlainRing:
+    """Command ring without yield points: an enqueue is one atomic
+    publish.  The MPSC ring's own interleavings belong to the queue
+    targets; leaving them out keeps this schedule tree enumerable."""
+
+    def __init__(self) -> None:
+        self._items: deque = deque()
+        self._closed = False
+
+    def enqueue(self, value: Any) -> None:
+        if self._closed:
+            raise QueueClosed("ring closed")
+        self._items.append(value)
+
+    def drain(self, limit: int | None = None) -> list:
+        out: list = []
+        while self._items and (limit is None or len(out) < limit):
+            out.append(self._items.popleft())
+        return out
+
+    def consume_done(self) -> None:
+        pass
+
+    def empty(self) -> bool:
+        return not self._items
+
+    def close(self) -> None:
+        self._closed = True
+
+    def drain_closed(self) -> list:
+        return self.drain()
+
+
+class ParkVsRingProgram:
+    """The real engine loop against every kind of ringer.
+
+    Rank 0 runs ``OffloadEngine._run`` on a virtual thread, with a
+    rendezvous-sized IRECV already in its ring.  One more thread plays
+    everybody else, in turn: as rank 1 (which has no engine) it posts
+    the matching send — the RTS is an *arrival* ring at rank 0 — waits
+    for the CTS and pumps rank 1's progress once, which copies the
+    payload and completes rank 0's receive from this foreign thread,
+    the *cross-thread completion* ring; as rank 0's application thread
+    it waits for the slot's done flag and submits SHUTDOWN, the
+    *submit* ring.  At each of the three the loop may be anywhere in
+    clear → look → park.  (The ringers are sequential on purpose: each
+    one's publish-then-ring races the loop on its own, and three
+    concurrent ringer threads only multiply the tree — not exhausted
+    within 20 000 schedules, against 246 — without adding an ordering
+    the protocol argument distinguishes.)
+
+    Invariant: the receive completes with the sender's bytes and the
+    loop exits on SHUTDOWN.  A lost wake-up leaves the loop parked with
+    work pending while everybody else waits on it: the scheduler
+    reports the deadlock.
+    """
+
+    def __init__(self, fix_disabled: bool, nbytes: int = 64) -> None:
+        import numpy as np
+
+        from repro.mpisim.constants import ThreadLevel
+        from repro.mpisim.world import World
+
+        self.world = World(2, ThreadLevel.MULTIPLE, eager_threshold=16)
+        self.comm = self.world.comm_world(0)
+        engine = OffloadEngine(
+            self.comm,
+            pool_capacity=4,
+            queue_capacity=4,
+            telemetry=False,
+            pool_cache=0,
+        )
+        engine.queue = _PlainRing()
+        engine._wake = _Bell(late_clear=fix_disabled)
+        engine._started_evt = threading.Event()
+        self.engine = engine
+        self.sent = np.arange(nbytes, dtype=np.uint8)
+        self.received = np.zeros(nbytes, dtype=np.uint8)
+        # allocated here, outside the scheduler: the free list's CAS
+        # yield points are not this target's subject
+        self.slot = engine.pool.alloc()
+        engine.queue.enqueue(
+            Command(
+                CommandKind.IRECV,
+                comm=self.comm,
+                buf=self.received,
+                peer=1,
+                tag=4,
+                slot=self.slot,
+            )
+        )
+        self.loop_exited = False
+
+    def setup(self, sched: Any) -> None:
+        engine = self.engine
+        # Wake-ups, not crashes: spend the schedule's one crash so the
+        # ``engine.dispatch`` crash point stays out of the tree.
+        sched.crashed = True
+
+        def loop() -> None:
+            engine._run()
+            self.loop_exited = True
+
+        def ringers() -> None:
+            peer = self.world.comm_world(1)
+            done = engine.pool.slot(self.slot).flag
+            peer.isend(self.sent, 0, tag=4)
+            _dst.wait_until(lambda: len(peer.engine._inbox) > 0)
+            peer.engine.progress()
+            _dst.wait_until(done.is_set)
+            engine.submit(Command(CommandKind.SHUTDOWN))
+
+        sched.spawn(loop, name="engine")
+        sched.spawn(ringers, name="ringers")
+
+    def check(self) -> None:
+        if self.engine.dead is not None:
+            raise InvariantViolation(
+                f"engine loop died: {self.engine.dead!r}"
+            )
+        if not self.loop_exited:
+            raise InvariantViolation("engine loop never saw SHUTDOWN")
+        if not (self.received == self.sent).all():
+            raise InvariantViolation(
+                "receive completed without the sender's payload"
+            )
+
+
+# ---------------------------------------------------------------------------
 # Linearizability targets (history-recording programs)
 # ---------------------------------------------------------------------------
 
@@ -1393,6 +1579,17 @@ CORPUS: dict[str, Target] = {
             regression=True,
             strategy="random",
             schedules=300,
+        ),
+        Target(
+            name="park-vs-ring",
+            description=(
+                "engine loop looking before it clears its doorbell: a "
+                "submit, arrival or remote completion rings into the "
+                "gap and the loop parks on pending work"
+            ),
+            make=ParkVsRingProgram,
+            regression=True,
+            schedules=20_000,
         ),
         Target(
             name="queue-linearizability",

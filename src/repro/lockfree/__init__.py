@@ -15,7 +15,12 @@ up as CAS retries (which the cells count), exactly as it would on real
 hardware.
 """
 
-from repro.lockfree.atomics import AtomicCell, AtomicCounter, AtomicFlag
+from repro.lockfree.atomics import (
+    AtomicCell,
+    AtomicCounter,
+    AtomicFlag,
+    Doorbell,
+)
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
 from repro.lockfree.spsc_ring import SPSCRing
 from repro.lockfree.freelist import FreeList, FreeListExhausted
@@ -24,6 +29,7 @@ __all__ = [
     "AtomicCell",
     "AtomicCounter",
     "AtomicFlag",
+    "Doorbell",
     "MPSCQueue",
     "QueueClosed",
     "QueueFull",

@@ -137,12 +137,13 @@ class AtomicCounter:
 
 
 class AtomicFlag:
-    """A set-once *done* flag with busy-wait support.
+    """A set-once *done* flag a waiter parks on.
 
     Models the per-command completion flag of Section 3.1: the offload
-    thread sets it, the application thread spins on it.  ``wait()``
-    spins but yields the GIL periodically (via an Event fallback) so
-    single-core test runs cannot livelock.
+    thread sets it, the application thread waits on it.  The paper's
+    waiter spins on its own core; under one GIL a spinning waiter holds
+    the interpreter the offload thread needs in order to set the flag,
+    so ``wait()`` blocks at once and ``set()`` is its wake source.
     """
 
     __slots__ = ("_event", "payload")
@@ -159,21 +160,60 @@ class AtomicFlag:
         self._event.set()
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Spin briefly, then block; returns True once the flag is set."""
+        """Block until the flag is set; False when ``timeout`` expired."""
         # Under DST the wait becomes a cooperative block on the
         # scheduler (a real Event.wait would wedge every virtual
         # thread); foreign threads fall through to the normal path.
         if _dst._scheduler is not None and _dst.flag_wait(self._event.is_set):
             return True
-        # A short pure spin picks up fast completions with minimum
-        # latency (the common case for offloaded calls) ...
-        for _ in range(1000):
-            if self._event.is_set():
-                return True
-        # ... then fall back to a real wait so we do not starve the
-        # offload thread of the GIL.
         return self._event.wait(timeout)
 
     def clear(self) -> None:
         self.payload = None
         self._event.clear()
+
+
+class Doorbell:
+    """A wake flag with exactly one waiter.
+
+    Any thread rings (:meth:`set`); only the owning thread clears and
+    waits.  ``threading.Event`` serves any number of waiters through a
+    condition variable, and ringing a *parked* waiter that way costs
+    the ringer about three times the futex wake underneath (≈ 19 µs
+    against ≈ 6 µs on the reference box).  The ringer is the thread on
+    the critical path — an application thread inside ``isend``, a
+    peer's engine delivering an envelope — so for the engine loop,
+    which has a single waiter by construction, the wake is a flag plus
+    one lock used as a binary semaphore (the *token*).
+
+    ``wait`` may return early and False on a token left over from a
+    ring that raced a ``clear``; the owner then looks around once more
+    and parks again, which is harmless.
+    """
+
+    __slots__ = ("_flag", "_token")
+
+    def __init__(self) -> None:
+        self._flag = False
+        self._token = threading.Lock()
+        self._token.acquire()  # locked: no token to take
+
+    def is_set(self) -> bool:
+        return self._flag
+
+    def set(self) -> None:
+        self._flag = True  # before the token: ``wait`` checks it first
+        try:
+            self._token.release()
+        except RuntimeError:
+            pass  # already rung
+
+    def clear(self) -> None:
+        self._flag = False
+        self._token.acquire(False)
+
+    def wait(self, timeout: float) -> bool:
+        """Block until rung or ``timeout`` seconds passed; was it rung?"""
+        if not self._flag:
+            self._token.acquire(True, timeout)
+        return self._flag

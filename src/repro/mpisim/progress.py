@@ -69,6 +69,12 @@ class ProgressEngine:
         self._umq = UnexpectedQueue()
         self._lock = threading.RLock()
         self._active_nbc: list["NBCRequest"] = []
+        #: wake sources of whoever drives this rank's progress (an
+        #: offload engine's ``_wake.set``, DESIGN.md §17): rung after
+        #: every arrival and after every completion of a request this
+        #: rank owns.  Replaced, never mutated, so ringers iterate it
+        #: without a lock.
+        self._doorbells: tuple[Callable[[], None], ...] = ()
         #: one-sided windows registered on this rank, by window id
         self._windows: dict[int, object] = {}
         # --- introspection counters -------------------------------------
@@ -134,6 +140,26 @@ class ProgressEngine:
     def inject(self, env: Envelope) -> None:
         """Called by a remote engine's thread; must not take our lock."""
         self._inbox.append(env)  # deque.append is atomic
+        self.ring_doorbells()  # publish, then ring
+
+    # -- doorbells ---------------------------------------------------------
+
+    def add_doorbell(self, ring: Callable[[], None]) -> None:
+        """Have ``ring()`` called after every arrival (eager, RTS/CTS,
+        RMA, REVOKE) and after every completion or failure of a request
+        this rank owns — whichever thread causes it."""
+        with self._lock:
+            self._doorbells += (ring,)
+
+    def remove_doorbell(self, ring: Callable[[], None]) -> None:
+        with self._lock:
+            self._doorbells = tuple(
+                b for b in self._doorbells if b != ring
+            )
+
+    def ring_doorbells(self) -> None:
+        for ring in self._doorbells:
+            ring()
 
     # -- posting -------------------------------------------------------------
 

@@ -44,14 +44,23 @@ class Request:
 
     # -- completion (called by progress engines, any thread) ------------
 
+    # Both publish the outcome, then ring the *owning* rank's doorbells:
+    # the completer is often another rank's thread (rendezvous CTS, a
+    # pool sibling draining the shared inbox, a death sweep), and the
+    # thread that must notice is whoever sweeps this request.
+
     def _complete(self, status: Status) -> None:
         self.status = status
         self._event.set()
+        if self.engine is not None:
+            self.engine.ring_doorbells()
 
     def _fail(self, exc: BaseException) -> None:
         self.error = exc
         self.status = EMPTY_STATUS
         self._event.set()
+        if self.engine is not None:
+            self.engine.ring_doorbells()
 
     # -- querying --------------------------------------------------------
 

@@ -40,8 +40,12 @@ COUNTER_GLOSSARY: dict[str, str] = {
     "in-flight requests (the §3.2 Testany loop)",
     "completions": "commands that reached a terminal state (completed, "
     "failed, or flushed)",
-    "idle_backoff_entries": "times the idle engine entered a timed "
-    "backoff wait",
+    "doorbell_wakes": "parks of the engine loop ended by a doorbell "
+    "(submit, arrival, or completion of a request the rank owns)",
+    "timed_wakes": "parks ended by the tick or a deadline after which "
+    "the loop found work — work no doorbell announced (a due retry, "
+    "an expired deadline, a matured fault delay, a steal; otherwise a "
+    "wake source someone forgot to ring)",
     "control_commands": "engine-control commands (SHUTDOWN)",
     "app_blocking_calls": "blocking MPI calls issued by application "
     "threads through the facade",

@@ -43,7 +43,13 @@ DEADLINE_EXIT_CODE = 70
 @pytest.fixture(autouse=True, scope="session")
 def fine_gil_slices():
     """Dedicated progress threads need finer GIL slices than CPython's
-    5 ms default to act like the extra hardware thread they model."""
+    5 ms default to act like the extra hardware thread they model.
+
+    This no longer carries hand-off latency: every wait in the offload
+    pipeline parks and is woken by a doorbell (DESIGN.md §17), which
+    hands the GIL over at once whatever the interval.  It still lets
+    threads that *compute* in Python (busy-spin app phases, the
+    comm-self and iprobe baselines) share the interpreter."""
     prev = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     yield

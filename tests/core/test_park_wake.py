@@ -1,0 +1,161 @@
+"""Park/wake protocol of the engine loop (DESIGN.md §17).
+
+The loop parks on ``_wake`` at the end of every iteration — with or
+without operations in flight — and every hand-off rings it:
+``submit``, ``ProgressEngine.inject`` and ``Request._complete/_fail``
+for requests the rank owns.  The tick (``engine._TICK``) is a safety
+net, never the carrier of a hand-off.
+
+These tests are counter-based, not wall-clock.  Where a missed doorbell
+must show, the tick is stretched to seconds: a forgotten ring then
+surfaces as ``timed_wakes > 0`` (work found by the timer instead of a
+doorbell) rather than as a latency one would have to eyeball.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.core import EnginePool, OffloadRequest, offloaded
+from repro.core import engine as engine_mod
+from repro.core.commands import Command, CommandKind
+
+from tests.conftest import run_world_mt
+
+_RNDV = 1 << 20  # above the eager threshold
+
+
+@pytest.fixture
+def slow_tick(monkeypatch):
+    """Stretch the safety tick so that only doorbells can carry a
+    hand-off inside a test's lifetime."""
+    monkeypatch.setattr(engine_mod, "_TICK", 5.0)
+
+
+def _wakes(engine) -> tuple[int, int]:
+    counters = engine.telemetry.counters
+    return counters.get("doorbell_wakes"), counters.get("timed_wakes")
+
+
+def _settle(predicate, budget: float = 10.0) -> None:
+    deadline = time.perf_counter() + budget
+    while not predicate():
+        assert time.perf_counter() < deadline, "engine never settled"
+        time.sleep(1e-3)
+
+
+class TestPark:
+    def test_unmatched_irecv_costs_at_most_the_tick_rate(self):
+        """One unmatched receive in flight: the loop sleeps through it.
+        The polling loop it replaces spun tens of thousands of times in
+        the same window."""
+
+        def prog(comm):
+            with offloaded(comm, pool_size=1, telemetry=True) as oc:
+                engine = oc.engine.route()
+                req = oc.irecv(np.empty(8, dtype=np.uint8), 0, tag=3)
+                _settle(lambda: engine._in_flight)
+                beats0 = engine.heartbeat
+                pumps0 = comm.engine.progress_calls
+                t0 = time.perf_counter()
+                time.sleep(0.3)
+                elapsed = time.perf_counter() - t0
+                beats = engine.heartbeat - beats0
+                pumps = comm.engine.progress_calls - pumps0
+                oc.send(np.arange(8, dtype=np.uint8), 0, tag=3)
+                req.wait(timeout=30)
+            return beats, pumps, elapsed
+
+        (beats, pumps, elapsed), = run_world_mt(1, prog)
+        ceiling = elapsed / engine_mod._TICK * 1.5 + 10
+        assert 1 <= beats <= ceiling, (beats, ceiling)
+        assert pumps <= ceiling, (pumps, ceiling)
+
+
+@pytest.mark.usefixtures("slow_tick")
+class TestDoorbells:
+    def test_rendezvous_served_without_a_tick(self):
+        """RTS into a parked receiver, CTS into a parked sender, and
+        the receive completed from the sender's engine thread: three
+        hand-offs, no timer."""
+
+        def prog(comm):
+            with offloaded(comm, pool_size=1, telemetry=True) as oc:
+                engine = oc.engine.route()
+                if comm.rank == 0:
+                    buf = np.empty(_RNDV, dtype=np.uint8)
+                    req = oc.irecv(buf, 1, tag=5)
+                    req.wait(timeout=30)
+                    got = int(buf[0]), int(buf[-1])
+                else:
+                    time.sleep(0.1)  # rank 0 parks on the posted recv
+                    oc.send(np.full(_RNDV, 7, dtype=np.uint8), 0, tag=5)
+                    got = None
+                return got, _wakes(engine)
+
+        (got, wakes0), (_, wakes1) = run_world_mt(2, prog)
+        assert got == (7, 7)
+        for rung, timed in (wakes0, wakes1):
+            assert timed == 0
+            assert rung >= 1
+
+    def test_senders_thread_completion_wakes_receiver(self):
+        """The sender has no engine: its application thread handles the
+        CTS and completes the *receiver's* request.  After the RTS the
+        receiver gets no further arrival, so only ``Request._complete``
+        ringing the owner's bells can wake its parked loop."""
+
+        def prog(comm):
+            if comm.rank == 1:
+                time.sleep(0.1)
+                comm.send(np.full(_RNDV, 9, dtype=np.uint8), 0, tag=6)
+                return None
+            with offloaded(comm, pool_size=1, telemetry=True) as oc:
+                buf = np.empty(_RNDV, dtype=np.uint8)
+                oc.irecv(buf, 1, tag=6).wait(timeout=30)
+                return int(buf[-1]), _wakes(oc.engine.route())
+
+        (last, (rung, timed)), _ = run_world_mt(2, prog)
+        assert last == 9
+        assert timed == 0
+        assert rung >= 2  # the RTS arrival, then the remote completion
+
+    def test_sibling_shard_completion_wakes_owner(self):
+        """Two shards share one progress engine.  The arrival is
+        published without a ring and only the sibling is woken: it
+        drains the shared inbox and completes a receive the *other*
+        shard tracks, which must hear of it through the request."""
+
+        def prog(comm):
+            progress = comm.engine
+            with EnginePool(comm, pool_size=2, telemetry=True) as pool:
+                owner, sibling = pool.engines
+                buf = np.empty(8, dtype=np.uint8)
+                slot = pool.request_pool.alloc()
+                handle = OffloadRequest(pool.request_pool, slot)
+                owner.submit(
+                    Command(
+                        kind=CommandKind.IRECV,
+                        slot=slot,
+                        comm=comm,
+                        buf=buf,
+                        peer=0,
+                        tag=7,
+                    )
+                )
+                _settle(lambda: owner._in_flight)
+                progress.inject = progress._inbox.append  # no ring
+                try:
+                    comm.isend(np.arange(8, dtype=np.uint8), 0, tag=7)
+                finally:
+                    del progress.inject
+                sibling._wake.set()
+                handle.wait(timeout=30)
+                return buf.tolist(), _wakes(owner), sibling.completions
+
+        (data, (rung, timed), sibling_done), = run_world_mt(1, prog)
+        assert data == list(range(8))
+        assert sibling_done == 0  # the sibling tracked nothing itself
+        assert timed == 0
+        assert rung >= 1

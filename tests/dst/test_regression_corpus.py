@@ -28,14 +28,15 @@ class TestCorpusRegistry:
             "shrink-inflight-eager",
             "continuation-vs-crash",
             "continuation-double-fire",
+            "park-vs-ring",
             "queue-linearizability",
             "freelist-linearizability",
             "pool-linearizability",
         }
 
-    def test_twelve_regressions_three_oracles(self):
+    def test_thirteen_regressions_three_oracles(self):
         regressions = [t for t in CORPUS.values() if t.regression]
-        assert len(regressions) == 12
+        assert len(regressions) == 13
         assert len(CORPUS) - len(regressions) == 3
 
     def test_oracle_targets_reject_fix_disabled(self):
@@ -208,6 +209,28 @@ class TestContinuationSmokeRegressions:
         assert Explorer(lambda: target.make(False)).replay(seed) is None
 
 
+class TestWakeUpProtocol:
+    """The engine loop's clear → look → park order (DESIGN.md §17)
+    against a submit, an arrival and a remote completion."""
+
+    def test_no_schedule_loses_a_wake_up(self):
+        fixed = run_target("park-vs-ring")
+        assert not fixed.result.found and fixed.expected
+        # every interleaving of the three ringers with the real loop
+        # was run: a proof, not a sample
+        assert fixed.result.exhausted
+
+    def test_looking_before_clearing_is_rediscovered(self):
+        broken = run_target("park-vs-ring", fix_disabled=True)
+        assert broken.result.found and broken.expected
+        # a lost wake-up has no tick to rescue it under the scheduler
+        assert "blocked" in str(broken.result.failure.error)
+        token = broken.result.failure.token
+        target = CORPUS["park-vs-ring"]
+        assert Explorer(lambda: target.make(True)).replay(token) is not None
+        assert Explorer(lambda: target.make(False)).replay(token) is None
+
+
 class TestReplayContract:
     """A failure token is a complete reproduction recipe."""
 
@@ -277,9 +300,9 @@ class TestDeepTier:
             (o.target, o.fix_disabled, o.result.found) for o in wrong
         ]
         # both directions ran: planted bugs found, fixed code clean
-        assert sum(o.fix_disabled for o in outcomes) == 12
-        assert len(outcomes) == 27
+        assert sum(o.fix_disabled for o in outcomes) == 13
+        assert len(outcomes) == 29
         snap = counters.snapshot()
         assert snap["schedules_explored"] > 0
         assert snap["lin_histories_checked"] > 0
-        assert snap["dst_violations"] == 12
+        assert snap["dst_violations"] == 13

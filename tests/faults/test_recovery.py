@@ -186,6 +186,28 @@ class TestWatchdog:
 
         assert all(run_world_mt(1, prog, timeout=60))
 
+    def test_parked_engine_is_not_mistaken_for_a_wedged_one(self):
+        # A healthy loop parks for as long as a posted receive stays
+        # unmatched (DESIGN.md §17) — here six watchdog bounds.  Its
+        # heartbeat must keep advancing (once per tick), or every
+        # patient receiver would be poisoned.
+        rec = RecoveryPolicy(watchdog_timeout=0.05, poll_interval=0.01)
+
+        def prog(comm):
+            with offloaded(comm, recovery=rec) as oc:
+                if comm.rank == 1:
+                    time.sleep(0.3)
+                    oc.send(np.full(4, 3.0), 0, tag=9)
+                    return True
+                buf = np.empty(4)
+                oc.recv(buf, 1, tag=9)  # raises OffloadEngineDied if tripped
+                engine = oc.engine.route()
+                assert engine.dead is None
+                assert engine.stats()["watchdog_trips"] == 0
+                return buf.tolist() == [3.0] * 4
+
+        assert all(run_world_mt(2, prog, timeout=60))
+
 
 class TestDegradedMode:
     def test_collective_survives_one_dead_engine(self):

@@ -1,8 +1,15 @@
 """Unit and concurrency tests for the atomic primitives."""
 
+import sys
 import threading
+import time
 
-from repro.lockfree.atomics import AtomicCell, AtomicCounter, AtomicFlag
+from repro.lockfree.atomics import (
+    AtomicCell,
+    AtomicCounter,
+    AtomicFlag,
+    Doorbell,
+)
 
 
 class TestAtomicCell:
@@ -117,3 +124,81 @@ class TestAtomicFlag:
         f.clear()
         assert not f.is_set()
         assert f.payload is None
+
+
+class TestDoorbell:
+    def test_ring_is_sticky_until_cleared(self):
+        bell = Doorbell()
+        assert not bell.is_set()
+        bell.set()
+        bell.set()  # ringing twice is ringing once
+        assert bell.is_set()
+        assert bell.wait(0.01)
+        assert bell.wait(0.01)  # waiting does not consume the ring
+        bell.clear()
+        assert not bell.is_set()
+        assert not bell.wait(0.01)
+
+    def test_cleared_bell_keeps_no_token(self):
+        # set → clear must leave nothing behind that would cut the next
+        # park short
+        bell = Doorbell()
+        for _ in range(3):
+            bell.set()
+            bell.clear()
+        t0 = time.perf_counter()
+        assert not bell.wait(0.05)
+        assert time.perf_counter() - t0 >= 0.04
+
+    def test_ring_wakes_a_parked_owner(self):
+        bell = Doorbell()
+        woke = []
+
+        def owner():
+            bell.clear()
+            woke.append(bell.wait(5.0))
+
+        t = threading.Thread(target=owner)
+        t.start()
+        time.sleep(0.05)  # let the owner park
+        bell.set()
+        t.join(5.0)
+        assert not t.is_alive()
+        assert woke == [True]
+
+    def test_no_ring_is_lost_across_clear_look_park(self):
+        """Ringers publish then ring; the owner clears, looks, parks.
+        Every published item must be seen without relying on the park's
+        timeout (set far beyond the test's deadline)."""
+        bell = Doorbell()
+        published: list[int] = []
+        seen = 0
+        n_ringers, per_ringer = 4, 500
+
+        def ringer(base):
+            for i in range(per_ringer):
+                published.append(base + i)  # list.append is atomic
+                bell.set()
+
+        threads = [
+            threading.Thread(target=ringer, args=(k * per_ringer,))
+            for k in range(n_ringers)
+        ]
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.perf_counter() + 30
+            while seen < n_ringers * per_ringer:
+                assert time.perf_counter() < deadline, "lost wake-up"
+                bell.clear()
+                seen = len(published)
+                if seen < n_ringers * per_ringer:
+                    bell.wait(60.0)
+        finally:
+            sys.setswitchinterval(prev)
+            for t in threads:
+                t.join(5.0)
+        assert sorted(published) == list(range(n_ringers * per_ringer))
+

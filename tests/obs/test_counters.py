@@ -100,7 +100,8 @@ def test_glossary_covers_engine_counters():
         "blocking_conversions",
         "testany_sweeps",
         "completions",
-        "idle_backoff_entries",
+        "doorbell_wakes",
+        "timed_wakes",
         "control_commands",
         "pool_allocs",
         "pool_releases",
