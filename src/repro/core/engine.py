@@ -1013,11 +1013,14 @@ class OffloadEngine:
             # A done-flag (not a pool slot) means this was a blocking
             # call the engine converted to its nonblocking form (§3.3).
             self._telem.counters.inc("blocking_conversions")
-        entry = _InFlight(inner=inner, slot=slot, flag=flag, command=cmd)
         if inner.done:
-            self._finish(entry)
+            # Born complete (every classic eager send): no in-flight
+            # record to build, sweep over and discard.
+            self._finish(inner, cmd, slot, flag)
             return
-        self._in_flight.append(entry)
+        self._in_flight.append(
+            _InFlight(inner=inner, slot=slot, flag=flag, command=cmd)
+        )
         self.max_in_flight = max(self.max_in_flight, len(self._in_flight))
         if self._telem is not None:
             self._telem.counters.record_max(
@@ -1049,7 +1052,9 @@ class OffloadEngine:
         soonest = _NEVER
         for entry in self._in_flight:
             if entry.inner.done:
-                self._finish(entry)
+                self._finish(
+                    entry.inner, entry.command, entry.slot, entry.flag
+                )
                 done += 1
                 continue
             cmd = entry.command
@@ -1088,53 +1093,52 @@ class OffloadEngine:
         elif entry.flag is not None:
             entry.flag.set(None)
 
-    def _finish(self, entry: _InFlight) -> None:
+    def _finish(
+        self,
+        inner: "Request",
+        cmd: Command | None,
+        slot: int,
+        flag: AtomicFlag | None,
+    ) -> None:
         self.completions += 1
         tm = self._telem
         if tm is not None:
             tm.counters.inc("completions")
             if tm.trace is not None:
                 tm.trace.append(
-                    "complete",
-                    rank=self.comm.engine.rank,
-                    slot=entry.slot,
+                    "complete", rank=self.comm.engine.rank, slot=slot
                 )
-        inner = entry.inner
         status = inner.status
+        error = inner.error
+        comm = cmd.comm if cmd is not None else None
         rec = self.recovery
         if (
-            inner.error is not None
+            error is not None
             and rec is not None
             and getattr(rec, "rank_failure", "fail") == "shrink"
-            and entry.command is not None
-            and entry.command.comm is not None
-            and _is_rank_dead(inner.error)
+            and comm is not None
+            and _is_rank_dead(error)
         ):
             # An in-flight operation (e.g. a posted receive) failed
             # because its peer died after dispatch: same ULFM response
             # as a dispatch-time death (see _command_failed).
             try:
-                entry.command.comm.revoke()
+                comm.revoke()
             except Exception:  # noqa: BLE001 - revoke is best-effort
                 pass
         # Engine-level statuses carry global ranks; convert to the
         # command's communicator-local numbering before publishing.
-        if (
-            status is not None
-            and status.source >= 0
-            and entry.command is not None
-            and entry.command.comm is not None
-        ):
-            status = entry.command.comm._localize_status(status)
-        if entry.slot >= 0:
-            if inner.error is not None:
-                self.pool.fail(entry.slot, inner.error)
+        if status is not None and status.source >= 0 and comm is not None:
+            status = comm._localize_status(status)
+        if slot >= 0:
+            if error is not None:
+                self.pool.fail(slot, error)
             else:
-                self.pool.complete(entry.slot, status)
-        elif entry.flag is not None:
-            if inner.error is not None and entry.command is not None:
-                entry.command.error = inner.error
-            entry.flag.set(status)
+                self.pool.complete(slot, status)
+        elif flag is not None:
+            if error is not None and cmd is not None:
+                cmd.error = error
+            flag.set(status)
 
     def _check_flushes(self) -> None:
         if not self._flushes or self._in_flight or not self.queue.empty():

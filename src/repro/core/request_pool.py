@@ -77,16 +77,22 @@ class _Slot:
         self.cont_lock = threading.Lock()
 
     def reset(self) -> None:
+        """Owner only, after :meth:`OffloadRequestPool.release` bumped
+        ``generation`` and settled any pending continuation."""
         self.flag.clear()
         self.inner = None
         self.error = None
         self.cont = None
         self.cont_fired = False
-        self.generation += 1
 
 
 class OffloadRequestPool:
     """Fixed-size pool of slots behind a lock-free free list.
+
+    A slot's done flag is a word (:class:`AtomicFlag`): building the
+    pool allocates no condition variable per slot, completing a slot
+    nobody is blocked on is a store, and a slot with no continuation
+    registered is completed and released without taking a lock.
 
     ``cache_size`` enables per-thread slot caching: each application
     thread keeps a private stash of free slot indices, refilled from
@@ -204,14 +210,21 @@ class OffloadRequestPool:
         if self.telemetry is not None:
             self.telemetry.inc("pool_releases")
         slot = self._slots[idx]
-        with slot.cont_lock:
-            if slot.cont is not None and not slot.cont_fired:
-                # A waiter consumed the slot directly (wait/test) while
-                # a continuation was still pending: the registration is
-                # destroyed undelivered, and must be accounted, not
-                # silently lost.
-                slot.cont_fired = True
-                self._note_drop()
+        # Invalidate handles first, look for a continuation second: a
+        # registrant writes ``cont`` and then re-reads ``generation``
+        # (see `register_continuation`), so either it notices the
+        # release or this look notices the registration — and the
+        # common case, no continuation, takes no lock.
+        slot.generation += 1
+        if slot.cont is not None:
+            with slot.cont_lock:
+                if slot.cont is not None and not slot.cont_fired:
+                    # A waiter consumed the slot directly (wait/test)
+                    # while a continuation was still pending: the
+                    # registration is destroyed undelivered, and must
+                    # be accounted, not silently lost.
+                    slot.cont_fired = True
+                    self._note_drop()
         slot.reset()
         if not self._cache_size:
             self._freelist.push(idx)
@@ -272,6 +285,13 @@ class OffloadRequestPool:
                     "request already has a continuation registered"
                 )
             slot.cont = fn
+            if slot.generation != generation:
+                # Released under us, and `release` may have looked
+                # before this store: take the registration back.
+                slot.cont = None
+                raise ContinuationError(
+                    "continuation registered on a stale request handle"
+                )
         if _dst._scheduler is not None:
             _dst.yield_point("pool.cont.register")
         if slot.flag.is_set():
@@ -290,7 +310,15 @@ class OffloadRequestPool:
         and the bridge's closed-loop path.)  The generation check
         keeps a delayed completer from firing a *new* owner's
         continuation after the slot was recycled.
+
+        The look at ``cont`` before the lock is safe without it: every
+        caller published the done flag before coming here, and a
+        registrant writes ``cont`` before it reads the flag — so a
+        completer that finds no continuation leaves a registrant that
+        will find the flag set and deliver from its own thread.
         """
+        if slot.cont is None:
+            return False
         with slot.cont_lock:
             fn = slot.cont
             if fn is None or slot.generation != generation:

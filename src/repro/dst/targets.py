@@ -106,7 +106,9 @@ added two more:
     path, and only the ``cont_fired`` claim under ``cont_lock``
     collapses them to one delivery
     (:attr:`OffloadRequestPool._unsafe_skip_fire_once_guard` skips the
-    claim).
+    claim).  The completer's first look at ``cont`` takes no lock; run
+    exhaustively (10 schedules) the same program shows that no order
+    of the two looks loses the delivery either.
 
 The event-driven hand-off PR (DESIGN.md §17) added one whose broken
 variant is injected from here, not by a flag in production code:
@@ -120,6 +122,34 @@ variant is injected from here, not by a flag in production code:
     (``inject``) and a receive completed from the peer's thread; the
     harness swaps the loop's ``_wake`` for :class:`_Bell`, whose
     ``late_clear`` mode is the broken order.
+
+The word-flag PR (DESIGN.md §18) added three more of that kind, all
+injected by a harness subclass:
+
+``flag-park-vs-set``
+    A waiter parks on a done flag in the order look → register → look
+    again → block, against a setter that publishes and then looks for
+    waiters.  Registering *without* the second look loses a set that
+    lands between the look and the registration.  :class:`_SteppedFlag`
+    runs the real :class:`AtomicFlag` code with a choice point between
+    all of its steps; its ``one_look`` mode is the broken order.
+
+``revoke-vs-post-recv``
+    ``post_recv`` drains the inbox before it matches; when that drain
+    handles a ``REVOKE``, the receive must be refused too — checked
+    only *before* the drain it is posted after the purge and never
+    fails (the ``run_resilient`` recovery hang).
+    :class:`_CheckBeforeDrainEngine` is the pre-fix order.
+
+``continuation-vs-release``
+    ``release`` takes ``cont_lock`` only when it sees a continuation:
+    it bumps the generation, then looks at ``cont``; a registrant
+    stores ``cont``, then looks at the generation again.  Without that
+    second look a registration racing a direct consumer is clobbered
+    silently or left on the slot for its next owner.
+    :class:`_SteppedSlot` makes both words choice points under the real
+    ``release`` / ``register_continuation``; its ``no_recheck`` mode is
+    the broken registrant.
 
 This module imports :mod:`repro.core` and therefore must never be
 imported from :mod:`repro.dst.hooks`'s import path (see the package
@@ -138,8 +168,10 @@ from repro.core.commands import Command, CommandKind
 from repro.core.engine import OffloadEngine
 from repro.core.request_pool import (
     OffloadEngineDied,
+    OffloadError,
     OffloadRequest,
     OffloadRequestPool,
+    _Slot,
 )
 from repro.dst import hooks as _dst
 from repro.dst.explorer import ExplorationResult, Explorer, InvariantViolation
@@ -150,12 +182,14 @@ from repro.dst.linearize import (
     QueueSpec,
     RequestPoolSpec,
 )
+from repro.lockfree.atomics import AtomicFlag, DoneWord
 from repro.lockfree.freelist import (
     DoubleFree,
     FreeList,
     FreeListExhausted,
 )
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
+from repro.mpisim.progress import ProgressEngine
 
 
 class _FakeComm:
@@ -952,7 +986,9 @@ class ContinuationCrashProgram:
     ``engine.dispatch`` crash point under any command.  Invariant:
     every accepted command's continuation fires **exactly once** —
     success and crash (``_fail_pending`` → ``pool.fail``) are both
-    firing paths.  With the fail-path delivery disabled
+    firing paths, and so is a registration that arrives after the
+    engine already finished the slot (every second command registers
+    only after its submit).  With the fail-path delivery disabled
     (:attr:`OffloadRequestPool._unsafe_skip_fire_on_fail`), a crash
     leaves continuations undelivered: the asyncio awaiters they stand
     for would hang forever.
@@ -983,9 +1019,16 @@ class ContinuationCrashProgram:
                     idx = pool.alloc()
                     handle = OffloadRequest(pool, idx)
                     record: list[int] = []
-                    handle.add_continuation(
-                        lambda r=record: r.append(1)
-                    )
+                    # Even commands register before the submit; odd
+                    # ones after it, so the registration races the
+                    # engine's complete/fail — the completer's
+                    # lock-free look at ``cont`` against the
+                    # registrant's look at the flag.
+                    late = i % 2 == 1
+                    if not late:
+                        handle.add_continuation(
+                            lambda r=record: r.append(1)
+                        )
                     cmd = Command(
                         CommandKind.ISEND,
                         comm=self._comm,
@@ -998,6 +1041,10 @@ class ContinuationCrashProgram:
                         eng.submit(cmd)
                     except OffloadEngineDied:
                         return
+                    if late:
+                        handle.add_continuation(
+                            lambda r=record: r.append(1)
+                        )
                     self.fires.append(record)
             finally:
                 self._submitted_all = True
@@ -1089,6 +1136,131 @@ class ContinuationDoubleFireProgram:
             raise InvariantViolation(
                 f"{self.pool.continuation_drops} continuation drops "
                 "recorded although the delivery happened"
+            )
+
+
+class _CoopLock:
+    """``_Slot.cont_lock`` stand-in that blocks on the scheduler, so a
+    holder may sit at a choice point without wedging the other virtual
+    threads on a real lock."""
+
+    def __init__(self) -> None:
+        self._held = False
+
+    def __enter__(self) -> None:
+        _dst.wait_until(lambda: not self._held)
+        self._held = True
+
+    def __exit__(self, *exc: Any) -> None:
+        self._held = False
+
+
+class _PlainFreeList:
+    """Free list without yield points (its CAS interleavings belong
+    to the free-list targets and would only multiply this tree)."""
+
+    def __init__(self) -> None:
+        self.freed: list[int] = []
+
+    def mark_free(self, idx: int) -> None:
+        pass
+
+    def push(self, idx: int) -> None:
+        self.freed.append(idx)
+
+
+class _SteppedSlot(_Slot):
+    """A pool slot whose ``generation`` and ``cont`` words are choice
+    points on every access; the code that runs is production's
+    ``release`` / ``register_continuation`` / ``_fire``.
+
+    ``no_recheck`` is the broken registrant, injected from here: its
+    look at ``generation`` *after* it stored ``cont`` is answered from
+    memory, i.e. it trusts the check it made before the store.
+    """
+
+    __slots__ = ("_no_recheck", "_last_read", "_from_memory")
+
+    def __init__(self, no_recheck: bool) -> None:
+        self._no_recheck = no_recheck
+        self._last_read = 0
+        self._from_memory = False
+        super().__init__()
+        self.cont_lock = _CoopLock()
+
+    @property
+    def generation(self) -> int:
+        if self._from_memory:
+            self._from_memory = False
+            return self._last_read  # what the check before the store saw
+        _dst.yield_point("slot.generation")
+        self._last_read = _Slot.generation.__get__(self)
+        return self._last_read
+
+    @generation.setter
+    def generation(self, value: int) -> None:
+        _dst.yield_point("slot.generation=")
+        _Slot.generation.__set__(self, value)
+
+    @property
+    def cont(self) -> Any:
+        _dst.yield_point("slot.cont")
+        return _Slot.cont.__get__(self)
+
+    @cont.setter
+    def cont(self, fn: Any) -> None:
+        _dst.yield_point("slot.cont=")
+        _Slot.cont.__set__(self, fn)
+        self._from_memory = fn is not None and self._no_recheck
+
+
+class ContinuationVsReleaseProgram:
+    """A registration racing a direct consumer of the same handle.
+
+    The operation is complete.  One thread consumes the handle
+    (``test()`` → ``release``: bump the generation, *then* look for a
+    continuation — without ``cont_lock`` when there is none); another
+    registers a continuation on it (store ``cont``, *then* look at the
+    generation again).  Invariant: the registration is delivered
+    inline, refused as stale, or counted as a drop — and never left on
+    the slot for its next owner, whose completion would fire it.
+    """
+
+    def __init__(self, fix_disabled: bool) -> None:
+        self.pool = OffloadRequestPool(capacity=1, cache_size=0)
+        self.idx = self.pool.alloc()
+        self.pool._slots[self.idx] = _SteppedSlot(no_recheck=fix_disabled)
+        self.pool._freelist = _PlainFreeList()
+        self.handle = OffloadRequest(self.pool, self.idx)
+        self.pool.complete(self.idx, None)
+        self.fired: list[int] = []
+        self.refused = False
+
+    def setup(self, sched: Any) -> None:
+        def registrant() -> None:
+            try:
+                self.handle.add_continuation(lambda: self.fired.append(1))
+            except OffloadError:  # ContinuationError is one
+                self.refused = True
+
+        sched.spawn(registrant, name="registrant")
+        sched.spawn(self.handle.test, name="consumer")
+
+    def check(self) -> None:
+        slot = self.pool._slots[self.idx]
+        if _Slot.cont.__get__(slot) is not None:
+            raise InvariantViolation(
+                "a continuation registered on the released handle is "
+                "still on the slot: the next owner's completion would "
+                "fire it"
+            )
+        delivered = len(self.fired) + self.pool.continuation_drops
+        if delivered != (0 if self.refused else 1):
+            raise InvariantViolation(
+                f"registration {'refused' if self.refused else 'accepted'}"
+                f" but fired {len(self.fired)} time(s) and dropped "
+                f"{self.pool.continuation_drops}: silently lost or "
+                "doubly accounted"
             )
 
 
@@ -1260,6 +1432,187 @@ class ParkVsRingProgram:
         if not (self.received == self.sent).all():
             raise InvariantViolation(
                 "receive completed without the sender's payload"
+            )
+
+
+# ---------------------------------------------------------------------------
+# Regression race 14: a waiter parking on a done flag vs. its setter
+# ---------------------------------------------------------------------------
+
+
+class _SteppedFlag(AtomicFlag):
+    """The real :class:`AtomicFlag` with every step a choice point.
+
+    The protocol code that runs is production's (``_publish``,
+    ``park``, ``_register``, ``_wake``); this subclass only puts the
+    scheduler between its steps: before and after every access to the
+    ``done`` word, before registering, deregistering, waking and
+    blocking.  Blocking is cooperative and has *no* timeout, so a lost
+    wake-up is a deadlock the scheduler reports.
+
+    ``one_look`` is the broken protocol, injected from here: the look
+    that follows the registration is answered from memory — the waiter
+    acts on what it saw *before* it registered — so a set that lands
+    between its look and its registration finds nobody to wake and
+    wakes nobody.
+    """
+
+    __slots__ = ("_one_look", "_answer_from_memory")
+
+    def __init__(self, one_look: bool) -> None:
+        self._one_look = one_look
+        self._answer_from_memory = False
+        super().__init__()
+
+    @property
+    def done(self) -> bool:
+        if self._answer_from_memory:
+            self._answer_from_memory = False
+            return False  # it was clear when this waiter last looked
+        if not DoneWord.done.__get__(self):
+            # Once set the word never changes here, so only a look
+            # that may still see it clear is worth a choice point.
+            _dst.yield_point("flag.look")
+        return DoneWord.done.__get__(self)
+
+    @done.setter
+    def done(self, value: bool) -> None:
+        DoneWord.done.__set__(self, value)
+        _dst.yield_point("flag.stored")
+
+    def _register(self, token: Any) -> None:
+        _dst.yield_point("flag.register")
+        super()._register(token)
+        self._answer_from_memory = self._one_look
+
+    def _deregister(self, token: Any) -> None:
+        _dst.yield_point("flag.deregister")
+        super()._deregister(token)
+
+    def _wake(self) -> None:
+        _dst.yield_point("flag.wake")
+        super()._wake()
+
+    def _block(self, token: Any, timeout: float) -> bool:
+        _dst.wait_until(lambda: not token.locked())
+        return True
+
+
+class FlagParkVsSetProgram:
+    """Two waiters park on one done flag while a third thread sets it.
+
+    The waiters call :meth:`DoneWord.park` — the real park, which is
+    what ``OffloadRequest.wait``, a blocking facade call and
+    ``mpisim.Request.wait`` reach when the flag is still clear (under
+    the scheduler ``AtomicFlag.wait`` would turn cooperative before
+    getting there).  Invariant: both waiters return, both see the
+    payload, and no registration is left behind.
+    """
+
+    def __init__(self, fix_disabled: bool) -> None:
+        self.flag = _SteppedFlag(one_look=fix_disabled)
+        self.seen: list[Any] = []
+
+    def setup(self, sched: Any) -> None:
+        flag = self.flag
+
+        def waiter() -> None:
+            if flag.park():
+                self.seen.append(flag.payload)
+
+        for i in range(2):
+            sched.spawn(waiter, name=f"waiter{i}")
+        sched.spawn(lambda: flag.set("status"), name="setter")
+
+    def check(self) -> None:
+        if self.seen != ["status", "status"]:
+            raise InvariantViolation(
+                f"waiters returned {self.seen!r}, expected the payload "
+                "twice"
+            )
+        if self.flag._waiters is not None:
+            raise InvariantViolation(
+                f"{len(self.flag._waiters)} waiter registration(s) "
+                "left on the flag after everybody returned"
+            )
+
+
+# ---------------------------------------------------------------------------
+# Regression race 15: a REVOKE notice in the inbox vs. a receive being posted
+# ---------------------------------------------------------------------------
+
+
+class _CheckBeforeDrainEngine(ProgressEngine):
+    """``post_recv``/``iprobe`` in the pre-fix order, injected here:
+    refuse a revoked communicator first, bring the queues up to date
+    second."""
+
+    def _drain_then_check(self, context_id: int, what: str) -> None:
+        self._check_revoked(context_id, what)
+        self._drain_inbox()
+
+
+class RevokeVsPostRecvProgram:
+    """Rank 1 revokes the world communicator while rank 0 posts a
+    receive on it.
+
+    When the REVOKE notice is already in rank 0's inbox, the drain
+    inside ``post_recv`` is what handles it: ``apply_revoke`` purges the
+    posted queue — and a receive that passed its revoked check *before*
+    that drain is posted *after* the purge, on a communicator the rank
+    now knows revoked, where nothing will ever fail it.  That is the
+    ``run_resilient`` recovery hang: a survivor sits in a step receive
+    for ever while the agreement waits for it.
+
+    Invariant: once rank 0 has seen the notice, its receive is terminal
+    — refused at the post with :class:`CommRevokedError` or failed with
+    it afterwards — never pending.
+    """
+
+    def __init__(self, fix_disabled: bool) -> None:
+        from repro.mpisim.constants import ThreadLevel
+        from repro.mpisim.world import World
+
+        self.world = World(2, ThreadLevel.MULTIPLE)
+        if fix_disabled:
+            self.world.engines[0].__class__ = _CheckBeforeDrainEngine
+        self.req: Any = None
+        self.refused = False
+        self.revoke_sent = False
+
+    def setup(self, sched: Any) -> None:
+        import numpy as np
+
+        from repro.mpisim.exceptions import CommRevokedError
+
+        def receiver() -> None:
+            comm = self.world.comm_world(0)
+            _dst.yield_point("revoke.post_delay")
+            try:
+                self.req = comm.irecv(np.empty(8, dtype=np.uint8), 1, tag=3)
+            except CommRevokedError:
+                self.refused = True
+            # whatever MPI call this rank makes next pumps progress
+            _dst.wait_until(lambda: self.revoke_sent)
+            comm.engine.progress()
+
+        def revoker() -> None:
+            _dst.yield_point("revoke.delay")
+            self.world.comm_world(1).revoke()
+            self.revoke_sent = True
+
+        sched.spawn(receiver, name="receiver")
+        sched.spawn(revoker, name="revoker")
+
+    def check(self) -> None:
+        if self.refused:
+            return
+        if self.req is None or not self.req.done:
+            raise InvariantViolation(
+                "receive still pending on a communicator its rank knows "
+                "revoked: it passed the revoked check, the drain that "
+                "followed handled the REVOKE and purged the posted "
+                "queue, and it was posted afterwards"
             )
 
 
@@ -1581,6 +1934,18 @@ CORPUS: dict[str, Target] = {
             schedules=300,
         ),
         Target(
+            name="continuation-vs-release",
+            description=(
+                "registration racing a direct consumer's lock-free "
+                "release: a registrant that does not look at the "
+                "generation again leaves its callback on the slot for "
+                "the next owner"
+            ),
+            make=ContinuationVsReleaseProgram,
+            regression=True,
+            schedules=20_000,
+        ),
+        Target(
             name="park-vs-ring",
             description=(
                 "engine loop looking before it clears its doorbell: a "
@@ -1590,6 +1955,27 @@ CORPUS: dict[str, Target] = {
             make=ParkVsRingProgram,
             regression=True,
             schedules=20_000,
+        ),
+        Target(
+            name="flag-park-vs-set",
+            description=(
+                "waiter registering on a done flag without looking "
+                "again: a set between its look and its registration "
+                "wakes nobody and the waiter parks for ever"
+            ),
+            make=FlagParkVsSetProgram,
+            regression=True,
+            schedules=200_000,
+        ),
+        Target(
+            name="revoke-vs-post-recv",
+            description=(
+                "receive checked for revocation before the inbox drain "
+                "that handles the REVOKE: posted after the purge, "
+                "pending for ever (the run_resilient recovery hang)"
+            ),
+            make=RevokeVsPostRecvProgram,
+            regression=True,
         ),
         Target(
             name="queue-linearizability",

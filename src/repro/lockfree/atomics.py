@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 from typing import Any, Generic, TypeVar
 
 from repro.dst import hooks as _dst
@@ -136,41 +137,147 @@ class AtomicCounter:
             self._value = value
 
 
-class AtomicFlag:
-    """A set-once *done* flag a waiter parks on.
+#: Guards every flag's waiter list.  One lock for all of them is
+#: enough: it is taken only by a thread that is about to block (or that
+#: wakes such a thread), around a list append, swap or remove — the
+#: park underneath costs microseconds, and a lock per flag would put
+#: back the per-operation object this design removes.
+_park_lock = threading.Lock()
+
+
+class DoneWord:
+    """One word a completer stores, plus lazily parked waiters.
+
+    The paper's done flag (Section 3.1) is a memory word the waiter
+    checks; completing an operation nobody is blocked on costs the
+    completer a store.  ``done`` is that word — read it directly on hot
+    paths.  Waiters exist only while a thread is actually blocked:
+
+    * the completer **publishes, then looks**: it stores ``done`` and
+      only afterwards reads ``_waiters`` (:meth:`_publish`);
+    * a waiter **registers, then looks**: it appends a one-shot lock to
+      ``_waiters`` under :data:`_park_lock` and only afterwards reads
+      ``done`` again (:meth:`park`).
+
+    Whichever of the two stores comes second, its thread's following
+    read sees the other's store, so either the completer finds the
+    waiter and releases its lock or the waiter finds the word set and
+    never blocks.  A woken waiter re-reads the word before returning,
+    so a stray wake (see :meth:`AtomicFlag.clear`) is harmless.
+    """
+
+    __slots__ = ("done", "_waiters")
+
+    def __init__(self) -> None:
+        self.done = False
+        self._waiters: list | None = None
+
+    def _publish(self) -> None:
+        """Completer: store the word, then wake whoever registered."""
+        self.done = True
+        if self._waiters is not None:
+            self._wake()
+
+    def _wake(self) -> None:
+        with _park_lock:
+            waiters, self._waiters = self._waiters, None
+        for token in waiters or ():
+            token.release()
+
+    def _register(self, token) -> None:
+        with _park_lock:
+            if self._waiters is None:
+                self._waiters = [token]
+            else:
+                self._waiters.append(token)
+
+    def _deregister(self, token) -> None:
+        with _park_lock:
+            waiters = self._waiters
+            if waiters is not None:
+                try:
+                    waiters.remove(token)
+                except ValueError:
+                    return  # a completer already swapped the list out
+                if not waiters:
+                    self._waiters = None
+
+    @staticmethod
+    def _block(token, timeout: float) -> bool:
+        """Sleep until ``token`` is released (``timeout`` < 0: forever)."""
+        return token.acquire(True, timeout)
+
+    def park(self, timeout: float | None = None) -> bool:
+        """Block the calling thread until the word is set.
+
+        Always a real park, also under a DST scheduler (the cooperative
+        form is :meth:`AtomicFlag.wait`).  Returns False when
+        ``timeout`` seconds passed first; the waiter then takes its
+        registration back, so waiting in slices leaks nothing.
+        """
+        end = None if timeout is None else time.monotonic() + timeout
+        while not self.done:
+            token = threading.Lock()
+            token.acquire()
+            self._register(token)
+            left = -1.0 if end is None else max(0.0, end - time.monotonic())
+            # The look after the register catches a set that came
+            # between the first look and it; a wake is re-checked too.
+            if self.done or not self._block(token, left):
+                self._deregister(token)
+                return self.done
+        return True
+
+
+class AtomicFlag(DoneWord):
+    """A *done* flag with a payload, reusable across slot generations.
 
     Models the per-command completion flag of Section 3.1: the offload
     thread sets it, the application thread waits on it.  The paper's
     waiter spins on its own core; under one GIL a spinning waiter holds
     the interpreter the offload thread needs in order to set the flag,
-    so ``wait()`` blocks at once and ``set()`` is its wake source.
+    so ``wait()`` parks at once (:class:`DoneWord`) and ``set()`` is its
+    wake source.
     """
 
-    __slots__ = ("_event", "payload")
+    __slots__ = ("payload",)
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        # DoneWord.__init__ inlined: one per pool slot and per command
+        self.done = False
+        self._waiters = None
         self.payload: Any = None
 
     def is_set(self) -> bool:
-        return self._event.is_set()
+        return self.done
 
     def set(self, payload: Any = None) -> None:
-        self.payload = payload
-        self._event.set()
+        self.payload = payload  # before the word: a reader checks it first
+        self._publish()
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the flag is set; False when ``timeout`` expired."""
-        # Under DST the wait becomes a cooperative block on the
-        # scheduler (a real Event.wait would wedge every virtual
-        # thread); foreign threads fall through to the normal path.
-        if _dst._scheduler is not None and _dst.flag_wait(self._event.is_set):
+        if self.done:
             return True
-        return self._event.wait(timeout)
+        # Under DST the wait becomes a cooperative block on the
+        # scheduler (a real park would wedge every virtual thread);
+        # foreign threads fall through to the normal path.
+        if _dst._scheduler is not None and _dst.flag_wait(self.is_set):
+            return True
+        return self.park(timeout)
 
     def clear(self) -> None:
+        """Owner only: make the flag reusable for the next operation.
+
+        May assume the flag is set and consumed — every thread that
+        could wait on this generation has seen it — but *not* that the
+        completer has returned from :meth:`set`: it may still be
+        between its store and its look at the waiter list, and will
+        then wake a waiter of the next generation early.  That waiter
+        re-reads the word and parks again.
+        """
         self.payload = None
-        self._event.clear()
+        self.done = False
 
 
 class Doorbell:
@@ -202,11 +309,16 @@ class Doorbell:
         return self._flag
 
     def set(self) -> None:
+        if self._flag:
+            # Already rung and not yet cleared: the owner is awake or
+            # about to find the token, and its next clear → look comes
+            # after whatever this ringer published.
+            return
         self._flag = True  # before the token: ``wait`` checks it first
         try:
             self._token.release()
         except RuntimeError:
-            pass  # already rung
+            pass  # two first ringers raced; one token is enough
 
     def clear(self) -> None:
         self._flag = False

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+from repro.dst import hooks as _dst
 from repro.mpisim import datatypes
 from repro.mpisim.constants import (
     ANY_SOURCE,
@@ -299,8 +300,6 @@ class Communicator:
         timeout: float | None = None,
     ) -> Status:
         """Blocking probe."""
-        import time
-
         deadline = None if timeout is None else time.perf_counter() + timeout
         while True:
             st = self.iprobe(source, tag)
@@ -646,8 +645,6 @@ class Communicator:
         progress.  Under a DST scheduler each iteration is a yield
         point instead of a sleep, keeping the wait replayable.
         """
-        from repro.dst import hooks as _dst
-
         while True:
             self.engine.progress()
             if req.done:

@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.mpisim.constants import ANY_SOURCE, ANY_TAG
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.requests import RecvRequest, SendRequest
 
@@ -134,8 +136,6 @@ class Envelope:
 
     def matches(self, source: int, tag: int, context_id: int) -> bool:
         """Does this (EAGER/RTS) envelope satisfy a receive's pattern?"""
-        from repro.mpisim.constants import ANY_SOURCE, ANY_TAG
-
         if self.context_id != context_id:
             return False
         if source != ANY_SOURCE and self.src != source:

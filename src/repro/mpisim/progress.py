@@ -339,9 +339,10 @@ class ProgressEngine:
             return CompletedRequest(Status(PROC_NULL, tag, 0))
         self._acquire()
         try:
-            self._check_revoked(context_id, f"receive from rank {source}")
             # Drain arrivals first so the unexpected queue is current.
-            self._drain_inbox()
+            self._drain_then_check(
+                context_id, f"receive from rank {source}"
+            )
             req = RecvRequest(self, buffer, source, tag, context_id)
             env = self._umq.match(source, tag, context_id)
             if env is None:
@@ -390,8 +391,7 @@ class ProgressEngine:
         """Nonblocking probe; also pumps progress (as real iprobe does)."""
         self._acquire()
         try:
-            self._check_revoked(context_id, f"probe of rank {source}")
-            self._drain_inbox()
+            self._drain_then_check(context_id, f"probe of rank {source}")
             self._advance_nbc()
             env = self._umq.peek(source, tag, context_id)
             if env is None:
@@ -506,6 +506,19 @@ class ProgressEngine:
             raise CommRevokedError(
                 f"{what}: communicator {cid} has been revoked", cid=cid
             )
+
+    def _drain_then_check(self, context_id: int, what: str) -> None:
+        """Bring the queues up to date, *then* refuse a revoked
+        communicator.
+
+        In that order because the drain may handle the REVOKE notice
+        itself: :meth:`apply_revoke` purges the posted queue, and a
+        receive checked before the drain and posted after it would sit
+        on the revoked communicator for ever, never to fail (DST target
+        ``revoke-vs-post-recv``).
+        """
+        self._drain_inbox()
+        self._check_revoked(context_id, what)
 
     def apply_revoke(self, cid: int) -> bool:
         """Record ``cid`` revoked and poison everything queued on it.

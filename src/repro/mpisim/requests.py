@@ -8,11 +8,12 @@ calls into the library* — the pathology the offload thread cures.
 
 from __future__ import annotations
 
-import threading
+import time
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.lockfree.atomics import DoneWord
 from repro.mpisim.exceptions import MPIError
 from repro.mpisim.status import EMPTY_STATUS, Status
 
@@ -20,24 +21,32 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.progress import ProgressEngine
 
 #: How long a waiter sleeps between progress pumps.  Completion set by a
-#: peer thread wakes the waiter immediately via the event.
+#: peer thread wakes the parked waiter immediately.
 _WAIT_SLICE = 1e-4
+_now = time.perf_counter
 
 
-class Request:
-    """Base class for all nonblocking operations."""
+class Request(DoneWord):
+    """Base class for all nonblocking operations.
+
+    Completion is the :class:`~repro.lockfree.atomics.DoneWord` the
+    offload layer's done flags are built on: ``done`` is a plain
+    attribute, completing a request nobody waits on is a store, and a
+    blocked :meth:`wait` is woken by the completer directly.
+    """
 
     __slots__ = (
         "engine",
-        "_event",
         "status",
         "error",
         "cancelled",
     )
 
     def __init__(self, engine: "ProgressEngine | None") -> None:
+        # DoneWord.__init__ inlined: one call less per message
+        self.done = False
+        self._waiters = None
         self.engine = engine
-        self._event = threading.Event()
         self.status: Status | None = None
         self.error: BaseException | None = None
         self.cancelled = False
@@ -51,28 +60,24 @@ class Request:
 
     def _complete(self, status: Status) -> None:
         self.status = status
-        self._event.set()
+        self._publish()
         if self.engine is not None:
             self.engine.ring_doorbells()
 
     def _fail(self, exc: BaseException) -> None:
         self.error = exc
         self.status = EMPTY_STATUS
-        self._event.set()
+        self._publish()
         if self.engine is not None:
             self.engine.ring_doorbells()
 
     # -- querying --------------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
     def test(self) -> tuple[bool, Status | None]:
         """Nonblocking completion check; pumps progress once."""
-        if not self._event.is_set() and self.engine is not None:
+        if not self.done and self.engine is not None:
             self.engine.progress()
-        if self._event.is_set():
+        if self.done:
             if self.error is not None:
                 raise self.error
             return True, self.status
@@ -87,7 +92,7 @@ class Request:
         while True:
             if self.engine is not None:
                 self.engine.progress()
-            if self._event.is_set():
+            if self.done:
                 if self.error is not None:
                     raise self.error
                 assert self.status is not None
@@ -99,7 +104,9 @@ class Request:
                     raise TimeoutError(
                         f"request did not complete within {timeout}s"
                     )
-            self._event.wait(remaining)
+            # the real park even on a DST virtual thread: this loop
+            # must come back to pump progress after one slice
+            self.park(remaining)
 
     def cancel(self) -> bool:
         """Attempt to cancel; only unmatched receives are cancellable."""
@@ -113,7 +120,9 @@ class CompletedRequest(Request):
 
     def __init__(self, status: Status = EMPTY_STATUS) -> None:
         super().__init__(None)
-        self._complete(status)
+        # born complete: nobody can be parked on it yet
+        self.status = status
+        self.done = True
 
 
 class SendRequest(Request):
@@ -163,12 +172,6 @@ class RecvRequest(Request):
             return False
         assert self.engine is not None
         return self.engine.cancel_recv(self)
-
-
-def _now() -> float:
-    import time
-
-    return time.perf_counter()
 
 
 def _engines(requests: Iterable[Request]):
@@ -282,6 +285,4 @@ def waitsome(
 
 
 def _sleep_slice() -> None:
-    import time
-
     time.sleep(_WAIT_SLICE / 10)

@@ -76,10 +76,12 @@ class AsyncOffloadEngine:
             except BaseException as exc:
                 fut.set_exception(exc)
             else:
-                # The continuation only fires at a terminal state, so
-                # test() cannot report pending here.
-                assert done
-                fut.set_result(status)
+                if done:
+                    fut.set_result(status)
+                else:
+                    # Only an inline request (below) can be pending
+                    # here: a continuation fires at a terminal state.
+                    loop.call_later(1e-3, resolve)
 
         def fire() -> None:
             # Engine thread (or typed-failure deliverer).
@@ -91,6 +93,13 @@ class AsyncOffloadEngine:
                 if pool is not None:
                     pool._note_drop()
 
+        if not hasattr(req, "add_continuation"):
+            # A degraded facade (engine dead, ``RecoveryPolicy.degrade``)
+            # hands back the substrate's own request: no engine will
+            # ever fire a continuation for it, and ``test()`` is what
+            # pumps its progress — so the loop thread drives it.
+            loop.call_soon(resolve)
+            return fut
         req.add_continuation(fire)
         return fut
 

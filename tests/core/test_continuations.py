@@ -212,6 +212,59 @@ class TestRegistryProperties:
         assert pool.allocated == 0
 
 
+    def test_register_racing_a_direct_consumer_is_never_silently_lost(self):
+        """One thread consumes a completed handle (``wait`` releases
+        the slot, without a lock when it sees no continuation) while
+        another registers on it.  Whatever the order, the registration
+        is delivered, refused as stale, or counted as a drop — and it
+        never survives into the slot's next generation."""
+        import sys
+
+        pool = OffloadRequestPool(1, cache_size=0)  # one slot, reused
+        rounds = 1500
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(rounds):
+                idx = pool.alloc()
+                req = OffloadRequest(pool, idx)
+                pool.complete(idx, None)
+                fired: list[int] = []
+                refused: list[BaseException] = []
+                drops0 = pool.continuation_drops
+                barrier = threading.Barrier(2)
+
+                def registrant() -> None:
+                    barrier.wait()
+                    try:
+                        req.add_continuation(lambda: fired.append(1))
+                    except (ContinuationError, OffloadError) as exc:
+                        refused.append(exc)
+
+                def consumer() -> None:
+                    barrier.wait()
+                    req.wait(timeout=10)
+
+                threads = [
+                    threading.Thread(target=registrant),
+                    threading.Thread(target=consumer),
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(10)
+                assert not any(t.is_alive() for t in threads)
+                drops = pool.continuation_drops - drops0
+                if refused:
+                    assert (len(fired), drops) == (0, 0)
+                else:
+                    assert len(fired) + drops == 1, (fired, drops)
+                assert pool.slot(idx).cont is None
+                assert pool.allocated == 0
+        finally:
+            sys.setswitchinterval(prev)
+
+
 class TestThroughOffloaded:
     """End-to-end over ``offloaded`` — picks up the suite-wide
     ``REPRO_POOL_SIZE`` matrix, so the sharded pool runs the same

@@ -28,15 +28,18 @@ class TestCorpusRegistry:
             "shrink-inflight-eager",
             "continuation-vs-crash",
             "continuation-double-fire",
+            "continuation-vs-release",
             "park-vs-ring",
+            "flag-park-vs-set",
+            "revoke-vs-post-recv",
             "queue-linearizability",
             "freelist-linearizability",
             "pool-linearizability",
         }
 
-    def test_thirteen_regressions_three_oracles(self):
+    def test_sixteen_regressions_three_oracles(self):
         regressions = [t for t in CORPUS.values() if t.regression]
-        assert len(regressions) == 13
+        assert len(regressions) == 16
         assert len(CORPUS) - len(regressions) == 3
 
     def test_oracle_targets_reject_fix_disabled(self):
@@ -209,6 +212,65 @@ class TestContinuationSmokeRegressions:
         assert Explorer(lambda: target.make(False)).replay(seed) is None
 
 
+    def test_register_vs_complete_is_clean_over_every_schedule(self):
+        """The completer looks at ``cont`` without the lock; every
+        order of (publish flag, look at cont) against (store cont,
+        look at flag) must still deliver exactly once."""
+        fixed = run_target("continuation-double-fire", strategy="exhaustive")
+        assert not fixed.result.found and fixed.expected
+        assert fixed.result.exhausted
+
+
+    def test_register_vs_lock_free_release(self):
+        """`release` takes no lock when it sees no continuation; the
+        registrant's second look at the generation is what keeps a
+        racing registration from being lost or inherited."""
+        fixed = run_target("continuation-vs-release")
+        assert not fixed.result.found and fixed.expected
+        assert fixed.result.exhausted
+        broken = run_target("continuation-vs-release", fix_disabled=True)
+        assert broken.result.found and broken.expected
+        token = broken.result.failure.token
+        target = CORPUS["continuation-vs-release"]
+        assert Explorer(lambda: target.make(False)).replay(token) is None
+
+
+class TestDoneFlagPark:
+    """A waiter parking on a done flag against its setter: publish then
+    look on one side, register then look on the other (DESIGN.md §18)."""
+
+    def test_no_schedule_loses_a_wake_up(self):
+        fixed = run_target("flag-park-vs-set")
+        assert not fixed.result.found and fixed.expected
+        assert fixed.result.exhausted  # a proof, not a sample
+
+    def test_registering_without_looking_again_is_rediscovered(self):
+        broken = run_target("flag-park-vs-set", fix_disabled=True)
+        assert broken.result.found and broken.expected
+        # no timeout under the scheduler: the lost wake-up is a deadlock
+        assert "blocked" in str(broken.result.failure.error)
+        token = broken.result.failure.token
+        target = CORPUS["flag-park-vs-set"]
+        assert Explorer(lambda: target.make(True)).replay(token) is not None
+        assert Explorer(lambda: target.make(False)).replay(token) is None
+
+
+class TestRevokeVsPostedReceive:
+    """ROADMAP item 0: a REVOKE handled by the drain inside
+    ``post_recv`` must also refuse the receive being posted."""
+
+    def test_found_and_clean(self):
+        broken = run_target("revoke-vs-post-recv", fix_disabled=True)
+        assert broken.result.found and broken.expected
+        assert "still pending" in str(broken.result.failure.error)
+        fixed = run_target("revoke-vs-post-recv")
+        assert not fixed.result.found and fixed.expected
+        assert fixed.result.exhausted
+        token = broken.result.failure.token
+        target = CORPUS["revoke-vs-post-recv"]
+        assert Explorer(lambda: target.make(False)).replay(token) is None
+
+
 class TestWakeUpProtocol:
     """The engine loop's clear → look → park order (DESIGN.md §17)
     against a submit, an arrival and a remote completion."""
@@ -300,9 +362,9 @@ class TestDeepTier:
             (o.target, o.fix_disabled, o.result.found) for o in wrong
         ]
         # both directions ran: planted bugs found, fixed code clean
-        assert sum(o.fix_disabled for o in outcomes) == 13
-        assert len(outcomes) == 29
+        assert sum(o.fix_disabled for o in outcomes) == 16
+        assert len(outcomes) == 35
         snap = counters.snapshot()
         assert snap["schedules_explored"] > 0
         assert snap["lin_histories_checked"] > 0
-        assert snap["dst_violations"] == 13
+        assert snap["dst_violations"] == 16

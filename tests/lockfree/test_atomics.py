@@ -4,12 +4,22 @@ import sys
 import threading
 import time
 
+import pytest
+
 from repro.lockfree.atomics import (
     AtomicCell,
     AtomicCounter,
     AtomicFlag,
     Doorbell,
 )
+
+
+def _until(cond, timeout=10.0):
+    """Poll for a state another thread is about to reach."""
+    end = time.perf_counter() + timeout
+    while not cond():
+        assert time.perf_counter() < end, "condition never held"
+        time.sleep(1e-3)
 
 
 class TestAtomicCell:
@@ -124,6 +134,146 @@ class TestAtomicFlag:
         f.clear()
         assert not f.is_set()
         assert f.payload is None
+
+    @pytest.mark.parametrize("n_waiters", [2, 8])
+    def test_every_parked_waiter_wakes_and_sees_the_payload(self, n_waiters):
+        f = AtomicFlag()
+        seen = []
+
+        def waiter():
+            if f.wait(timeout=10.0):
+                seen.append(f.payload)
+
+        threads = [threading.Thread(target=waiter) for _ in range(n_waiters)]
+        for t in threads:
+            t.start()
+        _until(lambda: len(f._waiters or ()) == n_waiters)
+        f.set("status")
+        for t in threads:
+            t.join(10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == ["status"] * n_waiters
+        assert f._waiters is None
+
+    def test_set_before_wait_registers_nobody(self):
+        f = AtomicFlag()
+        f.set(7)
+        assert f.wait() and f.park()
+        assert f._waiters is None
+
+    def test_set_between_register_and_second_look(self):
+        """The completer stores the word after the waiter's first look
+        and before its registration is visible to it: the second look
+        must catch it, without blocking and without leaving the
+        registration behind."""
+
+        class SetsWhileRegistering(AtomicFlag):
+            __slots__ = ()
+
+            def _register(self, token):
+                self.set("late")  # finds no waiter to wake
+                super()._register(token)
+
+        f = SetsWhileRegistering()
+        assert f.wait() is True  # no timeout: a lost wake-up hangs here
+        assert f.payload == "late"
+        assert f._waiters is None
+
+    def test_timed_out_waiter_deregisters_itself(self):
+        f = AtomicFlag()
+        for _ in range(50):  # offload_waitany / _recovery_wait slices
+            assert f.wait(timeout=1e-4) is False
+        assert f._waiters is None
+        f.set()
+        assert f.wait(timeout=1e-4) is True
+
+    def test_stray_wake_from_a_previous_generation_is_absorbed(self):
+        """`clear()` may run while the previous completer is still
+        between its store and its look; that completer then wakes the
+        *next* generation's waiter, which must park again."""
+        f = AtomicFlag()
+        woke = []
+        t = threading.Thread(target=lambda: woke.append(f.wait(10.0)))
+        t.start()
+        _until(lambda: f._waiters is not None)
+        f._wake()  # the late look of a completer of the last generation
+        time.sleep(0.05)
+        assert woke == [] and t.is_alive()
+        f.set()
+        t.join(10.0)
+        assert woke == [True]
+
+    def test_clear_and_reuse_across_slot_generations(self):
+        """One flag, 10 000 operations: a waiter of generation g never
+        returns on generation g-1's set and never misses its own."""
+        f = AtomicFlag()
+        turn = AtomicFlag()  # hands the flag back to the completer
+        n = 10_000
+        got = []
+
+        def completer():
+            for g in range(n):
+                f.set(g)
+                turn.wait()
+                turn.clear()
+
+        t = threading.Thread(target=completer)
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            t.start()
+            for g in range(n):
+                assert f.wait(timeout=10.0)
+                got.append(f.payload)
+                f.clear()
+                turn.set()
+            t.join(10.0)
+        finally:
+            sys.setswitchinterval(prev)
+        assert not t.is_alive()
+        assert got == list(range(n))
+        assert f._waiters is None and turn._waiters is None
+
+
+class TestRequestWake:
+    def test_foreign_completion_wakes_a_waiter_in_one_wake(self, monkeypatch):
+        """`Request.wait` parks between progress pumps; a completion
+        from another thread must end the park itself, not wait for the
+        slice to run out (stretched here to make the difference
+        unmistakable)."""
+        from repro.mpisim import requests as rq
+
+        class _IdleEngine:
+            def progress(self):
+                return 0
+
+            def ring_doorbells(self):
+                pass
+
+        monkeypatch.setattr(rq, "_WAIT_SLICE", 5.0)
+        req = rq.Request(_IdleEngine())
+        status = rq.Status(0, 0, 0)
+        done_at = []
+
+        def complete():
+            _until(lambda: req._waiters is not None)  # parked
+            done_at.append(time.perf_counter())
+            req._complete(status)
+
+        t = threading.Thread(target=complete)
+        t.start()
+        assert req.wait(timeout=10.0) is status
+        woke_at = time.perf_counter()
+        t.join(10.0)
+        assert woke_at - done_at[0] < 1.0  # one wake, not one 5 s slice
+        assert req._waiters is None
+
+    def test_born_complete_request_builds_no_waiter_state(self):
+        from repro.mpisim.requests import CompletedRequest
+
+        req = CompletedRequest()
+        assert req.done and req._waiters is None
+        assert req.wait() is req.status
 
 
 class TestDoorbell:

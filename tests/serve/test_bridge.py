@@ -117,6 +117,33 @@ class TestBridge:
 
         assert all(run_world_mt(1, prog))
 
+    def test_inline_request_of_a_degraded_facade_is_awaitable(self):
+        """With its engine dead and ``degrade`` on, the facade answers
+        ``isend``/``irecv`` with the substrate's own request, which has
+        no continuation to register: the loop drives it by ``test()``.
+        (Seen as a rare ``AttributeError`` in the serve chaos run when
+        the injected crash landed just before an ``isend``.)"""
+
+        def prog(comm):
+            engine = AsyncOffloadEngine(comm)  # plain communicator = inline requests
+
+            async def main() -> bool:
+                rbuf = np.empty(4, dtype=np.uint8)
+                sbuf = np.arange(4, dtype=np.uint8)
+                # receive first: pending until the send below arrives
+                recv = engine.awaitable(comm.irecv(rbuf, comm.rank, tag=5))
+                await asyncio.sleep(0.01)
+                assert not recv.done()
+                send = engine.awaitable(comm.isend(sbuf, comm.rank, tag=5))
+                st_recv, _ = await asyncio.wait_for(
+                    asyncio.gather(recv, send), 30
+                )
+                return st_recv.count == 4 and (rbuf == sbuf).all()
+
+            return asyncio.run(main())
+
+        assert all(run_world_mt(1, prog))
+
     def test_cancelled_awaiter_still_consumes_slot(self):
         def prog(comm):
             with offloaded(comm, op_timeout=0.3, telemetry=True) as oc:
