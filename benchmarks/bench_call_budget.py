@@ -1,0 +1,66 @@
+"""Interpreter calls per small message, as ratcheted counters.
+
+The offloaded small-message path is interpreter-bound: a 64 B message
+costs what Python executes for it (DESIGN.md §19).  This benchmark
+counts ``call`` + ``c_call`` profile events on every thread over
+warmed windows of pre-posted ``irecv`` / ``isend`` + ``wait``
+(:mod:`repro.bench.call_budget`), through the offload stack and through
+the plain communicator, and records the engine's substrate entries per
+command over the same windows.
+
+All three are ``counter``-kind metrics: they repeat to within a call
+per message on one interpreter, so ``benchmarks/ratchet.py`` blocks on
+them.  The profile events an interpreter emits differ between CPython
+versions (``with lock:`` is one C call on 3.11, two on 3.10;
+comprehensions stopped being calls in 3.12), hence the 15 % band stated
+with each metric; entries per command depend on how many commands the
+engine finds queued when it wakes, hence its wider one.  The hard
+limits — 160 calls, 2.1 × plain, 0.1 entries per command — are asserted
+in ``tests/core/test_call_budget.py``.
+"""
+
+from __future__ import annotations
+
+from repro.bench.call_budget import NBYTES, WINDOW, WINDOWS, measure
+
+
+def test_call_budget(bench_trajectory):
+    offload = measure(offload=True)
+    plain = measure(offload=False)
+    print(f"\noffloaded: {offload.report()}")
+    print(f"plain: {plain.report(top=0)}")
+    print(
+        f"substrate entries per command: {offload.entries_per_cmd:.3f} "
+        f"({offload.substrate_entries} / {offload.commands})"
+    )
+    n = offload.messages
+    bench_trajectory.add_row(
+        "call_budget",
+        windows=WINDOWS,
+        window=WINDOW,
+        nbytes=NBYTES,
+        app_calls_per_msg=round(sum(offload.app.values()) / n, 1),
+        engine_calls_per_msg=round(sum(offload.engine.values()) / n, 1),
+        top_callees={
+            name: round(calls / n, 2)
+            for name, calls in (offload.app + offload.engine).most_common(10)
+        },
+    )
+    for key, value, tolerance in (
+        ("calls_per_msg_offload", round(offload.per_msg, 1), 0.15),
+        ("calls_per_msg_plain", round(plain.per_msg, 1), 0.15),
+        (
+            "substrate_entries_per_cmd",
+            round(offload.entries_per_cmd, 3),
+            1.0,
+        ),
+    ):
+        bench_trajectory.metric(
+            "call_budget",
+            key,
+            value,
+            kind="counter",
+            direction="lower",
+            tolerance=tolerance,
+        )
+    assert offload.per_msg > plain.per_msg > 0

@@ -30,7 +30,10 @@ class BenchTrajectory:
       hit rates) that the ratchet gate blocks on, ``"time"`` for noisy
       wall-clock values the gate only checks under ``--strict``;
     * ``direction`` — ``"higher"`` or ``"lower"`` is better, so the
-      ratchet knows which way a drift is a regression.
+      ratchet knows which way a drift is a regression;
+    * optionally ``tolerance`` — the metric's own regression band,
+      which the ratchet reads from the *baseline* copy in place of its
+      ``--tolerance`` default.
 
     At session end one ``BENCH_<name>.json`` per registered name is
     written to ``$REPRO_BENCH_OUT`` (default ``benchmarks/out``);
@@ -54,16 +57,16 @@ class BenchTrajectory:
         value,
         kind: str = "time",
         direction: str = "higher",
+        tolerance: float | None = None,
     ) -> None:
         assert kind in ("counter", "time") and direction in (
             "higher",
             "lower",
         )
-        self._entry(name)["metrics"][key] = {
-            "value": value,
-            "kind": kind,
-            "direction": direction,
-        }
+        entry = {"value": value, "kind": kind, "direction": direction}
+        if tolerance is not None:
+            entry["tolerance"] = tolerance
+        self._entry(name)["metrics"][key] = entry
 
     def write(self, out_dir: Path) -> list[Path]:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,10 @@ the two, direction-aware, and fails (exit 1) on:
   dropped metric must be an explicit baseline update, not a quiet pass);
 * a ``counter``-kind metric that regressed beyond ``--tolerance``
   (counters are deterministic, so in practice any drift at all trips
-  this — e.g. ``copies_per_msg_zero_copy_*`` leaving 0.0);
+  this — e.g. ``copies_per_msg_zero_copy_*`` leaving 0.0); a metric
+  whose *baseline* entry carries its own ``"tolerance"`` is held to
+  that band instead (counts that legitimately differ between
+  interpreter versions state theirs in the baseline file);
 * with ``--strict`` only: a ``time``-kind metric that regressed beyond
   tolerance.  Wall-clock on shared runners is noisy, so the default
   mode reports timing drift without failing; CI runs the strict pass
@@ -49,11 +52,21 @@ def compare(
     baseline_dir: Path,
     tolerance: float,
     strict: bool,
+    only: list[str] | None = None,
 ) -> tuple[list[str], list[str]]:
-    """Return ``(failures, notes)`` over every baseline artifact."""
+    """Return ``(failures, notes)`` over every baseline artifact, or
+    over the benchmarks named in ``only`` (a CI job gates the ones it
+    ran; a name without a baseline is a failure, not a silent pass)."""
     failures: list[str] = []
     notes: list[str] = []
-    baselines = sorted(baseline_dir.glob("BENCH_*.json"))
+    if only:
+        baselines = [baseline_dir / f"BENCH_{name}.json" for name in only]
+        for path in baselines:
+            if not path.exists():
+                failures.append(f"{path.name}: no such baseline")
+        baselines = [path for path in baselines if path.exists()]
+    else:
+        baselines = sorted(baseline_dir.glob("BENCH_*.json"))
     if not baselines:
         failures.append(f"no baselines found in {baseline_dir}")
         return failures, notes
@@ -104,7 +117,10 @@ def compare(
                 )
                 continue
             if _is_regression(
-                rm["value"], bm["value"], bm["direction"], tolerance
+                rm["value"],
+                bm["value"],
+                bm["direction"],
+                bm.get("tolerance", tolerance),
             ):
                 msg = (
                     f"{base_path.name}: {key} regressed "
@@ -166,6 +182,12 @@ def main(argv: list[str] | None = None) -> int:
         help="also fail on time-kind metric regressions",
     )
     ap.add_argument(
+        "--only",
+        nargs="+",
+        metavar="NAME",
+        help="gate only these benchmarks (BENCH_<NAME>.json)",
+    )
+    ap.add_argument(
         "--update",
         action="store_true",
         help="adopt the current run artifacts as the new baselines",
@@ -182,7 +204,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     failures, notes = compare(
-        args.run_dir, args.baseline_dir, args.tolerance, args.strict
+        args.run_dir,
+        args.baseline_dir,
+        args.tolerance,
+        args.strict,
+        args.only,
     )
     for line in notes:
         print(f"ratchet: {line}")

@@ -9,7 +9,7 @@ no extra copies (also §3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import TYPE_CHECKING, Any
 
@@ -113,7 +113,20 @@ IDEMPOTENT_KINDS = frozenset(
 )
 
 
-@dataclass(slots=True)
+#: Kind predicates as member attributes, resolved once here: the hot
+#: paths read ``cmd.kind.nonblocking`` instead of hashing an enum
+#: member into a frozenset per command (DESIGN.md §19).
+for _kind in CommandKind:
+    _kind.nonblocking = _kind in NONBLOCKING_KINDS
+    _kind.inline = _kind in INLINE_KINDS
+    _kind.idempotent = _kind in IDEMPOTENT_KINDS
+    #: point-to-point: posted in runs through ``ProgressEngine.post_batch``
+    _kind.p2p = _kind.name in ("ISEND", "IRECV", "SEND", "RECV")
+    _kind.is_send = _kind.name in ("ISEND", "SEND")
+del _kind
+
+
+@dataclass(slots=True, init=False)
 class Command:
     """One serialized MPI call.
 
@@ -124,26 +137,55 @@ class Command:
     """
 
     kind: CommandKind
-    comm: "Communicator | None" = None
-    buf: np.ndarray | None = None
-    buf2: np.ndarray | None = None  # recv side of collectives
-    peer: int = -1  # dest/source/root
-    tag: int = 0
-    op: "ReduceOp | None" = None
-    slot: int = -1  # request-pool slot for nonblocking commands
-    done: AtomicFlag | None = None  # completion flag for blocking commands
-    result: Any = None  # e.g. iprobe Status, CALL return value
-    error: BaseException | None = None
-    fn: Any = None  # CALL payload: zero-argument callable
+    comm: "Communicator | None"
+    buf: np.ndarray | None
+    buf2: np.ndarray | None  # recv side of collectives
+    peer: int  # dest/source/root
+    tag: int
+    op: "ReduceOp | None"
+    slot: int  # request-pool slot for nonblocking commands
+    done: AtomicFlag | None  # completion flag for blocking commands
+    result: Any  # e.g. iprobe Status, CALL return value
+    error: BaseException | None
+    fn: Any  # CALL payload: zero-argument callable
     #: absolute perf_counter() time by which the command must reach a
     #: terminal state; the engine expires it with OffloadTimeout after
-    deadline: float | None = None
+    deadline: float | None
     #: dispatch attempts so far (bumped by the engine's retry path)
-    attempts: int = 0
+    attempts: int
 
-    def __post_init__(self) -> None:
-        if self.kind in NONBLOCKING_KINDS:
-            if self.slot < 0:
-                raise ValueError(f"{self.kind.name} command needs a slot")
-        elif self.done is None and self.kind is not CommandKind.SHUTDOWN:
-            self.done = AtomicFlag()
+    def __init__(
+        self,
+        kind: CommandKind,
+        comm: "Communicator | None" = None,
+        buf: np.ndarray | None = None,
+        buf2: np.ndarray | None = None,
+        peer: int = -1,
+        tag: int = 0,
+        op: "ReduceOp | None" = None,
+        slot: int = -1,
+        done: AtomicFlag | None = None,
+        fn: Any = None,
+        deadline: float | None = None,
+    ) -> None:
+        # Written out (not dataclass-generated) so building the record
+        # is one call: no ``__post_init__`` hop on the issue path.
+        if kind.nonblocking:
+            if slot < 0:
+                raise ValueError(f"{kind.name} command needs a slot")
+        elif done is None and kind is not CommandKind.SHUTDOWN:
+            done = AtomicFlag()
+        self.kind = kind
+        self.comm = comm
+        self.buf = buf
+        self.buf2 = buf2
+        self.peer = peer
+        self.tag = tag
+        self.op = op
+        self.slot = slot
+        self.done = done
+        self.result = None
+        self.error = None
+        self.fn = fn
+        self.deadline = deadline
+        self.attempts = 0

@@ -21,16 +21,9 @@ import heapq
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.commands import (
-    Command,
-    CommandKind,
-    IDEMPOTENT_KINDS,
-    INLINE_KINDS,
-    NONBLOCKING_KINDS,
-)
+from repro.core.commands import Command, CommandKind
 from repro.core.recovery import (
     OffloadStopTimeout,
     OffloadTimeout,
@@ -41,7 +34,7 @@ from repro.core.request_pool import (
     OffloadRequestPool,
 )
 from repro.dst import hooks as _dst
-from repro.lockfree.atomics import AtomicFlag, Doorbell
+from repro.lockfree.atomics import Doorbell
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
 from repro import obs
 
@@ -74,14 +67,6 @@ def _is_rank_dead(exc: BaseException) -> bool:
         exc = exc.__cause__ or exc.__context__
         seen += 1
     return False
-
-
-@dataclass(slots=True)
-class _InFlight:
-    inner: "Request"
-    slot: int = -1
-    flag: AtomicFlag | None = None
-    command: Command | None = None
 
 
 class OffloadEngine:
@@ -168,7 +153,8 @@ class OffloadEngine:
         #: earliest deadline among in-flight operations (last sweep)
         self._next_deadline = _NEVER
         self._dead: BaseException | None = None
-        self._in_flight: list[_InFlight] = []
+        #: posted operations not yet complete: (inner request, command)
+        self._in_flight: list[tuple["Request", Command]] = []
         self._flushes: list[Command] = []
         self._prev_funnel: int | None = None
         # -- fault injection + recovery (both None in normal operation:
@@ -210,6 +196,9 @@ class OffloadEngine:
         self.batch_dequeues = 0
         self.batch_size_hwm = 0
         self.coalesced_messages = 0
+        #: entries into the substrate to post p2p commands: one per
+        #: drained run (or packed message), however many it carries
+        self.substrate_entries = 0
         self.steals = 0
         self.steal_batch_hwm = 0
         #: installed by EnginePool: callable(thief) -> (victim_queue,
@@ -346,14 +335,10 @@ class OffloadEngine:
         engine may be mutating concurrently) — diagnostic only.
         """
         out: list[str] = []
-        for entry in list(self._in_flight):
-            cmd = entry.command
-            if cmd is None:
-                out.append("<untracked request>")
-                continue
+        for _, cmd in list(self._in_flight):
             desc = cmd.kind.name.lower()
-            if entry.slot >= 0:
-                desc += f"[slot {entry.slot}]"
+            if cmd.slot >= 0:
+                desc += f"[slot {cmd.slot}]"
             if cmd.peer >= 0:
                 desc += f" peer={cmd.peer}"
             if cmd.tag:
@@ -583,58 +568,42 @@ class OffloadEngine:
     # ------------------------------------------------------------ processing
 
     def _process_batch(self) -> bool:
-        """Dispatch every command in ``self._drained``; True on SHUTDOWN.
+        """Issue every command in ``self._drained``; True on SHUTDOWN.
 
-        When coalescing is enabled, consecutive eager-sized sends to
-        the same destination are collected into a run and issued as one
-        wire message (``_flush_run``); any other command — a receive, a
-        collective, a send to a different peer — flushes the pending
-        run first, so per-peer program order is preserved exactly.
+        Consecutive point-to-point commands on one communicator form a
+        *run*, which ``_post_run`` issues under one substrate entry;
+        any other command — a collective, a CALL, a p2p command on
+        another communicator — ends the run first, so program order is
+        preserved exactly, and is itself issued as a run of one.
 
-        Commands still held locally (the unprocessed tail of the batch
-        and any pending run) are pushed back onto ``self._drained``
-        before a crash propagates, so ``_fail_pending`` fails them with
-        typed errors just like still-queued commands.
+        A command leaves ``self._drained`` only inside the list handed
+        to ``_post_run``, which owns it from there: whatever raises,
+        nothing drained is held where ``_fail_pending`` cannot find it.
         """
         counters = (
             self._telem.counters if self._telem is not None else None
         )
-        coalescer = self._coalescer
+        drained = self._drained
         shutdown = False
-        run: list[Command] = []
-        try:
-            while self._drained:
-                cmd = self._drained.popleft()
-                if cmd.kind is CommandKind.SHUTDOWN:
-                    if counters is not None:
-                        counters.inc("control_commands")
-                    shutdown = True
-                    continue
-                if coalescer is not None and coalescer.eligible(cmd):
-                    if run and not (
-                        coalescer.same_stream(run[-1], cmd)
-                        and len(run) < coalescer.limit
-                    ):
-                        # hand off before the call: `_flush_run` owns
-                        # the list (including on raise), so we must not
-                        # still hold it in our except clause
-                        handoff, run = run, []
-                        self._flush_run(handoff)
-                    run.append(cmd)
-                    continue
-                if run:
-                    handoff, run = run, []
-                    self._flush_run(handoff)
-                self._process(cmd)
-            if run:
-                handoff, run = run, []
-                self._flush_run(handoff)
-        except BaseException:
-            # `_process`/`_flush_run` guarantee the command(s) they
-            # were handed are terminal (or already restored) when they
-            # raise; restore everything *we* still hold.
-            self._drained.extendleft(reversed(run))
-            raise
+        while drained:
+            first = drained[0]
+            kind = first.kind
+            if kind.p2p:
+                comm = first.comm
+                n = 0
+                for cmd in drained:
+                    if not cmd.kind.p2p or cmd.comm is not comm:
+                        break
+                    n += 1
+                self._post_run([drained.popleft() for _ in range(n)])
+                continue
+            drained.popleft()
+            if kind is CommandKind.SHUTDOWN:
+                if counters is not None:
+                    counters.inc("control_commands")
+                shutdown = True
+            else:
+                self._post_run([first])
         return shutdown
 
     def _try_steal(self) -> int:
@@ -678,125 +647,153 @@ class OffloadEngine:
         victim_queue.steal_done()
         return len(cmds)
 
-    def _flush_run(self, run: list[Command]) -> None:
-        """Issue a run of coalescible sends as one wire message.
+    def _post_run(self, run: list[Command]) -> None:
+        """Admit each command of ``run``, then issue the admitted ones.
 
-        Owns ``run``: when this returns or raises, every member is
-        terminal, in flight, or back on ``self._drained`` — never held
-        anywhere a crash could lose it.
+        The one admission loop of the engine — drained runs, runs of
+        one and due retries all pass here.  Admission is per command
+        (deadline, fault hook, DST crash point), so expiry and
+        injection are batch-invisible.  Owns ``run``: when this returns
+        or raises, every member is terminal, in flight, scheduled for
+        retry or back on ``self._drained``.
+
+        A crash injected at command *N* terminal-fails *N* (its waiter
+        gets a typed error and the telemetry balance law holds), puts
+        the unexamined tail back for ``_fail_pending``, and *then*
+        posts the prefix admitted before it — those commands were
+        accepted while the engine lived, exactly as if dispatched one
+        by one — before the crash kills the loop.
         """
-        if len(run) == 1:
-            self._process(run[0])
-            return
         tm = self._telem
-        rank = self.comm.engine.rank
+        trace = tm.trace if tm is not None else None
+        faults = self._faults
         live: list[Command] = []
-        idx = 0
+        n = 0
         try:
-            for idx, cmd in enumerate(run):
-                # Per-command admission mirrors `_process` exactly:
-                # deadline check and fault hook run individually, so
-                # injection and expiry semantics are batch-invisible.
+            for cmd in run:
+                n += 1
                 self.commands_processed += 1
-                if tm is not None and tm.trace is not None:
-                    tm.trace.append(
+                if trace is not None:
+                    trace.append(
                         f"dispatch:{cmd.kind.name.lower()}",
-                        rank=rank,
+                        rank=self.comm.engine.rank,
                         slot=cmd.slot,
                     )
                 if (
                     cmd.deadline is not None
                     and time.perf_counter() > cmd.deadline
                 ):
-                    self._expire(cmd, slot=cmd.slot)
+                    # Sat in the queue (or the retry heap) too long.
+                    self._expire(cmd)
                     continue
-                if self._faults is not None:
-                    fault = self._faults.on_command(self, cmd)
+                if faults is not None:
+                    fault = faults.on_command(self, cmd)
                     if fault is not None:
                         self._command_failed(cmd, fault)
                         continue
+                if _dst._scheduler is not None and _dst.crash_point(
+                    "engine.dispatch"
+                ):
+                    raise _dst.ScheduledCrash(
+                        "DST crash injected at engine.dispatch"
+                    )
                 live.append(cmd)
         except BaseException as crash:
-            # Crash injection mid-run: terminal-fail the command that
-            # crashed, restore the rest for `_fail_pending`.
             self._command_failed(cmd, crash)
-            self._drained.extendleft(reversed(live + run[idx + 1 :]))
+            self._drained.extendleft(reversed(run[n:]))
             raise
-        if not live:
-            return
-        if len(live) == 1:
-            cmd = live[0]
+        finally:
+            if live:
+                self._issue(live)
+
+    def _issue(self, live: list[Command]) -> None:
+        """Enter the substrate for the admitted commands of one run."""
+        if not live[0].kind.p2p:
+            (cmd,) = live  # anything but p2p is a run of one
             try:
                 self._dispatch(cmd)
-            except BaseException as exc:  # noqa: BLE001 - surfaced to caller
+            except BaseException as exc:  # noqa: BLE001 - to caller
                 self._command_failed(cmd, exc)
+        elif self._coalescer is None:
+            self._post_p2p(live)
+        else:
+            for packed, cmds in self._coalescer.segments(live):
+                (self._post_packed if packed else self._post_p2p)(cmds)
+
+    def _post_p2p(self, cmds: list[Command]) -> None:
+        """One substrate entry for a run of ISEND/IRECV/SEND/RECV.
+
+        Validation and buffer normalisation stay per command
+        (``Communicator._p2p_op``), then one thread-level check and one
+        hold of the library lock post them all in order; each gets its
+        request back, or the exception its lone post would have raised
+        (op *k* failing does not touch *k±1*).  Sends born complete —
+        every classic eager send — are completed here, straight into
+        the pool: no in-flight record, no status to localize.
+        """
+        comm = cmds[0].comm
+        ops: list[tuple] = []
+        posted = cmds
+        for cmd in cmds:
+            try:
+                if comm is None:
+                    raise ValueError(
+                        f"{cmd.kind.name} command carries no communicator"
+                    )
+                ops.append(
+                    comm._p2p_op(cmd.kind.is_send, cmd.buf, cmd.peer, cmd.tag)
+                )
+            except BaseException as exc:  # noqa: BLE001 - to caller
+                self._command_failed(cmd, exc)
+                posted = [c for c in posted if c is not cmd]
+        if not posted:
             return
-        comm = live[0].comm
+        self.substrate_entries += 1
+        try:
+            inners = comm._post_run(ops)
+        except BaseException as exc:  # noqa: BLE001 - thread-level error
+            inners = [exc] * len(posted)
+        tm = self._telem
+        pool = self.pool
+        for cmd, inner in zip(posted, inners):
+            if isinstance(inner, BaseException):
+                self._command_failed(cmd, inner)
+            elif (
+                inner.done
+                and cmd.slot >= 0
+                and cmd.kind.is_send
+                and inner.error is None
+            ):
+                self.completions += 1
+                if tm is not None:
+                    self._note_completion(tm, cmd.slot)
+                pool.complete(cmd.slot, inner.status)
+            else:
+                self._track(inner, cmd)
+
+    def _post_packed(self, cmds: list[Command]) -> None:
+        """Issue eager sends to one peer as one coalesced wire message
+        (``coalesce_eager``); ``EagerCoalescer`` established that none
+        of them can fail validation."""
+        comm = cmds[0].comm
         assert comm is not None
         try:
             inners = comm.isend_coalesced(
-                [(cmd.buf, cmd.tag) for cmd in live], live[0].peer
+                [(cmd.buf, cmd.tag) for cmd in cmds], cmds[0].peer
             )
         except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-            # Whole-message failures only (per-command validity was
-            # established by `EagerCoalescer.eligible`): e.g. the
-            # destination rank died.  Fail — or retry, sends are
-            # idempotent — each member individually.
-            for cmd in live:
+            # Whole-message failures only, e.g. the destination rank
+            # died.  Fail — or retry, sends are idempotent — each
+            # member individually.
+            for cmd in cmds:
                 self._command_failed(cmd, exc)
             return
+        self.substrate_entries += 1
         self.coalesced_messages += 1
-        if tm is not None:
-            tm.counters.inc("coalesced_messages")
-        for cmd, inner in zip(live, inners):
-            if cmd.kind is CommandKind.SEND:
-                self._track(inner, cmd, flag=cmd.done)
-            else:
-                self._track(inner, cmd, slot=cmd.slot)
-
-    def _process(self, cmd: Command) -> None:
-        self.commands_processed += 1
-        tm = self._telem
-        if tm is not None and tm.trace is not None:
-            tm.trace.append(
-                f"dispatch:{cmd.kind.name.lower()}",
-                rank=self.comm.engine.rank,
-                slot=cmd.slot,
-            )
-        if (
-            cmd.deadline is not None
-            and time.perf_counter() > cmd.deadline
-        ):
-            # Sat in the queue (or the retry heap) past its deadline.
-            self._expire(cmd, slot=cmd.slot)
-            return
-        if self._faults is not None:
-            try:
-                fault = self._faults.on_command(self, cmd)
-            except BaseException as crash:
-                # Crash injection: this command was already drained, so
-                # terminal-fail it first (its waiter gets a typed error
-                # and the telemetry balance law stays intact), *then*
-                # let the crash kill the engine loop.
-                self._command_failed(cmd, crash)
-                raise
-            if fault is not None:
-                self._command_failed(cmd, fault)
-                return
-        if _dst._scheduler is not None and _dst.crash_point("engine.dispatch"):
-            # DST crash injection takes the same path as a FaultPlan
-            # crash: the drained command is terminal-failed first, then
-            # the exception kills the engine loop (whose `_fail_pending`
-            # covers everything still queued or drained).
-            crash = _dst.ScheduledCrash(
-                "DST crash injected at engine.dispatch"
-            )
-            self._command_failed(cmd, crash)
-            raise crash
-        try:
-            self._dispatch(cmd)
-        except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-            self._command_failed(cmd, exc)
+        if self._telem is not None:
+            self._telem.counters.inc("coalesced_messages")
+        for cmd, inner in zip(cmds, inners):
+            self._track(inner, cmd)
 
     def _command_failed(self, cmd: Command, exc: BaseException) -> None:
         """A dispatch attempt failed: retry per policy or fail."""
@@ -820,7 +817,7 @@ class OffloadEngine:
         if (
             rec is not None
             and rec.retry is not None
-            and cmd.kind in IDEMPOTENT_KINDS
+            and cmd.kind.idempotent
             and cmd.attempts < rec.retry.max_retries
             and isinstance(exc, rec.retry.retry_on)
         ):
@@ -834,7 +831,11 @@ class OffloadEngine:
             return
         if self._telem is not None:
             self._telem.counters.inc("completions")
-        if cmd.kind in NONBLOCKING_KINDS:
+        self._fail(cmd, exc)
+
+    def _fail(self, cmd: Command, exc: BaseException) -> None:
+        """Publish ``exc`` as ``cmd``'s terminal state (slot or flag)."""
+        if cmd.kind.nonblocking:
             self.pool.fail(cmd.slot, exc)
         else:
             cmd.error = exc
@@ -848,10 +849,10 @@ class OffloadEngine:
         while self._retries and self._retries[0][0] <= now:
             _, _, cmd = heapq.heappop(self._retries)
             n += 1
-            self._process(cmd)
+            self._post_run([cmd])
         return n
 
-    def _expire(self, cmd: Command, slot: int = -1) -> None:
+    def _expire(self, cmd: Command) -> None:
         """Terminal-fail a command that missed its deadline."""
         self.deadline_expirations += 1
         tm = self._telem
@@ -862,112 +863,58 @@ class OffloadEngine:
                 tm.trace.append(
                     "deadline_expired",
                     rank=self.comm.engine.rank,
-                    slot=slot,
+                    slot=cmd.slot,
                 )
-        exc = OffloadTimeout(
-            f"offloaded {cmd.kind.name.lower()} missed its deadline "
-            f"(after {cmd.attempts} retr{'y' if cmd.attempts == 1 else 'ies'})"
-            if cmd.attempts
-            else f"offloaded {cmd.kind.name.lower()} missed its deadline"
-        )
-        if cmd.kind in NONBLOCKING_KINDS:
-            self.pool.fail(cmd.slot, exc)
-        else:
-            cmd.error = exc
-            if cmd.done is not None:
-                cmd.done.set(None)
+        what = f"offloaded {cmd.kind.name.lower()} missed its deadline"
+        if cmd.attempts:
+            what += (
+                f" (after {cmd.attempts} "
+                f"retr{'y' if cmd.attempts == 1 else 'ies'})"
+            )
+        self._fail(cmd, OffloadTimeout(what))
 
     def _dispatch(self, cmd: Command) -> None:
+        """Issue one non-p2p command (p2p runs go through `_post_p2p`).
+
+        Blocking collectives with a nonblocking equivalent are issued
+        as that equivalent (§3.3), so they cannot stall the engine;
+        whether completion lands in a pool slot or on the command's
+        done flag is the command's own business (``_track``).
+        """
         comm = cmd.comm
         kind = cmd.kind
         K = CommandKind
-        if kind is K.ISEND:
-            assert comm is not None
-            inner = comm.isend(cmd.buf, cmd.peer, cmd.tag)
-            self._track(inner, cmd, slot=cmd.slot)
-        elif kind is K.IRECV:
-            assert comm is not None
-            inner = comm.irecv(cmd.buf, cmd.peer, cmd.tag)
-            self._track(inner, cmd, slot=cmd.slot)
-        elif kind is K.SEND:
-            # §3.3: blocking calls become nonblocking + completion flag
-            # so they cannot stall the engine.
-            assert comm is not None
-            inner = comm.isend(cmd.buf, cmd.peer, cmd.tag)
-            self._track(inner, cmd, flag=cmd.done)
-        elif kind is K.RECV:
-            assert comm is not None
-            inner = comm.irecv(cmd.buf, cmd.peer, cmd.tag)
-            self._track(inner, cmd, flag=cmd.done)
-        elif kind is K.IPROBE:
-            assert comm is not None
-            cmd.result = comm.iprobe(cmd.peer, cmd.tag)
-            assert cmd.done is not None
-            if self._telem is not None:
-                self._telem.counters.inc("completions")
-            cmd.done.set(cmd.result)
-        elif kind is K.BARRIER:
-            assert comm is not None
-            self._track(comm.ibarrier(), cmd, flag=cmd.done)
-        elif kind is K.BCAST:
-            assert comm is not None
-            self._track(comm.ibcast(cmd.buf, cmd.peer), cmd, flag=cmd.done)
-        elif kind is K.ALLREDUCE:
-            assert comm is not None and cmd.op is not None
-            self._track(
-                comm.iallreduce(cmd.buf, cmd.buf2, cmd.op),
-                cmd,
-                flag=cmd.done,
-            )
-        elif kind is K.GATHER:
-            assert comm is not None
-            self._track(
-                comm.igather(cmd.buf, cmd.buf2, cmd.peer),
-                cmd,
-                flag=cmd.done,
-            )
-        elif kind is K.ALLTOALL:
-            assert comm is not None
-            self._track(
-                comm.ialltoall(cmd.buf, cmd.buf2), cmd, flag=cmd.done
-            )
-        elif kind in INLINE_KINDS:
-            self._run_inline(cmd)
-        elif kind is K.IBARRIER:
-            assert comm is not None
-            self._track(comm.ibarrier(), cmd, slot=cmd.slot)
-        elif kind is K.IBCAST:
-            assert comm is not None
-            self._track(comm.ibcast(cmd.buf, cmd.peer), cmd, slot=cmd.slot)
-        elif kind is K.IALLREDUCE:
-            assert comm is not None and cmd.op is not None
-            self._track(
-                comm.iallreduce(cmd.buf, cmd.buf2, cmd.op),
-                cmd,
-                slot=cmd.slot,
-            )
-        elif kind is K.IGATHER:
-            assert comm is not None
-            self._track(
-                comm.igather(cmd.buf, cmd.buf2, cmd.peer),
-                cmd,
-                slot=cmd.slot,
-            )
-        elif kind is K.IALLTOALL:
-            assert comm is not None
-            self._track(
-                comm.ialltoall(cmd.buf, cmd.buf2), cmd, slot=cmd.slot
-            )
-        elif kind is K.CALL:
-            cmd.result = cmd.fn()
-            assert cmd.done is not None
-            if self._telem is not None:
-                self._telem.counters.inc("completions")
-            cmd.done.set(cmd.result)
+        if kind is K.CALL:
+            self._done_inline(cmd, cmd.fn())
         elif kind is K.FLUSH:
             self._flushes.append(cmd)
+        elif kind.inline:
+            self._run_inline(cmd)
+        elif comm is None:
+            raise ValueError(f"{kind.name} command carries no communicator")
+        elif kind is K.IPROBE:
+            self._done_inline(cmd, comm.iprobe(cmd.peer, cmd.tag))
+        elif kind is K.BARRIER or kind is K.IBARRIER:
+            self._track(comm.ibarrier(), cmd)
+        elif kind is K.BCAST or kind is K.IBCAST:
+            self._track(comm.ibcast(cmd.buf, cmd.peer), cmd)
+        elif kind is K.ALLREDUCE or kind is K.IALLREDUCE:
+            assert cmd.op is not None
+            self._track(comm.iallreduce(cmd.buf, cmd.buf2, cmd.op), cmd)
+        elif kind is K.GATHER or kind is K.IGATHER:
+            self._track(comm.igather(cmd.buf, cmd.buf2, cmd.peer), cmd)
+        elif kind is K.ALLTOALL or kind is K.IALLTOALL:
+            self._track(comm.ialltoall(cmd.buf, cmd.buf2), cmd)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unhandled command kind {kind}")
+
+    def _done_inline(self, cmd: Command, result) -> None:
+        """A command that ran to completion on the engine thread."""
+        cmd.result = result
+        assert cmd.done is not None
+        if self._telem is not None:
+            self._telem.counters.inc("completions")
+        cmd.done.set(result)
 
     def _run_inline(self, cmd: Command) -> None:
         """Collectives with no nonblocking equivalent run in place.
@@ -995,37 +942,23 @@ class OffloadEngine:
             cmd.result = comm.scan(cmd.buf, cmd.buf2, cmd.op)
         else:  # pragma: no cover - defensive
             raise ValueError(f"not an inline kind: {cmd.kind}")
-        assert cmd.done is not None
-        if self._telem is not None:
-            self._telem.counters.inc("completions")
-        cmd.done.set(cmd.result)
+        self._done_inline(cmd, cmd.result)
 
-    def _track(
-        self,
-        inner: "Request",
-        cmd: Command,
-        slot: int = -1,
-        flag: AtomicFlag | None = None,
-    ) -> None:
-        if slot >= 0:
-            self.pool.publish_inner(slot, inner)
-        if flag is not None and self._telem is not None:
+    def _track(self, inner: "Request", cmd: Command) -> None:
+        """Follow ``inner`` until done; completion goes to ``cmd``'s
+        pool slot (nonblocking) or done flag (blocking)."""
+        if cmd.slot >= 0:
+            self.pool.publish_inner(cmd.slot, inner)
+        elif self._telem is not None:
             # A done-flag (not a pool slot) means this was a blocking
             # call the engine converted to its nonblocking form (§3.3).
             self._telem.counters.inc("blocking_conversions")
         if inner.done:
-            # Born complete (every classic eager send): no in-flight
-            # record to build, sweep over and discard.
-            self._finish(inner, cmd, slot, flag)
+            # Born complete: no in-flight record to build, sweep over
+            # and discard.
+            self._finish(inner, cmd)
             return
-        self._in_flight.append(
-            _InFlight(inner=inner, slot=slot, flag=flag, command=cmd)
-        )
-        self.max_in_flight = max(self.max_in_flight, len(self._in_flight))
-        if self._telem is not None:
-            self._telem.counters.record_max(
-                "in_flight_hwm", len(self._in_flight)
-            )
+        self._in_flight.append((inner, cmd))
 
     # ------------------------------------------------------------ progress
 
@@ -1046,23 +979,34 @@ class OffloadEngine:
         if not self._in_flight:
             return 0
         self.progress_sweeps += 1
-        still: list[_InFlight] = []
+        # In-flight depth only grows between sweeps, so its high-water
+        # mark is always the depth some sweep starts with.
+        depth = len(self._in_flight)
+        if depth > self.max_in_flight:
+            self.max_in_flight = depth
+            if self._telem is not None:
+                self._telem.counters.record_max("in_flight_hwm", depth)
+        still: list[tuple["Request", Command]] = []
         done = 0
         now = -1.0
         soonest = _NEVER
         for entry in self._in_flight:
-            if entry.inner.done:
-                self._finish(
-                    entry.inner, entry.command, entry.slot, entry.flag
-                )
+            inner, cmd = entry
+            if inner.done:
+                self._finish(inner, cmd)
                 done += 1
                 continue
-            cmd = entry.command
-            if cmd is not None and cmd.deadline is not None:
+            if cmd.deadline is not None:
                 if now < 0.0:
                     now = time.perf_counter()
                 if now > cmd.deadline:
-                    self._expire_entry(entry)
+                    # Cancel what can be cancelled (only receives),
+                    # then fail the waiter with OffloadTimeout.
+                    try:
+                        inner.cancel()
+                    except Exception:  # noqa: BLE001
+                        pass
+                    self._expire(cmd)
                     done += 1
                     continue
                 soonest = min(soonest, cmd.deadline)
@@ -1071,46 +1015,20 @@ class OffloadEngine:
         self._next_deadline = soonest
         return done
 
-    def _expire_entry(self, entry: _InFlight) -> None:
-        """An in-flight operation missed its deadline: cancel what can
-        be cancelled, then fail the waiter with OffloadTimeout."""
-        try:
-            entry.inner.cancel()
-        except Exception:  # noqa: BLE001 - only receives are cancellable
-            pass
-        cmd = entry.command
-        if cmd is not None:
-            self._expire(cmd, slot=entry.slot)
-            return
-        # Untracked entry (defensive): fail the raw slot/flag.
-        self.deadline_expirations += 1
-        exc = OffloadTimeout("offloaded request missed its deadline")
-        if self._telem is not None:
-            self._telem.counters.inc("deadline_expirations")
-            self._telem.counters.inc("completions")
-        if entry.slot >= 0:
-            self.pool.fail(entry.slot, exc)
-        elif entry.flag is not None:
-            entry.flag.set(None)
+    def _note_completion(self, tm: "obs.Telemetry", slot: int) -> None:
+        tm.counters.inc("completions")
+        if tm.trace is not None:
+            tm.trace.append(
+                "complete", rank=self.comm.engine.rank, slot=slot
+            )
 
-    def _finish(
-        self,
-        inner: "Request",
-        cmd: Command | None,
-        slot: int,
-        flag: AtomicFlag | None,
-    ) -> None:
+    def _finish(self, inner: "Request", cmd: Command) -> None:
         self.completions += 1
-        tm = self._telem
-        if tm is not None:
-            tm.counters.inc("completions")
-            if tm.trace is not None:
-                tm.trace.append(
-                    "complete", rank=self.comm.engine.rank, slot=slot
-                )
+        if self._telem is not None:
+            self._note_completion(self._telem, cmd.slot)
         status = inner.status
         error = inner.error
-        comm = cmd.comm if cmd is not None else None
+        comm = cmd.comm
         rec = self.recovery
         if (
             error is not None
@@ -1128,17 +1046,17 @@ class OffloadEngine:
                 pass
         # Engine-level statuses carry global ranks; convert to the
         # command's communicator-local numbering before publishing.
-        if status is not None and status.source >= 0 and comm is not None:
+        if status is not None and comm is not None:
             status = comm._localize_status(status)
-        if slot >= 0:
+        if cmd.slot >= 0:
             if error is not None:
-                self.pool.fail(slot, error)
+                self.pool.fail(cmd.slot, error)
             else:
-                self.pool.complete(slot, status)
-        elif flag is not None:
-            if error is not None and cmd is not None:
+                self.pool.complete(cmd.slot, status)
+        elif cmd.done is not None:
+            if error is not None:
                 cmd.error = error
-            flag.set(status)
+            cmd.done.set(status)
 
     def _check_flushes(self) -> None:
         if not self._flushes or self._in_flight or not self.queue.empty():
@@ -1163,15 +1081,10 @@ class OffloadEngine:
             self._telem.counters if self._telem is not None else None
         )
         self.queue.close()
-        for entry in self._in_flight:
+        for _, cmd in self._in_flight:
             if counters is not None:
                 counters.inc("completions")
-            if entry.slot >= 0:
-                self.pool.fail(entry.slot, exc)
-            elif entry.flag is not None:
-                if entry.command is not None:
-                    entry.command.error = exc
-                entry.flag.set(None)
+            self._fail(cmd, exc)
         self._in_flight.clear()
         # A mid-batch crash leaves the unprocessed tail of the batch in
         # `_drained` (already counted as drained); append everything
@@ -1184,25 +1097,14 @@ class OffloadEngine:
             if counters is not None:
                 counters.inc("commands_drained")
             backlog.append(cmd)
-        for cmd in backlog:
-            if cmd.kind in NONBLOCKING_KINDS:
+        for cmd in backlog + self._flushes:
+            if cmd.kind.nonblocking or cmd.done is not None:
                 if counters is not None:
                     counters.inc("completions")
-                self.pool.fail(cmd.slot, exc)
-            elif cmd.done is not None:
-                if counters is not None:
-                    counters.inc("completions")
-                cmd.error = exc
-                cmd.done.set(None)
+                self._fail(cmd, exc)
             elif counters is not None:
                 # SHUTDOWN (and any other flagless control command)
                 counters.inc("control_commands")
-        for cmd in self._flushes:
-            if counters is not None:
-                counters.inc("completions")
-            cmd.error = exc
-            assert cmd.done is not None
-            cmd.done.set(None)
         self._flushes.clear()
 
     # ------------------------------------------------------------ stats
@@ -1230,6 +1132,7 @@ class OffloadEngine:
             "batch_dequeues": self.batch_dequeues,
             "batch_size_hwm": self.batch_size_hwm,
             "coalesced_messages": self.coalesced_messages,
+            "substrate_entries": self.substrate_entries,
             "steals": self.steals,
             "steal_batch_hwm": self.steal_batch_hwm,
             "continuation_fires": self.pool.continuation_fires,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import groupby
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -55,11 +56,12 @@ _WAITANY_SLICE = 1e-3
 class EagerCoalescer:
     """Decides which drained commands may share one wire message.
 
-    The engine's batched issue loop (see ``OffloadEngine._process_batch``)
-    collects *consecutive* eager-sized sends to the same destination
-    into a run and ships the run as a single ``COALESCED`` envelope.
+    The engine posts drained point-to-point commands in runs (see
+    ``OffloadEngine._post_run``); with ``coalesce_eager`` on, stretches
+    of *consecutive* eager-sized sends to the same destination inside a
+    run ship as a single ``COALESCED`` envelope.
     Only stretches this class admits are packed; anything it rejects
-    flushes the run and dispatches normally, so argument validation and
+    is posted the ordinary way, so argument validation and
     protocol selection never have to fail per-item inside a packed run,
     and per-peer non-overtaking order is preserved by construction
     (runs never span a command to a different peer, a receive, or a
@@ -93,10 +95,28 @@ class EagerCoalescer:
             return False
         return buf.nbytes <= comm.engine.eager_threshold
 
-    @staticmethod
-    def same_stream(a: Command, b: Command) -> bool:
-        """May ``b`` join a run that ``a`` belongs to?"""
-        return a.comm is b.comm and a.peer == b.peer
+    def segments(self, cmds: list[Command]):
+        """Split an admitted p2p run (one communicator) into
+        ``(packed, commands)`` pieces in program order: ``packed``
+        stretches are two or more consecutive eligible sends to one
+        peer (at most ``limit``), everything between them is posted the
+        ordinary way."""
+        plain: list[Command] = []
+        for peer, stretch in groupby(
+            cmds, lambda cmd: cmd.peer if self.eligible(cmd) else None
+        ):
+            group = list(stretch)
+            for i in range(0, len(group), self.limit):
+                piece = group[i : i + self.limit]
+                if peer is None or len(piece) < 2:
+                    plain += piece
+                    continue
+                if plain:
+                    yield False, plain
+                    plain = []
+                yield True, piece
+        if plain:
+            yield False, plain
 
 
 class OffloadCommunicator:
@@ -170,8 +190,8 @@ class OffloadCommunicator:
         rec = engine.recovery
         if rec is not None and rec.degrade and engine.dead is not None:
             return self._degraded_blocking(engine, cmd)
-        if engine.telemetry is not None:
-            engine.telemetry.counters.inc("app_blocking_calls")
+        if engine._telem is not None:
+            engine._telem.counters.inc("app_blocking_calls")
         if self.op_timeout is not None and cmd.deadline is None:
             cmd.deadline = time.perf_counter() + self.op_timeout
         try:
@@ -223,32 +243,30 @@ class OffloadCommunicator:
             if watchdog is not None:
                 watchdog.check()
 
-    def _nonblocking(self, cmd_kind: K, **fields: Any) -> Any:
-        # The request pool is shared across an EnginePool's shards, so
-        # the slot can be allocated before the command is routed.
+    def _nonblocking(self, cmd: Command) -> Any:
+        """Route and enqueue ``cmd``, whose pool slot the caller has
+        allocated (the request pool is shared across an EnginePool's
+        shards, so the slot exists before the command is routed)."""
         holder = self.engine
-        slot = holder.pool.alloc()
-        cmd = Command(kind=cmd_kind, slot=slot, **fields)
+        slot = cmd.slot
         try:
             engine = holder.route(cmd)
         except OffloadEngineDied:
             holder.pool.release(slot)
             rec = holder.recovery
             if rec is not None and rec.degrade:
-                return self._degraded_nonblocking(
-                    self._any_engine(), cmd_kind, fields
-                )
+                return self._degraded_nonblocking(self._any_engine(), cmd)
             raise
         rec = engine.recovery
         if rec is not None and rec.degrade and engine.dead is not None:
             holder.pool.release(slot)
-            return self._degraded_nonblocking(engine, cmd_kind, fields)
-        if engine.telemetry is not None:
-            engine.telemetry.counters.inc("app_nonblocking_calls")
+            return self._degraded_nonblocking(engine, cmd)
+        if engine._telem is not None:
+            engine._telem.counters.inc("app_nonblocking_calls")
         if self.op_timeout is not None:
             cmd.deadline = time.perf_counter() + self.op_timeout
         handle = OffloadRequest(
-            engine.pool, slot, engine=engine if rec is not None else None
+            engine.pool, slot, engine if rec is not None else None
         )
         try:
             engine.submit(cmd)
@@ -257,7 +275,7 @@ class OffloadCommunicator:
             # recycled safely (no later completion can touch it).
             engine.pool.release(slot)
             if rec is not None and rec.degrade:
-                return self._degraded_nonblocking(engine, cmd_kind, fields)
+                return self._degraded_nonblocking(engine, cmd)
             raise
         return handle
 
@@ -320,40 +338,38 @@ class OffloadCommunicator:
             f"no degraded inline fallback for {k.name}"
         )  # pragma: no cover - all facade kinds handled above
 
-    def _degraded_nonblocking(
-        self, engine: OffloadEngine, cmd_kind: K, fields: dict[str, Any]
-    ) -> Any:
+    def _degraded_nonblocking(self, engine: OffloadEngine, cmd: Command) -> Any:
         self._note_degraded(engine)
-        comm = fields.get("comm") or self.inner
-        buf = fields.get("buf")
-        buf2 = fields.get("buf2")
-        peer = fields.get("peer", -1)
-        tag = fields.get("tag", 0)
-        op = fields.get("op")
-        if cmd_kind is K.ISEND:
-            return comm.isend(buf, peer, tag)
-        if cmd_kind is K.IRECV:
-            return comm.irecv(buf, peer, tag)
-        if cmd_kind is K.IBARRIER:
+        comm = cmd.comm if cmd.comm is not None else self.inner
+        k = cmd.kind
+        if k is K.ISEND:
+            return comm.isend(cmd.buf, cmd.peer, cmd.tag)
+        if k is K.IRECV:
+            return comm.irecv(cmd.buf, cmd.peer, cmd.tag)
+        if k is K.IBARRIER:
             return comm.ibarrier()
-        if cmd_kind is K.IBCAST:
-            return comm.ibcast(buf, peer)
-        if cmd_kind is K.IALLREDUCE:
-            return comm.iallreduce(buf, buf2, op)
-        if cmd_kind is K.IGATHER:
-            return comm.igather(buf, buf2, peer)
-        if cmd_kind is K.IALLTOALL:
-            return comm.ialltoall(buf, buf2)
+        if k is K.IBCAST:
+            return comm.ibcast(cmd.buf, cmd.peer)
+        if k is K.IALLREDUCE:
+            return comm.iallreduce(cmd.buf, cmd.buf2, cmd.op)
+        if k is K.IGATHER:
+            return comm.igather(cmd.buf, cmd.buf2, cmd.peer)
+        if k is K.IALLTOALL:
+            return comm.ialltoall(cmd.buf, cmd.buf2)
         raise OffloadError(
-            f"no degraded inline fallback for {cmd_kind.name}"
+            f"no degraded inline fallback for {k.name}"
         )  # pragma: no cover - all facade kinds handled above
 
     # ------------------------------------------------------------------ p2p
 
     def isend(self, buf: Any, dest: int, tag: int = 0) -> OffloadRequest:
         """Nonblocking send; returns immediately after one enqueue."""
+        # positional: (kind, comm, buf, buf2, peer, tag, op, slot)
         return self._nonblocking(
-            K.ISEND, comm=self.inner, buf=buf, peer=dest, tag=tag
+            Command(
+                K.ISEND, self.inner, buf, None, dest, tag, None,
+                self.engine.pool.alloc(),
+            )
         )
 
     def irecv(
@@ -361,7 +377,10 @@ class OffloadCommunicator:
     ) -> OffloadRequest:
         """Nonblocking receive; returns immediately after one enqueue."""
         return self._nonblocking(
-            K.IRECV, comm=self.inner, buf=buf, peer=source, tag=tag
+            Command(
+                K.IRECV, self.inner, buf, None, source, tag, None,
+                self.engine.pool.alloc(),
+            )
         )
 
     def send(self, buf: Any, dest: int, tag: int = 0) -> None:
@@ -648,10 +667,17 @@ class OffloadCommunicator:
     # -------------------------------------------------- nonblocking collectives
 
     def ibarrier(self) -> OffloadRequest:
-        return self._nonblocking(K.IBARRIER, comm=self.inner)
+        return self._nonblocking(
+            Command(K.IBARRIER, self.inner, slot=self.engine.pool.alloc())
+        )
 
     def ibcast(self, buf: np.ndarray, root: int = 0) -> OffloadRequest:
-        return self._nonblocking(K.IBCAST, comm=self.inner, buf=buf, peer=root)
+        return self._nonblocking(
+            Command(
+                K.IBCAST, self.inner, buf, peer=root,
+                slot=self.engine.pool.alloc(),
+            )
+        )
 
     def iallreduce(
         self,
@@ -660,7 +686,10 @@ class OffloadCommunicator:
         op: ReduceOp = SUM,
     ) -> OffloadRequest:
         return self._nonblocking(
-            K.IALLREDUCE, comm=self.inner, buf=sendbuf, buf2=recvbuf, op=op
+            Command(
+                K.IALLREDUCE, self.inner, sendbuf, recvbuf, op=op,
+                slot=self.engine.pool.alloc(),
+            )
         )
 
     def igather(
@@ -670,14 +699,20 @@ class OffloadCommunicator:
         root: int = 0,
     ) -> OffloadRequest:
         return self._nonblocking(
-            K.IGATHER, comm=self.inner, buf=sendbuf, buf2=recvbuf, peer=root
+            Command(
+                K.IGATHER, self.inner, sendbuf, recvbuf, root,
+                slot=self.engine.pool.alloc(),
+            )
         )
 
     def ialltoall(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray
     ) -> OffloadRequest:
         return self._nonblocking(
-            K.IALLTOALL, comm=self.inner, buf=sendbuf, buf2=recvbuf
+            Command(
+                K.IALLTOALL, self.inner, sendbuf, recvbuf,
+                slot=self.engine.pool.alloc(),
+            )
         )
 
     # ------------------------------------------------------ communicator algebra

@@ -76,15 +76,6 @@ class _Slot:
         #: guards cont/cont_fired; never held across a yield point
         self.cont_lock = threading.Lock()
 
-    def reset(self) -> None:
-        """Owner only, after :meth:`OffloadRequestPool.release` bumped
-        ``generation`` and settled any pending continuation."""
-        self.flag.clear()
-        self.inner = None
-        self.error = None
-        self.cont = None
-        self.cont_fired = False
-
 
 class OffloadRequestPool:
     """Fixed-size pool of slots behind a lock-free free list.
@@ -151,7 +142,10 @@ class OffloadRequestPool:
         """Claim a slot index; raises :class:`FreeListExhausted`."""
         counters = self.telemetry
         if self._cache_size:
-            cache = self._cache()
+            try:
+                cache = self._local.cache  # `_cache()`, inline
+            except AttributeError:
+                cache = self._cache()
             if cache:
                 idx = cache.pop()
                 self._freelist.mark_live(idx)
@@ -225,11 +219,21 @@ class OffloadRequestPool:
                     # be accounted, not silently lost.
                     slot.cont_fired = True
                     self._note_drop()
-        slot.reset()
+        # Owner only from here: the slot is reset for its next
+        # operation and parked in this thread's cache (both inline —
+        # this runs once per message on the waiter's thread).
+        slot.flag.clear()
+        slot.inner = None
+        slot.error = None
+        slot.cont = None
+        slot.cont_fired = False
         if not self._cache_size:
             self._freelist.push(idx)
             return
-        cache = self._cache()
+        try:
+            cache = self._local.cache
+        except AttributeError:
+            cache = self._cache()
         cache.append(idx)
         if len(cache) > 2 * self._cache_size:
             for _ in range(self._cache_size):
@@ -248,7 +252,8 @@ class OffloadRequestPool:
         slot.flag.set(status or EMPTY_STATUS)
         if _dst._scheduler is not None:
             _dst.yield_point("pool.cont.complete")
-        self._fire(slot, generation)
+        if slot.cont is not None:  # see `_fire`: safe without the lock
+            self._fire(slot, generation)
 
     def fail(self, idx: int, error: BaseException) -> None:
         slot = self._slots[idx]
@@ -259,7 +264,8 @@ class OffloadRequestPool:
             return
         if _dst._scheduler is not None:
             _dst.yield_point("pool.cont.complete")
-        self._fire(slot, generation)
+        if slot.cont is not None:
+            self._fire(slot, generation)
 
     # -- continuations ---------------------------------------------------
 
@@ -311,14 +317,13 @@ class OffloadRequestPool:
         keeps a delayed completer from firing a *new* owner's
         continuation after the slot was recycled.
 
-        The look at ``cont`` before the lock is safe without it: every
-        caller published the done flag before coming here, and a
-        registrant writes ``cont`` before it reads the flag — so a
+        Completers (:meth:`complete`, :meth:`fail`) look at ``cont``
+        first and only come here when there is one.  That look is safe
+        without the lock: they published the done flag before it, and
+        a registrant writes ``cont`` before it reads the flag — so a
         completer that finds no continuation leaves a registrant that
         will find the flag set and deliver from its own thread.
         """
-        if slot.cont is None:
-            return False
         with slot.cont_lock:
             fn = slot.cont
             if fn is None or slot.generation != generation:
@@ -345,6 +350,13 @@ class OffloadRequestPool:
             self.telemetry.inc("continuation_drops")
 
 
+#: Serialises the consumption of a handle (the ``_released`` flip): of
+#: two threads finishing one handle exactly one releases the slot.  One
+#: lock for all handles — the section is three bytecodes, and a lock
+#: per handle would be an object allocated per operation.
+_consume_lock = threading.Lock()
+
+
 class OffloadRequest:
     """Application-visible handle for an offloaded nonblocking call.
 
@@ -354,14 +366,7 @@ class OffloadRequest:
     columns).
     """
 
-    __slots__ = (
-        "_pool",
-        "_idx",
-        "_generation",
-        "_released",
-        "_lock",
-        "_engine",
-    )
+    __slots__ = ("_pool", "_idx", "_generation", "_released", "_engine")
 
     def __init__(
         self,
@@ -371,9 +376,8 @@ class OffloadRequest:
     ) -> None:
         self._pool = pool
         self._idx = idx
-        self._generation = pool.slot(idx).generation
+        self._generation = pool._slots[idx].generation
         self._released = False
-        self._lock = threading.Lock()
         #: set only when the engine carries a RecoveryPolicy — enables
         #: the health-sampling wait path (None keeps the fast path)
         self._engine = engine
@@ -421,16 +425,24 @@ class OffloadRequest:
         return True, self._finish(slot)
 
     def wait(self, timeout: float | None = None) -> Status:
-        """Block on the done flag; frees the slot."""
-        slot = self._check_fresh()
-        engine = self._engine
-        if engine is not None and engine.recovery is not None:
-            self._recovery_wait(slot, timeout, engine)
-        elif not slot.flag.wait(timeout):
-            raise TimeoutError(
-                f"offloaded request (slot {self._idx}) pending after "
-                f"{timeout}s"
-            )
+        """Block on the done flag; frees the slot.
+
+        One crossing when the operation already finished: freshness and
+        the done word are checked here (`_check_fresh`, inline), and
+        the flag's ``wait`` is only called to block.
+        """
+        slot = self._pool._slots[self._idx]
+        if self._released or slot.generation != self._generation:
+            raise OffloadError("request handle used after completion/free")
+        if not slot.flag.done:
+            engine = self._engine
+            if engine is not None and engine.recovery is not None:
+                self._recovery_wait(slot, timeout, engine)
+            elif not slot.flag.wait(timeout):
+                raise TimeoutError(
+                    f"offloaded request (slot {self._idx}) pending after "
+                    f"{timeout}s"
+                )
         st = self._finish(slot)
         assert st is not None
         return st
@@ -468,7 +480,7 @@ class OffloadRequest:
             if slot.flag.wait(max(step, 0.0)):
                 return
             if engine.dead is not None and not slot.flag.is_set():
-                with self._lock:
+                with _consume_lock:
                     self._released = True  # abandon, never recycle
                 raise OffloadEngineDied(
                     f"offload engine terminated with request "
@@ -478,7 +490,7 @@ class OffloadRequest:
                 watchdog.check()
 
     def _finish(self, slot: _Slot) -> Status | None:
-        with self._lock:
+        with _consume_lock:
             if self._released:
                 raise OffloadError("request handle completed twice")
             self._released = True
@@ -489,4 +501,5 @@ class OffloadRequest:
             if isinstance(error, OffloadError):
                 raise error
             raise OffloadError(str(error)) from error
-        return payload if isinstance(payload, Status) else EMPTY_STATUS
+        # `complete` stores a Status; only `fail` (raised above) does not
+        return payload if payload is not None else EMPTY_STATUS

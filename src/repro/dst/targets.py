@@ -1567,13 +1567,20 @@ class RevokeVsPostRecvProgram:
     Invariant: once rank 0 has seen the notice, its receive is terminal
     — refused at the post with :class:`CommRevokedError` or failed with
     it afterwards — never pending.
+
+    ``in_run`` posts the receive the way the offload engine does, as a
+    run of one through ``Communicator._post_run`` →
+    ``ProgressEngine.post_batch``: the same ``post_recv`` under the
+    held lock, so the same harness breaks it and the same order fixes
+    it.
     """
 
-    def __init__(self, fix_disabled: bool) -> None:
+    def __init__(self, fix_disabled: bool, in_run: bool = False) -> None:
         from repro.mpisim.constants import ThreadLevel
         from repro.mpisim.world import World
 
         self.world = World(2, ThreadLevel.MULTIPLE)
+        self.in_run = in_run
         if fix_disabled:
             self.world.engines[0].__class__ = _CheckBeforeDrainEngine
         self.req: Any = None
@@ -1588,8 +1595,16 @@ class RevokeVsPostRecvProgram:
         def receiver() -> None:
             comm = self.world.comm_world(0)
             _dst.yield_point("revoke.post_delay")
+            buf = np.empty(8, dtype=np.uint8)
             try:
-                self.req = comm.irecv(np.empty(8, dtype=np.uint8), 1, tag=3)
+                if self.in_run:
+                    (self.req,) = comm._post_run(
+                        [comm._p2p_op(False, buf, 1, 3)]
+                    )
+                    if isinstance(self.req, CommRevokedError):
+                        raise self.req
+                else:
+                    self.req = comm.irecv(buf, 1, tag=3)
             except CommRevokedError:
                 self.refused = True
             # whatever MPI call this rank makes next pumps progress

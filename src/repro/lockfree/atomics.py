@@ -253,7 +253,11 @@ class AtomicFlag(DoneWord):
 
     def set(self, payload: Any = None) -> None:
         self.payload = payload  # before the word: a reader checks it first
-        self._publish()
+        # `_publish`, inline (one call less per completion): store the
+        # word, then look for waiters
+        self.done = True
+        if self._waiters is not None:
+            self._wake()
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the flag is set; False when ``timeout`` expired."""

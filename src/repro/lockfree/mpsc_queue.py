@@ -196,23 +196,8 @@ class MPSCQueue(Generic[T]):
 
     def try_dequeue(self) -> tuple[bool, T | None]:
         """Single-consumer dequeue; returns ``(False, None)`` when empty."""
-        while True:
-            if _dst._scheduler is not None:
-                _dst.yield_point("queue.dequeue")
-            pos = self._dequeue_pos
-            cell = self._cells[pos & self._mask]
-            if cell.seq - (pos + 1) != 0:
-                return False, None
-            value = cell.value
-            cell.value = None  # drop the reference promptly
-            cell.seq = pos + self._mask + 1  # recycle the slot
-            self._dequeue_pos = pos + 1
-            if value is _TOMBSTONE:
-                # A producer rejected by a concurrent close() published
-                # this placeholder; it was never counted as an enqueue.
-                continue
-            self.dequeue_count += 1
-            return True, value
+        out = self._drain_some(1)
+        return (True, out[0]) if out else (False, None)
 
     def drain(self, limit: int | None = None) -> list[T]:
         """Dequeue up to ``limit`` items (all available when ``None``).
@@ -241,12 +226,31 @@ class MPSCQueue(Generic[T]):
             self._release_claim()
 
     def _drain_some(self, limit: int | None) -> list[T]:
+        """The single-consumer dequeue protocol, up to ``limit`` items
+        per call (a drained batch costs one call, not one per command;
+        a yield point before every look at the next cell)."""
         out: list[T] = []
-        while limit is None or len(out) < limit:
-            ok, value = self.try_dequeue()
-            if not ok:
+        mask = self._mask
+        cells = self._cells
+        left = -1 if limit is None else limit
+        while left:
+            if _dst._scheduler is not None:
+                _dst.yield_point("queue.dequeue")
+            pos = self._dequeue_pos
+            cell = cells[pos & mask]
+            if cell.seq - (pos + 1) != 0:
                 break
-            out.append(value)  # type: ignore[arg-type]
+            value = cell.value
+            cell.value = None  # drop the reference promptly
+            cell.seq = pos + mask + 1  # recycle the slot
+            self._dequeue_pos = pos + 1
+            if value is _TOMBSTONE:
+                # A producer rejected by a concurrent close() published
+                # this placeholder; it was never counted as an enqueue.
+                continue
+            self.dequeue_count += 1
+            out.append(value)
+            left -= 1
         return out
 
     # -- work-stealing protocol ------------------------------------

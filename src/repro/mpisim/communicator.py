@@ -86,6 +86,13 @@ class Communicator:
         self.ctx_ft = -(2 * cid + 2)
         self.rank = group.index(engine.rank)
         self.size = len(group)
+        #: global rank -> comm-local rank, or None when the two
+        #: numberings coincide (the world communicator and its dups)
+        self._local_rank: dict[int, int] | None = (
+            None
+            if group == tuple(range(len(group)))
+            else {g: i for i, g in enumerate(group)}
+        )
         self._coll_seq = 0
         self._coll_lock = threading.Lock()
         #: agreement epoch counter (one per ``agree`` call; collective
@@ -270,11 +277,44 @@ class Communicator:
 
     def _localize_status(self, st: Status) -> Status:
         """Convert the engine's global source rank to a comm-local one."""
-        if st.source < 0:
+        local = self._local_rank
+        if local is None or st.source < 0:
             return st
-        return Status(
-            self.group.index(st.source), st.tag, st.count, st.cancelled
+        return Status(local[st.source], st.tag, st.count, st.cancelled)
+
+    # ---------------------------------------------------------- runs of p2p
+    # The offload engine posts a drained run of point-to-point commands
+    # through these two: per-op validation, then one thread-level
+    # check and one substrate entry for the whole run (DESIGN.md §19).
+
+    def _p2p_op(self, is_send: bool, buf: Any, peer: int, tag: int) -> tuple:
+        """Validate and normalise one ``isend``/``irecv`` into the op
+        tuple :meth:`ProgressEngine.post_batch` takes; raises exactly
+        what the lone call would have raised before entering the
+        substrate."""
+        # In-range arguments (the common case) take no call; anything
+        # else goes through the checkers for the wildcard rules.
+        if not 0 <= peer < self.size:
+            self._check_rank(peer, wildcard=not is_send)
+        if not 0 <= tag <= MAX_USER_TAG:
+            self._check_tag(tag, wildcard=not is_send)
+        buffer = (
+            datatypes.as_send_buffer(buf)
+            if is_send
+            else datatypes.as_recv_buffer(buf)
         )
+        # negative peers (ANY_SOURCE, PROC_NULL) are not group members
+        gpeer = self.group[peer] if peer >= 0 else peer
+        return (is_send, buffer, gpeer, tag, self.ctx_p2p)
+
+    def _post_run(self, ops: list[tuple]) -> list:
+        """Post a run of :meth:`_p2p_op` tuples in order; per op the
+        request, or the exception its lone post would have raised."""
+        self._enter()
+        try:
+            return self.engine.post_batch(ops)
+        finally:
+            self._exit()
 
     # -------------------------------------------------------------------- probes
 

@@ -192,7 +192,8 @@ class ProgressEngine:
             )
         self._acquire()
         try:
-            self._check_revoked(context_id, f"send to rank {dst}")
+            if self._revoked:
+                self._check_revoked(context_id, f"send to rank {dst}")
             self.bytes_sent += payload.nbytes
             if payload.nbytes <= self.eager_threshold:
                 self.eager_sends += 1
@@ -340,9 +341,13 @@ class ProgressEngine:
         self._acquire()
         try:
             # Drain arrivals first so the unexpected queue is current.
-            self._drain_then_check(
-                context_id, f"receive from rank {source}"
-            )
+            # With nothing arrived and nothing revoked both steps are
+            # no-ops and the call is skipped; anything that appends to
+            # the inbox after this look is an arrival after the drain.
+            if self._inbox or self._revoked:
+                self._drain_then_check(
+                    context_id, f"receive from rank {source}"
+                )
             req = RecvRequest(self, buffer, source, tag, context_id)
             env = self._umq.match(source, tag, context_id)
             if env is None:
@@ -366,6 +371,38 @@ class ProgressEngine:
             return req
         finally:
             self._release()
+
+    def post_batch(self, ops: list[tuple]) -> list:
+        """Post a run of operations under one hold of the library lock.
+
+        ``ops`` are ``(is_send, buffer, peer, tag, context_id)`` tuples
+        (global peer ranks); they are posted in order through
+        :meth:`post_send` / :meth:`post_recv` — still the per-operation
+        entry points, re-entering the (re-entrant) lock — so matching,
+        protocol choice, revocation and dead-peer handling are exactly
+        those of the same calls made one by one.  An operation whose
+        lone post would have raised yields that exception in its place
+        and the run goes on: op *k* failing says nothing about *k±1*.
+        """
+        out: list = [None] * len(ops)
+        i = 0
+        self._acquire()
+        try:
+            for is_send, buffer, peer, tag, context_id in ops:
+                try:
+                    out[i] = (
+                        self.post_send(buffer, peer, tag, context_id)
+                        if is_send
+                        else self.post_recv(buffer, peer, tag, context_id)
+                    )
+                except BaseException as exc:  # noqa: BLE001
+                    # The caller owns every op's outcome: an exception
+                    # escaping here would orphan the ops already posted.
+                    out[i] = exc
+                i += 1
+        finally:
+            self._release()
+        return out
 
     def cancel_recv(self, req: RecvRequest) -> bool:
         """Withdraw an unmatched posted receive."""

@@ -60,6 +60,26 @@ class TestCompare:
             ["--run-dir", str(run), "--baseline-dir", str(base)]
         ) == 0
 
+    def test_baseline_states_its_own_tolerance(self, dirs):
+        run, base = dirs
+        wide = dict(_metric(100.0), tolerance=0.25)
+        _write(base, "x", {"n": wide})
+        _write(run, "x", {"n": _metric(120.0)})  # +20% < its 25% band
+        args = ["--run-dir", str(run), "--baseline-dir", str(base)]
+        assert ratchet.main(args) == 0
+        _write(run, "x", {"n": _metric(130.0)})
+        assert ratchet.main(args) == 1
+
+    def test_only_gates_the_named_benchmarks(self, dirs):
+        run, base = dirs
+        _write(base, "ran", {"n": _metric(1.0)})
+        _write(base, "elsewhere", {"n": _metric(1.0)})  # other CI job
+        _write(run, "ran", {"n": _metric(1.0)})
+        args = ["--run-dir", str(run), "--baseline-dir", str(base)]
+        assert ratchet.main(args) == 1  # "elsewhere" has no artifact
+        assert ratchet.main(args + ["--only", "ran"]) == 0
+        assert ratchet.main(args + ["--only", "ran", "typo"]) == 1
+
     def test_time_regression_advisory_by_default(self, dirs):
         run, base = dirs
         _write(base, "x", {"t": _metric(1.5, kind="time", direction="higher")})

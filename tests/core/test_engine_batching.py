@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.core import OffloadEngine, OffloadError, offloaded
 from repro.core.offload_comm import OffloadCommunicator
-from repro.core.request_pool import OffloadEngineDied
+from repro.core.request_pool import OffloadEngineDied, OffloadRequest
 from repro.faults import FaultAction, FaultPlan, FaultRule
 from repro.faults.chaos import run_chaos, render_report
 
@@ -79,6 +79,34 @@ class TestBatchOrdering:
             return [int(b[0]) for b in bufs]
 
         assert run_world(1, prog) == [[i * 3 for i in range(12)]]
+
+    def test_segments_pack_only_stretches_of_sends_to_one_peer(self):
+        """`EagerCoalescer.segments` cuts an admitted run, in program
+        order, into packed stretches (>= 2 eligible sends to one peer,
+        at most ``limit``) and ordinary pieces."""
+        from repro.core.commands import Command, CommandKind as K
+        from repro.core.offload_comm import EagerCoalescer
+
+        def prog(comm):
+            buf = np.zeros(1)
+
+            def cmd(kind, peer):
+                return Command(kind, comm, buf, None, peer, 0, None, 1)
+
+            run = (
+                [cmd(K.IRECV, 0), cmd(K.ISEND, 0)]  # lone send: ordinary
+                + [cmd(K.IRECV, 0)]
+                + [cmd(K.ISEND, 0) for _ in range(5)]  # limit 3: 3 + 2
+                + [cmd(K.ISEND, 1), cmd(K.ISEND, 1)]  # other peer
+                + [cmd(K.ISEND, 7)]  # no such rank: never packed
+            )
+            pieces = list(EagerCoalescer(limit=3).segments(run))
+            assert [c for _, cmds in pieces for c in cmds] == run
+            return [(packed, len(cmds)) for packed, cmds in pieces]
+
+        assert run_world_mt(2, prog)[0] == [
+            (False, 3), (True, 3), (True, 2), (True, 2), (False, 1),
+        ]
 
     def test_multi_peer_burst_coalesces_per_destination(self):
         """Sends alternating between two peers form per-peer runs; data
@@ -156,10 +184,56 @@ class TestMidBatchCrash:
 
         assert all(run_world_mt(1, prog))
 
+    def test_crash_mid_mixed_run_posts_the_admitted_prefix(self):
+        """The same over one run of sends *and* receives: the commands
+        admitted before the crash were accepted by a live engine and
+        are posted — here the receives find their messages at the post
+        — the crashing command and the tail fail typed."""
+
+        def prog(comm):
+            crash_at = 4
+            plan = FaultPlan(
+                [FaultRule(FaultAction.ENGINE_CRASH, after=crash_at, count=1)]
+            )
+            engine, oc = _preloaded_engine(comm, faults=plan, telemetry=True)
+            bufs = [np.full(1, -1.0) for _ in range(4)]
+            handles = [
+                oc.isend(np.array([10.0]), 0, tag=0),
+                oc.isend(np.array([11.0]), 0, tag=1),
+                oc.irecv(bufs[0], 0, tag=0),
+                oc.irecv(bufs[1], 0, tag=1),
+                oc.isend(np.array([12.0]), 0, tag=2),  # crashes here
+                oc.irecv(bufs[2], 0, tag=2),
+                oc.isend(np.array([13.0]), 0, tag=3),
+                oc.irecv(bufs[3], 0, tag=3),
+            ]
+            engine.start()
+            outcomes = []
+            for h in handles:
+                try:
+                    h.wait(timeout=10)
+                    outcomes.append("ok")
+                except OffloadError:
+                    outcomes.append("failed")
+            assert outcomes == ["ok"] * crash_at + ["failed"] * 4
+            assert [float(b[0]) for b in bufs] == [10.0, 11.0, -1.0, -1.0]
+            assert isinstance(engine.dead, OffloadEngineDied)
+            assert engine.stats()["substrate_entries"] == 1
+            snap = engine.telemetry_snapshot()
+            assert snap["counters"]["enqueues"] == len(handles)
+            ok, detail = obs.check_balance(snap)
+            assert ok, detail
+            assert snap["in_flight"] == 0
+            engine.stop()
+            return True
+
+        assert all(run_world_mt(1, prog))
+
     def test_crash_mid_coalescing_run_fails_packed_commands(self):
-        """With coalescing on, the crash happens during per-command
-        admission of a packed run: commands admitted before the crash
-        and the unprocessed tail must all fail typed, not vanish."""
+        """Coalescing does not change crash-in-run semantics: the
+        prefix admitted before the crash is posted (here as one packed
+        wire message), the crashing command and the unprocessed tail
+        fail typed, nothing vanishes."""
 
         def prog(comm):
             n, crash_at = 8, 2
@@ -173,11 +247,12 @@ class TestMidBatchCrash:
                 oc.isend(np.array([float(i)]), 0, tag=i) for i in range(n)
             ]
             engine.start()
-            # the whole burst is one coalescible run, so nothing was
-            # issued before the crash: every handle fails typed
-            for h in handles:
+            for h in handles[:crash_at]:
+                h.wait(timeout=10)
+            for h in handles[crash_at:]:
                 with pytest.raises(OffloadError):
                     h.wait(timeout=10)
+            assert engine.coalesced_messages == 1
             snap = engine.telemetry_snapshot()
             assert snap["counters"]["enqueues"] == n
             ok, detail = obs.check_balance(snap)
@@ -186,6 +261,131 @@ class TestMidBatchCrash:
             return True
 
         assert all(run_world_mt(1, prog))
+
+
+class TestRunOutcomes:
+    """One operation of a run failing says nothing about its
+    neighbours: they are posted, in order, under the same substrate
+    entry."""
+
+    @staticmethod
+    def _outcomes(handles):
+        out = []
+        for h in handles:
+            try:
+                h.wait(timeout=10)
+                out.append(None)
+            except OffloadError as exc:
+                out.append(exc.__cause__)
+        return out
+
+    def test_invalid_rank_fails_only_its_command(self):
+        from repro.mpisim.exceptions import InvalidRankError
+
+        def prog(comm):
+            engine, oc = _preloaded_engine(comm, telemetry=True)
+            bufs = [np.empty(1), np.empty(1)]
+            handles = [
+                oc.irecv(bufs[0], 0, tag=0),
+                oc.irecv(bufs[1], 0, tag=2),
+                oc.isend(np.array([1.0]), 0, tag=0),
+                oc.isend(np.array([9.0]), 5, tag=1),  # no rank 5
+                oc.isend(np.array([2.0]), 0, tag=2),
+            ]
+            engine.start()
+            got = self._outcomes(handles)
+            assert got[:3] == [None] * 3 and got[4] is None
+            assert isinstance(got[3], InvalidRankError)
+            assert [float(b[0]) for b in bufs] == [1.0, 2.0]
+            assert engine.stats()["substrate_entries"] == 1
+            engine.stop()
+            ok, detail = obs.check_balance(engine.telemetry_snapshot())
+            assert ok, detail
+            return True
+
+        assert all(run_world_mt(1, prog))
+
+    def test_dead_peer_fails_only_its_command(self):
+        from repro.mpisim import THREAD_MULTIPLE, World
+        from repro.mpisim.exceptions import RankDeadError
+
+        world = World(3, thread_level=THREAD_MULTIPLE)
+        world.mark_rank_dead(2, RuntimeError("rank 2 is gone"))
+        comm = world.comm_world(0)
+        engine, oc = _preloaded_engine(comm, telemetry=True)
+        handles = [
+            oc.isend(np.array([1.0]), 1, tag=0),
+            oc.isend(np.array([2.0]), 2, tag=1),  # dead
+            oc.irecv(np.empty(1), 2, tag=1),  # dead, nothing arrived
+            oc.isend(np.array([3.0]), 1, tag=2),
+        ]
+        engine.start()
+        got = self._outcomes(handles)
+        engine.stop()
+        assert got[0] is None and got[3] is None
+        assert isinstance(got[1], RankDeadError)
+        assert isinstance(got[2], RankDeadError)
+        assert engine.stats()["substrate_entries"] == 1
+        # both live sends reached rank 1, in order
+        peer = world.comm_world(1)
+        for want, tag in ((1.0, 0), (3.0, 2)):
+            buf = np.empty(1)
+            peer.recv(buf, 0, tag)
+            assert float(buf[0]) == want
+
+    def test_revoked_communicator_fails_its_run_not_the_next(self):
+        from repro.mpisim.exceptions import CommRevokedError
+
+        def prog(comm):
+            other = comm.dup()
+            engine, oc = _preloaded_engine(comm, telemetry=True)
+            oc2 = OffloadCommunicator(other, engine)
+            bufs = [np.empty(1), np.empty(1)]
+            handles = [
+                oc.irecv(bufs[0], 0, tag=0),
+                oc.isend(np.array([1.0]), 0, tag=0),
+                oc2.isend(np.array([7.0]), 0, tag=0),  # revoked below
+                oc2.irecv(np.empty(1), 0, tag=0),
+                oc.irecv(bufs[1], 0, tag=1),
+                oc.isend(np.array([2.0]), 0, tag=1),
+            ]
+            other.revoke()
+            engine.start()
+            got = self._outcomes(handles)
+            assert [g is None for g in got] == [True, True, False, False, True, True]
+            assert isinstance(got[2], CommRevokedError)
+            assert isinstance(got[3], CommRevokedError)
+            assert [float(b[0]) for b in bufs] == [1.0, 2.0]
+            # three runs: a communicator change ends a run
+            assert engine.stats()["substrate_entries"] == 3
+            engine.stop()
+            return True
+
+        assert all(run_world_mt(1, prog))
+
+    def test_command_without_communicator_fails_typed_engine_lives(self):
+        """The facade never builds one, but a hand-made p2p command
+        with no communicator fails only itself — it must not escape
+        the run and take the engine thread down."""
+        from repro.core.commands import Command, CommandKind as K
+
+        def prog(comm):
+            with offloaded(comm) as oc:
+                engine = oc.engine
+                slot = engine.pool.alloc()
+                handle = OffloadRequest(engine.pool, slot)
+                engine.submit(Command(K.ISEND, slot=slot, buf=np.zeros(1)))
+                (cause,) = self._outcomes([handle])
+                assert isinstance(cause, ValueError), cause
+                assert "carries no communicator" in str(cause)
+                assert engine.dead is None
+                buf = np.empty(1)
+                r = oc.irecv(buf, 0, tag=0)
+                oc.isend(np.array([4.0]), 0, tag=0).wait(timeout=10)
+                r.wait(timeout=10)
+                return float(buf[0])
+
+        assert run_world_mt(1, prog) == [4.0]
 
 
 class TestShutdownRace:

@@ -270,6 +270,23 @@ class TestRevokeVsPostedReceive:
         target = CORPUS["revoke-vs-post-recv"]
         assert Explorer(lambda: target.make(False)).replay(token) is None
 
+    def test_found_and_clean_with_the_receive_inside_a_run(self):
+        """The offload engine posts receives in runs (``post_batch``,
+        DESIGN.md §19): same drain-then-check, same harness-injected
+        break, every schedule."""
+        make = CORPUS["revoke-vs-post-recv"].make
+        broken = Explorer(
+            lambda: make(True, in_run=True), strategy="exhaustive"
+        ).run()
+        assert broken.found
+        assert "still pending" in str(broken.failure.error)
+        fixed = Explorer(
+            lambda: make(False, in_run=True), strategy="exhaustive"
+        ).run()
+        assert not fixed.found and fixed.exhausted
+        replay = Explorer(lambda: make(False, in_run=True))
+        assert replay.replay(broken.failure.token) is None
+
 
 class TestWakeUpProtocol:
     """The engine loop's clear → look → park order (DESIGN.md §17)

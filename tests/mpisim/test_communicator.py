@@ -90,6 +90,35 @@ class TestSplit:
         assert res[3] == [2, 3]
 
 
+    def test_split_statuses_carry_communicator_local_ranks(self):
+        """Receive statuses name the source by its rank *in the
+        communicator*: the odd ranks of the world are 0..2 in their
+        split (reversed by the key), and a wildcard receive says which
+        of them sent — plain and through the offload engine alike."""
+        from repro.core import offloaded
+        from repro.mpisim import ANY_SOURCE
+
+        def prog(comm):
+            sub = comm.split(color=comm.rank % 2, key=-comm.rank)
+            assert sub._local_rank is not None  # not the identity map
+            assert comm._local_rank is None  # the world is
+            nxt, prv = (sub.rank + 1) % sub.size, (sub.rank - 1) % sub.size
+            out = np.array([float(sub.rank)])
+            into = np.empty(1)
+            sub.send(out, nxt, tag=0)  # eager: cannot block
+            plain = sub.recv(into, ANY_SOURCE, tag=0)
+            seen = [(plain.source, int(into[0]), prv)]
+            with offloaded(sub) as osub:
+                rreq = osub.irecv(into, ANY_SOURCE, tag=1)
+                osub.send(out, nxt, tag=1)
+                seen.append((rreq.wait().source, int(into[0]), prv))
+            return seen
+
+        for seen in run_world_mt(6, prog):
+            for source, payload, prv in seen:
+                assert source == payload == prv
+
+
 class TestThreadLevels:
     def test_funneled_rejects_other_threads(self):
         def prog(comm):
