@@ -1,12 +1,12 @@
-"""Ablation: batched command draining + eager coalescing (DESIGN.md §11).
+"""Ablation: batched command draining (DESIGN.md §11).
 
 The engine's hot loop pays a fixed per-iteration cost (one progress
 pump, one retry/deadline sweep) regardless of how many commands it
 issues.  Draining the ring in batches amortizes that cost over up to
-``batch_size`` commands, and coalescing packs consecutive eager sends
-to one destination into a single wire message.  This benchmark measures
-small-message rate across the knob grid and asserts the headline claim:
-batch >= 16 with coalescing beats the unbatched loop by >= 1.5x.
+``batch_size`` commands, posted under one substrate entry per run.
+This benchmark measures small-message rate across ``batch_size`` and
+asserts the headline claim: batch 16 beats the unbatched loop by
+>= 1.5x.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the run to a crash-only CI smoke test
 (tiny message counts, no throughput assertion).
@@ -28,24 +28,18 @@ from repro.mpisim.world import World
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 N_MSGS = 100 if SMOKE else 1_500
 
-#: (batch_size, coalesce_eager) grid; batch=1 is the pre-batching loop.
-GRID = [
-    (1, False),
-    (16, False),
-    (16, True),
-    (64, True),
-]
+#: ``batch_size`` grid; batch=1 is the pre-batching loop.
+GRID = [1, 16, 64]
 
 
-def _measure(batch_size: int, coalesce: bool, n_msgs: int = N_MSGS):
+def _measure(batch_size: int, n_msgs: int = N_MSGS):
     """Message rate for one knob setting: single-rank self-send drain.
 
     All commands are queued *before* the engine thread starts, so the
     timed region is exactly the engine's issue loop — the thing the
     knobs change — with no app-side submit cost mixed in.  Commands
     alternate blocks of 32 wildcard receives and 32 sends: matching
-    stays O(1), the in-flight set stays bounded by one block, and send
-    runs are long enough for the coalescer to fill whole wire messages.
+    stays O(1) and the in-flight set stays bounded by one block.
     """
     block = 32
 
@@ -56,7 +50,6 @@ def _measure(batch_size: int, coalesce: bool, n_msgs: int = N_MSGS):
             pool_capacity=cap,
             queue_capacity=cap,
             batch_size=batch_size,
-            coalesce_eager=coalesce,
             telemetry=True,
         )
         oc = OffloadCommunicator(comm, engine)
@@ -80,7 +73,6 @@ def _measure(batch_size: int, coalesce: bool, n_msgs: int = N_MSGS):
         return {
             "rate": n_msgs / elapsed,
             "batch_size_hwm": stats["batch_size_hwm"],
-            "coalesced_messages": stats["coalesced_messages"],
             "batch_dequeues": stats["batch_dequeues"],
         }
 
@@ -89,42 +81,38 @@ def _measure(batch_size: int, coalesce: bool, n_msgs: int = N_MSGS):
     return out
 
 
-@pytest.mark.parametrize("batch_size,coalesce", GRID)
-def test_message_rate_grid(benchmark, batch_size, coalesce):
+@pytest.mark.parametrize("batch_size", GRID)
+def test_message_rate_grid(benchmark, batch_size):
     out = benchmark.pedantic(
-        lambda: _measure(batch_size, coalesce),
+        lambda: _measure(batch_size),
         iterations=1,
         rounds=1 if SMOKE else 3,
     )
     print(
-        f"\n  batch={batch_size:3d} coalesce={coalesce!s:5} -> "
-        f"{out['rate']:9.0f} msg/s  (batch hwm {out['batch_size_hwm']}, "
-        f"{out['coalesced_messages']} coalesced msgs)"
+        f"\n  batch={batch_size:3d} -> "
+        f"{out['rate']:9.0f} msg/s  (batch hwm {out['batch_size_hwm']})"
     )
     benchmark.extra_info.update(
         {
             "msgs_per_sec": round(out["rate"]),
             "batch_size_hwm": out["batch_size_hwm"],
-            "coalesced_messages": out["coalesced_messages"],
         }
     )
-    if coalesce and not SMOKE:
-        assert out["coalesced_messages"] > 0, "coalescing never fired"
 
 
 @pytest.mark.skipif(SMOKE, reason="smoke run: crash-only, no ratios")
 def test_batching_speedup_at_least_1_5x(benchmark):
-    """The PR's acceptance bar: batch>=16 + coalescing >= 1.5x batch=1."""
+    """The acceptance bar: batch 16 >= 1.5x batch 1."""
 
     def both():
         # best-of-2 per config: the claim is about the mechanism, not
         # about scheduler noise in any single run
         base = max(
-            (_measure(1, False) for _ in range(2)),
+            (_measure(1) for _ in range(2)),
             key=lambda o: o["rate"],
         )
         batched = max(
-            (_measure(16, True) for _ in range(2)),
+            (_measure(16) for _ in range(2)),
             key=lambda o: o["rate"],
         )
         return base, batched
@@ -132,17 +120,17 @@ def test_batching_speedup_at_least_1_5x(benchmark):
     base, batched = benchmark.pedantic(both, iterations=1, rounds=1)
     ratio = batched["rate"] / base["rate"]
     print(
-        f"\n  batch=1:           {base['rate']:9.0f} msg/s"
-        f"\n  batch=16+coalesce: {batched['rate']:9.0f} msg/s"
-        f"\n  speedup:           {ratio:.2f}x"
+        f"\n  batch=1:  {base['rate']:9.0f} msg/s"
+        f"\n  batch=16: {batched['rate']:9.0f} msg/s"
+        f"\n  speedup:  {ratio:.2f}x"
     )
     benchmark.extra_info.update(
         {
             "rate_batch1": round(base["rate"]),
-            "rate_batch16_coalesce": round(batched["rate"]),
+            "rate_batch16": round(batched["rate"]),
             "speedup": round(ratio, 2),
         }
     )
     assert ratio >= 1.5, (
-        f"batched+coalesced rate only {ratio:.2f}x the unbatched rate"
+        f"batched rate only {ratio:.2f}x the unbatched rate"
     )

@@ -38,8 +38,6 @@ GRID = [
     (1, "dest"),
     (2, "dest"),
     (4, "dest"),
-    (2, "rr"),
-    (4, "rr"),
 ]
 
 
@@ -47,10 +45,10 @@ def _measure(pool_size: int, router: str, n_msgs: int = N_MSGS):
     """Aggregate send rate for one knob setting.
 
     Rank 0 runs one producer thread per destination — with the ``dest``
-    router each (comm, destination) stream is sticky to a shard, with
-    ``rr`` new streams round-robin — while ranks 1..NSTREAMS drain
-    their stream with blocking receives.  A low steal threshold keeps
-    sibling stealing active whenever routing leaves a shard idle.
+    router each (comm, destination) stream is sticky to a shard —
+    while ranks 1..NSTREAMS drain their stream with blocking receives.
+    A low steal threshold keeps sibling stealing active whenever
+    routing leaves a shard idle.
     """
 
     def prog(comm):

@@ -369,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     cha.add_argument(
         "--router", default=None,
-        choices=["dest", "comm", "rr", "thread"],
+        choices=["dest", "thread"],
         help="pool routing policy (default: dest affinity)",
     )
     cha.add_argument(

@@ -39,7 +39,6 @@ from repro.core.request_pool import (
 )
 from repro.core.engine import OffloadEngine
 from repro.core.engine_pool import EnginePool, ShardRouter
-from repro.core.engine_group import OffloadEngineGroup
 from repro.core.recovery import (
     EngineWatchdog,
     OffloadStopTimeout,
@@ -73,7 +72,6 @@ __all__ = [
     "OffloadEngine",
     "EnginePool",
     "ShardRouter",
-    "OffloadEngineGroup",
     "OffloadCommunicator",
     "offload_waitall",
     "offload_waitany",

@@ -47,8 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: before the single per-batch progress sweep; override per engine with
 #: the ``batch_size`` constructor knob.
 _BATCH = 64
-#: Default per-thread request-pool cache chunk (``pool_cache`` knob).
-_POOL_CACHE = 8
 #: Safety tick: the longest the loop parks without looking around.
 #: Every hand-off has a doorbell (DESIGN.md §17); the tick only keeps
 #: ``heartbeat``, fault-plan maturation and work-stealing alive.
@@ -86,23 +84,6 @@ class OffloadEngine:
         batch is issued before the single per-batch progress pump and
         retry/deadline sweep, amortizing per-iteration overhead over
         up to ``batch_size`` commands.
-    coalesce_eager:
-        Pack consecutive eager-sized sends to the same destination
-        (within a batch) into one simulated wire message.  Invisible
-        to matching semantics; see
-        :class:`repro.core.offload_comm.EagerCoalescer`.
-    pool_cache:
-        Per-thread request-pool cache chunk (0 disables); see
-        :class:`~repro.core.request_pool.OffloadRequestPool`.
-    zero_copy:
-        ``True``/``False`` switches the *rank's* substrate progress
-        engine onto/off the zero-copy data plane (DESIGN.md §14):
-        offloaded eager sends of contiguous buffers then ship a
-        borrowed view and pay exactly one copy, at match time — the
-        paper's "no extra copy out of user buffers" claim.  The flag
-        is rank-wide (the progress engine is shared by every shard and
-        the app's direct calls); ``None`` leaves the current setting
-        untouched.
     request_pool:
         Share an existing :class:`OffloadRequestPool` instead of
         constructing a private one.  An :class:`EnginePool` passes one
@@ -119,31 +100,21 @@ class OffloadEngine:
         telemetry: bool | None = None,
         faults: "FaultPlan | None" = None,
         recovery: RecoveryPolicy | None = None,
-        batch_size: int = _BATCH,
-        coalesce_eager: bool = False,
-        pool_cache: int = _POOL_CACHE,
+        batch_size: int | None = None,
         request_pool: OffloadRequestPool | None = None,
-        zero_copy: bool | None = None,
     ) -> None:
+        if batch_size is None:
+            batch_size = _BATCH
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.comm = comm
-        if zero_copy is not None:
-            comm.engine.zero_copy = zero_copy
         self.queue: MPSCQueue[Command] = MPSCQueue(queue_capacity)
         self.pool = (
             request_pool
             if request_pool is not None
-            else OffloadRequestPool(pool_capacity, cache_size=pool_cache)
+            else OffloadRequestPool(pool_capacity)
         )
         self.batch_size = batch_size
-        if coalesce_eager:
-            # Function-level import: offload_comm imports this module.
-            from repro.core.offload_comm import EagerCoalescer
-
-            self._coalescer: "EagerCoalescer | None" = EagerCoalescer()
-        else:
-            self._coalescer = None
         #: commands drained from the ring but not yet dispatched; kept
         #: on the instance (not a loop local) so `_fail_pending` can
         #: fail a partially processed batch after a mid-batch crash
@@ -195,9 +166,8 @@ class OffloadEngine:
         self.degraded_commands = 0
         self.batch_dequeues = 0
         self.batch_size_hwm = 0
-        self.coalesced_messages = 0
         #: entries into the substrate to post p2p commands: one per
-        #: drained run (or packed message), however many it carries
+        #: drained run, however many it carries
         self.substrate_entries = 0
         self.steals = 0
         self.steal_batch_hwm = 0
@@ -361,7 +331,7 @@ class OffloadEngine:
         self.stop()
 
     def route(self, cmd: Command | None = None) -> "OffloadEngine":
-        """Pool/group compatibility: a bare engine routes to itself."""
+        """Pool compatibility: a bare engine routes to itself."""
         return self
 
     def remap_shrunk(self, old_comm, new_comm) -> int:
@@ -611,7 +581,7 @@ class OffloadEngine:
 
         The stolen commands are appended to *our* ``_drained`` and
         issued through the normal ``_process_batch`` path, so crash
-        handling, retries, coalescing and telemetry treat them exactly
+        handling, retries and telemetry treat them exactly
         like locally drained commands (the thief's counters absorb
         them: per-engine balance intentionally breaks under stealing,
         pool-merged balance holds).  The victim ring's ``steal_pending``
@@ -714,11 +684,8 @@ class OffloadEngine:
                 self._dispatch(cmd)
             except BaseException as exc:  # noqa: BLE001 - to caller
                 self._command_failed(cmd, exc)
-        elif self._coalescer is None:
-            self._post_p2p(live)
         else:
-            for packed, cmds in self._coalescer.segments(live):
-                (self._post_packed if packed else self._post_p2p)(cmds)
+            self._post_p2p(live)
 
     def _post_p2p(self, cmds: list[Command]) -> None:
         """One substrate entry for a run of ISEND/IRECV/SEND/RECV.
@@ -770,30 +737,6 @@ class OffloadEngine:
                 pool.complete(cmd.slot, inner.status)
             else:
                 self._track(inner, cmd)
-
-    def _post_packed(self, cmds: list[Command]) -> None:
-        """Issue eager sends to one peer as one coalesced wire message
-        (``coalesce_eager``); ``EagerCoalescer`` established that none
-        of them can fail validation."""
-        comm = cmds[0].comm
-        assert comm is not None
-        try:
-            inners = comm.isend_coalesced(
-                [(cmd.buf, cmd.tag) for cmd in cmds], cmds[0].peer
-            )
-        except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-            # Whole-message failures only, e.g. the destination rank
-            # died.  Fail — or retry, sends are idempotent — each
-            # member individually.
-            for cmd in cmds:
-                self._command_failed(cmd, exc)
-            return
-        self.substrate_entries += 1
-        self.coalesced_messages += 1
-        if self._telem is not None:
-            self._telem.counters.inc("coalesced_messages")
-        for cmd, inner in zip(cmds, inners):
-            self._track(inner, cmd)
 
     def _command_failed(self, cmd: Command, exc: BaseException) -> None:
         """A dispatch attempt failed: retry per policy or fail."""
@@ -1131,7 +1074,6 @@ class OffloadEngine:
             "degraded_mode_commands": self.degraded_commands,
             "batch_dequeues": self.batch_dequeues,
             "batch_size_hwm": self.batch_size_hwm,
-            "coalesced_messages": self.coalesced_messages,
             "substrate_entries": self.substrate_entries,
             "steals": self.steals,
             "steal_batch_hwm": self.steal_batch_hwm,

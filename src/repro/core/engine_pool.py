@@ -9,9 +9,9 @@ resources; this module brings that space onto the substrate as an
 shards per rank behind the same ``route()`` facade a bare engine
 exposes:
 
-* a pluggable **router** picks the shard at submit time
-  (destination-affinity, communicator-affinity, round-robin, or
-  thread-sticky — the legacy :class:`OffloadEngineGroup` policy);
+* a **router** picks the shard at submit time: destination-affinity,
+  or thread-sticky — one engine per application thread, the paper's
+  §7 "multiple threads for software offload" once endpoints exist;
 * an idle shard **batch-steals** from the deepest sibling ring
   (:meth:`~repro.lockfree.mpsc_queue.MPSCQueue.steal_drain`);
 * **dynamic scale-up/down** widens or narrows the set of shards the
@@ -51,7 +51,7 @@ import threading
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.commands import Command, CommandKind
-from repro.core.engine import _POOL_CACHE, OffloadEngine
+from repro.core.engine import OffloadEngine
 from repro.core.request_pool import (
     OffloadEngineDied,
     OffloadRequestPool,
@@ -63,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.communicator import Communicator
 
 #: Routing policies accepted by :class:`EnginePool`.
-ROUTER_POLICIES = ("dest", "comm", "rr", "thread")
+ROUTER_POLICIES = ("dest", "thread")
 
 #: Default sibling ring depth above which an idle shard steals.
 DEFAULT_STEAL_THRESHOLD = 8
@@ -97,14 +97,10 @@ class ShardRouter:
     ``dest``
         sends hash by ``(comm, destination)`` — traffic to different
         peers spreads, each peer's send stream stays ordered;
-    ``comm``
-        everything hashes by communicator — one shard per
-        communicator, the coarsest (and safest) spread;
-    ``rr``
-        new streams round-robin over the active shards;
     ``thread``
-        every command keys on the calling thread (the legacy
-        engine-group policy: per-thread program order).
+        every command keys on the calling thread and new threads
+        round-robin over the active shards (per-thread program order,
+        all MPI promises under ``MPI_THREAD_MULTIPLE``).
     """
 
     def __init__(self, policy: str) -> None:
@@ -144,8 +140,7 @@ class ShardRouter:
         return (id(cmd.comm), "c")
 
     def _hash_pick(self, key, candidates: list[int]) -> int:
-        basis = key if self.policy == "dest" else key[0]
-        return candidates[hash(basis) % len(candidates)]
+        return candidates[hash(key) % len(candidates)]
 
     def assign(self, key, candidates: list[int], alive: list[bool]) -> int:
         """Shard index for ``key``; ``candidates`` are the indices the
@@ -157,7 +152,7 @@ class ShardRouter:
                 return candidates[(self._next - 1) % len(candidates)]
         idx = self._streams.get(key)
         if idx is not None and alive[idx]:
-            if self.policy in ("dest", "comm"):
+            if self.policy == "dest":
                 if self._hash_pick(key, candidates) != idx:
                     self.misroutes += 1
             return idx
@@ -165,7 +160,7 @@ class ShardRouter:
             cur = self._streams.get(key)
             if cur is not None and alive[cur]:
                 return cur
-            if self.policy in ("rr", "thread"):
+            if self.policy == "thread":
                 pick = candidates[self._next % len(candidates)]
                 self._next += 1
             else:
@@ -281,9 +276,6 @@ class EnginePool:
         faults=None,
         recovery=None,
         batch_size: int | None = None,
-        coalesce_eager: bool = False,
-        pool_cache: int | None = None,
-        zero_copy: bool | None = None,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
@@ -300,22 +292,11 @@ class EnginePool:
                 "world must be MPI_THREAD_MULTIPLE"
             )
         self.comm = comm
-        cache = _POOL_CACHE if pool_cache is None else pool_cache
         #: one request pool shared by every shard: any engine —
         #: including a thief completing a victim's stolen commands —
         #: can terminate any slot, and the facade can allocate a slot
         #: before routing.
-        self.request_pool = OffloadRequestPool(
-            pool_capacity, cache_size=cache
-        )
-        engine_kwargs: dict = {"coalesce_eager": coalesce_eager}
-        if batch_size is not None:
-            engine_kwargs["batch_size"] = batch_size
-        if zero_copy is not None:
-            # Rank-wide substrate toggle: every shard shares this
-            # rank's progress engine, so setting it once per shard is
-            # idempotent.
-            engine_kwargs["zero_copy"] = zero_copy
+        self.request_pool = OffloadRequestPool(pool_capacity)
         self.engines = [
             OffloadEngine(
                 comm,
@@ -325,7 +306,7 @@ class EnginePool:
                 faults=faults,
                 recovery=recovery,
                 request_pool=self.request_pool,
-                **engine_kwargs,
+                batch_size=batch_size,
             )
             for _ in range(pool_size)
         ]

@@ -55,14 +55,11 @@ def offloaded(
     comm: "Communicator",
     pool_capacity: int = 4096,
     queue_capacity: int = 4096,
-    nthreads: int = 1,
     telemetry: bool | None = None,
     faults=None,
     recovery=None,
     op_timeout: float | None = None,
     batch_size: int | None = None,
-    coalesce_eager: bool = False,
-    pool_cache: int | None = None,
     pool_size: int | None = None,
     router: str | None = None,
     steal_threshold: int | None = None,
@@ -72,10 +69,8 @@ def offloaded(
     yield the interposed communicator, and tear them down on exit (the
     paper's intercept-at-``MPI_Init``/``MPI_Finalize`` lifecycle).
 
-    ``nthreads > 1`` enables the §7 multi-offload-thread extension
-    (requires ``MPI_THREAD_MULTIPLE``; see
-    :mod:`repro.core.engine_group`).  ``telemetry`` overrides the
-    global :func:`repro.obs.enabled` default for these engines.
+    ``telemetry`` overrides the global :func:`repro.obs.enabled`
+    default for these engines.
 
     ``faults`` installs a :class:`repro.faults.plan.FaultPlan` on the
     engines, ``recovery`` a :class:`repro.core.recovery.RecoveryPolicy`,
@@ -85,21 +80,19 @@ def offloaded(
     errors, so exit does not raise on top of the application's own
     handling.
 
-    ``batch_size``, ``coalesce_eager`` and ``pool_cache`` are the
-    engine's performance knobs (batched drain size, small-message
-    coalescing, per-thread request-pool caching); ``None`` keeps the
-    engine defaults.
+    ``batch_size`` is the engine's batched drain size; ``None`` keeps
+    the engine default.
 
     ``pool_size``/``router``/``steal_threshold`` configure the sharded
     :class:`~repro.core.engine_pool.EnginePool` (N routed,
-    work-stealing engines per rank).  An *explicit* ``pool_size > 1``
-    requires ``MPI_THREAD_MULTIPLE`` and raises otherwise; when
-    ``pool_size`` is None the module default
-    (:data:`DEFAULT_POOL_SIZE`) applies but is silently clamped to 1
-    below ``MPI_THREAD_MULTIPLE`` so single-threaded worlds keep
-    working when the suite-wide default is raised.  ``nthreads > 1``
-    (the legacy thread-sticky group) takes precedence over
-    ``pool_size``.
+    work-stealing engines per rank — the paper's §7 multiple offload
+    threads; ``router="thread"`` gives each application thread its own
+    engine).  An *explicit* ``pool_size > 1`` requires
+    ``MPI_THREAD_MULTIPLE`` and raises otherwise; when ``pool_size``
+    is None the module default (:data:`DEFAULT_POOL_SIZE`) applies but
+    is silently clamped to 1 below ``MPI_THREAD_MULTIPLE`` so
+    single-threaded worlds keep working when the suite-wide default is
+    raised.
 
     ``zero_copy`` toggles the substrate's zero-copy data plane
     (DESIGN.md §14) for this rank's progress engine for the duration
@@ -108,74 +101,6 @@ def offloaded(
     while the context is active, including ones made outside the
     offloaded communicator.  ``None`` (default) leaves the world's
     setting untouched."""
-    restore_zero_copy: bool | None = None
-    if zero_copy is not None:
-        restore_zero_copy = comm.engine.zero_copy
-        comm.engine.zero_copy = zero_copy
-    try:
-        yield from _offloaded_body(
-            comm,
-            pool_capacity=pool_capacity,
-            queue_capacity=queue_capacity,
-            nthreads=nthreads,
-            telemetry=telemetry,
-            faults=faults,
-            recovery=recovery,
-            op_timeout=op_timeout,
-            batch_size=batch_size,
-            coalesce_eager=coalesce_eager,
-            pool_cache=pool_cache,
-            pool_size=pool_size,
-            router=router,
-            steal_threshold=steal_threshold,
-        )
-    finally:
-        if restore_zero_copy is not None:
-            comm.engine.zero_copy = restore_zero_copy
-
-
-def _offloaded_body(
-    comm: "Communicator",
-    pool_capacity: int,
-    queue_capacity: int,
-    nthreads: int,
-    telemetry: bool | None,
-    faults,
-    recovery,
-    op_timeout: float | None,
-    batch_size: int | None,
-    coalesce_eager: bool,
-    pool_cache: int | None,
-    pool_size: int | None,
-    router: str | None,
-    steal_threshold: int | None,
-) -> Iterator[OffloadCommunicator]:
-    perf_kwargs: dict = {"coalesce_eager": coalesce_eager}
-    if batch_size is not None:
-        perf_kwargs["batch_size"] = batch_size
-    if pool_cache is not None:
-        perf_kwargs["pool_cache"] = pool_cache
-    if nthreads > 1:
-        from repro.core.engine_group import OffloadEngineGroup
-
-        group = OffloadEngineGroup(
-            comm,
-            nthreads=nthreads,
-            pool_capacity=pool_capacity,
-            queue_capacity=queue_capacity,
-            telemetry=telemetry,
-            faults=faults,
-            recovery=recovery,
-            batch_size=batch_size,
-            coalesce_eager=coalesce_eager,
-            pool_cache=pool_cache,
-        )
-        group.start()
-        try:
-            yield OffloadCommunicator(comm, group, op_timeout)
-        finally:
-            _teardown(group)
-        return
     effective_pool = pool_size if pool_size is not None else DEFAULT_POOL_SIZE
     if pool_size is None and effective_pool > 1:
         # Default-derived width: clamp rather than raise so the
@@ -189,51 +114,52 @@ def _offloaded_body(
         )
         if level < ThreadLevel.MULTIPLE:
             effective_pool = 1
-    if effective_pool > 1:
-        from repro.core.engine_pool import EnginePool
-
-        pool_kwargs: dict = {}
-        if router is not None:
-            pool_kwargs["router"] = router
-        if steal_threshold is not None:
-            pool_kwargs["steal_threshold"] = steal_threshold
-        pool = EnginePool(
-            comm,
-            pool_size=effective_pool,
-            pool_capacity=pool_capacity,
-            queue_capacity=queue_capacity,
-            telemetry=telemetry,
-            faults=faults,
-            recovery=recovery,
-            batch_size=batch_size,
-            coalesce_eager=coalesce_eager,
-            pool_cache=pool_cache,
-            **pool_kwargs,
-        )
-        pool.start()
-        try:
-            yield OffloadCommunicator(comm, pool, op_timeout)
-        finally:
-            _teardown(pool)
-        return
-    engine = OffloadEngine(
-        comm,
-        pool_capacity=pool_capacity,
-        queue_capacity=queue_capacity,
-        telemetry=telemetry,
-        faults=faults,
-        recovery=recovery,
-        **perf_kwargs,
-    )
-    engine.start()
+    restore_zero_copy: bool | None = None
+    if zero_copy is not None:
+        restore_zero_copy = comm.engine.zero_copy
+        comm.engine.zero_copy = zero_copy
     try:
-        yield OffloadCommunicator(comm, engine, op_timeout)
+        if effective_pool > 1:
+            from repro.core.engine_pool import EnginePool
+
+            pool_kwargs: dict = {}
+            if router is not None:
+                pool_kwargs["router"] = router
+            if steal_threshold is not None:
+                pool_kwargs["steal_threshold"] = steal_threshold
+            engine = EnginePool(
+                comm,
+                pool_size=effective_pool,
+                pool_capacity=pool_capacity,
+                queue_capacity=queue_capacity,
+                telemetry=telemetry,
+                faults=faults,
+                recovery=recovery,
+                batch_size=batch_size,
+                **pool_kwargs,
+            )
+        else:
+            engine = OffloadEngine(
+                comm,
+                pool_capacity=pool_capacity,
+                queue_capacity=queue_capacity,
+                telemetry=telemetry,
+                faults=faults,
+                recovery=recovery,
+                batch_size=batch_size,
+            )
+        engine.start()
+        try:
+            yield OffloadCommunicator(comm, engine, op_timeout)
+        finally:
+            _teardown(engine)
     finally:
-        _teardown(engine)
+        if restore_zero_copy is not None:
+            comm.engine.zero_copy = restore_zero_copy
 
 
 def _teardown(engine) -> None:
-    """Stop an engine/group, absorbing death it already reported.
+    """Stop an engine/pool, absorbing death it already reported.
 
     A dead engine failed all its pending work with typed exceptions at
     death time; raising again out of the ``finally`` would mask the

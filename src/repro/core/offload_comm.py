@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 import time
-from itertools import groupby
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -38,7 +37,6 @@ from repro.mpisim import datatypes
 from repro.mpisim.constants import (
     ANY_SOURCE,
     ANY_TAG,
-    MAX_USER_TAG,
     ThreadLevel,
 )
 from repro.mpisim.reduce_ops import ReduceOp, SUM
@@ -51,72 +49,6 @@ K = CommandKind
 
 #: Longest :func:`offload_waitany` sleeps between scans of its handles.
 _WAITANY_SLICE = 1e-3
-
-
-class EagerCoalescer:
-    """Decides which drained commands may share one wire message.
-
-    The engine posts drained point-to-point commands in runs (see
-    ``OffloadEngine._post_run``); with ``coalesce_eager`` on, stretches
-    of *consecutive* eager-sized sends to the same destination inside a
-    run ship as a single ``COALESCED`` envelope.
-    Only stretches this class admits are packed; anything it rejects
-    is posted the ordinary way, so argument validation and
-    protocol selection never have to fail per-item inside a packed run,
-    and per-peer non-overtaking order is preserved by construction
-    (runs never span a command to a different peer, a receive, or a
-    collective).
-    """
-
-    __slots__ = ("limit",)
-
-    def __init__(self, limit: int = 32) -> None:
-        #: maximum sends packed into one wire message
-        self.limit = limit
-
-    def eligible(self, cmd: Command) -> bool:
-        """Could ``cmd`` legally travel inside a coalesced envelope?
-
-        Mirrors every check ``Communicator.isend`` + eager protocol
-        selection would apply, so a packed run cannot raise for one
-        member after its siblings were issued.
-        """
-        if cmd.kind is not K.ISEND and cmd.kind is not K.SEND:
-            return False
-        comm = cmd.comm
-        if comm is None:
-            return False
-        buf = cmd.buf
-        if not isinstance(buf, np.ndarray):
-            return False
-        if not 0 <= cmd.peer < comm.size:
-            return False
-        if not 0 <= cmd.tag <= MAX_USER_TAG:
-            return False
-        return buf.nbytes <= comm.engine.eager_threshold
-
-    def segments(self, cmds: list[Command]):
-        """Split an admitted p2p run (one communicator) into
-        ``(packed, commands)`` pieces in program order: ``packed``
-        stretches are two or more consecutive eligible sends to one
-        peer (at most ``limit``), everything between them is posted the
-        ordinary way."""
-        plain: list[Command] = []
-        for peer, stretch in groupby(
-            cmds, lambda cmd: cmd.peer if self.eligible(cmd) else None
-        ):
-            group = list(stretch)
-            for i in range(0, len(group), self.limit):
-                piece = group[i : i + self.limit]
-                if peer is None or len(piece) < 2:
-                    plain += piece
-                    continue
-                if plain:
-                    yield False, plain
-                    plain = []
-                yield True, piece
-        if plain:
-            yield False, plain
 
 
 class OffloadCommunicator:

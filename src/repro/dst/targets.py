@@ -327,10 +327,9 @@ class MidBatchCrashProgram:
     def __init__(self, fix_disabled: bool, n_commands: int = 4) -> None:
         self.engine = OffloadEngine(
             _FakeComm(),
-            pool_capacity=8,
             queue_capacity=16,
             telemetry=False,
-            pool_cache=0,
+            request_pool=OffloadRequestPool(8, cache_size=0),
         )
         self.engine._unsafe_drop_drained_on_fail = fix_disabled
         self.n_commands = n_commands
@@ -541,17 +540,15 @@ class ShardCrashStolenWorkProgram:
     def __init__(self, fix_disabled: bool, n_commands: int = 4) -> None:
         self.victim = OffloadEngine(
             _FakeComm(),
-            pool_capacity=8,
             queue_capacity=16,
             telemetry=False,
-            pool_cache=0,
+            request_pool=OffloadRequestPool(8, cache_size=0),
         )
         self.thief = OffloadEngine(
             _FakeComm(),
-            pool_capacity=8,
             queue_capacity=16,
             telemetry=False,
-            pool_cache=0,
+            request_pool=OffloadRequestPool(8, cache_size=0),
         )
         self.victim.queue.enable_steal()
         self.thief._unsafe_steal_leak_on_crash = fix_disabled
@@ -646,7 +643,7 @@ class RoutingOrderProgram:
         self.pool = EnginePool(
             _FakeComm(),
             pool_size=2,
-            router="rr",
+            router="dest",
             steal_threshold=None,
             autoscale=False,
             pool_capacity=8,
@@ -997,10 +994,9 @@ class ContinuationCrashProgram:
     def __init__(self, fix_disabled: bool, n_commands: int = 4) -> None:
         self.engine = OffloadEngine(
             _FakeComm(),
-            pool_capacity=8,
             queue_capacity=16,
             telemetry=False,
-            pool_cache=0,
+            request_pool=OffloadRequestPool(8, cache_size=0),
         )
         self.engine.pool._unsafe_skip_fire_on_fail = fix_disabled
         self.n_commands = n_commands
@@ -1374,10 +1370,9 @@ class ParkVsRingProgram:
         self.comm = self.world.comm_world(0)
         engine = OffloadEngine(
             self.comm,
-            pool_capacity=4,
             queue_capacity=4,
             telemetry=False,
-            pool_cache=0,
+            request_pool=OffloadRequestPool(4, cache_size=0),
         )
         engine.queue = _PlainRing()
         engine._wake = _Bell(late_clear=fix_disabled)

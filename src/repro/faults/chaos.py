@@ -290,10 +290,8 @@ def _rank_program(
     reports: list,
     lock: threading.Lock,
     batch_size: int | None = None,
-    coalesce: bool = True,
     pool_size: int = 1,
     router: str | None = None,
-    steal_threshold: int | None = None,
 ) -> None:
     rank, size = comm.rank, comm.size
     report: dict[str, Any] = {
@@ -321,19 +319,14 @@ def _rank_program(
     # The caller-side wait budget sits well above the engine deadline,
     # so the engine's typed OffloadTimeout always fires first.
     wait_budget = 4 * op_timeout + 1.0
-    # Batched drain + eager coalescing run by default: the chaos
-    # contract (no hang, no lost completion, typed errors, balance law)
-    # must hold with the hot-loop optimizations on, not just off.
     with offloaded(
         comm,
         telemetry=True,
         recovery=recovery,
         op_timeout=op_timeout,
         batch_size=batch_size,
-        coalesce_eager=coalesce,
         pool_size=pool_size if pool_size > 1 else None,
         router=router,
-        steal_threshold=steal_threshold,
     ) as oc:
         # ``holder`` is the bare engine or the EnginePool; ``dead`` is
         # only non-None once *no* shard can serve (a pool with one dead
@@ -498,20 +491,16 @@ def run_chaos(
     run_timeout: float = 120.0,
     plan: FaultPlan | None = None,
     batch_size: int | None = None,
-    coalesce: bool = True,
     pool_size: int = 1,
     router: str | None = None,
-    steal_threshold: int | None = None,
     zero_copy: bool = False,
     workload: str = "ring",
 ) -> dict:
     """One seeded chaos run; returns a structured verdict report.
 
     ``report["ok"]`` is True iff no rank hung, every failure was typed,
-    and the telemetry balance law held on every engine.  Engines run
-    with batched drain and (by default) eager coalescing enabled;
-    ``batch_size`` overrides the engine default, ``coalesce=False``
-    turns coalescing off.
+    and the telemetry balance law held on every engine.
+    ``batch_size`` overrides the engine's batched-drain default.
 
     ``pool_size > 1`` runs each rank on a sharded, work-stealing
     :class:`~repro.core.engine_pool.EnginePool`; the ``shard-crash``
@@ -578,10 +567,8 @@ def run_chaos(
             reports,
             lock,
             batch_size,
-            coalesce,
             pool_size,
             router,
-            steal_threshold,
             timeout=run_timeout,
         )
     except WorldError as we:

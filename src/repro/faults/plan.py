@@ -332,10 +332,6 @@ class FaultPlan:
         if env.kind is EnvelopeKind.EAGER:
             if env.send_req is not None and not env.send_req.done:
                 env.send_req._complete(EMPTY_STATUS)
-        elif env.kind is EnvelopeKind.COALESCED and env.parts:
-            for part in env.parts:
-                if part.send_req is not None and not part.send_req.done:
-                    part.send_req._complete(EMPTY_STATUS)
 
     def _duplicate(self, env: Envelope) -> Envelope:
         """A safe second delivery of an EAGER envelope.

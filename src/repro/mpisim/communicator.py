@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -206,31 +206,6 @@ class Communicator:
             payload = datatypes.as_send_buffer(buf)
             return self.engine.post_send(
                 payload, self._global(dest), tag, self.ctx_p2p
-            )
-        finally:
-            self._exit()
-
-    def isend_coalesced(
-        self, items: Sequence[tuple[Any, int]], dest: int
-    ) -> list[Request]:
-        """Several eager-sized sends to one peer as one wire message.
-
-        ``items`` is a sequence of ``(buf, tag)`` pairs.  Semantically
-        identical to issuing the ``isend`` calls back to back (the
-        receiver unpacks and matches the parts in order); used by the
-        offload engine's small-message coalescer, not application code.
-        """
-        self._enter()
-        try:
-            self._check_rank(dest)
-            payloads: list[np.ndarray] = []
-            tags: list[int] = []
-            for buf, tag in items:
-                self._check_tag(tag)
-                payloads.append(datatypes.as_send_buffer(buf))
-                tags.append(tag)
-            return self.engine.post_send_coalesced(
-                payloads, self._global(dest), tags, self.ctx_p2p
             )
         finally:
             self._exit()

@@ -13,13 +13,6 @@ Three envelope kinds implement the two transfer protocols:
   this, then completes both requests.  This is where the "no progress
   ⇒ no transfer" hazard of the paper's Section 2 lives.
 
-``COALESCED`` is a transport-level wrapper, not a protocol of its own:
-it carries several consecutive ``EAGER`` envelopes for the same
-destination as one wire message (the offload engine's small-message
-coalescer packs them at issue time).  The receiver unpacks and handles
-the parts in order, so matching semantics are exactly those of the
-individual eager sends.
-
 Payloads are either an owned ``np.ndarray`` (the sender copied at post
 time — the classic eager data path) or a :class:`BufferRef`, the
 zero-copy data plane's unit of currency: a flat byte view plus a
@@ -110,8 +103,6 @@ class EnvelopeKind(Enum):
     CTS = "cts"
     #: one-sided operation record (see :mod:`repro.mpisim.rma`)
     RMA = "rma"
-    #: batch of EAGER envelopes packed into one wire message
-    COALESCED = "coalesced"
     #: ULFM revoke notice: ``context_id >> 1`` names the revoked cid
     REVOKE = "revoke"
 
@@ -128,7 +119,6 @@ class Envelope:
     send_req: "SendRequest | None" = None  # RTS / CTS / zero-copy EAGER
     recv_req: "RecvRequest | None" = None  # CTS only
     rma: object | None = None  # RMA only: an RMAMessage record
-    parts: "list[Envelope] | None" = None  # COALESCED only
     #: piggybacked revoke notice: cids the *sender* knows revoked,
     #: stamped by ``World._deliver`` so receivers learn of a revoke
     #: from any traffic, without a side channel (DESIGN.md §15)

@@ -82,7 +82,6 @@ class ProgressEngine:
         self.progress_calls = 0
         self.eager_sends = 0
         self.rendezvous_sends = 0
-        self.coalesced_sends = 0
         self.bytes_sent = 0
         self.envelopes_handled = 0
         #: intermediate payload materializations (send-time eager
@@ -244,87 +243,6 @@ class ProgressEngine:
             )
             self._deliver(dst, env)
             return req
-        finally:
-            self._release()
-
-    def post_send_coalesced(
-        self,
-        payloads: list[np.ndarray],
-        dst: int,
-        tags: list[int],
-        context_id: int,
-    ) -> list[Request]:
-        """Several eager sends to one destination, one wire message.
-
-        The offload engine's small-message coalescer lands here: each
-        payload is copied into its own ``EAGER`` sub-envelope (exactly
-        what :meth:`post_send` would have built), but all of them ride
-        a single ``COALESCED`` envelope through delivery — one library
-        lock acquisition and one inbox append for the whole run.  The
-        receiver unpacks the parts in order, so matching cannot tell
-        coalesced sends from back-to-back eager sends.
-        """
-        if self.dead_ranks and dst in self.dead_ranks:
-            exc = self.dead_ranks[dst]
-            raise RankDeadError(
-                f"send to rank {dst} cannot complete: rank is dead "
-                f"({exc})",
-                rank=dst,
-                rule_id=getattr(exc, "rule_id", None),
-                cid=context_id >> 1 if context_id >= 0 else None,
-            )
-        self._acquire()
-        try:
-            self._check_revoked(context_id, f"coalesced send to rank {dst}")
-            zero_copy = self.zero_copy
-            parts: list[Envelope] = []
-            reqs: list[Request] = []
-            for payload, tag in zip(payloads, tags):
-                assert payload.nbytes <= self.eager_threshold
-                self.bytes_sent += payload.nbytes
-                self.eager_sends += 1
-                if zero_copy:
-                    req: Request = SendRequest(
-                        self, payload, dst, tag, context_id
-                    )
-                    part_payload: "np.ndarray | BufferRef" = (
-                        BufferRef.borrow(payload)
-                    )
-                    send_req = req
-                else:
-                    self.payload_copies += 1
-                    req = CompletedRequest(EMPTY_STATUS)
-                    part_payload = payload.copy()
-                    send_req = None
-                reqs.append(req)
-                parts.append(
-                    Envelope(
-                        kind=EnvelopeKind.EAGER,
-                        src=self.rank,
-                        dst=dst,
-                        context_id=context_id,
-                        tag=tag,
-                        nbytes=payload.nbytes,
-                        payload=part_payload,
-                        send_req=send_req,
-                    )
-                )
-            self.coalesced_sends += 1
-            env = Envelope(
-                kind=EnvelopeKind.COALESCED,
-                src=self.rank,
-                dst=dst,
-                context_id=context_id,
-                tag=-1,
-                nbytes=sum(p.nbytes for p in parts),
-                parts=parts,
-            )
-            self._deliver(dst, env)
-            if zero_copy and self._unsafe_complete_eager_at_post:
-                for req in reqs:
-                    if not req.done:
-                        req._complete(EMPTY_STATUS)
-            return reqs
         finally:
             self._release()
 
@@ -506,13 +424,6 @@ class ProgressEngine:
                 for req in (env.send_req, env.recv_req):
                     if req is not None and not req.done:
                         req._fail(err)
-                if env.parts:
-                    for part in env.parts:
-                        if (
-                            part.send_req is not None
-                            and not part.send_req.done
-                        ):
-                            part.send_req._fail(err)
             for env in self._umq.remove_where(
                 lambda e: e.kind is EnvelopeKind.RTS
                 or e.send_req is not None
@@ -628,9 +539,6 @@ class ProgressEngine:
         for req in (env.send_req, env.recv_req):
             if req is not None and not req.done:
                 req._fail(err)
-        if env.parts:
-            for part in env.parts:
-                self._poison_envelope(part, err)
 
     # -- one-sided windows -------------------------------------------------
 
@@ -716,13 +624,6 @@ class ProgressEngine:
             return
         if env.kind is EnvelopeKind.RMA:
             self._handle_rma(env)
-            return
-        if env.kind is EnvelopeKind.COALESCED:
-            # Unpack in order: each part goes through exactly the
-            # matching path it would have taken as a lone eager send.
-            assert env.parts is not None
-            for part in env.parts:
-                self._handle(part)
             return
         if (
             self._revoked
@@ -863,7 +764,6 @@ class ProgressEngine:
             "lock_contentions": self.lock_contentions,
             "eager_sends": self.eager_sends,
             "rendezvous_sends": self.rendezvous_sends,
-            "coalesced_sends": self.coalesced_sends,
             "bytes_sent": self.bytes_sent,
             "envelopes_handled": self.envelopes_handled,
             "payload_copies": self.payload_copies,

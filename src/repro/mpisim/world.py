@@ -129,12 +129,6 @@ class World:
         for req in (env.send_req, env.recv_req):
             if req is not None and not req.done:
                 req._fail(err)
-        if env.parts:
-            # Coalesced wrapper: zero-copy parts carry live send
-            # requests of their own.
-            for part in env.parts:
-                if part.send_req is not None and not part.send_req.done:
-                    part.send_req._fail(err)
 
     # -- fault injection ---------------------------------------------------
 

@@ -69,12 +69,10 @@ COUNTER_GLOSSARY: dict[str, str] = {
     "engine wedged and poisoned it",
     "degraded_mode_commands": "facade calls executed inline on the "
     "calling thread after engine death (FUNNELED fallback)",
-    # -- batched issue + coalescing (PR 4 hot-loop work) ----------------
+    # -- batched issue (PR 4 hot-loop work) -----------------------------
     "batch_dequeues": "non-empty batch drains of the command ring "
     "(one per engine loop iteration that found work)",
     "batch_size_hwm": "largest single batch drained from the ring",
-    "coalesced_messages": "wire messages carrying a packed run of "
-    "eager sends (each saves run-1 deliveries)",
     "pool_cache_hits": "request-pool allocations served from the "
     "calling thread's slot cache (no shared-list CAS)",
     "pool_cache_misses": "request-pool allocations that refilled the "

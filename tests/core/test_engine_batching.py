@@ -1,10 +1,11 @@
-"""Semantics of the batched issue loop and eager coalescing.
+"""Semantics of the batched issue loop.
 
-The engine drains the command ring in batches and (optionally) packs
-consecutive eager sends to one destination into a single wire message.
-Neither may be visible to the application: per-peer program order is
-preserved, a mid-batch crash fails the rest of the batch with typed
-errors, and the chaos contract holds with both knobs enabled.
+The engine drains the command ring in batches and posts each run of
+point-to-point commands under one substrate entry.  That may not be
+visible to the application: per-peer program order is preserved, a
+mid-batch crash fails the rest of the batch with typed errors, faults
+hit single messages inside a run, and the chaos contract holds at
+every batch size.
 """
 
 import threading
@@ -30,15 +31,13 @@ def _preloaded_engine(comm, **kwargs):
 
 
 class TestBatchOrdering:
-    def test_in_batch_ordering_preserved_with_coalescing(self):
+    def test_in_batch_ordering_preserved_within_one_run(self):
         """A same-tag burst to one peer must arrive in program order
-        even when the whole burst travels as one coalesced message."""
+        when the whole burst is posted as one run."""
 
         def prog(comm):
             n = 24
-            engine, oc = _preloaded_engine(
-                comm, coalesce_eager=True, telemetry=True
-            )
+            engine, oc = _preloaded_engine(comm, telemetry=True)
             bufs = [np.empty(1) for _ in range(n)]
             recvs = [oc.irecv(bufs[i], 0, tag=7) for i in range(n)]
             sends = [
@@ -49,27 +48,24 @@ class TestBatchOrdering:
                 h.wait(timeout=30)
             engine.stop()
             # the burst was queued ahead of start, so it drained as one
-            # batch and the send run actually coalesced
-            assert engine.coalesced_messages >= 1
+            # batch and entered the substrate once
             assert engine.batch_size_hwm >= n
+            assert engine.stats()["substrate_entries"] == 1
             return [int(b[0]) for b in bufs]
 
         assert run_world(1, prog) == [list(range(24))]
 
     def test_mixed_batch_recvs_break_runs_but_still_match(self):
-        """Receives interleaved with sends split coalescing runs; the
+        """Receives interleaved with sends share one run; the
         messages must still match pairwise in order."""
 
         def prog(comm):
             n = 12
-            engine, oc = _preloaded_engine(
-                comm, coalesce_eager=True, telemetry=True
-            )
+            engine, oc = _preloaded_engine(comm, telemetry=True)
             bufs = [np.empty(1) for _ in range(n)]
             handles = []
             for i in range(n):
-                # recv-send-send-recv-... interleaving: every recv
-                # flushes the pending run
+                # recv-send-recv-send-... interleaving
                 handles.append(oc.irecv(bufs[i], 0, tag=i))
                 handles.append(oc.isend(np.array([float(i * 3)]), 0, tag=i))
             engine.start()
@@ -80,43 +76,13 @@ class TestBatchOrdering:
 
         assert run_world(1, prog) == [[i * 3 for i in range(12)]]
 
-    def test_segments_pack_only_stretches_of_sends_to_one_peer(self):
-        """`EagerCoalescer.segments` cuts an admitted run, in program
-        order, into packed stretches (>= 2 eligible sends to one peer,
-        at most ``limit``) and ordinary pieces."""
-        from repro.core.commands import Command, CommandKind as K
-        from repro.core.offload_comm import EagerCoalescer
-
-        def prog(comm):
-            buf = np.zeros(1)
-
-            def cmd(kind, peer):
-                return Command(kind, comm, buf, None, peer, 0, None, 1)
-
-            run = (
-                [cmd(K.IRECV, 0), cmd(K.ISEND, 0)]  # lone send: ordinary
-                + [cmd(K.IRECV, 0)]
-                + [cmd(K.ISEND, 0) for _ in range(5)]  # limit 3: 3 + 2
-                + [cmd(K.ISEND, 1), cmd(K.ISEND, 1)]  # other peer
-                + [cmd(K.ISEND, 7)]  # no such rank: never packed
-            )
-            pieces = list(EagerCoalescer(limit=3).segments(run))
-            assert [c for _, cmds in pieces for c in cmds] == run
-            return [(packed, len(cmds)) for packed, cmds in pieces]
-
-        assert run_world_mt(2, prog)[0] == [
-            (False, 3), (True, 3), (True, 2), (True, 2), (False, 1),
-        ]
-
-    def test_multi_peer_burst_coalesces_per_destination(self):
-        """Sends alternating between two peers form per-peer runs; data
-        must land on the right rank in the right order."""
+    def test_multi_peer_burst_lands_per_destination(self):
+        """Sends alternating between two peers: data must land on the
+        right rank in the right order."""
 
         def prog(comm):
             n = 8
-            with offloaded(
-                comm, coalesce_eager=True, telemetry=True
-            ) as oc:
+            with offloaded(comm, telemetry=True) as oc:
                 me = oc.rank
                 others = [r for r in range(oc.size) if r != me]
                 bufs = {r: [np.empty(1) for _ in range(n)] for r in others}
@@ -229,20 +195,18 @@ class TestMidBatchCrash:
 
         assert all(run_world_mt(1, prog))
 
-    def test_crash_mid_coalescing_run_fails_packed_commands(self):
-        """Coalescing does not change crash-in-run semantics: the
-        prefix admitted before the crash is posted (here as one packed
-        wire message), the crashing command and the unprocessed tail
-        fail typed, nothing vanishes."""
+    def test_crash_mid_send_run_fails_tail_posts_prefix(self):
+        """A run of sends only: the prefix admitted before the crash
+        is posted under the run's one substrate entry, the crashing
+        command and the unprocessed tail fail typed, nothing
+        vanishes."""
 
         def prog(comm):
             n, crash_at = 8, 2
             plan = FaultPlan(
                 [FaultRule(FaultAction.ENGINE_CRASH, after=crash_at, count=1)]
             )
-            engine, oc = _preloaded_engine(
-                comm, faults=plan, coalesce_eager=True, telemetry=True
-            )
+            engine, oc = _preloaded_engine(comm, faults=plan, telemetry=True)
             handles = [
                 oc.isend(np.array([float(i)]), 0, tag=i) for i in range(n)
             ]
@@ -252,7 +216,7 @@ class TestMidBatchCrash:
             for h in handles[crash_at:]:
                 with pytest.raises(OffloadError):
                     h.wait(timeout=10)
-            assert engine.coalesced_messages == 1
+            assert engine.stats()["substrate_entries"] == 1
             snap = engine.telemetry_snapshot()
             assert snap["counters"]["enqueues"] == n
             ok, detail = obs.check_balance(snap)
@@ -261,6 +225,57 @@ class TestMidBatchCrash:
             return True
 
         assert all(run_world_mt(1, prog))
+
+
+class TestMessageFaultsInRun:
+    @pytest.mark.parametrize("zero_copy", [False, True])
+    def test_drop_window_inside_one_run(self, zero_copy):
+        """Message-scope faults are batch-invisible: a DROP window over
+        a burst posted as one run loses exactly the messages it names,
+        the rest arrive in program order, every send is terminal."""
+        from repro.mpisim import THREAD_MULTIPLE, World
+
+        n, skip, k = 10, 2, 3
+        plan = FaultPlan(
+            [
+                FaultRule(
+                    FaultAction.DROP,
+                    rank=1,
+                    kind="eager",
+                    tag=7,
+                    after=skip,
+                    count=k,
+                )
+            ]
+        )
+
+        def prog(comm):
+            if comm.rank == 1:
+                got = []
+                buf = np.empty(1)
+                for _ in range(n - k):
+                    comm.recv(buf, 0, tag=7)
+                    got.append(int(buf[0]))
+                return got
+            engine, oc = _preloaded_engine(comm, telemetry=True)
+            sends = [
+                oc.isend(np.array([float(i)]), 1, tag=7) for i in range(n)
+            ]
+            engine.start()
+            for h in sends:
+                h.wait(timeout=30)  # dropped or matched: all terminal
+            engine.stop()
+            assert engine.batch_size_hwm >= n
+            assert engine.stats()["substrate_entries"] == 1
+            ok, detail = obs.check_balance(engine.telemetry_snapshot())
+            assert ok, detail
+            return None
+
+        world = World(2, thread_level=THREAD_MULTIPLE, zero_copy=zero_copy)
+        world.install_faults(plan)
+        survivors = [i for i in range(n) if not skip <= i < skip + k]
+        assert world.run(prog, timeout=60)[1] == survivors
+        assert plan.stats()["fault_drop"] == k
 
 
 class TestRunOutcomes:
@@ -453,7 +468,6 @@ class TestChaosWithBatching:
             op_timeout=0.5,
             run_timeout=60.0,
             batch_size=4,
-            coalesce=True,
         )
         assert report["ok"], render_report(report)
         assert report["balance"]["ok"]
@@ -469,6 +483,5 @@ class TestChaosWithBatching:
             op_timeout=0.4,
             run_timeout=60.0,
             batch_size=1,
-            coalesce=False,
         )
         assert report["ok"], render_report(report)

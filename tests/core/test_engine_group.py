@@ -1,11 +1,13 @@
-"""Multi-offload-thread extension (§7 future work) tests."""
+"""Several offload threads per rank (§7 future work): an
+:class:`EnginePool` under the ``thread`` router, one engine per
+application thread."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core import OffloadEngineGroup, offloaded
+from repro.core import EnginePool, offloaded
 from repro.mpisim import THREAD_FUNNELED
 from repro.mpisim.exceptions import ThreadLevelError
 
@@ -16,14 +18,14 @@ class TestConstruction:
     def test_requires_thread_multiple(self):
         def prog(comm):
             with pytest.raises(ThreadLevelError):
-                OffloadEngineGroup(comm, nthreads=2)
+                EnginePool(comm, pool_size=2, router="thread")
             return True
 
         assert all(run_world(1, prog, thread_level=THREAD_FUNNELED))
 
     def test_single_thread_group_any_level(self):
         def prog(comm):
-            with OffloadEngineGroup(comm, nthreads=1) as g:
+            with EnginePool(comm, pool_size=1, router="thread") as g:
                 assert len(g.engines) == 1
             return True
 
@@ -32,7 +34,7 @@ class TestConstruction:
     def test_invalid_nthreads(self):
         def prog(comm):
             with pytest.raises(ValueError):
-                OffloadEngineGroup(comm, nthreads=0)
+                EnginePool(comm, pool_size=0)
             return True
 
         assert all(run_world_mt(1, prog))
@@ -41,7 +43,7 @@ class TestConstruction:
 class TestRouting:
     def test_sticky_per_thread_assignment(self):
         def prog(comm):
-            with OffloadEngineGroup(comm, nthreads=2) as g:
+            with EnginePool(comm, pool_size=2, router="thread") as g:
                 picks = {}
                 # all workers alive simultaneously: sequential threads
                 # can reuse OS thread idents and collapse onto one
@@ -74,10 +76,10 @@ class TestRouting:
 
     def test_per_thread_ordering_preserved(self):
         """A single app thread's sends arrive in program order even
-        with several offload threads in the group."""
+        with several offload threads in the pool."""
 
         def prog(comm):
-            with offloaded(comm, nthreads=3) as oc:
+            with offloaded(comm, pool_size=3, router="thread") as oc:
                 peer = 1 - comm.rank
                 n_msgs = 30
                 if comm.rank == 0:
@@ -98,7 +100,7 @@ class TestRouting:
 class TestGroupWork:
     def test_concurrent_threads_spread_over_engines(self):
         def prog(comm):
-            with offloaded(comm, nthreads=3) as oc:
+            with offloaded(comm, pool_size=3, router="thread") as oc:
                 peer = 1 - comm.rank
                 errors = []
 
@@ -137,7 +139,7 @@ class TestGroupWork:
 
     def test_collectives_through_group(self):
         def prog(comm):
-            with offloaded(comm, nthreads=2) as oc:
+            with offloaded(comm, pool_size=2, router="thread") as oc:
                 s = oc.allreduce(np.array([1.0]))
                 assert s[0] == comm.size
                 g = oc.gather(np.array([comm.rank]), root=0)
@@ -150,11 +152,11 @@ class TestGroupWork:
 
     def test_group_lifecycle_restart(self):
         def prog(comm):
-            g = OffloadEngineGroup(comm, nthreads=2)
+            g = EnginePool(comm, pool_size=2, router="thread")
             g.start()
             g.stop()
-            # a fresh group over the same comm works
-            with OffloadEngineGroup(comm, nthreads=2):
+            # a fresh pool over the same comm works
+            with EnginePool(comm, pool_size=2, router="thread"):
                 pass
             return True
 

@@ -86,3 +86,63 @@ class TestNestedOffload:
             return True
 
         assert all(run_world_mt(3, prog))
+
+
+class TestKeywordPlumbing:
+    """Every ``offloaded()`` keyword reaches the object that consumes
+    it, on both construction branches (bare engine, sharded pool)."""
+
+    @pytest.mark.parametrize("pool_size", [1, 2])
+    def test_every_keyword_is_observable(self, pool_size):
+        from repro.core import RecoveryPolicy
+        from repro.faults import FaultPlan
+
+        plan, recovery = FaultPlan([]), RecoveryPolicy()
+        pool_kw = (
+            {"router": "thread", "steal_threshold": 5}
+            if pool_size > 1
+            else {}
+        )
+
+        def prog(comm):
+            with offloaded(
+                comm,
+                pool_size=pool_size,
+                batch_size=7,
+                queue_capacity=32,
+                pool_capacity=64,
+                telemetry=True,
+                faults=plan,
+                recovery=recovery,
+                op_timeout=12.5,
+                **pool_kw,
+            ) as oc:
+                assert oc.op_timeout == 12.5
+                holder = oc.engine
+                shards = getattr(holder, "engines", [holder])
+                assert len(shards) == pool_size
+                for e in shards:
+                    assert e.batch_size == 7
+                    assert e.queue.capacity == 32
+                    assert e.pool.capacity == 64
+                    assert e.telemetry is not None
+                    assert e._faults is plan
+                    assert e.recovery is recovery
+                if pool_size > 1:
+                    assert holder.router.policy == "thread"
+                    assert holder.steal_threshold == 5
+            return True
+
+        assert all(run_world_mt(1, prog))
+
+    def test_ctor_keywords_subset_of_facade(self):
+        import inspect
+
+        from repro.core import EnginePool, OffloadEngine
+
+        def keywords(fn):
+            return set(inspect.signature(fn).parameters) - {"self", "comm"}
+
+        facade = keywords(offloaded)
+        assert keywords(OffloadEngine.__init__) - facade == {"request_pool"}
+        assert keywords(EnginePool.__init__) - facade == {"autoscale"}

@@ -76,14 +76,14 @@ def _producer_ops(oc, tid: int, seed_round: int) -> dict:
     return issued
 
 
-def _stress_world(seed_round: int, nthreads: int = 1):
+def _stress_world(seed_round: int, pool_size: int | None = None):
     def prog(comm):
         with offloaded(
             comm,
             queue_capacity=8,
             pool_capacity=512,
             telemetry=True,
-            nthreads=nthreads,
+            pool_size=pool_size,
         ) as oc:
             results: list[dict | None] = [None] * NPRODUCERS
             errors: list[BaseException] = []
@@ -142,9 +142,9 @@ class TestOffloadEngineStress:
         assert detail["in_flight"] == 0
         assert detail["control"] >= 1  # the SHUTDOWN command
 
-    def test_engine_group_sharded_producers_balance(self):
+    def test_pool_sharded_producers_balance(self):
         obs.drain_snapshots()
-        (issued, payload_errors, snap), = _stress_world(2, nthreads=2)
+        (issued, payload_errors, snap), = _stress_world(2, pool_size=2)
         assert payload_errors == 0
         assert snap["engines"] == 2
         assert snap["counters"]["enqueues"] == issued

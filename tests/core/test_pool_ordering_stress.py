@@ -2,14 +2,13 @@
 
 MPI's non-overtaking rule: two sends from the same source to the same
 destination with the same tag are received in the order they were
-sent.  A sharded pool puts that rule at risk three separate ways —
-routing could split one stream over two rings, a thief could issue a
-stolen batch out of order against its owner, and eager coalescing
-could repack runs across the boundary — so this stress drives all
-three at once: N producer threads each own one (source, dest, tag)
+sent.  A sharded pool puts that rule at risk two separate ways —
+routing could split one stream over two rings, and a thief could issue
+a stolen batch out of order against its owner — so this stress drives
+both at once: N producer threads each own one (source, dest, tag)
 stream and push an ordered payload sequence through a small-ring,
-steal-happy, coalescing 4-shard pool, while one receiver thread per
-stream asserts the payloads arrive in exactly program order.
+steal-happy 4-shard pool, while one receiver thread per stream asserts
+the payloads arrive in exactly program order.
 """
 
 import threading
@@ -60,12 +59,11 @@ def _receiver(oc, tag: int) -> int:
 
 def _prog(comm, seed_round: int):
     # small rings + low steal threshold: constant backpressure and
-    # constant stealing; coalescing repacks the eager runs
+    # constant stealing
     with offloaded(
         comm,
         pool_size=4,
         steal_threshold=2,
-        coalesce_eager=True,
         queue_capacity=16,
     ) as oc:
         results = [None] * NSTREAMS

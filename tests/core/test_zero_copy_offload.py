@@ -9,8 +9,6 @@ movement landing straight in the receiver's buffer.
 import numpy as np
 
 from repro.core import offloaded
-from repro.core.engine import OffloadEngine
-from repro.core.engine_pool import EnginePool
 from repro.mpisim import World
 from repro.mpisim.constants import THREAD_MULTIPLE
 
@@ -101,16 +99,4 @@ class TestKnobPlumbing:
         comm = world.comm_world(0)
         with offloaded(comm):
             assert comm.engine.zero_copy is True
-        assert comm.engine.zero_copy is True
-
-    def test_engine_kwarg_toggles_substrate(self):
-        world = World(1, THREAD_MULTIPLE)
-        comm = world.comm_world(0)
-        OffloadEngine(comm, zero_copy=True)  # never started: ctor-only
-        assert comm.engine.zero_copy is True
-
-    def test_engine_pool_kwarg_toggles_substrate(self):
-        world = World(1, THREAD_MULTIPLE)
-        comm = world.comm_world(0)
-        EnginePool(comm, pool_size=2, zero_copy=True)
         assert comm.engine.zero_copy is True

@@ -159,26 +159,6 @@ class TestTruncation:
         assert sreq.done and sreq.error is None
 
 
-class TestCoalescedZeroCopy:
-    def test_parts_borrow_and_complete_at_match(self):
-        e0, e1 = make_pair()
-        payloads = [
-            np.full(8, k, dtype=np.uint8) for k in range(3)
-        ]
-        reqs = e0.post_send_coalesced(
-            payloads, dst=1, tags=[1, 2, 3], context_id=0
-        )
-        assert not any(r.done for r in reqs)
-        bufs = [np.zeros(8, dtype=np.uint8) for _ in range(3)]
-        for k, buf in enumerate(bufs):
-            e1.post_recv(buf, source=0, tag=k + 1, context_id=0)
-        assert all(r.done for r in reqs)
-        for k, buf in enumerate(bufs):
-            np.testing.assert_array_equal(buf, np.full(8, k, np.uint8))
-        assert e0.payload_copies + e1.payload_copies == 0
-        assert e1.payload_zero_copy_hits == 3
-
-
 class TestDeadRank:
     def test_pending_zero_copy_send_fails_when_receiver_dies(self):
         """A zero-copy eager send parked in a dead rank's UMQ must not

@@ -16,9 +16,9 @@ def clean_registry():
     obs.drain_snapshots()
 
 
-def _run_some_traffic(telemetry=True, nthreads=1):
+def _run_some_traffic(telemetry=True, pool_size=None):
     def prog(comm):
-        with offloaded(comm, telemetry=telemetry, nthreads=nthreads) as oc:
+        with offloaded(comm, telemetry=telemetry, pool_size=pool_size) as oc:
             peer = (comm.rank + 1) % comm.size
             src = (comm.rank - 1) % comm.size
             r = oc.irecv(np.empty(8), src, tag=0)
@@ -26,7 +26,7 @@ def _run_some_traffic(telemetry=True, nthreads=1):
             s.wait(timeout=30)
             r.wait(timeout=30)
             oc.allreduce(np.array([1.0]))
-            # single engine and engine group expose the same API
+            # single engine and engine pool expose the same API
             return oc.engine.telemetry_snapshot()
 
     return run_world_mt(2, prog)
@@ -54,7 +54,7 @@ class TestSnapshot:
             assert snap["queue"]["enqueued"] > 0
 
     def test_group_snapshot_merges_engines(self):
-        snaps = _run_some_traffic(nthreads=2)
+        snaps = _run_some_traffic(pool_size=2)
         for snap in snaps:
             assert snap["engines"] == 2
             ok, detail = obs.check_balance(snap)
