@@ -5,18 +5,22 @@ costs what Python executes for it (DESIGN.md §19).  This benchmark
 counts ``call`` + ``c_call`` profile events on every thread over
 warmed windows of pre-posted ``irecv`` / ``isend`` + ``wait``
 (:mod:`repro.bench.call_budget`), through the offload stack and through
-the plain communicator, and records the engine's substrate entries per
-command over the same windows.
+the plain communicator, and records over the same windows the engine's
+substrate entries per command and the substrate's own work per message
+(envelopes handled, send-time copies): fewer calls must be the same
+work.
 
-All three are ``counter``-kind metrics: they repeat to within a call
-per message on one interpreter, so ``benchmarks/ratchet.py`` blocks on
+All are ``counter``-kind metrics: they repeat to within a call per
+message on one interpreter, so ``benchmarks/ratchet.py`` blocks on
 them.  The profile events an interpreter emits differ between CPython
 versions (``with lock:`` is one C call on 3.11, two on 3.10;
 comprehensions stopped being calls in 3.12), hence the 15 % band stated
-with each metric; entries per command depend on how many commands the
-engine finds queued when it wakes, hence its wider one.  The hard
-limits — 160 calls, 2.1 × plain, 0.1 entries per command — are asserted
-in ``tests/core/test_call_budget.py``.
+with each call count; entries per command depend on how many commands
+the engine finds queued when it wakes, hence its wider one; envelopes
+and copies per message are exact (one each per message plus the
+window's token).  The hard limits — 115 calls (48 application, 66
+engine), 64 plain, 1.85 × plain, 0.1 entries per command — are
+asserted in ``tests/core/test_call_budget.py``.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ def test_call_budget(bench_trajectory):
         windows=WINDOWS,
         window=WINDOW,
         nbytes=NBYTES,
-        app_calls_per_msg=round(sum(offload.app.values()) / n, 1),
-        engine_calls_per_msg=round(sum(offload.engine.values()) / n, 1),
         top_callees={
             name: round(calls / n, 2)
             for name, calls in (offload.app + offload.engine).most_common(10)
@@ -48,12 +50,20 @@ def test_call_budget(bench_trajectory):
     )
     for key, value, tolerance in (
         ("calls_per_msg_offload", round(offload.per_msg, 1), 0.15),
+        ("app_calls_per_msg", round(sum(offload.app.values()) / n, 1), 0.15),
+        (
+            "engine_calls_per_msg",
+            round(sum(offload.engine.values()) / n, 1),
+            0.15,
+        ),
         ("calls_per_msg_plain", round(plain.per_msg, 1), 0.15),
         (
             "substrate_entries_per_cmd",
             round(offload.entries_per_cmd, 3),
             1.0,
         ),
+        ("envelopes_per_msg", round(offload.envelopes / n, 3), 0.02),
+        ("copies_per_msg", round(offload.copies / n, 3), 0.02),
     ):
         bench_trajectory.metric(
             "call_budget",

@@ -48,6 +48,9 @@ class CallCount:
     #: engine ``stats()`` deltas over the measured windows (offloaded)
     substrate_entries: int = 0
     commands: int = 0
+    #: ``ProgressEngine.counters()`` deltas, both ranks, same windows
+    envelopes: int = 0
+    copies: int = 0
 
     @property
     def per_msg(self) -> float:
@@ -69,7 +72,7 @@ class CallCount:
         return "\n".join(lines)
 
 
-class _Hook:
+class Hook:
     """The profile function; counts only while ``on``."""
 
     def __init__(self) -> None:
@@ -93,6 +96,9 @@ class _Hook:
         counts[key] += 1
 
 
+ENGINE_THREAD = "offload-rank-"
+
+
 def _window(c, rank: int, out, into, tok) -> None:
     """One closed-loop window: rank 1 pre-posts, rank 0 streams."""
     if rank == 0:
@@ -107,7 +113,7 @@ def _window(c, rank: int, out, into, tok) -> None:
 
 def measure(offload: bool, windows: int = WINDOWS) -> CallCount:
     """Count calls per message over ``windows`` warmed windows."""
-    hook = _Hook()
+    hook = Hook()
     gate = threading.Barrier(2)
     stats: list = []
 
@@ -124,7 +130,11 @@ def measure(offload: bool, windows: int = WINDOWS) -> CallCount:
         with ctx as c:
             for _ in range(2):  # warm: caches, lazy imports
                 _window(c, rank, out, into, tok)
-            before = dict(c.engine.stats()) if offload else {}
+            counters = lambda: {  # noqa: E731 - engine + substrate
+                **(c.engine.stats() if offload else {}),
+                **comm.engine.counters(),
+            }
+            before = counters()
             gate.wait(_TIMEOUT)
             hook.on = True
             gate.wait(_TIMEOUT)
@@ -133,9 +143,8 @@ def measure(offload: bool, windows: int = WINDOWS) -> CallCount:
             gate.wait(_TIMEOUT)
             hook.on = False
             gate.wait(_TIMEOUT)
-            if offload:
-                after = c.engine.stats()
-                stats.append({k: after[k] - before.get(k, 0) for k in after})
+            after = counters()
+            stats.append({k: after[k] - before.get(k, 0) for k in after})
             assert rank == 0 or (into == out).all()
         return True
 
@@ -150,9 +159,11 @@ def measure(offload: bool, windows: int = WINDOWS) -> CallCount:
         sys.setswitchinterval(interval)
     count = CallCount(messages=windows * WINDOW)
     for name, counts in hook.by_thread.items():
-        side = count.engine if name.startswith("offload-rank-") else count.app
+        side = count.engine if name.startswith(ENGINE_THREAD) else count.app
         side.update(counts)
     for delta in stats:
         count.substrate_entries += delta.get("substrate_entries", 0)
         count.commands += delta.get("commands_processed", 0)
+        count.envelopes += delta["envelopes_handled"]
+        count.copies += delta["payload_copies"]
     return count

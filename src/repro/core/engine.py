@@ -400,7 +400,8 @@ class OffloadEngine:
                     time.sleep(1e-5)
         if tm is not None:
             tm.counters.inc("enqueues")
-        self._wake.set()
+        if not self._wake._flag:  # a rung bell is not rung again
+            self._wake.set()
 
     # ------------------------------------------------------------ main loop
 
@@ -426,8 +427,9 @@ class OffloadEngine:
             attached_trace = True
         # Every arrival at this rank and every completion of a request
         # it owns rings `_wake` for as long as the loop lives.
-        progress_engine.add_doorbell(self._wake.set)
+        progress_engine.add_doorbell(self._wake)
         self._started_evt.set()
+        queue = self.queue
         try:
             while self._dead is None:
                 self.heartbeat += 1
@@ -442,9 +444,17 @@ class OffloadEngine:
                 # is fully issued before the single progress pump +
                 # retry/deadline sweep below, so the per-iteration
                 # overhead is paid once per *batch*, not per command.
-                batch = self.queue.drain(self.batch_size)
+                # A look that finds nothing costs nothing (DESIGN.md
+                # §20): the drain's first step — is the next cell
+                # published? — is made here, so an empty ring is no call
+                # (a publish after it rings `_wake`, cleared above).
+                pos = queue._dequeue_pos
+                published = queue._cells[pos & queue._mask].seq == pos + 1
+                batch = queue.drain(self.batch_size) if published else ()
+                more = False
                 if batch:
                     did += len(batch)
+                    more = len(batch) == self.batch_size
                     self._drained.extend(batch)
                     self.batch_dequeues += 1
                     if len(batch) > self.batch_size_hwm:
@@ -458,16 +468,17 @@ class OffloadEngine:
                     # The batch is fully issued (or terminal); with
                     # stealing enabled this re-opens the ring to
                     # thieves.  No-op on a plain ring.
-                    self.queue.consume_done()
+                    queue.consume_done()
                 did += self._sweep()
                 if counters is not None:
                     counters.inc("testany_sweeps")
                 if self._retries:
                     did += self._run_due_retries()
-                self._check_flushes()
+                if self._flushes:
+                    self._check_flushes()
                 if (
                     shutdown
-                    and self.queue.empty()
+                    and queue.empty()
                     and not self._in_flight
                     and not self._retries
                 ):
@@ -476,8 +487,8 @@ class OffloadEngine:
                     # command surfaces in drain_closed and is processed
                     # below) or observes the close and fails with a
                     # typed error — nothing is silently lost.
-                    self.queue.close()
-                    tail = self.queue.drain_closed()
+                    queue.close()
+                    tail = queue.drain_closed()
                     if not tail:
                         break
                     self._drained.extend(tail)
@@ -497,7 +508,7 @@ class OffloadEngine:
                 if timed_out and (did or stole) and counters is not None:
                     counters.inc("timed_wakes")
                 timed_out = False
-                if stole or len(batch) == self.batch_size:
+                if stole or more:
                     # More may wait that no ring will announce: the
                     # rest of a deep ring, another stealable batch.
                     continue
@@ -507,7 +518,9 @@ class OffloadEngine:
                 if self._retries:
                     due = min(due, self._retries[0][0])
                 timed_out = not self._wake.wait(
-                    min(_TICK, max(0.0, due - time.perf_counter()))
+                    _TICK
+                    if due == _NEVER
+                    else min(_TICK, max(0.0, due - time.perf_counter()))
                 )
                 if counters is not None and not timed_out:
                     counters.inc("doorbell_wakes")
@@ -527,7 +540,7 @@ class OffloadEngine:
             self._dead = died
             self._fail_pending(died)
         finally:
-            progress_engine.remove_doorbell(self._wake.set)
+            progress_engine.remove_doorbell(self._wake)
             if attached_trace:
                 progress_engine.trace = None
             # Restore the funnel designation only if we still hold it —
@@ -637,7 +650,7 @@ class OffloadEngine:
         tm = self._telem
         trace = tm.trace if tm is not None else None
         faults = self._faults
-        live: list[Command] = []
+        live = run  # the admitted: a copy only once one is refused
         n = 0
         try:
             for cmd in run:
@@ -655,37 +668,38 @@ class OffloadEngine:
                 ):
                     # Sat in the queue (or the retry heap) too long.
                     self._expire(cmd)
-                    continue
-                if faults is not None:
-                    fault = faults.on_command(self, cmd)
-                    if fault is not None:
-                        self._command_failed(cmd, fault)
-                        continue
-                if _dst._scheduler is not None and _dst.crash_point(
-                    "engine.dispatch"
+                elif (
+                    faults is not None
+                    and (fault := faults.on_command(self, cmd)) is not None
                 ):
-                    raise _dst.ScheduledCrash(
-                        "DST crash injected at engine.dispatch"
-                    )
-                live.append(cmd)
+                    self._command_failed(cmd, fault)
+                else:
+                    if _dst._scheduler is not None and _dst.crash_point(
+                        "engine.dispatch"
+                    ):
+                        raise _dst.ScheduledCrash(
+                            "DST crash injected at engine.dispatch"
+                        )
+                    if live is not run:
+                        live.append(cmd)
+                    continue
+                if live is run:
+                    live = run[: n - 1]
         except BaseException as crash:
             self._command_failed(cmd, crash)
             self._drained.extendleft(reversed(run[n:]))
+            if live is run:
+                live = run[: n - 1]
             raise
         finally:
-            if live:
-                self._issue(live)
-
-    def _issue(self, live: list[Command]) -> None:
-        """Enter the substrate for the admitted commands of one run."""
-        if not live[0].kind.p2p:
-            (cmd,) = live  # anything but p2p is a run of one
-            try:
-                self._dispatch(cmd)
-            except BaseException as exc:  # noqa: BLE001 - to caller
-                self._command_failed(cmd, exc)
-        else:
-            self._post_p2p(live)
+            if live and live[0].kind.p2p:
+                self._post_p2p(live)
+            elif live:
+                (cmd,) = live  # anything but p2p is a run of one
+                try:
+                    self._dispatch(cmd)
+                except BaseException as exc:  # noqa: BLE001 - to caller
+                    self._command_failed(cmd, exc)
 
     def _post_p2p(self, cmds: list[Command]) -> None:
         """One substrate entry for a run of ISEND/IRECV/SEND/RECV.
@@ -699,31 +713,39 @@ class OffloadEngine:
         the pool: no in-flight record, no status to localize.
         """
         comm = cmds[0].comm
-        ops: list[tuple] = []
         posted = cmds
-        for cmd in cmds:
-            try:
-                if comm is None:
-                    raise ValueError(
-                        f"{cmd.kind.name} command carries no communicator"
-                    )
-                ops.append(
-                    comm._p2p_op(cmd.kind.is_send, cmd.buf, cmd.peer, cmd.tag)
-                )
-            except BaseException as exc:  # noqa: BLE001 - to caller
-                self._command_failed(cmd, exc)
-                posted = [c for c in posted if c is not cmd]
-        if not posted:
-            return
+        try:
+            ops = [
+                comm._p2p_op(c.kind.is_send, c.buf, c.peer, c.tag)
+                for c in cmds
+            ]
+        except BaseException:  # noqa: BLE001 - sorted out per command
+            # One is invalid: again (`_p2p_op` only validates), command
+            # by command, so that each such gets its own error.
+            ops, posted = [], []
+            for c in cmds:
+                try:
+                    if comm is None:
+                        raise ValueError(
+                            f"{c.kind.name} command carries no communicator"
+                        )
+                    op = comm._p2p_op(c.kind.is_send, c.buf, c.peer, c.tag)
+                except BaseException as exc:  # noqa: BLE001 - to caller
+                    self._command_failed(c, exc)
+                else:
+                    ops.append(op)
+                    posted.append(c)
+            if not posted:
+                return
         self.substrate_entries += 1
         try:
-            inners = comm._post_run(ops)
+            inners, raised = comm._post_run(ops)
         except BaseException as exc:  # noqa: BLE001 - thread-level error
-            inners = [exc] * len(posted)
+            inners, raised = [exc] * len(posted), True
         tm = self._telem
         pool = self.pool
         for cmd, inner in zip(posted, inners):
-            if isinstance(inner, BaseException):
+            if raised and isinstance(inner, BaseException):
                 self._command_failed(cmd, inner)
             elif (
                 inner.done
@@ -891,7 +913,7 @@ class OffloadEngine:
         """Follow ``inner`` until done; completion goes to ``cmd``'s
         pool slot (nonblocking) or done flag (blocking)."""
         if cmd.slot >= 0:
-            self.pool.publish_inner(cmd.slot, inner)
+            self.pool._slots[cmd.slot].inner = inner  # now it exists
         elif self._telem is not None:
             # A done-flag (not a pool slot) means this was a blocking
             # call the engine converted to its nonblocking form (§3.3).
@@ -911,9 +933,13 @@ class OffloadEngine:
         The progress pump runs even with nothing locally in flight:
         this rank may be the *target* of one-sided operations or
         rendezvous handshakes that need servicing (the offload thread
-        doubles as the RMA asynchronous-progress agent, §7).
+        doubles as the RMA asynchronous-progress agent, §7) — when it
+        has something to do: an arrival in the inbox, a schedule-based
+        collective to advance, a fault plan to consult.
         """
-        self.comm.engine.progress()
+        pe = self.comm.engine
+        if pe._inbox or pe._active_nbc or pe.faults is not None:
+            pe.progress()
         if self._dead is not None:
             # Poisoned while pumping (watchdog trip during an injected
             # stall): stop touching completion state — the loop exit
@@ -929,17 +955,15 @@ class OffloadEngine:
             self.max_in_flight = depth
             if self._telem is not None:
                 self._telem.counters.record_max("in_flight_hwm", depth)
-        still: list[tuple["Request", Command]] = []
-        done = 0
+        in_flight = self._in_flight
+        gone: list[int] = []  # positions that reached a terminal state
         now = -1.0
         soonest = _NEVER
-        for entry in self._in_flight:
-            inner, cmd = entry
+        for i, (inner, cmd) in enumerate(in_flight):
             if inner.done:
                 self._finish(inner, cmd)
-                done += 1
-                continue
-            if cmd.deadline is not None:
+                gone.append(i)
+            elif cmd.deadline is not None:
                 if now < 0.0:
                     now = time.perf_counter()
                 if now > cmd.deadline:
@@ -950,13 +974,16 @@ class OffloadEngine:
                     except Exception:  # noqa: BLE001
                         pass
                     self._expire(cmd)
-                    done += 1
-                    continue
-                soonest = min(soonest, cmd.deadline)
-            still.append(entry)
-        self._in_flight = still
+                    gone.append(i)
+                elif cmd.deadline < soonest:
+                    soonest = cmd.deadline
+        if gone:  # rebuilt only by a sweep that finished something
+            drop = set(gone)
+            self._in_flight = [
+                e for i, e in enumerate(in_flight) if i not in drop
+            ]
         self._next_deadline = soonest
-        return done
+        return len(gone)
 
     def _note_completion(self, tm: "obs.Telemetry", slot: int) -> None:
         tm.counters.inc("completions")
@@ -988,8 +1015,9 @@ class OffloadEngine:
             except Exception:  # noqa: BLE001 - revoke is best-effort
                 pass
         # Engine-level statuses carry global ranks; convert to the
-        # command's communicator-local numbering before publishing.
-        if status is not None and comm is not None:
+        # command's communicator-local numbering before publishing
+        # (where the two differ).
+        if status is not None and comm is not None and comm._local_rank:
             status = comm._localize_status(status)
         if cmd.slot >= 0:
             if error is not None:

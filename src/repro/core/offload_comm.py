@@ -103,7 +103,8 @@ class OffloadCommunicator:
         # every MPI-ordered stream stays on one ring).
         holder = self.engine
         try:
-            engine = holder.route(cmd)
+            bare = type(holder) is OffloadEngine
+            engine = holder if bare else holder.route(cmd)
         except OffloadEngineDied:
             # Only an EnginePool raises here, and only with every
             # shard dead — the single-engine "engine died" contract.
@@ -182,7 +183,9 @@ class OffloadCommunicator:
         holder = self.engine
         slot = cmd.slot
         try:
-            engine = holder.route(cmd)
+            # a bare engine carries every command itself: nothing to ask
+            bare = type(holder) is OffloadEngine
+            engine = holder if bare else holder.route(cmd)
         except OffloadEngineDied:
             holder.pool.release(slot)
             rec = holder.recovery

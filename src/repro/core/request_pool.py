@@ -77,6 +77,26 @@ class _Slot:
         self.cont_lock = threading.Lock()
 
 
+class _Stash(list):
+    """One thread's parked (owned-free) slot indices.
+
+    It lives in the pool's ``threading.local`` and is dropped when its
+    thread exits, with slots then on no list and in no ledger: dropping
+    it leaves them with the pool's orphans, for ``_refill`` to put back.
+    (Only a ``list.append``: the dying thread may be a finished DST
+    virtual thread and must not reach a yield point.)
+    """
+
+    __slots__ = ("_orphans",)
+
+    def __init__(self, orphans: list) -> None:
+        self._orphans = orphans
+
+    def __del__(self) -> None:
+        if self:
+            self._orphans.append(self[:])
+
+
 class OffloadRequestPool:
     """Fixed-size pool of slots behind a lock-free free list.
 
@@ -88,22 +108,28 @@ class OffloadRequestPool:
     ``cache_size`` enables per-thread slot caching: each application
     thread keeps a private stash of free slot indices, refilled from
     the shared :class:`~repro.lockfree.freelist.FreeList` in chunks of
-    ``cache_size`` (one CAS per chunk via ``alloc_batch``) and spilled
-    back in chunks once it grows past twice that.  Alloc/free then hit
-    the shared head only once per ``cache_size`` operations, cutting
-    CAS traffic — and CAS retry storms — when many application threads
-    allocate concurrently.  ``cache_size=0`` disables caching.
+    ``cache_size`` and spilled back in chunks once it grows past twice
+    that — one CAS per chunk either way (``pop_batch``/``push_batch``).
+    Alloc/free then hit the shared head only once per ``cache_size``
+    operations, cutting CAS traffic — and CAS retry storms — when many
+    application threads allocate concurrently.  ``cache_size=0``
+    disables caching.
 
-    Cached slots are accounted *free*: :attr:`allocated` counts only
-    slots actually handed to callers, so exhaustion and leak checks
-    behave identically with and without caching.
+    Cached slots are accounted *free*: the ledger flips once per
+    :meth:`alloc` and :meth:`release`, never when a chunk moves, so
+    :attr:`allocated` counts only slots actually handed to callers and
+    exhaustion and leak checks behave identically without caching.
     """
 
     def __init__(self, capacity: int = 4096, cache_size: int = 8) -> None:
         self._freelist: FreeList[None] = FreeList(capacity)
+        #: the free list's ownership ledger (flipped inline when cached)
+        self._live = self._freelist._live
         self._slots = [_Slot() for _ in range(capacity)]
         self._cache_size = max(0, cache_size)
         self._local = threading.local()
+        #: stashes of threads that have exited (see :class:`_Stash`)
+        self._orphans: list[list[int]] = []
         #: telemetry hook: a :class:`repro.obs.counters.Counters` the
         #: owning engine installs when telemetry is enabled (else None)
         self.telemetry = None
@@ -126,67 +152,52 @@ class OffloadRequestPool:
     def allocated(self) -> int:
         return self._freelist.allocated
 
-    @property
-    def cache_size(self) -> int:
-        return self._cache_size
-
-    def _cache(self) -> list:
-        try:
-            return self._local.cache
-        except AttributeError:
-            cache: list[int] = []
-            self._local.cache = cache
-            return cache
-
     def alloc(self) -> int:
         """Claim a slot index; raises :class:`FreeListExhausted`."""
         counters = self.telemetry
-        if self._cache_size:
-            try:
-                cache = self._local.cache  # `_cache()`, inline
-            except AttributeError:
-                cache = self._cache()
-            if cache:
-                idx = cache.pop()
-                self._freelist.mark_live(idx)
-                if counters is not None:
-                    counters.inc("pool_cache_hits")
-                    counters.inc("pool_allocs")
-                    counters.record_max(
-                        "pool_in_use_hwm", self._freelist.allocated
-                    )
-                return idx
-            try:
-                got = self._freelist.alloc_batch(self._cache_size)
-            except FreeListExhausted:
-                if counters is not None:
-                    counters.inc("pool_exhausted")
-                raise
-            idx = got.pop()
-            for extra in got:
-                # Refill leftovers are parked, not handed out: flip
-                # their ownership back so `allocated` stays exact.
-                self._freelist.mark_free(extra)
-            cache.extend(got)
-            if counters is not None:
-                counters.inc("pool_cache_misses")
-                counters.inc("pool_allocs")
-                counters.record_max(
-                    "pool_in_use_hwm", self._freelist.allocated
-                )
-            return idx
         try:
-            idx = self._freelist.alloc()
+            if not self._cache_size:
+                idx = self._freelist.alloc()
+            else:
+                try:
+                    cache = self._local.cache
+                except AttributeError:
+                    cache = self._local.cache = _Stash(self._orphans)
+                hit = bool(cache)
+                if not hit:
+                    self._refill(cache)
+                idx = cache.pop()
+                self._live.add(idx)  # the hand-out's one ledger flip
+                if counters is not None:
+                    counters.inc(
+                        "pool_cache_hits" if hit else "pool_cache_misses"
+                    )
         except FreeListExhausted:
             if counters is not None:
                 counters.inc("pool_exhausted")
             raise
         if counters is not None:
             counters.inc("pool_allocs")
-            counters.record_max(
-                "pool_in_use_hwm", self._freelist.allocated
-            )
+            counters.record_max("pool_in_use_hwm", len(self._live))
         return idx
+
+    def _refill(self, cache: list[int]) -> None:
+        """Move one chunk from the shared list into ``cache``; before
+        exhaustion is reported, what exited threads left parked goes
+        back onto the list (one CAS per dead thread)."""
+        orphans = self._orphans
+        try:
+            cache.extend(self._freelist.pop_batch(self._cache_size))
+        except FreeListExhausted:
+            if not orphans:
+                raise
+            while orphans:
+                try:
+                    chunk = orphans.pop()
+                except IndexError:  # a racing refill took the last
+                    break
+                self._freelist.push_batch(chunk)
+            self._refill(cache)
 
     def slot(self, idx: int) -> _Slot:
         return self._slots[idx]
@@ -200,7 +211,14 @@ class OffloadRequestPool:
         """
         # Ownership flip first: of two racing releases exactly one
         # passes, the other raises DoubleFree before touching the slot.
-        self._freelist.mark_free(idx)
+        freelist = self._freelist
+        if _dst._scheduler is not None or freelist._unsafe_skip_live_check:
+            freelist.mark_free(idx)
+        else:
+            try:  # `mark_free`, inline: ``set.remove`` is the atomic step
+                self._live.remove(idx)
+            except KeyError:
+                freelist.mark_free(idx)  # says which: range, or not live
         if self.telemetry is not None:
             self.telemetry.inc("pool_releases")
         slot = self._slots[idx]
@@ -222,28 +240,28 @@ class OffloadRequestPool:
         # Owner only from here: the slot is reset for its next
         # operation and parked in this thread's cache (both inline —
         # this runs once per message on the waiter's thread).
-        slot.flag.clear()
+        flag = slot.flag  # `AtomicFlag.clear`, inline
+        flag.payload = None
+        flag.done = False
         slot.inner = None
         slot.error = None
         slot.cont = None
         slot.cont_fired = False
         if not self._cache_size:
-            self._freelist.push(idx)
+            freelist.push_batch((idx,))
             return
         try:
             cache = self._local.cache
         except AttributeError:
-            cache = self._cache()
+            cache = self._local.cache = _Stash(self._orphans)
         cache.append(idx)
-        if len(cache) > 2 * self._cache_size:
-            for _ in range(self._cache_size):
-                self._freelist.push(cache.pop())
+        n = self._cache_size
+        if len(cache) > 2 * n:
+            chunk = cache[-n:]
+            del cache[-n:]
+            freelist.push_batch(chunk)
 
     # -- engine-side completion ------------------------------------------
-
-    def publish_inner(self, idx: int, inner: "Request") -> None:
-        """Engine: the real MPI request for this slot now exists."""
-        self._slots[idx].inner = inner
 
     def complete(self, idx: int, status: Status | None) -> None:
         """Engine: the operation finished; wake any waiter."""

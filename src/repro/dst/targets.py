@@ -162,6 +162,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable
 
 from repro.core.commands import Command, CommandKind
@@ -1161,8 +1162,8 @@ class _PlainFreeList:
     def mark_free(self, idx: int) -> None:
         pass
 
-    def push(self, idx: int) -> None:
-        self.freed.append(idx)
+    def push_batch(self, chain: Any) -> None:
+        self.freed.extend(chain)
 
 
 class _SteppedSlot(_Slot):
@@ -1306,11 +1307,21 @@ class _Bell:
 class _PlainRing:
     """Command ring without yield points: an enqueue is one atomic
     publish.  The MPSC ring's own interleavings belong to the queue
-    targets; leaving them out keeps this schedule tree enumerable."""
+    targets; leaving them out keeps this schedule tree enumerable.
+
+    The engine loop's look before it calls ``drain`` (``_cells[pos &
+    mask].seq == pos + 1``: published) is answered by one cell at
+    position 0 that says whether anything is queued."""
+
+    _mask = _dequeue_pos = 0
 
     def __init__(self) -> None:
         self._items: deque = deque()
         self._closed = False
+
+    @property
+    def _cells(self) -> list:
+        return [SimpleNamespace(seq=1 if self._items else 0)]
 
     def enqueue(self, value: Any) -> None:
         if self._closed:
@@ -1438,7 +1449,7 @@ class ParkVsRingProgram:
 class _SteppedFlag(AtomicFlag):
     """The real :class:`AtomicFlag` with every step a choice point.
 
-    The protocol code that runs is production's (``_publish``,
+    The protocol code that runs is production's (``set``,
     ``park``, ``_register``, ``_wake``); this subclass only puts the
     scheduler between its steps: before and after every access to the
     ``done`` word, before registering, deregistering, waking and
@@ -1593,10 +1604,10 @@ class RevokeVsPostRecvProgram:
             buf = np.empty(8, dtype=np.uint8)
             try:
                 if self.in_run:
-                    (self.req,) = comm._post_run(
+                    (self.req,), raised = comm._post_run(
                         [comm._p2p_op(False, buf, 1, 3)]
                     )
-                    if isinstance(self.req, CommRevokedError):
+                    if raised:
                         raise self.req
                 else:
                     self.req = comm.irecv(buf, 1, tag=3)
@@ -1704,7 +1715,8 @@ class QueueLinearizabilityProgram:
 
 
 class FreeListLinearizabilityProgram:
-    """Concurrent FreeList alloc/free history vs :class:`FreeListSpec`."""
+    """Concurrent FreeList alloc/free history vs :class:`FreeListSpec`
+    (each a chunk of one through ``pop_batch`` / ``push_batch``)."""
 
     def __init__(self, n_threads: int = 2, cycles: int = 2) -> None:
         self.freelist: FreeList[None] = FreeList(2)
@@ -1743,22 +1755,31 @@ class FreeListLinearizabilityProgram:
             sched.spawn(worker, wid, name=f"worker{wid}")
 
     def check(self) -> None:
-        """Linearizability is checked by the explorer via history/spec."""
+        """Linearizability is checked by the explorer via history/spec;
+        here, that no push linked to a stale head lost slots (no later
+        operation of so short a program would trip over it)."""
+        if self.freelist.free_count() != self.freelist.capacity:
+            raise InvariantViolation("slots lost from the free list")
 
 
 class RequestPoolLinearizabilityProgram:
     """Request-pool alloc/release accounting vs :class:`RequestPoolSpec`.
 
-    Runs with per-thread slot caching enabled, so the batched-refill
-    (``alloc_batch``) and cache-spill paths are the ones explored.
+    Per-thread slot caching is on, and each worker takes ``hold`` slots
+    in a row (every other one a batched refill, ``pop_batch``) and gives
+    them back in a row, taking its stash past twice the cache size: a
+    chunk spills (``push_batch``).  The capacity covers what is held
+    plus what stashes park — the model knows no stashes and would not
+    allow a refusal while slots sit, free, in another worker's.
     """
 
-    def __init__(self, n_threads: int = 2, cycles: int = 2) -> None:
-        self.pool = OffloadRequestPool(capacity=3, cache_size=2)
+    def __init__(self, n_threads: int = 2, hold: int = 5) -> None:
+        capacity = n_threads * (hold + 1)
+        self.pool = OffloadRequestPool(capacity, cache_size=2)
         self.history = History()
-        self.spec = RequestPoolSpec(3)
+        self.spec = RequestPoolSpec(capacity)
         self.n_threads = n_threads
-        self.cycles = cycles
+        self.hold = hold
 
     def _alloc(self):
         try:
@@ -1772,22 +1793,28 @@ class RequestPoolLinearizabilityProgram:
 
     def setup(self, sched: Any) -> None:
         def worker(wid: int) -> None:
-            for _ in range(self.cycles):
-                idx = _record(self.history, "alloc", (), self._alloc)
-                if idx == "exhausted":
-                    continue
-                _record(
-                    self.history,
-                    "release",
-                    (idx,),
-                    lambda i=idx: self._release(i),
-                )
+            held = [
+                _record(self.history, "alloc", (), self._alloc)
+                for _ in range(self.hold)
+            ]
+            for idx in held:
+                if idx != "exhausted":
+                    _record(
+                        self.history,
+                        "release",
+                        (idx,),
+                        lambda i=idx: self._release(i),
+                    )
 
         for wid in range(self.n_threads):
             sched.spawn(worker, wid, name=f"worker{wid}")
 
     def check(self) -> None:
-        """Linearizability is checked by the explorer via history/spec."""
+        """Linearizability is checked by the explorer via history/spec;
+        here, the sizing: the refills emptied the shared list, so what
+        is on it now was spilled."""
+        if not self.pool._freelist.free_count():
+            raise InvariantViolation("no spill: push_batch unexplored")
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,8 @@ class DoneWord:
     paths.  Waiters exist only while a thread is actually blocked:
 
     * the completer **publishes, then looks**: it stores ``done`` and
-      only afterwards reads ``_waiters`` (:meth:`_publish`);
+      only afterwards reads ``_waiters`` (written out where it happens:
+      :meth:`AtomicFlag.set`, ``Request._complete``);
     * a waiter **registers, then looks**: it appends a one-shot lock to
       ``_waiters`` under :data:`_park_lock` and only afterwards reads
       ``done`` again (:meth:`park`).
@@ -171,12 +172,6 @@ class DoneWord:
     def __init__(self) -> None:
         self.done = False
         self._waiters: list | None = None
-
-    def _publish(self) -> None:
-        """Completer: store the word, then wake whoever registered."""
-        self.done = True
-        if self._waiters is not None:
-            self._wake()
 
     def _wake(self) -> None:
         with _park_lock:
@@ -253,9 +248,7 @@ class AtomicFlag(DoneWord):
 
     def set(self, payload: Any = None) -> None:
         self.payload = payload  # before the word: a reader checks it first
-        # `_publish`, inline (one call less per completion): store the
-        # word, then look for waiters
-        self.done = True
+        self.done = True  # publish, then look for waiters
         if self._waiters is not None:
             self._wake()
 

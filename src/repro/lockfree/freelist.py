@@ -19,12 +19,14 @@ only the :meth:`FreeList.free_count` diagnostic would catch, much
 later).  The live set doubles as the ownership ledger for callers that
 park free slots in per-thread caches (see
 :class:`repro.core.request_pool.OffloadRequestPool`): a cached slot is
-*not* live, even though it is not on the shared list either.
+*not* live, even though it is not on the shared list either.  Chunks
+of such *owned-free* slots move to and from the shared list by one CAS
+(``pop_batch``/``push_batch``) without touching the ledger.
 """
 
 from __future__ import annotations
 
-from typing import Generic, TypeVar
+from typing import Generic, Sequence, TypeVar
 
 from repro.dst import hooks as _dst
 from repro.lockfree.atomics import AtomicCell
@@ -43,11 +45,8 @@ class DoubleFree(Exception):
 
 
 class FreeList(Generic[T]):
-    """Fixed pool of ``capacity`` slots with lock-free alloc/free.
-
-    ``slots[i]`` holds the user payload for slot ``i`` (e.g. the backing
-    request record); the pool never allocates after construction.
-    """
+    """Fixed pool of ``capacity`` slot indices with lock-free
+    alloc/free (what a slot *is* lives with the caller)."""
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -57,7 +56,6 @@ class FreeList(Generic[T]):
         self._next = list(range(1, capacity)) + [_NIL]
         # tagged head: (slot index, version)
         self._head: AtomicCell[tuple[int, int]] = AtomicCell((0, 0))
-        self.slots: list[T | None] = [None] * capacity
         # Indices currently handed out (set.add/remove/len are single
         # C-level calls, so this is safe from many threads and `len`
         # replaces the old racy +=1/-=1 approximate counter).
@@ -78,37 +76,27 @@ class FreeList(Generic[T]):
         return len(self._live)
 
     def alloc(self) -> int:
-        """Pop a free slot index; raises :class:`FreeListExhausted`."""
-        while True:
-            head = self._head.load()
-            idx, version = head
-            if idx == _NIL:
-                raise FreeListExhausted(
-                    f"request pool exhausted (capacity={self._capacity})"
-                )
-            if _dst._scheduler is not None:
-                # The ABA window: between reading head and the CAS,
-                # other threads may pop and re-push this very slot.
-                _dst.yield_point("freelist.alloc.read_next")
-            nxt = self._next[idx]
-            ok, _ = self._head.compare_and_swap(head, (nxt, version + 1))
-            if ok:
-                if _dst._scheduler is not None:
-                    _dst.yield_point("freelist.alloc.mark_live")
-                self._live.add(idx)
-                return idx
+        """Pop a free slot index and hand it out (flip it live);
+        raises :class:`FreeListExhausted`."""
+        (idx,) = self.pop_batch(1)
+        if _dst._scheduler is not None:
+            _dst.yield_point("freelist.alloc.ledger")
+        self._live.add(idx)
+        return idx
 
-    def alloc_batch(self, n: int) -> list[int]:
-        """Pop up to ``n`` slots with a *single* CAS.
+    def pop_batch(self, n: int) -> list[int]:
+        """Pop up to ``n`` slots with a *single* CAS, as owned-free.
 
         The version tag guarantees the walked ``_next`` chain is only
-        committed if no other alloc/free intervened, so grabbing a whole
-        chunk costs one successful CAS instead of ``n`` — this is what
-        the request pool's per-thread caches refill through.  Returns at
-        least one index; raises :class:`FreeListExhausted` when empty.
+        committed if no other pop/push intervened (the ABA window: the
+        head may be popped and pushed back under us), so a whole chunk
+        costs one successful CAS — this is what the request pool's
+        per-thread stashes refill through.  The ledger is not touched.
+        Returns at least one index; raises :class:`FreeListExhausted`
+        when empty.
         """
-        if n <= 1:
-            return [self.alloc()]
+        if n < 1:
+            raise ValueError("pop_batch needs n >= 1")
         while True:
             head = self._head.load()
             idx, version = head
@@ -116,32 +104,43 @@ class FreeList(Generic[T]):
                 raise FreeListExhausted(
                     f"request pool exhausted (capacity={self._capacity})"
                 )
-            chain: list[int] = []
+            chain = [idx] * n  # filled by index: no call per slot
+            k = 0
             cur = idx
-            while cur != _NIL and len(chain) < n:
+            while cur != _NIL and k < n:
                 if _dst._scheduler is not None:
-                    # Mid-walk window: concurrent alloc/free can rewrite
-                    # the chain under us; only the version-tagged CAS
-                    # below makes the walk safe to commit.
-                    _dst.yield_point("freelist.alloc_batch.walk")
-                chain.append(cur)
+                    _dst.yield_point("freelist.pop_batch.walk")
+                chain[k] = cur
+                k += 1
                 cur = self._next[cur]
             ok, _ = self._head.compare_and_swap(head, (cur, version + 1))
             if ok:
-                if _dst._scheduler is not None:
-                    _dst.yield_point("freelist.alloc_batch.mark_live")
-                for i in chain:
-                    self._live.add(i)
+                del chain[k:]
                 return chain
 
-    def mark_live(self, idx: int) -> None:
-        """Account a cached (off-list, non-live) slot as handed out.
+    def push_batch(self, chain: Sequence[int]) -> None:
+        """Return the owned-free slots of ``chain`` (see
+        :meth:`mark_free`) to the shared list with a *single* CAS.
 
-        Used by callers that keep private stashes of free slots: a
-        cache hit bypasses the shared list, so ownership is flipped
-        here instead of in :meth:`alloc`.
+        The caller owns them, so linking them to one another races
+        nobody; only the tail's link to the current head and the head
+        swing are redone when the CAS loses.
         """
-        self._live.add(idx)
+        if not chain:
+            return
+        nxt = self._next
+        first, last = chain[0], chain[-1]
+        for idx, after in zip(chain, chain[1:]):
+            nxt[idx] = after
+        while True:
+            head = self._head.load()
+            cur, version = head
+            if _dst._scheduler is not None:
+                _dst.yield_point("freelist.push_batch.link")
+            nxt[last] = cur
+            ok, _ = self._head.compare_and_swap(head, (first, version + 1))
+            if ok:
+                return
 
     def mark_free(self, idx: int) -> None:
         """Release ownership of ``idx`` without pushing it on the list.
@@ -149,7 +148,8 @@ class FreeList(Generic[T]):
         This is where double frees are caught: exactly one of two
         racing frees finds the index live (``set.remove`` is atomic),
         the other raises :class:`DoubleFree`.  The caller either parks
-        the slot in a private cache or follows up with :meth:`push`.
+        the slot in a private cache or follows up with
+        :meth:`push_batch`.
         """
         if not 0 <= idx < self._capacity:
             raise IndexError(f"slot index {idx} out of range")
@@ -165,28 +165,11 @@ class FreeList(Generic[T]):
                 f"slot {idx} freed while not allocated (double free)"
             ) from None
 
-    def push(self, idx: int) -> None:
-        """Return an *owned-free* slot (see :meth:`mark_free`) to the
-        shared list."""
-        self.slots[idx] = None
-        while True:
-            head = self._head.load()
-            cur, version = head
-            if _dst._scheduler is not None:
-                _dst.yield_point("freelist.push.link")
-            self._next[idx] = cur
-            ok, _ = self._head.compare_and_swap(head, (idx, version + 1))
-            if ok:
-                return
-
     def free(self, idx: int) -> None:
-        """Push slot ``idx`` back onto the free list.
-
-        Raises :class:`DoubleFree` if ``idx`` is not currently
-        allocated.
-        """
+        """Push slot ``idx`` back onto the free list; raises
+        :class:`DoubleFree` if it is not currently allocated."""
         self.mark_free(idx)
-        self.push(idx)
+        self.push_batch((idx,))
 
     def free_count(self) -> int:
         """Walk the free list and count slots (diagnostic; not atomic)."""

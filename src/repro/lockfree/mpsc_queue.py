@@ -28,7 +28,7 @@ T = TypeVar("T")
 #: Placeholder published by a producer that won its enqueue CAS but then
 #: observed the queue closed: the ring cell must still be published (the
 #: consumer reads cells in strict ticket order), but the value must not
-#: be delivered.  Tombstones never touch enqueue/dequeue counts.
+#: be delivered.  A tombstone is never counted as dequeued.
 _TOMBSTONE = object()
 
 
@@ -66,7 +66,6 @@ class MPSCQueue(Generic[T]):
         self._enqueue_pos = AtomicCounter(0)
         self._dequeue_pos = 0  # single consumer: plain int
         self._closed = False
-        self.enqueue_count = AtomicCounter(0)
         self.dequeue_count = 0
         #: telemetry hook: when True, successful enqueues update the
         #: occupancy high-water mark (off by default — zero overhead)
@@ -149,12 +148,18 @@ class MPSCQueue(Generic[T]):
             _dst.yield_point("queue.enqueue.closed_check")
         if self._closed:
             raise QueueClosed("command queue is closed")
+        ticket = self._enqueue_pos
         while True:
-            pos = self._enqueue_pos.load()
+            # Relaxed load (``AtomicCounter.load`` minus its lock, same
+            # yield point): the CAS below is the atomic step, and a
+            # stale ``pos`` fails it or finds ``dif != 0``.
+            if _dst._scheduler is not None:
+                _dst.yield_point("counter.load")
+            pos = ticket._value
             cell = self._cells[pos & self._mask]
             dif = cell.seq - pos
             if dif == 0:
-                ok, _ = self._enqueue_pos.compare_and_swap(pos, pos + 1)
+                ok, _ = ticket.compare_and_swap(pos, pos + 1)
                 if ok:
                     # This is the close/enqueue race window: the ticket
                     # is claimed but nothing is published yet, so a
@@ -176,7 +181,6 @@ class MPSCQueue(Generic[T]):
                     if _dst._scheduler is not None:
                         _dst.yield_point("queue.enqueue.publish")
                     cell.seq = pos + 1  # publish
-                    self.enqueue_count.fetch_add(1)
                     if self.track_occupancy:
                         # best-effort (racy reads are fine for a hwm)
                         occ = len(self)
@@ -246,7 +250,7 @@ class MPSCQueue(Generic[T]):
             self._dequeue_pos = pos + 1
             if value is _TOMBSTONE:
                 # A producer rejected by a concurrent close() published
-                # this placeholder; it was never counted as an enqueue.
+                # this placeholder; nothing was enqueued.
                 continue
             self.dequeue_count += 1
             out.append(value)
@@ -441,7 +445,9 @@ class MPSCQueue(Generic[T]):
         return out
 
     def __len__(self) -> int:
-        """Approximate occupancy (exact when producers are quiescent).
+        """Cells between the two cursors (exact when producers are
+        quiescent): a claimed ticket counts before it is published, a
+        close-time tombstone until the consumer has passed it.
 
         The dequeue side is read *first*: between the two reads the
         single consumer can only drain further, so reading it second
@@ -449,9 +455,10 @@ class MPSCQueue(Generic[T]):
         bug).  Read this way the result is an over-estimate during
         races, clamped to the ring's structural bounds.
         """
-        dequeued = self.dequeue_count
-        n = self.enqueue_count.load() - dequeued
+        dequeued = self._dequeue_pos
+        n = self._enqueue_pos.load() - dequeued
         return max(0, min(n, self.capacity))
 
     def empty(self) -> bool:
+        """Nothing more will surface: no cell claimed and unconsumed."""
         return len(self) == 0

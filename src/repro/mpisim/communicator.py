@@ -282,9 +282,10 @@ class Communicator:
         gpeer = self.group[peer] if peer >= 0 else peer
         return (is_send, buffer, gpeer, tag, self.ctx_p2p)
 
-    def _post_run(self, ops: list[tuple]) -> list:
+    def _post_run(self, ops: list[tuple]) -> tuple[list, bool]:
         """Post a run of :meth:`_p2p_op` tuples in order; per op the
-        request, or the exception its lone post would have raised."""
+        request, or the exception its lone post would have raised —
+        and whether any did raise."""
         self._enter()
         try:
             return self.engine.post_batch(ops)

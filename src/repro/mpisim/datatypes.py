@@ -17,6 +17,9 @@ import numpy as np
 from repro.mpisim.envelope import BufferRef
 from repro.mpisim.exceptions import DatatypeMismatch, TruncationError
 
+#: a singleton: ``ndim == 1 and dtype is _U8`` is a flat byte view
+_U8 = np.dtype(np.uint8)
+
 
 def as_send_buffer(buf: Any) -> np.ndarray:
     """View ``buf`` as a contiguous 1-D uint8 array without copying.
@@ -31,6 +34,8 @@ def as_send_buffer(buf: Any) -> np.ndarray:
         arr = np.frombuffer(memoryview(buf).cast("B"), dtype=np.uint8)
     if not arr.flags.c_contiguous:
         arr = np.ascontiguousarray(arr)
+    if arr.ndim == 1 and arr.dtype is _U8:
+        return arr
     return arr.reshape(-1).view(np.uint8)
 
 
@@ -54,6 +59,8 @@ def as_recv_buffer(buf: Any) -> np.ndarray:
         raise TypeError("receive buffer must be writable")
     if not arr.flags.c_contiguous:
         raise TypeError("receive buffer must be contiguous")
+    if arr.ndim == 1 and arr.dtype is _U8:
+        return arr
     return arr.reshape(-1).view(np.uint8)
 
 
@@ -87,6 +94,10 @@ def copy_into(dst: np.ndarray, payload: "np.ndarray | BufferRef") -> int:
         )
     if not n:
         return 0
+    if src.ndim == dst.ndim == 1 and src.dtype is dst.dtype is _U8:
+        # two flat byte views (what posting normalised both sides to)
+        dst[:n] = src
+        return n
     src_bytes = src.reshape(-1).view(np.uint8)
     if dst.flags.c_contiguous:
         dst_bytes = dst.reshape(-1).view(np.uint8)

@@ -42,6 +42,7 @@ from repro.mpisim.requests import (
 from repro.mpisim.status import EMPTY_STATUS, Status
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.lockfree.atomics import Doorbell
     from repro.mpisim.nbc import NBCRequest
 
 
@@ -69,12 +70,12 @@ class ProgressEngine:
         self._umq = UnexpectedQueue()
         self._lock = threading.RLock()
         self._active_nbc: list["NBCRequest"] = []
-        #: wake sources of whoever drives this rank's progress (an
-        #: offload engine's ``_wake.set``, DESIGN.md §17): rung after
-        #: every arrival and after every completion of a request this
-        #: rank owns.  Replaced, never mutated, so ringers iterate it
-        #: without a lock.
-        self._doorbells: tuple[Callable[[], None], ...] = ()
+        #: doorbells of whoever drives this rank's progress (an offload
+        #: engine's ``_wake``, DESIGN.md §17): rung after every arrival
+        #: and after every completion of a request this rank owns.
+        #: Replaced, never mutated, so ringers iterate it without a
+        #: lock; a ringer skips a bell that is rung already.
+        self._doorbells: tuple[Doorbell, ...] = ()
         #: one-sided windows registered on this rank, by window id
         self._windows: dict[int, object] = {}
         # --- introspection counters -------------------------------------
@@ -139,26 +140,24 @@ class ProgressEngine:
     def inject(self, env: Envelope) -> None:
         """Called by a remote engine's thread; must not take our lock."""
         self._inbox.append(env)  # deque.append is atomic
-        self.ring_doorbells()  # publish, then ring
+        for bell in self._doorbells:  # publish, then ring
+            if not bell._flag:
+                bell.set()
 
     # -- doorbells ---------------------------------------------------------
 
-    def add_doorbell(self, ring: Callable[[], None]) -> None:
-        """Have ``ring()`` called after every arrival (eager, RTS/CTS,
-        RMA, REVOKE) and after every completion or failure of a request
+    def add_doorbell(self, bell: Doorbell) -> None:
+        """Have ``bell`` rung after every arrival (eager, RTS/CTS, RMA,
+        REVOKE) and after every completion or failure of a request
         this rank owns — whichever thread causes it."""
         with self._lock:
-            self._doorbells += (ring,)
+            self._doorbells += (bell,)
 
-    def remove_doorbell(self, ring: Callable[[], None]) -> None:
+    def remove_doorbell(self, bell: Doorbell) -> None:
         with self._lock:
             self._doorbells = tuple(
-                b for b in self._doorbells if b != ring
+                b for b in self._doorbells if b is not bell
             )
-
-    def ring_doorbells(self) -> None:
-        for ring in self._doorbells:
-            ring()
 
     # -- posting -------------------------------------------------------------
 
@@ -290,7 +289,7 @@ class ProgressEngine:
         finally:
             self._release()
 
-    def post_batch(self, ops: list[tuple]) -> list:
+    def post_batch(self, ops: list[tuple]) -> tuple[list, bool]:
         """Post a run of operations under one hold of the library lock.
 
         ``ops`` are ``(is_send, buffer, peer, tag, context_id)`` tuples
@@ -301,8 +300,11 @@ class ProgressEngine:
         those of the same calls made one by one.  An operation whose
         lone post would have raised yields that exception in its place
         and the run goes on: op *k* failing says nothing about *k±1*.
+        Returns the outcomes and whether any of them is an exception,
+        so the caller of a clean run need not ask each one.
         """
         out: list = [None] * len(ops)
+        raised = False
         i = 0
         self._acquire()
         try:
@@ -317,10 +319,11 @@ class ProgressEngine:
                     # The caller owns every op's outcome: an exception
                     # escaping here would orphan the ops already posted.
                     out[i] = exc
+                    raised = True
                 i += 1
         finally:
             self._release()
-        return out
+        return out, raised
 
     def cancel_recv(self, req: RecvRequest) -> bool:
         """Withdraw an unmatched posted receive."""

@@ -58,18 +58,22 @@ class Request(DoneWord):
     # pool sibling draining the shared inbox, a death sweep), and the
     # thread that must notice is whoever sweeps this request.
 
+    # A rung bell is not rung again (`Doorbell.set`'s first check, made
+    # here: the common case is an attribute read).
+
     def _complete(self, status: Status) -> None:
         self.status = status
-        self._publish()
+        self.done = True  # publish the word, then look for waiters
+        if self._waiters is not None:
+            self._wake()
         if self.engine is not None:
-            self.engine.ring_doorbells()
+            for bell in self.engine._doorbells:
+                if not bell._flag:
+                    bell.set()
 
     def _fail(self, exc: BaseException) -> None:
-        self.error = exc
-        self.status = EMPTY_STATUS
-        self._publish()
-        if self.engine is not None:
-            self.engine.ring_doorbells()
+        self.error = exc  # before the word: a reader checks it first
+        self._complete(EMPTY_STATUS)
 
     # -- querying --------------------------------------------------------
 
@@ -119,10 +123,13 @@ class CompletedRequest(Request):
     __slots__ = ()
 
     def __init__(self, status: Status = EMPTY_STATUS) -> None:
-        super().__init__(None)
-        # born complete: nobody can be parked on it yet
-        self.status = status
+        # `Request.__init__` written out; born complete, nobody parked
         self.done = True
+        self._waiters = None
+        self.engine = None
+        self.status = status
+        self.error = None
+        self.cancelled = False
 
 
 class SendRequest(Request):
@@ -159,7 +166,13 @@ class RecvRequest(Request):
         tag: int,
         context_id: int,
     ) -> None:
-        super().__init__(engine)
+        # `Request.__init__` written out: one call per posted receive
+        self.done = False
+        self._waiters = None
+        self.engine = engine
+        self.status = None
+        self.error = None
+        self.cancelled = False
         self.buffer = buffer
         self.source = source
         self.tag = tag

@@ -34,6 +34,8 @@ def snapshot_engine(engine: Any, include_trace: bool = False) -> dict:
     queue = engine.queue
     pool = engine.pool
     progress = engine.comm.engine
+    # the ring keeps no enqueue count: what came out + what is still in
+    dequeued, occupancy = queue.dequeue_count, len(queue)
     snap: dict = {
         "rank": progress.rank,
         "ranks": [progress.rank],
@@ -41,9 +43,9 @@ def snapshot_engine(engine: Any, include_trace: bool = False) -> dict:
         "in_flight": len(engine._in_flight),
         "queue": {
             "capacity": queue.capacity,
-            "occupancy": len(queue),
-            "enqueued": queue.enqueue_count.load(),
-            "dequeued": queue.dequeue_count,
+            "occupancy": occupancy,
+            "enqueued": dequeued + occupancy,
+            "dequeued": dequeued,
             "cas_failures": queue.cas_failures,
             "occupancy_hwm": getattr(queue, "occupancy_hwm", 0),
         },

@@ -1,27 +1,43 @@
-"""Call budget of the offloaded small message (DESIGN.md §19).
+"""Call budget of the offloaded small message (DESIGN.md §19, §20).
 
 The small-message workloads are interpreter-bound: what a message
 costs is the Python executed for it.  These tests count it — ``call``
 and ``c_call`` profile events on every thread, application and engine
 alike, over 15 warmed windows of 64 pre-posted ``irecv`` / ``isend`` +
-``wait`` (``repro.bench.call_budget``) — and hold it to a budget, in
-absolute terms and against the plain communicator counted the same way
-in the same test.  Counts repeat to within a call per message from run
-to run, which timings on a shared box do not.
+``wait`` (``repro.bench.call_budget``) — and hold it to a budget: in
+absolute terms, per side (so a failure says which side regressed),
+and against the plain communicator counted the same way in the same
+test.  Counts repeat to within a call per message from run to run,
+which timings on a shared box do not.
 
-Parent of the PR that introduced the budget: 207.3 calls per message
-offloaded (98.4 on application threads, 109.0 on engine threads), 79.1
-plain.
+History, calls per message offloaded (application + engine threads;
+plain): 207.3 (98.4 + 109.0; 79.1) before the budget existed → 149.6
+(72.3 + 77.4; 74.0) with it → 90.8 (39.3 + 51.4; 60.8) after the
+offload tax was halved (DESIGN.md §20), which also brought the engine
+loop's idle iteration from 20 calls to 5.
 """
+
+import threading
+import time
+from collections import Counter
 
 import pytest
 
-from repro.bench.call_budget import measure
+from repro.bench.call_budget import ENGINE_THREAD, Hook, measure
+from repro.core import offloaded
+from repro.mpisim import THREAD_FUNNELED, World
 
 #: calls per message (one isend, one irecv, two waits), both ranks
-BUDGET = 160
-#: ... and as a multiple of the plain communicator's
-RATIO = 2.1
+BUDGET = 115
+#: ... of which on the application threads and on the engine threads
+APP_BUDGET = 48
+ENGINE_BUDGET = 66
+#: ... the same exchange through the plain communicator
+PLAIN_BUDGET = 64
+#: ... and offloaded as a multiple of plain
+RATIO = 1.85
+#: calls per engine-loop iteration that finds nothing to do
+IDLE_BUDGET = 8
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +51,26 @@ def _detail(offload, plain) -> str:
     )
 
 
+def _per_msg(count, side: str) -> float:
+    return sum(getattr(count, side).values()) / count.messages
+
+
 def test_offloaded_message_stays_inside_its_call_budget(counts):
     offload, plain = counts
     assert offload.per_msg <= BUDGET, _detail(offload, plain)
+
+
+def test_each_side_stays_inside_its_share_of_the_budget(counts):
+    offload, plain = counts
+    assert _per_msg(offload, "app") <= APP_BUDGET, _detail(offload, plain)
+    assert _per_msg(offload, "engine") <= ENGINE_BUDGET, _detail(
+        offload, plain
+    )
+
+
+def test_plain_communicator_stays_inside_its_call_budget(counts):
+    offload, plain = counts
+    assert plain.per_msg <= PLAIN_BUDGET, f"\nplain: {plain.report()}"
 
 
 def test_offload_costs_at_most_twice_the_plain_communicator(counts):
@@ -53,4 +86,51 @@ def test_one_substrate_entry_per_drained_run(counts):
     assert 0 < offload.entries_per_cmd < 0.1, (
         f"{offload.substrate_entries} substrate entries for "
         f"{offload.commands} commands"
+    )
+
+
+def test_one_envelope_and_one_copy_per_message(counts):
+    """Fewer calls, the same work: one payload envelope and one
+    send-time copy per message, plus each window's token."""
+    for count in counts:
+        assert 1.0 <= count.envelopes / count.messages <= 1.05
+        assert 1.0 <= count.copies / count.messages <= 1.05
+
+
+def test_a_look_that_finds_nothing_costs_nothing():
+    """An idle ``offloaded()`` engine, woken only by its safety tick,
+    makes a handful of calls per loop iteration (clear, park, and their
+    lock calls): every look at an empty ring, an empty inbox, no flush
+    and no deadline is an inline test (DESIGN.md §20, rule 6)."""
+    ticks = 30
+    hook = Hook()
+    beats = []
+
+    def prog(comm):
+        with offloaded(comm, telemetry=False, pool_size=1) as c:
+            time.sleep(0.01)  # past start-up: parked on its doorbell
+            start = c.engine.heartbeat
+            deadline = time.monotonic() + 30.0
+            hook.on = True
+            while c.engine.heartbeat - start < ticks:
+                assert time.monotonic() < deadline, "engine loop stalled"
+                time.sleep(1e-3)
+            hook.on = False
+            beats.append(c.engine.heartbeat - start)
+        return True
+
+    profile = threading.getprofile()
+    threading.setprofile(hook)  # inherited by the engine thread
+    try:
+        World(1, thread_level=THREAD_FUNNELED).run(prog, timeout=120)
+    finally:
+        threading.setprofile(profile)
+    engine = Counter()
+    for name, calls in hook.by_thread.items():
+        if name.startswith(ENGINE_THREAD):
+            engine.update(calls)
+    per_iteration = sum(engine.values()) / beats[0]
+    assert per_iteration <= IDLE_BUDGET, (
+        f"{per_iteration:.1f} calls per idle iteration over {beats[0]} "
+        f"iterations: {engine.most_common(12)}"
     )

@@ -244,11 +244,10 @@ class TestRequestWake:
         from repro.mpisim import requests as rq
 
         class _IdleEngine:
+            _doorbells = ()  # nobody drives this rank's progress
+
             def progress(self):
                 return 0
-
-            def ring_doorbells(self):
-                pass
 
         monkeypatch.setattr(rq, "_WAIT_SLICE", 5.0)
         req = rq.Request(_IdleEngine())

@@ -1,9 +1,9 @@
 """Schedule-explored edge cases for ``MPSCQueue.drain_closed()`` and
-``FreeList.alloc_batch()``.
+the free list's chunk primitives, ``pop_batch()`` / ``push_batch()``.
 
 These are the windows the plain concurrent stress tests cannot pin
 down: the DST scheduler drives every interleaving of the close/drain
-teardown protocol and the single-CAS batch-refill path, so the
+teardown protocol and the single-CAS refill and spill paths, so the
 invariants below are checked over *all* schedules of each small
 program (exhaustive strategy), not a random sample.
 """
@@ -125,15 +125,29 @@ class DrainVsTombstoneProgram:
                 f"dequeue_count {self.queue.dequeue_count} != "
                 f"{len(drained)} deliveries (tombstone was counted)"
             )
+        # len() is the distance between the cursors: a tombstone the
+        # final drain did not reach (its CAS came after the snapshot)
+        # still occupies its cell; one more consumer pass — the engine
+        # loop's next look — takes it out, and the ring reads empty.
+        left, pos = len(self.queue), self.queue._dequeue_pos
+        if self.queue.drain() or self.queue._dequeue_pos - pos != left:
+            raise InvariantViolation(
+                f"len() said {left} cell(s) occupied after the final "
+                f"drain, a further pass consumed "
+                f"{self.queue._dequeue_pos - pos}"
+            )
+        if not self.queue.empty():
+            raise InvariantViolation("closed, drained ring not empty")
 
 
 class BatchAtExhaustionProgram:
-    """Two racing alloc_batch calls that together over-subscribe the
+    """Two racing pop_batch calls that together over-subscribe the
     list, so one of them crosses the exhaustion boundary mid-walk.
 
     Invariant: handed-out slots are disjoint, every batch is non-empty
-    (or the caller got a typed ``FreeListExhausted``), the live ledger
-    matches exactly, and freeing everything restores the full list.
+    (or the caller got a typed ``FreeListExhausted``), the ledger is
+    untouched (the slots are owned-free), the list holds exactly the
+    rest, and pushing every chunk back restores the full list.
     """
 
     CAPACITY = 3
@@ -146,7 +160,7 @@ class BatchAtExhaustionProgram:
     def setup(self, sched) -> None:
         def taker(name: str) -> None:
             try:
-                self.got[name] = self.freelist.alloc_batch(self.WANT)
+                self.got[name] = self.freelist.pop_batch(self.WANT)
             except FreeListExhausted:
                 self.got[name] = []
 
@@ -162,19 +176,71 @@ class BatchAtExhaustionProgram:
         taken = a + b
         if len(set(taken)) != len(taken):
             raise InvariantViolation(f"duplicate slots in {taken}")
-        if self.freelist.allocated != len(taken):
+        if self.freelist.allocated:
             raise InvariantViolation(
-                f"live ledger {self.freelist.allocated} != "
-                f"{len(taken)} handed out"
+                f"a chunk move flipped the ledger: "
+                f"{self.freelist.allocated} live"
             )
-        # the list must still be structurally whole: free everything
+        if self.freelist.free_count() != self.CAPACITY - len(taken):
+            raise InvariantViolation(
+                f"{len(taken)} popped but {self.freelist.free_count()} "
+                f"of {self.CAPACITY} still listed"
+            )
+        # the list must still be structurally whole: push both chunks
         # back and recount (free_count raises on a cycle)
-        for idx in taken:
-            self.freelist.free(idx)
+        self.freelist.push_batch(a)
+        self.freelist.push_batch(b)
         if self.freelist.free_count() != self.CAPACITY:
             raise InvariantViolation(
                 f"free list lost slots: {self.freelist.free_count()} "
                 f"of {self.CAPACITY} after full release"
+            )
+
+
+class PushBatchAbaProgram:
+    """push_batch racing a pop-then-push-back of the very head it read.
+
+    The ABA shape, mirrored from the batched pop: between the pusher's
+    look at the head and its CAS, the cycler takes the head chunk off
+    and puts its first slot back — the same index heads the list again,
+    under another version and in front of other links.  The tagged CAS
+    must refuse the stale look and relink the chunk's tail.
+
+    Invariant: no slot is lost or listed twice — what the cycler kept
+    plus what the list holds is every slot exactly once.
+    """
+
+    CAPACITY = 4
+
+    def __init__(self) -> None:
+        self.freelist: FreeList[None] = FreeList(self.CAPACITY)
+        # popped here, outside the scheduler: the pusher's chunk
+        self.chunk = self.freelist.pop_batch(2)
+        self.kept: list[int] = []
+
+    def setup(self, sched) -> None:
+        def pusher() -> None:
+            self.freelist.push_batch(self.chunk)
+
+        def cycler() -> None:
+            got = self.freelist.pop_batch(2)
+            self.freelist.push_batch(got[:1])
+            self.kept = got[1:]
+
+        sched.spawn(pusher, name="pusher")
+        sched.spawn(cycler, name="cycler")
+
+    def check(self) -> None:
+        listed = self.freelist.free_count()  # raises on a cycle
+        if listed + len(self.kept) != self.CAPACITY:
+            raise InvariantViolation(
+                f"{listed} listed + {len(self.kept)} kept != "
+                f"{self.CAPACITY}: a slot was lost or linked twice"
+            )
+        rest = self.freelist.pop_batch(self.CAPACITY)
+        if sorted(rest + self.kept) != list(range(self.CAPACITY)):
+            raise InvariantViolation(
+                f"list holds {rest}, cycler kept {self.kept}"
             )
 
 
@@ -200,18 +266,21 @@ class TestAllocBatchEdges:
 
         _explore(Larger)
 
+    def test_push_batch_racing_a_recycled_head_all_schedules(self):
+        _explore(PushBatchAbaProgram)
+
     def test_batch_clamps_to_remaining_slots(self):
         fl: FreeList[None] = FreeList(4)
         for _ in range(3):
             fl.alloc()
-        got = fl.alloc_batch(3)  # only one slot left
+        got = fl.pop_batch(3)  # only one slot left
         assert len(got) == 1
         with pytest.raises(FreeListExhausted):
-            fl.alloc_batch(3)
-        assert fl.allocated == 4
+            fl.pop_batch(3)
+        assert fl.allocated == 3  # the popped slot is owned-free
 
-    def test_batch_of_one_delegates_to_alloc(self):
+    def test_batch_of_one_pops_one_slot(self):
         fl: FreeList[None] = FreeList(2)
-        got = fl.alloc_batch(1)
+        got = fl.pop_batch(1)
         assert len(got) == 1
-        assert fl.allocated == 1
+        assert fl.allocated == 0 and fl.free_count() == 1

@@ -55,19 +55,40 @@ class TestBasics:
             fl.free(3)  # on the free list, never handed out
 
     def test_alloc_batch_pops_distinct_chunk(self):
+        # the batched pop hands out owned-free slots: off the list, not
+        # in the ledger
         fl = FreeList(8)
-        got = fl.alloc_batch(5)
+        got = fl.pop_batch(5)
         assert len(got) == len(set(got)) == 5
-        assert fl.allocated == 5
+        assert fl.allocated == 0 and fl.free_count() == 3
         # partial chunk when nearly empty, typed error when empty
-        rest = fl.alloc_batch(16)
+        rest = fl.pop_batch(16)
         assert len(rest) == 3
         assert set(got) | set(rest) == set(range(8))
         with pytest.raises(FreeListExhausted):
-            fl.alloc_batch(2)
-        for i in range(8):
-            fl.free(i)
+            fl.pop_batch(2)
+        with pytest.raises(ValueError):
+            fl.pop_batch(0)
+        fl.push_batch(got)
+        fl.push_batch(rest)
         assert fl.free_count() == 8
+
+    def test_push_batch_links_the_chunk_in_order(self):
+        fl = FreeList(6)
+        a = fl.pop_batch(4)
+        fl.push_batch([])  # nothing to return: the list is untouched
+        assert fl.free_count() == 2
+        fl.push_batch(a[:1])
+        fl.push_batch(a[1:])
+        assert fl.free_count() == 6 and fl.allocated == 0
+        # LIFO by chunk: the chunk pushed last comes back first, in the
+        # order it was pushed
+        assert fl.pop_batch(3) == a[1:]
+        # a pushed slot is owned-free, not live: freeing it is a double
+        # free, handing it out through alloc() makes it live
+        with pytest.raises(DoubleFree):
+            fl.free(a[0])
+        assert fl.alloc() == a[0] and fl.allocated == 1
 
     def test_alloc_batch_under_contention(self):
         fl = FreeList(256)
@@ -76,7 +97,7 @@ class TestBasics:
         def worker(wid):
             while True:
                 try:
-                    got = fl.alloc_batch(4)
+                    got = fl.pop_batch(4)
                 except FreeListExhausted:
                     return
                 taken[wid].extend(got)
@@ -91,13 +112,6 @@ class TestBasics:
         flat = [i for chunk in taken for i in chunk]
         assert len(flat) == 256
         assert len(set(flat)) == 256, "batch alloc handed a slot out twice"
-
-    def test_free_clears_slot_payload(self):
-        fl = FreeList(2)
-        i = fl.alloc()
-        fl.slots[i] = "payload"
-        fl.free(i)
-        assert fl.slots[i] is None
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -116,6 +130,7 @@ class TestConcurrency:
         """The paper-critical invariant: two threads must never be
         handed the same request slot."""
         fl = FreeList(32)
+        owner: list = [None] * 32  # who holds each slot right now
         iters, nthreads = 2000, 8
         errors = []
 
@@ -127,12 +142,12 @@ class TestConcurrency:
                     except FreeListExhausted:
                         continue
                     # claim the slot; detect double allocation
-                    if fl.slots[idx] is not None:
+                    if owner[idx] is not None:
                         errors.append(("double-alloc", idx))
-                    fl.slots[idx] = tid
-                    if fl.slots[idx] != tid:
+                    owner[idx] = tid
+                    if owner[idx] != tid:
                         errors.append(("stolen", idx))
-                    fl.slots[idx] = None
+                    owner[idx] = None
                     fl.free(idx)
             except Exception as exc:  # pragma: no cover
                 errors.append(("exception", repr(exc)))

@@ -77,6 +77,45 @@ class TestBasics:
         q.try_dequeue()
         assert len(q) == 3
 
+    def test_len_is_the_distance_between_the_cursors(self):
+        # exact whenever producers are quiescent, across wrap-around,
+        # with nothing but the two cursors behind it
+        q = MPSCQueue(4)
+        assert not hasattr(q, "enqueue_count")
+        for lap in range(5):
+            for i in range(3):
+                q.enqueue((lap, i))
+                assert len(q) == i + 1
+            assert len(q.drain(2)) == 2
+            assert len(q) == 1 and not q.empty()
+            q.drain()
+            assert len(q) == 0 and q.empty()
+        assert q.dequeue_count == 15
+
+    def test_tombstone_occupies_its_cell_until_consumed(self):
+        """A producer that loses to ``close()`` after its CAS publishes
+        a tombstone: the cell counts as occupied until the consumer has
+        passed it, is never counted as delivered, and the closed ring
+        reads empty once the final drain is through."""
+        from repro.lockfree.atomics import AtomicCounter
+
+        q = MPSCQueue(4)
+        q.enqueue("kept")
+
+        class ClosingCounter(AtomicCounter):
+            # the close lands between the producer's check and its CAS
+            def compare_and_swap(self, expected, new):
+                q.close()
+                return super().compare_and_swap(expected, new)
+
+        q._enqueue_pos = ClosingCounter(q._enqueue_pos.load())
+        with pytest.raises(QueueClosed):
+            q.enqueue("lost")
+        assert len(q) == 2 and not q.empty()  # the item, the tombstone
+        assert q.drain_closed() == ["kept"]
+        assert len(q) == 0 and q.empty()
+        assert q.dequeue_count == 1
+
     def test_drain_closed_returns_committed_items(self):
         q = MPSCQueue(8)
         q.enqueue(1)
@@ -87,6 +126,41 @@ class TestBasics:
 
 
 class TestConcurrency:
+    def test_len_stays_inside_the_ring_under_contention(self):
+        """Four producers against a draining consumer: every ``len``
+        sampled on the way is within ``[0, capacity]``, and the ring
+        reads exactly empty at the end."""
+        q = MPSCQueue(8)
+        per_producer, nproducers = 500, 4
+        sampled: list[int] = []
+        got: list[int] = []
+
+        def producer():
+            for i in range(per_producer):
+                while True:
+                    try:
+                        q.enqueue(i)
+                        break
+                    except QueueFull:
+                        sampled.append(len(q))
+
+        def consumer():
+            while len(got) < per_producer * nproducers:
+                sampled.append(len(q))
+                got.extend(q.drain(3))
+
+        threads = [threading.Thread(target=producer) for _ in range(nproducers)]
+        threads.append(threading.Thread(target=consumer))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive(), "queue thread hung"
+        assert sampled and all(0 <= n <= q.capacity for n in sampled)
+        assert max(sampled) > 0
+        assert len(q) == 0 and q.empty()
+        assert q.dequeue_count == per_producer * nproducers
+
     def test_no_loss_no_duplication_under_contention(self):
         q = MPSCQueue(64)
         nproducers, per = 8, 500

@@ -142,7 +142,9 @@ def _play(sc: dict, batched: bool) -> dict:
             tw.buffers.append(buf)
             run.append(comm._p2p_op(False, buf, peer, tag))
     if batched:
-        tw.outcomes += tw.comms[0]._post_run(run)
+        outcomes, raised = tw.comms[0]._post_run(run)
+        assert raised == any(isinstance(o, Exception) for o in outcomes)
+        tw.outcomes += outcomes
     else:
         for is_send, buf, peer, tag, ctx in run:
             post = eng.post_send if is_send else eng.post_recv
@@ -198,13 +200,14 @@ def test_failing_op_leaves_its_neighbours_posted():
     world.mark_rank_dead(2, RuntimeError("gone"))
     comm = world.comm_world(0)
     a, b, c = (np.full(4, v, dtype=np.uint8) for v in (1, 2, 3))
-    out = comm._post_run(
+    out, raised = comm._post_run(
         [
             comm._p2p_op(True, a, 1, 7),
             comm._p2p_op(True, b, 2, 7),
             comm._p2p_op(True, c, 1, 7),
         ]
     )
+    assert raised
     assert out[0].done and out[2].done
     assert isinstance(out[1], RankDeadError)
     peer = world.comm_world(1)
@@ -235,9 +238,10 @@ def test_revoke_in_the_inbox_is_handled_before_the_run_posts():
     world.comm_world(1).revoke()
     assert not comm.revoked
     buf = np.zeros(8, dtype=np.uint8)
-    out = comm._post_run(
+    out, raised = comm._post_run(
         [comm._p2p_op(False, buf, 1, 3), comm._p2p_op(True, buf, 1, 3)]
     )
+    assert raised
     assert [type(o) for o in out] == [CommRevokedError, CommRevokedError]
     assert comm.revoked
     assert world.engines[0].pending_counts()["posted_recvs"] == 0
