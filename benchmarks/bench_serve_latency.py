@@ -7,11 +7,16 @@ Two kinds of evidence, split the usual way for the ratchet:
   zero lost completions (``issued == completed + failed + rejected``),
   exactly two continuation fires per completed echo (irecv + isend),
   zero abandoned deliveries, and a clean telemetry balance.  A change
-  that breaks any of these moves a gated counter.
+  that breaks any of these moves a gated counter.  So does a return
+  to one loop wake-up per completion: ``loop_crossings`` (drains of
+  the bridge's landed queue, each one ``call_soon_threadsafe``) per
+  continuation fire is 0.02–0.09 under this load and 1.0 without the
+  queue; the run fails above 0.75 and the ratchet holds the ratio to
+  the band stated in its baseline.
 * **advisory timings** — closed-loop p50/p99 service latency through
-  admission → fair queue → bridge → engine → continuation →
-  ``call_soon_threadsafe`` wakeup.  Tracked for trend, not gated
-  (wall-clock on shared CI is noise).
+  admission → fair queue → bridge → engine → continuation → landed
+  queue → drain.  Tracked for trend, not gated (wall-clock on shared
+  CI is noise).
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the request count; the counter gates
 hold at any size.
@@ -53,10 +58,14 @@ def test_serve_latency_and_exactness(benchmark, bench_trajectory):
     fires_exact = int(
         report.continuation_fires == 2 * report.completed
     )
+    crossings_per_fire = report.loop_crossings / max(
+        1, report.continuation_fires
+    )
     print(
         f"\n  serve: n={report.completed} "
         f"p50={report.slo.p50_ms:8.2f} ms p99={report.slo.p99_ms:8.2f} ms "
         f"lost={report.lost} drops={report.continuation_drops} "
+        f"crossings/fire={crossings_per_fire:.3f} "
         f"fires_exact={'OK' if fires_exact else 'FAIL'} "
         f"balance={'OK' if report.balance_ok else 'FAIL'}"
     )
@@ -73,11 +82,15 @@ def test_serve_latency_and_exactness(benchmark, bench_trajectory):
         p99_ms=round(report.slo.p99_ms, 2),
         continuation_fires=report.continuation_fires,
         continuation_drops=report.continuation_drops,
+        loop_crossings=report.loop_crossings,
         smoke=SMOKE,
     )
     # exactness gates (blocking counters)
     assert report.lost == 0, report.render()
     assert report.balance_ok, report.balance_detail
+    assert report.loop_crossings <= 0.75 * report.continuation_fires, (
+        report.render()
+    )
     bench_trajectory.metric(
         "serve_latency",
         "serve_lost",
@@ -105,6 +118,18 @@ def test_serve_latency_and_exactness(benchmark, bench_trajectory):
         int(report.balance_ok),
         kind="counter",
         direction="higher",
+    )
+    bench_trajectory.metric(
+        "serve_latency",
+        "serve_loop_crossings_per_fire",
+        round(crossings_per_fire, 3),
+        kind="counter",
+        direction="lower",
+        # A count, but of a race: how many completions share a drain
+        # depends on the load (≈ 0.02 at 64 clients, ≈ 0.07 at the
+        # smoke run's 16).  The band is wide enough for both and far
+        # below the 1.0 of one wake-up per completion.
+        tolerance=15.0,
     )
     # latency trend (advisory timings)
     bench_trajectory.metric(

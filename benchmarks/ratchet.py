@@ -20,6 +20,10 @@ the two, direction-aware, and fails (exit 1) on:
   mode reports timing drift without failing; CI runs the strict pass
   as a separate advisory (continue-on-error) step.
 
+A file in the baseline directory without a ``metrics`` key is a
+trajectory kept for plotting (``BENCH_e2e.json``: one row per PR of
+end-to-end medians), not a baseline: it is noted and passed by.
+
 ``--update`` copies the current run artifacts over the baselines —
 the explicit, reviewable way to move the ratchet.
 """
@@ -72,6 +76,12 @@ def compare(
         return failures, notes
 
     for base_path in baselines:
+        base = json.loads(base_path.read_text())
+        if "metrics" not in base:
+            # a trajectory kept beside the baselines (BENCH_e2e.json):
+            # history to plot, nothing a run is compared against
+            notes.append(f"{base_path.name}: no metrics, not gated")
+            continue
         run_path = run_dir / base_path.name
         if not run_path.exists():
             failures.append(
@@ -79,7 +89,6 @@ def compare(
                 f"(benchmark did not run or did not write its trajectory)"
             )
             continue
-        base = json.loads(base_path.read_text())
         run = json.loads(run_path.read_text())
         base_metrics = base.get("metrics", {})
         run_metrics = run.get("metrics", {})

@@ -151,6 +151,18 @@ injected by a harness subclass:
     ``release`` / ``register_continuation``; its ``no_recheck`` mode is
     the broken registrant.
 
+The landed-queue PR (DESIGN.md §16–§17) added one more of that kind:
+
+``land-vs-drain``
+    The asyncio bridge's firing threads append to the landed queue and
+    then ring the loop unless the bell is rung already; the drain, on
+    the loop thread, clears the bell and *then* empties the queue.
+    Emptying first and clearing afterwards lets a completion land
+    behind a bell that is about to be cleared: nobody rings for it and
+    its awaiter is never resolved.  :class:`_SteppedLanded` makes the
+    queue and the bell choice points under the real ``fire`` /
+    ``_drain``; its ``late_clear`` mode is the broken drain.
+
 This module imports :mod:`repro.core` and therefore must never be
 imported from :mod:`repro.dst.hooks`'s import path (see the package
 docstring); consumers reach it via ``repro.dst.targets`` directly or
@@ -191,6 +203,7 @@ from repro.lockfree.freelist import (
 )
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
 from repro.mpisim.progress import ProgressEngine
+from repro.serve.bridge import AsyncOffloadEngine, _Landed
 
 
 class _FakeComm:
@@ -1638,6 +1651,174 @@ class RevokeVsPostRecvProgram:
 
 
 # ---------------------------------------------------------------------------
+# Regression race 17: completions landing vs. the loop draining them
+# ---------------------------------------------------------------------------
+
+
+class _SteppedQueue(deque):
+    """The landed queue with a choice point before an append and before
+    every look.  (A pop is one step with the look that found the item:
+    only the loop thread pops, and taking an item from the left
+    commutes with appends on the right.)"""
+
+    def __init__(self, landed: "_SteppedLanded") -> None:
+        super().__init__()
+        self._landed = landed
+
+    def append(self, resolve: Any) -> None:
+        _dst.yield_point("landed.append")
+        super().append(resolve)
+
+    def __bool__(self) -> bool:
+        _dst.yield_point("landed.look")
+        if len(self):
+            return True
+        self._landed._found_empty()
+        return False
+
+
+class _SteppedLanded(_Landed):
+    """A loop's landed queue and bell, every access a choice point;
+    the code that runs is the bridge's own ``fire`` and ``_drain``.
+
+    ``late_clear`` is the broken drain, injected from here so that
+    ``bridge.py`` carries no switch for it: the store that opens
+    ``_drain`` (``rung = False``) does nothing, and the bell is cleared
+    once the queue has answered "empty" instead — pop until empty,
+    *then* clear.
+    """
+
+    __slots__ = ("_late_clear",)
+
+    def __init__(self, loop: Any, late_clear: bool) -> None:
+        self._late_clear = False  # the constructor's store goes through
+        super().__init__(loop)
+        self.queue = _SteppedQueue(self)
+        self._late_clear = late_clear
+
+    @property
+    def rung(self) -> bool:
+        _dst.yield_point("landed.rung")
+        return _Landed.rung.__get__(self)
+
+    @rung.setter
+    def rung(self, value: bool) -> None:
+        if self._late_clear and not value:
+            return
+        _dst.yield_point("landed.rung=")
+        _Landed.rung.__set__(self, value)
+
+    def _found_empty(self) -> None:
+        if self._late_clear:
+            _dst.yield_point("landed.rung=")
+            _Landed.rung.__set__(self, False)
+
+
+class _SteppedLoop:
+    """Event-loop stand-in: :meth:`run_until` is the loop thread,
+    blocked cooperatively while nothing is scheduled — a lost ring is
+    a deadlock, not a stall some timer ends.  Scheduling is one step
+    with the bell store before it: until the callback is queued the
+    loop thread can only be blocked or inside an earlier drain, and
+    the other completer reads nothing but the bell — with its own
+    choice point the tree outgrows 20 000 schedules, without it the
+    same orders are enumerated in 6 450."""
+
+    def __init__(self) -> None:
+        self._ready: deque = deque()
+
+    def get_debug(self) -> bool:
+        return False
+
+    def is_closed(self) -> bool:
+        return False
+
+    def create_future(self) -> Any:
+        import asyncio
+
+        return asyncio.Future(loop=self)
+
+    def call_soon_threadsafe(self, callback: Any, *args: Any) -> None:
+        self._ready.append((callback, args))
+
+    def run_until(self, finished: Callable[[], bool]) -> None:
+        while not finished():
+            _dst.wait_until(lambda: bool(self._ready) or finished())
+            while self._ready:
+                callback, args = self._ready.popleft()
+                callback(*args)
+
+
+class _LandedRequest:
+    """A submitted request as the bridge sees it: a continuation to
+    register and a handle to consume once it fired."""
+
+    def __init__(self, status: Any) -> None:
+        self.status = status
+        self.fire: Any = None
+
+    def add_continuation(self, fn: Callable[[], None]) -> None:
+        self.fire = fn
+
+    def test(self) -> tuple[bool, Any]:
+        return True, self.status
+
+
+class LandVsDrainProgram:
+    """Two completers and one loop over the bridge's landed queue.
+
+    Two requests are wrapped by the real ``awaitable``; each completer
+    thread runs the continuation the bridge registered (publish: append
+    ``resolve``; ring: look at the bell, set it, schedule one
+    ``_drain``) and the loop thread runs whatever was scheduled (clear
+    the bell, then pop and run until the queue is empty).  At every
+    queue and bell access any of the three may run next.
+
+    Invariant: both futures resolve, each with its own request's
+    status.  A completion that landed behind a bell nobody will ring
+    again leaves its future pending and the loop with nothing
+    scheduled: the scheduler reports the deadlock.
+    """
+
+    def __init__(self, fix_disabled: bool) -> None:
+        self.loop = _SteppedLoop()
+        self.bridge = AsyncOffloadEngine(SimpleNamespace(), loop=self.loop)
+        self.bridge._landed = _SteppedLanded(
+            self.loop, late_clear=fix_disabled
+        )
+        self.requests = [_LandedRequest(f"status{i}") for i in range(2)]
+        self.futures = [self.bridge.awaitable(r) for r in self.requests]
+
+    def _resolved(self) -> bool:
+        return all(fut.done() for fut in self.futures)
+
+    def setup(self, sched: Any) -> None:
+        for i, req in enumerate(self.requests):
+            sched.spawn(req.fire, name=f"completer{i}")
+        sched.spawn(
+            lambda: self.loop.run_until(self._resolved), name="loop"
+        )
+
+    def check(self) -> None:
+        if not self._resolved():
+            raise InvariantViolation(
+                "a landed completion was never drained: its awaiter "
+                "hangs for ever"
+            )
+        got = [fut.result() for fut in self.futures]
+        if got != [req.status for req in self.requests]:
+            raise InvariantViolation(
+                f"futures resolved with {got!r}: a resolve ran for the "
+                "wrong request"
+            )
+        if self.bridge.loop_crossings > 2:
+            raise InvariantViolation(
+                f"{self.bridge.loop_crossings} drains for two "
+                "completions: a rung bell was rung again"
+            )
+
+
+# ---------------------------------------------------------------------------
 # Linearizability targets (history-recording programs)
 # ---------------------------------------------------------------------------
 
@@ -2013,6 +2194,17 @@ CORPUS: dict[str, Target] = {
             ),
             make=RevokeVsPostRecvProgram,
             regression=True,
+        ),
+        Target(
+            name="land-vs-drain",
+            description=(
+                "asyncio bridge draining its landed queue before it "
+                "clears the bell: a completion lands behind a bell "
+                "nobody rings again and its awaiter is never resolved"
+            ),
+            make=LandVsDrainProgram,
+            regression=True,
+            schedules=20_000,
         ),
         Target(
             name="queue-linearizability",

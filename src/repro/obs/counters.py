@@ -129,8 +129,14 @@ COUNTER_GLOSSARY: dict[str, str] = {
     "continuation_drops": "continuation deliveries abandoned "
     "undelivered — a direct waiter consumed the slot before the "
     "continuation could fire, or the asyncio loop had already closed "
-    "when the completion landed (lost register-vs-complete race "
+    "when the completion landed (its handle is consumed on the firing "
+    "thread; lost register-vs-complete race "
     "attempts are silent: the winning side delivered)",
+    "loop_crossings": "drains of the asyncio bridge's landed queue, "
+    "each one ``loop.call_soon_threadsafe`` (a self-pipe write and a "
+    "GIL hand-off to the loop thread); completions that land while a "
+    "drain is pending share it, so this stays well below "
+    "continuation_fires under load",
     "serve_accepted": "serving requests admitted past admission "
     "control into a tenant queue",
     "serve_rejected": "serving requests refused with a typed "

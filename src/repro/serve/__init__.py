@@ -8,8 +8,8 @@ to ``asyncio``:
 
 - :class:`~repro.serve.bridge.AsyncOffloadEngine` — awaitable
   ``offload_isend``/``offload_irecv``/``offload_isend_obj`` whose
-  futures are resolved from the engine thread via
-  ``loop.call_soon_threadsafe``;
+  completions the engine thread queues for the loop, which it wakes
+  once per drain (``loop.call_soon_threadsafe``), not once each;
 - :class:`~repro.serve.frontend.ServingFrontend` — admission control,
   typed queue-full backpressure, per-tenant fair queuing, and p50/p99
   latency SLO reports derived from the telemetry snapshot;

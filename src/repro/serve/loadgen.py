@@ -88,6 +88,9 @@ class LoadgenReport:
     balance_detail: dict
     continuation_fires: int
     continuation_drops: int
+    #: ``call_soon_threadsafe`` wake-ups the bridge cost the loop
+    #: (one per drain of its landed queue, not one per completion)
+    loop_crossings: int
 
     @property
     def lost(self) -> int:
@@ -108,6 +111,7 @@ class LoadgenReport:
             "  " + self.slo.render(),
             f"  fires={self.continuation_fires} "
             f"drops={self.continuation_drops} "
+            f"loop_crossings={self.loop_crossings} "
             f"balance={'OK' if self.balance_ok else 'IMBALANCED'}",
         ]
         for tenant, row in sorted(self.per_tenant.items()):
@@ -276,6 +280,7 @@ def run_loadgen(
                     balance_detail=detail,
                     continuation_fires=stats.get("continuation_fires", 0),
                     continuation_drops=stats.get("continuation_drops", 0),
+                    loop_crossings=engine.loop_crossings,
                 )
             )
 

@@ -112,6 +112,19 @@ class TestCompare:
             ["--run-dir", str(run), "--baseline-dir", str(base)]
         ) == 1
 
+    def test_trajectory_file_without_metrics_is_not_gated(self, dirs):
+        """BENCH_e2e.json sits beside the baselines as history: it has
+        no ``metrics`` and no benchmark writes an artifact for it."""
+        run, base = dirs
+        _write(base, "x", {"copies": _metric(0.0)})
+        _write(run, "x", {"copies": _metric(0.0)})
+        (base / "BENCH_e2e.json").write_text(
+            json.dumps({"name": "e2e", "rows": [{"pr": 21}]})
+        )
+        assert ratchet.main(
+            ["--run-dir", str(run), "--baseline-dir", str(base)]
+        ) == 0
+
     def test_missing_time_metric_is_strict_only(self, dirs):
         # the smoke run skips throughput tests, so its artifact lacks
         # the time metrics: blocking pass must still succeed

@@ -32,14 +32,15 @@ class TestCorpusRegistry:
             "park-vs-ring",
             "flag-park-vs-set",
             "revoke-vs-post-recv",
+            "land-vs-drain",
             "queue-linearizability",
             "freelist-linearizability",
             "pool-linearizability",
         }
 
-    def test_sixteen_regressions_three_oracles(self):
+    def test_regression_and_oracle_counts(self):
         regressions = [t for t in CORPUS.values() if t.regression]
-        assert len(regressions) == 16
+        assert len(regressions) == 17
         assert len(CORPUS) - len(regressions) == 3
 
     def test_oracle_targets_reject_fix_disabled(self):
@@ -310,6 +311,28 @@ class TestWakeUpProtocol:
         assert Explorer(lambda: target.make(False)).replay(token) is None
 
 
+class TestLandedQueueProtocol:
+    """The asyncio bridge's publish → ring against the drain's clear →
+    look (DESIGN.md §16–§17): two completers, one loop."""
+
+    def test_no_schedule_strands_a_landed_completion(self):
+        fixed = run_target("land-vs-drain")
+        assert not fixed.result.found and fixed.expected
+        # every interleaving of the queue and bell accesses was run
+        assert fixed.result.exhausted
+
+    def test_draining_before_clearing_is_rediscovered(self):
+        broken = run_target("land-vs-drain", fix_disabled=True)
+        assert broken.result.found and broken.expected
+        assert broken.result.runs <= 100  # the stated bound (16 here)
+        # the awaiter is never resolved: the loop has nothing scheduled
+        assert "blocked" in str(broken.result.failure.error)
+        token = broken.result.failure.token
+        target = CORPUS["land-vs-drain"]
+        assert Explorer(lambda: target.make(True)).replay(token) is not None
+        assert Explorer(lambda: target.make(False)).replay(token) is None
+
+
 class TestReplayContract:
     """A failure token is a complete reproduction recipe."""
 
@@ -379,9 +402,9 @@ class TestDeepTier:
             (o.target, o.fix_disabled, o.result.found) for o in wrong
         ]
         # both directions ran: planted bugs found, fixed code clean
-        assert sum(o.fix_disabled for o in outcomes) == 16
-        assert len(outcomes) == 35
+        assert sum(o.fix_disabled for o in outcomes) == 17
+        assert len(outcomes) == 37
         snap = counters.snapshot()
         assert snap["schedules_explored"] > 0
         assert snap["lin_histories_checked"] > 0
-        assert snap["dst_violations"] == 16
+        assert snap["dst_violations"] == 17

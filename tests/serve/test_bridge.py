@@ -1,19 +1,25 @@
 """The asyncio bridge: offloaded handles as awaitables.
 
-Completion crosses from the engine thread to the event loop through
-one ``call_soon_threadsafe`` per request; the loop thread consumes the
-handle.  These tests pin the success path, the typed-failure path
-(timeout and engine death raise *into* the await), cancellation (the
-slot is still consumed), and the balance contract (pool drains to
-zero, fires == submitted commands, no drops)."""
+Completions cross from the engine thread to the event loop through the
+bridge's landed queue — appended by the firing thread, drained by one
+``call_soon_threadsafe`` per clear → look cycle — and the loop thread
+consumes the handles.  These tests pin the success path, the
+typed-failure path (timeout and engine death raise *into* the await),
+cancellation (the slot is still consumed), the balance contract (pool
+drains to zero, fires == submitted commands, no drops), the crossing
+count (N completions landed behind one ring cost one crossing), and
+the closed loop (every undelivered completion is a counted drop whose
+slot is released)."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import OffloadTimeout, offloaded
-from repro.core.request_pool import OffloadEngineDied
+from repro.core.commands import Command, CommandKind
+from repro.core.request_pool import OffloadEngineDied, OffloadRequest
 
 from tests.conftest import run_world_mt
 from repro.serve import AsyncOffloadEngine
@@ -165,5 +171,172 @@ class TestBridge:
                     return engine.stats()["pool_allocated"] == 0
 
                 return asyncio.run(main())
+
+        assert all(run_world_mt(1, prog))
+
+
+def _settle(cond, timeout: float = 30.0) -> None:
+    """Block the calling thread (on purpose) until ``cond()`` holds."""
+    deadline = time.monotonic() + timeout
+    while not cond():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(1e-3)
+
+
+class TestLandedQueue:
+    def test_completions_landed_behind_one_ring_cost_one_crossing(self):
+        """The loop thread sits in a blocking callback while the engine
+        completes all N receives: the first fire rings, the rest find
+        the bell rung, and one drain resolves them in completion
+        order."""
+
+        def prog(comm):
+            n = 16
+            order = [(7 * i) % n for i in range(n)]  # not the post order
+            with offloaded(comm) as oc:
+                engine = AsyncOffloadEngine(oc)
+                pool = oc.engine.pool
+                resolved: list[int] = []
+
+                async def main() -> list:
+                    bufs = [np.zeros(1, dtype=np.uint8) for _ in range(n)]
+                    futs = [
+                        engine.awaitable(oc.irecv(bufs[tag], 0, tag))
+                        for tag in range(n)
+                    ]
+                    for tag, fut in enumerate(futs):
+                        fut.add_done_callback(
+                            lambda _f, tag=tag: resolved.append(tag)
+                        )
+
+                    def hold() -> None:
+                        for k, tag in enumerate(order):
+                            oc.isend(
+                                np.array([tag], dtype=np.uint8), 0, tag
+                            ).wait(timeout=30)
+                            # one completion at a time: the completion
+                            # order is the send order
+                            _settle(
+                                lambda: pool.continuation_fires == k + 1
+                            )
+
+                    asyncio.get_running_loop().call_soon(hold)
+                    await asyncio.wait_for(asyncio.gather(*futs), 30)
+                    return [int(b[0]) for b in bufs]
+
+                got = asyncio.run(main())
+                assert got == list(range(n))
+                assert resolved == order
+                assert engine.loop_crossings == 1
+                assert engine.stats()["loop_crossings"] == 1
+                assert pool.continuation_fires == n
+                assert pool.continuation_drops == 0
+                assert pool.allocated == 0
+            return True
+
+        assert all(run_world_mt(1, prog))
+
+    def test_two_shards_ringing_concurrently_lose_nothing(self):
+        """Receives tracked by both shards of a two-shard pool complete
+        while the loop is held: each engine thread may find the bell
+        clear once, so at most two drains are scheduled, and every
+        future resolves."""
+
+        def prog(comm):
+            n = 32
+            # no stealing: each shard completes what it was handed
+            with offloaded(comm, pool_size=2, steal_threshold=10**6) as oc:
+                engine = AsyncOffloadEngine(oc)
+                pool = oc.engine.pool
+                shards = oc.engine.engines
+                assert len(shards) == 2
+
+                async def main() -> list:
+                    bufs = [np.zeros(1, dtype=np.uint8) for _ in range(n)]
+                    futs = []
+                    for tag in range(n):
+                        slot = pool.alloc()
+                        handle = OffloadRequest(pool, slot)
+                        shards[tag % 2].submit(
+                            Command(
+                                kind=CommandKind.IRECV,
+                                slot=slot,
+                                comm=comm,
+                                buf=bufs[tag],
+                                peer=0,
+                                tag=tag,
+                            )
+                        )
+                        futs.append(engine.awaitable(handle))
+
+                    def hold() -> None:
+                        for tag in range(n):
+                            comm.isend(
+                                np.array([tag], dtype=np.uint8), 0, tag
+                            )
+                        _settle(lambda: pool.continuation_fires == n)
+
+                    asyncio.get_running_loop().call_soon(hold)
+                    await asyncio.wait_for(asyncio.gather(*futs), 30)
+                    return [int(b[0]) for b in bufs]
+
+                got = asyncio.run(main())
+                assert got == list(range(n))
+                assert [e.completions for e in shards] == [n // 2, n // 2]
+                assert 1 <= engine.loop_crossings <= 2
+                assert pool.continuation_drops == 0
+                assert pool.allocated == 0
+            return True
+
+        assert all(run_world_mt(1, prog))
+
+    @pytest.mark.parametrize("before_close", [0, 3])
+    def test_completions_after_loop_close_are_dropped_not_leaked(
+        self, before_close
+    ):
+        """A completion that lands after its loop closed has nowhere to
+        go: it is a counted drop, and the firing thread consumes the
+        handle so the slot is released.  So is one that landed *before*
+        the close behind a rung bell whose drain never ran
+        (``before_close`` of the five)."""
+
+        def prog(comm):
+            n = 5
+            with offloaded(comm) as oc:
+                loop = asyncio.new_event_loop()  # never run
+                engine = AsyncOffloadEngine(oc, loop=loop)
+                pool = oc.engine.pool
+                bufs = [np.zeros(1, dtype=np.uint8) for _ in range(n)]
+                futs = [
+                    engine.awaitable(oc.irecv(bufs[tag], 0, tag))
+                    for tag in range(n)
+                ]
+                assert pool.allocated == n
+
+                def send(tag: int) -> None:
+                    oc.isend(
+                        np.array([tag], dtype=np.uint8), 0, tag
+                    ).wait(timeout=30)
+
+                for tag in range(before_close):
+                    send(tag)
+                _settle(lambda: pool.continuation_fires == before_close)
+                assert pool.continuation_drops == 0
+                loop.close()
+                for tag in range(before_close, n):
+                    send(tag)
+                _settle(lambda: pool.allocated == 0)
+                assert pool.continuation_fires == n
+                assert pool.continuation_drops == n
+                assert not any(fut.done() for fut in futs)
+                assert engine.loop_crossings == 0
+                # no exception reached the engine thread: it still serves
+                assert oc.engine.dead is None
+                echo = np.zeros(1, dtype=np.uint8)
+                rreq = oc.irecv(echo, 0, 99)
+                oc.send(np.array([42], dtype=np.uint8), 0, 99)
+                rreq.wait(timeout=30)
+                assert echo[0] == 42 and pool.allocated == 0
+            return True
 
         assert all(run_world_mt(1, prog))
