@@ -103,7 +103,11 @@ def _cmd_telemetry(nbytes: int, nranks: int) -> int:
     print(f"functional overlap exchange: {nranks} ranks, "
           f"{nbytes} B messages (rendezvous), offload approach")
     print(f"  overlap achieved: {sample.overlap_fraction * 100:.0f}% "
-          f"(transfer done before wait: {sample.done_before_wait})\n")
+          f"(transfer done before wait: {sample.done_before_wait})")
+    # where each engine thread ran (World.run binds a lone rank only)
+    print("  binding: " + ", ".join(
+        f"rank {s['rank']} engine on CPUs {s['cpus']}"
+        for s in sorted(snaps, key=lambda s: s["rank"])) + "\n")
     print(obs.render(merged))
     sweeps = merged["counters"].get("testany_sweeps", 0)
     balanced, detail = obs.check_balance(merged)

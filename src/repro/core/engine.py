@@ -36,6 +36,7 @@ from repro.core.request_pool import (
 from repro.dst import hooks as _dst
 from repro.lockfree.atomics import Doorbell
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
+from repro.mpisim.world import thread_cpus
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -120,6 +121,9 @@ class OffloadEngine:
         #: fail a partially processed batch after a mid-batch crash
         self._drained: deque[Command] = deque()
         self._thread: threading.Thread | None = None
+        #: the engine thread's CPU mask, recorded by `_run` at start:
+        #: its rank's one CPU under `World.run` (DESIGN.md §21)
+        self.cpus: list[int] | None = None
         self._wake = Doorbell()
         #: earliest deadline among in-flight operations (last sweep)
         self._next_deadline = _NEVER
@@ -236,7 +240,8 @@ class OffloadEngine:
         if thread.is_alive():
             pending = self.pending_work()
             raise OffloadStopTimeout(
-                f"offload thread failed to stop within {timeout}s; "
+                f"offload thread of rank {self.comm.engine.rank} "
+                f"(CPUs {self.cpus}) failed to stop within {timeout}s; "
                 f"{len(pending)} operation(s) outstanding "
                 f"({'; '.join(pending) or 'none visible'}); "
                 "use abort() to force teardown",
@@ -408,6 +413,7 @@ class OffloadEngine:
     def _run(self) -> None:
         world = self.comm.world
         rank = self.comm.engine.rank
+        self.cpus = thread_cpus()
         self._prev_funnel = world.funnel_thread(rank)
         world.set_funnel_thread(rank, threading.get_ident())
         shutdown = False

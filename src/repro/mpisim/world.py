@@ -6,10 +6,19 @@ same function with its own :class:`~repro.mpisim.communicator.Communicator`
 lets the rendezvous protocol copy directly between user buffers — the
 same property the paper exploits for its zero-extra-copy offload
 (Section 3.1).
+
+Like ``mpiexec --bind-to core``, :meth:`World.run` binds the rank of a
+one-rank world to one CPU of the launch mask (DESIGN.md §21):
+everything the rank spawns — its offload engines, a comm-self progress
+thread, application threads — inherits that CPU, so no hand-off crosses
+cores.  Ranks of a larger world are left to the scheduler: bound apart,
+every hand-off *between* them is a wake-up the other CPU alone may
+serve, and on a shared host that wake-up has a millisecond tail.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Any, Callable
@@ -27,6 +36,14 @@ from repro.mpisim.progress import ProgressEngine
 
 _WORLD_CID = 0
 _SELF_CID = 1
+
+
+def thread_cpus() -> list[int] | None:
+    """The calling thread's CPU mask, sorted (None: platform has none)."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return None
 
 
 class World:
@@ -87,6 +104,10 @@ class World:
         #: split-brain agreement race the ``agree-vs-participant-crash``
         #: corpus target rediscovers.  Only ever set by repro.dst.targets.
         self._unsafe_agree_trust_first_round = False
+        #: rank → CPU of the current/last :meth:`run`; None before the
+        #: first run and whenever the ranks ran unbound (more than one
+        #: rank, or a platform without the affinity call, or a refusal)
+        self.binding: list[int] | None = None
         for e in self.engines:
             e.dead_ranks = self._dead_ranks
 
@@ -273,14 +294,39 @@ class World:
         Raises :class:`WorldError` aggregating any per-rank exceptions.
         ``timeout`` bounds the whole run (deadlocked ranks surface as
         ``TimeoutError`` entries rather than hanging the process).
+
+        The rank of a one-rank world binds itself to the first CPU of
+        the launching thread's mask before it builds its communicator,
+        and every thread it then spawns inherits that CPU: under one
+        GIL an engine never executes beside the thread that feeds it,
+        so a second core buys only a dearer wake-up.  Ranks of a larger
+        world keep the launch mask: bound apart, a hand-off between two
+        of them could be served by one CPU only, and when that CPU is
+        slow to wake no idle one may take the thread over
+        (DESIGN.md §21).  The launching thread's own mask is never
+        changed; an outer ``taskset`` narrows it and is honoured as is.
         """
         results: list[Any] = [None] * self.nranks
         failures: dict[int, BaseException] = {}
+        # Bound or unbound is decided here, once, for the whole run:
+        # re-setting the mask the launcher already has changes nothing
+        # and asks whether the call exists and is permitted.
+        cpus = thread_cpus() if self.nranks == 1 else None
+        binding = None
+        if cpus is not None:
+            try:
+                os.sched_setaffinity(0, cpus)
+                binding = cpus[:1]
+            except (AttributeError, OSError):
+                pass
+        self.binding = binding
 
         def runner(rank: int) -> None:
-            self._funnel[rank] = threading.get_ident()
-            comm = self.comm_world(rank)
             try:
+                if binding is not None:
+                    os.sched_setaffinity(0, {binding[rank]})
+                self._funnel[rank] = threading.get_ident()
+                comm = self.comm_world(rank)
                 results[rank] = fn(comm, *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 failures[rank] = exc
@@ -298,10 +344,12 @@ class World:
             remaining = timeout - (time.perf_counter() - t0)
             t.join(max(0.0, remaining))
             if t.is_alive():
+                where = "unbound" if binding is None else f"CPU {binding[r]}"
                 failures.setdefault(
                     r,
                     TimeoutError(
-                        f"rank {r} did not finish within {timeout}s "
+                        f"rank {r} ({where}) did not finish "
+                        f"within {timeout}s "
                         f"(likely deadlock); queues: "
                         f"{self.engines[r].pending_counts()}"
                     ),

@@ -39,6 +39,8 @@ def snapshot_engine(engine: Any, include_trace: bool = False) -> dict:
     snap: dict = {
         "rank": progress.rank,
         "ranks": [progress.rank],
+        # where the engine thread ran (None: not started, or no mask)
+        "cpus": engine.cpus,
         "counters": dict(tm.counters.snapshot()) if tm else {},
         "in_flight": len(engine._in_flight),
         "queue": {
@@ -64,11 +66,13 @@ def merge(snapshots: "list[dict]") -> dict:
     """Merge per-engine snapshots into one aggregate.
 
     Counter-like sections merge element-wise (sum, max for ``*_hwm``);
-    capacities sum (they are per-engine resources); rank lists union.
+    capacities sum (they are per-engine resources); rank lists and the
+    engine threads' CPU masks union.
     """
     if not snapshots:
         return {
             "ranks": [],
+            "cpus": [],
             "counters": {},
             "in_flight": 0,
             "queue": {},
@@ -79,6 +83,9 @@ def merge(snapshots: "list[dict]") -> dict:
     out: dict = {
         "ranks": sorted(
             {r for s in snapshots for r in s.get("ranks", [])}
+        ),
+        "cpus": sorted(
+            {c for s in snapshots for c in s.get("cpus") or ()}
         ),
         "in_flight": sum(s.get("in_flight", 0) for s in snapshots),
         "engines": len(snapshots),
@@ -123,7 +130,10 @@ def render(snapshot: dict, title: str = "engine telemetry") -> str:
     ranks = snapshot.get("ranks")
     if ranks:
         engines = snapshot.get("engines", len(ranks))
-        lines.append(f"  ranks={ranks} engines={engines}")
+        lines.append(
+            f"  ranks={ranks} engines={engines} "
+            f"cpus={snapshot.get('cpus')}"
+        )
     counters = snapshot.get("counters", {})
     known = [n for n in COUNTER_GLOSSARY if n in counters]
     extra = sorted(set(counters) - set(known))
