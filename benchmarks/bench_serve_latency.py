@@ -12,7 +12,13 @@ Two kinds of evidence, split the usual way for the ratchet:
   the bridge's landed queue, each one ``call_soon_threadsafe``) per
   continuation fire is 0.02–0.09 under this load and 1.0 without the
   queue; the run fails above 0.75 and the ratchet holds the ratio to
-  the band stated in its baseline.
+  the band stated in its baseline.  And so does a return of the
+  admission broker: with room under ``max_in_flight`` (this load never
+  fills it) the front-end creates no task and no future of its own per
+  request — ``serve_tasks_per_request`` and
+  ``serve_futures_per_request`` are 0 and 0 (1 and 1 when every
+  request went through a dispatcher task), counted on the loop's
+  ``create_task`` / ``create_future`` by the file of the calling frame.
 * **advisory timings** — closed-loop p50/p99 service latency through
   admission → fair queue → bridge → engine → continuation → landed
   queue → drain.  Tracked for trend, not gated (wall-clock on shared
@@ -24,9 +30,12 @@ hold at any size.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import os
+import sys
 
-from repro.serve import LoadgenConfig, run_loadgen
+from repro.serve import LoadgenConfig, frontend, run_loadgen
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -35,8 +44,44 @@ CONCURRENCY = 16 if SMOKE else 64
 POOL_SIZE = 2 if SMOKE else 4
 
 
+_ASYNCIO_DIR = os.path.dirname(asyncio.__file__)
+
+
+@contextlib.contextmanager
+def frontend_loop_objects():
+    """Count the tasks and futures ``repro.serve.frontend`` creates:
+    every ``create_task`` / ``create_future`` of any event loop whose
+    nearest caller outside asyncio itself is a frame of that module
+    (the operations' own — bridge futures, ``gather`` — are not its)."""
+    made = {"create_task": 0, "create_future": 0}
+    base = asyncio.BaseEventLoop
+    originals = {name: getattr(base, name) for name in made}
+
+    def counting(name):
+        original = originals[name]
+
+        def method(loop, *args, **kw):
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename.startswith(_ASYNCIO_DIR):
+                frame = frame.f_back
+            if frame.f_code.co_filename == frontend.__file__:
+                made[name] += 1
+            return original(loop, *args, **kw)
+
+        return method
+
+    for name in made:
+        setattr(base, name, counting(name))
+    try:
+        yield made
+    finally:
+        for name, original in originals.items():
+            setattr(base, name, original)
+
+
 def test_serve_latency_and_exactness(benchmark, bench_trajectory):
     """One seeded closed-loop run; percentiles from the SLO reservoir."""
+    rounds = 1 if SMOKE else 3
 
     def run():
         return run_loadgen(
@@ -53,7 +98,11 @@ def test_serve_latency_and_exactness(benchmark, bench_trajectory):
             )
         )
 
-    report = benchmark.pedantic(run, iterations=1, rounds=1 if SMOKE else 3)
+    with frontend_loop_objects() as made:
+        report = benchmark.pedantic(run, iterations=1, rounds=rounds)
+    served = rounds * max(1, report.completed)
+    tasks_per_request = made["create_task"] / served
+    futures_per_request = made["create_future"] / served
     failed = sum(report.failed.values())
     fires_exact = int(
         report.continuation_fires == 2 * report.completed
@@ -66,6 +115,8 @@ def test_serve_latency_and_exactness(benchmark, bench_trajectory):
         f"p50={report.slo.p50_ms:8.2f} ms p99={report.slo.p99_ms:8.2f} ms "
         f"lost={report.lost} drops={report.continuation_drops} "
         f"crossings/fire={crossings_per_fire:.3f} "
+        f"front-end tasks/req={tasks_per_request:.3f} "
+        f"futures/req={futures_per_request:.3f} "
         f"fires_exact={'OK' if fires_exact else 'FAIL'} "
         f"balance={'OK' if report.balance_ok else 'FAIL'}"
     )
@@ -131,6 +182,19 @@ def test_serve_latency_and_exactness(benchmark, bench_trajectory):
         # below the 1.0 of one wake-up per completion.
         tolerance=15.0,
     )
+    for key, value in (
+        ("serve_tasks_per_request", tasks_per_request),
+        ("serve_futures_per_request", futures_per_request),
+    ):
+        # Exact: this load never fills ``max_in_flight``, so every
+        # request is served in its caller's task.
+        bench_trajectory.metric(
+            "serve_latency",
+            key,
+            round(value, 3),
+            kind="counter",
+            direction="lower",
+        )
     # latency trend (advisory timings)
     bench_trajectory.metric(
         "serve_latency",

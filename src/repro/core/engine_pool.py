@@ -113,9 +113,10 @@ class ShardRouter:
         self._streams: dict = {}
         self._lock = threading.Lock()
         self._next = 0
-        #: routes where the sticky assignment disagreed with where the
-        #: policy would place the stream today (stale placement after
-        #: scale events — an imbalance signal, not an error)
+        #: pins that stopped agreeing with where the policy would place
+        #: their stream: dead-shard remaps, and — counted once per scale
+        #: event, not per route — pins a new routing width left stale
+        #: (an imbalance signal, not an error)
         self.misroutes = 0
         #: DST-only regression hook: ignore stickiness entirely and
         #: round-robin every command — splits ordered streams across
@@ -139,27 +140,34 @@ class ShardRouter:
         # Collectives: rank-global order per communicator.
         return (id(cmd.comm), "c")
 
+    def pinned(self, cmd: Command | None) -> int | None:
+        """Shard index ``cmd``'s stream is pinned to, ``None`` on first
+        sight — the whole sticky hit: one key, one dictionary look (a
+        subscript, not a ``get``: no call).  Whether the shard still
+        lives is the caller's check."""
+        if self._unsafe_ignore_stickiness:
+            return None
+        try:
+            return self._streams[self.stream_key(cmd)]
+        except KeyError:
+            return None
+
     def _hash_pick(self, key, candidates: list[int]) -> int:
         return candidates[hash(key) % len(candidates)]
 
     def assign(self, key, candidates: list[int], alive: list[bool]) -> int:
-        """Shard index for ``key``; ``candidates`` are the indices the
-        policy may place new streams on (live shards in the active
-        prefix), ``alive`` covers every shard for sticky validation."""
+        """Pin ``key`` to a shard (or remap it off a dead one);
+        ``candidates`` are the indices the policy may place new streams
+        on (live shards in the active prefix), ``alive`` covers every
+        shard for sticky validation."""
         if self._unsafe_ignore_stickiness:
             with self._lock:
                 self._next += 1
                 return candidates[(self._next - 1) % len(candidates)]
-        idx = self._streams.get(key)
-        if idx is not None and alive[idx]:
-            if self.policy == "dest":
-                if self._hash_pick(key, candidates) != idx:
-                    self.misroutes += 1
-            return idx
         with self._lock:
             cur = self._streams.get(key)
             if cur is not None and alive[cur]:
-                return cur
+                return cur  # another thread of the stream pinned it
             if self.policy == "thread":
                 pick = candidates[self._next % len(candidates)]
                 self._next += 1
@@ -172,6 +180,16 @@ class ShardRouter:
                 self.misroutes += 1
             self._streams[key] = pick
             return pick
+
+    def note_rescale(self, candidates: list[int]) -> None:
+        """The routing width changed: count, once, every pin the hash
+        policy would now place elsewhere.  Pins stay where they are."""
+        if self.policy != "dest":
+            return
+        with self._lock:
+            for key, idx in self._streams.items():
+                if self._hash_pick(key, candidates) != idx:
+                    self.misroutes += 1
 
     def release_comm(self, comm_id: int) -> int:
         """Drop every stream keyed to communicator ``comm_id``.
@@ -311,6 +329,8 @@ class EnginePool:
             for _ in range(pool_size)
         ]
         self.router = ShardRouter(router)
+        #: a pool of one routes everything to its only shard
+        self._lone = self.engines[0] if pool_size == 1 else None
         self.steal_threshold = steal_threshold
         if steal_threshold is not None and pool_size > 1:
             for e in self.engines:
@@ -336,15 +356,25 @@ class EnginePool:
         compatibility path (``oc.engine.route().stats()`` etc.).
         Raises :class:`OffloadEngineDied` only when every shard died.
         """
-        engines = self.engines
-        if len(engines) == 1:
-            return engines[0]
+        lone = self._lone
+        if lone is not None:
+            return lone
         if self._autoscale:
             self._maybe_scale()
+        idx = self.router.pinned(cmd)
+        if idx is not None:
+            engine = self.engines[idx]
+            if engine._dead is None:
+                return engine
+        return self._place(cmd)
+
+    def _place(self, cmd: Command | None) -> OffloadEngine:
+        """First command of a stream, or its shard died: pick among
+        the live shards of the active prefix (any live shard when the
+        prefix is all dead) and pin the stream there."""
+        engines = self.engines
         alive = [e._dead is None for e in engines]
-        candidates = [i for i in range(self._active) if alive[i]]
-        if not candidates:
-            candidates = [i for i in range(len(engines)) if alive[i]]
+        candidates = self._candidates(alive)
         if not candidates:
             first = next(x for x in engines if x._dead is not None)
             raise OffloadEngineDied(
@@ -353,6 +383,11 @@ class EnginePool:
             )
         key = self.router.stream_key(cmd)
         return engines[self.router.assign(key, candidates, alive)]
+
+    def _candidates(self, alive: list[bool]) -> list[int]:
+        return [i for i in range(self._active) if alive[i]] or [
+            i for i, up in enumerate(alive) if up
+        ]
 
     def submit(self, cmd: Command) -> None:
         """Route ``cmd`` to its shard and enqueue it there.
@@ -382,17 +417,25 @@ class EnginePool:
             depths = [len(e.queue) for e in self.engines[:active]]
             threshold = self.steal_threshold or DEFAULT_STEAL_THRESHOLD
             if active < len(self.engines) and max(depths) >= threshold:
-                self._active = active + 1
-                self._idle_evals = 0
-                self.shard_scale_events += 1
+                self._rescale(active + 1)
             elif active > 1 and not any(depths):
                 self._idle_evals += 1
                 if self._idle_evals >= _SCALE_DOWN_EVALS:
-                    self._active = active - 1
-                    self._idle_evals = 0
-                    self.shard_scale_events += 1
+                    self._rescale(active - 1)
             else:
                 self._idle_evals = 0
+
+    def _rescale(self, active: int) -> None:
+        """One scale event (under ``_scale_lock``): new streams go to
+        shards ``[0, active)`` from here on; the streams already pinned
+        stay put and the router counts the pins the new width leaves
+        stale."""
+        self._active = active
+        self._idle_evals = 0
+        self.shard_scale_events += 1
+        self.router.note_rescale(
+            self._candidates([e._dead is None for e in self.engines])
+        )
 
     # -- stealing -----------------------------------------------------------
 

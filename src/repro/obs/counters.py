@@ -84,9 +84,9 @@ COUNTER_GLOSSARY: dict[str, str] = {
     "steal",
     "shard_scale_events": "autoscale transitions of the pool's active "
     "routing width (grow on queue depth, shrink on sustained idleness)",
-    "router_misroutes": "routes where the sticky stream-to-shard "
-    "assignment disagreed with the policy's current placement (stale "
-    "placement after scale events or dead-shard remaps)",
+    "router_misroutes": "sticky stream-to-shard pins that stopped "
+    "agreeing with the policy's placement: dead-shard remaps, and pins "
+    "a scale event left stale (counted once per event, not per route)",
     # -- deterministic simulation testing (repro.dst) -------------------
     "schedules_explored": "DST schedules executed by the explorer "
     "(one seeded interleaving each)",

@@ -3,20 +3,29 @@
 The front-end sits between many concurrent awaiters and one (possibly
 sharded) offload engine.  Its contract:
 
-- **Admission control / backpressure.**  Every request is either
-  admitted into its tenant's bounded queue or refused *immediately*
-  with a typed error (:class:`TenantQueueFull` for a full tenant
-  queue, :class:`ServeOverloadError` for the global backlog cap) —
-  callers never block on admission, mirroring the command ring's
-  typed ``QueueFull`` backpressure one layer down.
-- **Per-tenant fair queuing.**  A round-robin dispatcher drains one
-  request per non-empty tenant queue per turn, so a flood from one
-  tenant cannot starve the others; the global concurrency cap
+- **Admission control / backpressure.**  Every request is served at
+  once, admitted into its tenant's bounded queue, or refused
+  *immediately* with a typed error (:class:`TenantQueueFull` for a full
+  tenant queue, :class:`ServeOverloadError` for the global backlog
+  cap) — callers never block on admission, mirroring the command
+  ring's typed ``QueueFull`` backpressure one layer down.
+- **Admission with room is a call.**  The global concurrency cap
   (``max_in_flight``) bounds how many operations are outstanding on
-  the engine at once.
+  the engine at once.  A :meth:`~ServingFrontend.request` that finds
+  room under the cap and nothing queued runs its operation in the
+  caller's own task: no future, no task, no turn of the event loop is
+  spent on admission.  Without room (or through
+  :meth:`~ServingFrontend.submit`) the request waits in its tenant's
+  queue.
+- **Per-tenant fair queuing.**  Capacity is handed to the queues by a
+  synchronous pump — at start, at submission, and in every completion
+  — one request per non-empty tenant queue per turn of a round-robin,
+  so a flood from one tenant cannot starve the others.  Nothing that
+  arrives later overtakes a queued request: the inline route is closed
+  while anything is queued, and a completion pumps before it returns.
 - **Accounting.**  ``accepted == completed + failed + in_flight +
-  queued`` at all times — nothing is silently lost; the loadgen and
-  stress tiers assert this to zero after a drain.
+  queued`` at all times, on either route — nothing is silently lost;
+  the loadgen and stress tiers assert this to zero after a drain.
 - **SLOs.**  :meth:`ServingFrontend.slo_report` folds the recorded
   latency reservoir into p50/p99 and attaches the engine's telemetry
   snapshot counters, so one report carries both the user-visible
@@ -91,6 +100,7 @@ class _TenantState:
     __slots__ = ("queue", "accepted", "completed", "failed", "rejected")
 
     def __init__(self) -> None:
+        #: ``(op, future, arrival time)`` in arrival order
         self.queue: deque = deque()
         self.accepted = 0
         self.completed = 0
@@ -125,14 +135,18 @@ class ServingFrontend:
         self.slo_p50_ms = slo_p50_ms
         self.slo_p99_ms = slo_p99_ms
         self._tenants: dict[str, _TenantState] = {}
-        self._rr: deque[str] = deque()
+        #: the rotation: tenants whose queue is non-empty, next to be
+        #: served first (a tenant enters when its queue turns non-empty
+        #: and leaves when it drains)
+        self._rr: deque[_TenantState] = deque()
         self._queued = 0
         self._in_flight = 0
-        self._wake = asyncio.Event()
-        self._dispatcher: asyncio.Task | None = None
+        self._started = False
+        self._closed = False
+        #: resolved by the last completion after :meth:`stop`
+        self._idle: "asyncio.Future[None] | None" = None
         #: strong refs: tasks with no other reference may be collected
         self._active: set = set()
-        self._closed = False
         self.accepted = 0
         self.completed = 0
         self.rejected = 0
@@ -147,16 +161,22 @@ class ServingFrontend:
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        if self._dispatcher is None:
-            self._dispatcher = asyncio.ensure_future(self._run())
+        self._started = True
+        self._pump()
 
     async def stop(self) -> None:
-        """Drain: dispatch everything queued, wait for in-flight."""
+        """Drain: dispatch everything queued, wait for in-flight —
+        whether or not :meth:`start` ever ran."""
         self._closed = True
-        self._wake.set()
-        if self._dispatcher is not None:
-            await self._dispatcher
-            self._dispatcher = None
+        self._pump()
+        # What the pump left queued waits behind a full cap, so
+        # ``in_flight == 0`` alone means drained.
+        if self._in_flight:
+            if self._idle is None:
+                self._idle = asyncio.get_running_loop().create_future()
+            # shielded: a cancelled stop() must not cancel the future
+            # the last completion resolves (another stop() may wait)
+            await asyncio.shield(self._idle)
 
     # -- admission -------------------------------------------------------
 
@@ -164,30 +184,39 @@ class ServingFrontend:
         state = self._tenants.get(tenant)
         if state is None:
             state = self._tenants[tenant] = _TenantState()
-            self._rr.append(tenant)
         return state
+
+    def _accept(self, state: _TenantState) -> None:
+        state.accepted += 1
+        self.accepted += 1
+        if self._counters is not None:
+            self._counters.inc("serve_accepted")
+
+    def _reject(self, state: _TenantState) -> None:
+        state.rejected += 1
+        self.rejected += 1
+        if self._counters is not None:
+            self._counters.inc("serve_rejected")
 
     def submit(
         self, tenant: str, op: Callable[[], Awaitable[Any]]
     ) -> "asyncio.Future[Any]":
-        """Admit ``op`` or raise typed backpressure; never blocks."""
+        """Admit ``op`` into its tenant's queue or raise typed
+        backpressure; never blocks."""
         state = self._tenant(tenant)
         if self._closed:
-            state.rejected += 1
-            self._note_reject()
+            self._reject(state)
             raise ServeOverloadError("serving front-end is stopped")
         if (
             self.global_queue_depth is not None
             and self._queued >= self.global_queue_depth
         ):
-            state.rejected += 1
-            self._note_reject()
+            self._reject(state)
             raise ServeOverloadError(
                 f"global backlog full ({self._queued} queued)"
             )
         if len(state.queue) >= self.tenant_queue_depth:
-            state.rejected += 1
-            self._note_reject()
+            self._reject(state)
             raise TenantQueueFull(
                 f"tenant {tenant!r} queue full "
                 f"({self.tenant_queue_depth} deep)"
@@ -195,63 +224,75 @@ class ServingFrontend:
         fut: "asyncio.Future[Any]" = (
             asyncio.get_running_loop().create_future()
         )
-        state.queue.append((op, fut, time.perf_counter(), tenant))
-        state.accepted += 1
+        if not state.queue:
+            self._rr.append(state)
+        state.queue.append((op, fut, time.perf_counter()))
         self._queued += 1
-        self.accepted += 1
-        if self._counters is not None:
-            self._counters.inc("serve_accepted")
-        self._wake.set()
+        self._accept(state)
+        if self._started:
+            self._pump()
         return fut
 
     async def request(
         self, tenant: str, op: Callable[[], Awaitable[Any]]
     ) -> Any:
+        """Serve ``op`` and return its result (or raise its error, or
+        typed backpressure).  With room under the cap and nothing
+        queued — nobody to overtake — the operation runs in the
+        caller's own task; cancelling the caller then cancels it."""
+        if (
+            self._started
+            and not self._closed
+            and not self._queued
+            and self._in_flight < self.max_in_flight
+        ):
+            state = self._tenant(tenant)
+            self._accept(state)
+            self._in_flight += 1
+            return await self._serve(op, state, time.perf_counter())
         return await self.submit(tenant, op)
 
-    def _note_reject(self) -> None:
-        self.rejected += 1
-        if self._counters is not None:
-            self._counters.inc("serve_rejected")
+    # -- service ---------------------------------------------------------
 
-    # -- dispatch --------------------------------------------------------
+    def _pump(self) -> None:
+        """Hand free capacity to the queues, one request per tenant per
+        turn of the rotation.  Synchronous: whoever frees or finds
+        capacity calls it before anything else can run."""
+        rr = self._rr
+        while rr and self._in_flight < self.max_in_flight:
+            state = rr.popleft()
+            op, fut, t0 = state.queue.popleft()
+            if state.queue:
+                rr.append(state)
+            self._queued -= 1
+            self._in_flight += 1
+            task = asyncio.ensure_future(
+                self._serve_queued(op, state, t0, fut)
+            )
+            self._active.add(task)
+            task.add_done_callback(self._active.discard)
 
-    def _next_tenant(self) -> str | None:
-        for _ in range(len(self._rr)):
-            tenant = self._rr[0]
-            self._rr.rotate(-1)
-            if self._tenants[tenant].queue:
-                return tenant
-        return None
+    async def _serve_queued(self, op, state, t0: float, fut) -> None:
+        """A queued request's task: the outcome goes to the future
+        :meth:`submit` returned (dropped if its awaiter gave up — a
+        cancelled future does not cancel an operation already taken
+        from the queue)."""
+        try:
+            result = await self._serve(op, state, t0)
+        except BaseException as exc:
+            if not fut.cancelled():
+                fut.set_exception(exc)
+            if not isinstance(exc, Exception):
+                raise
+        else:
+            if not fut.cancelled():
+                fut.set_result(result)
 
-    async def _run(self) -> None:
-        while True:
-            while self._in_flight < self.max_in_flight and self._queued:
-                tenant = self._next_tenant()
-                assert tenant is not None
-                op, fut, t0, tenant = self._tenants[
-                    tenant
-                ].queue.popleft()
-                self._queued -= 1
-                self._in_flight += 1
-                task = asyncio.ensure_future(
-                    self._serve_one(op, fut, t0, tenant)
-                )
-                self._active.add(task)
-                task.add_done_callback(self._active.discard)
-            if self._closed and not self._queued and not self._in_flight:
-                return
-            self._wake.clear()
-            # Re-check after clear: a _serve_one completion between the
-            # checks above and the clear would otherwise be lost.
-            if self._queued and self._in_flight < self.max_in_flight:
-                continue
-            if self._closed and not self._queued and not self._in_flight:
-                return
-            await self._wake.wait()
-
-    async def _serve_one(self, op, fut, t0: float, tenant: str) -> None:
-        state = self._tenants[tenant]
+    async def _serve(self, op, state: _TenantState, t0: float) -> Any:
+        """Run one accepted request that holds one unit of capacity —
+        in the caller's task (inline) or in a queued request's — and
+        keep the books: the outcome is counted before the capacity is
+        handed on, so the accounting law holds at every await."""
         try:
             result = await op()
         except BaseException as exc:
@@ -260,21 +301,20 @@ class ServingFrontend:
             self.failed[name] = self.failed.get(name, 0) + 1
             if self._counters is not None:
                 self._counters.inc("serve_failed")
-            if not fut.cancelled():
-                fut.set_exception(exc)
-            else:  # pragma: no cover - awaiter bailed first
-                pass
+            raise
         else:
             state.completed += 1
             self.completed += 1
             self.latencies_s.append(time.perf_counter() - t0)
             if self._counters is not None:
                 self._counters.inc("serve_completed")
-            if not fut.cancelled():
-                fut.set_result(result)
+            return result
         finally:
             self._in_flight -= 1
-            self._wake.set()
+            self._pump()
+            if self._idle is not None and not self._in_flight:
+                self._idle.set_result(None)
+                self._idle = None
 
     # -- reporting -------------------------------------------------------
 

@@ -17,6 +17,8 @@ offload tax was halved (DESIGN.md §20), which also brought the engine
 loop's idle iteration from 20 calls to 5.
 """
 
+import dis
+import sys
 import threading
 import time
 from collections import Counter
@@ -24,7 +26,10 @@ from collections import Counter
 import pytest
 
 from repro.bench.call_budget import ENGINE_THREAD, Hook, measure
-from repro.core import offloaded
+from repro.core import EnginePool, offloaded
+from repro.core.commands import Command, CommandKind
+from repro.core.engine_pool import ShardRouter
+from repro.dst.targets import _FakeComm
 from repro.mpisim import THREAD_FUNNELED, World
 
 #: calls per message (one isend, one irecv, two waits), both ranks
@@ -38,6 +43,9 @@ PLAIN_BUDGET = 64
 RATIO = 1.85
 #: calls per engine-loop iteration that finds nothing to do
 IDLE_BUDGET = 8
+#: calls per ``EnginePool.route(cmd)`` of a stream pinned earlier:
+#: ``route``, ``_maybe_scale``, ``pinned``, ``stream_key``
+ROUTE_HIT_BUDGET = 4
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +142,53 @@ def test_a_look_that_finds_nothing_costs_nothing():
         f"{per_iteration:.1f} calls per idle iteration over {beats[0]} "
         f"iterations: {engine.most_common(12)}"
     )
+
+
+def _unstarted_pool() -> EnginePool:
+    return EnginePool(
+        _FakeComm(),
+        pool_size=2,
+        pool_capacity=8,
+        queue_capacity=16,
+        telemetry=False,
+    )
+
+
+def test_a_routed_stream_is_a_dictionary_hit():
+    """Routing a command of a stream the pool pinned earlier costs the
+    four calls of ``ROUTE_HIT_BUDGET`` — the autoscale tick, one stream
+    key, one dictionary look — and, on any interpreter, one C function:
+    the ``id`` in the key (before: seven Python calls, two of them list
+    builds, and ``len`` twice, ``id``, ``dict.get`` and ``hash``)."""
+    routes = 60  # with the pinning route, short of an autoscale look
+    pool = _unstarted_pool()
+    cmd = Command(
+        CommandKind.ISEND, comm=_FakeComm(), peer=1, tag=7, slot=0
+    )
+    first = pool.route(cmd)  # pins the stream
+    hook = Hook()
+    profile = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        hook.on = True
+        for _ in range(routes):
+            engine = pool.route(cmd)
+        hook.on = False
+    finally:
+        sys.setprofile(profile)
+    assert engine is first
+    (calls,) = hook.by_thread.values()
+    assert calls.pop("id") == routes
+    assert sum(calls.values()) <= ROUTE_HIT_BUDGET * routes, calls
+
+
+def test_the_sticky_hit_builds_no_list():
+    """``alive``/``candidates`` are built on a miss or a dead shard
+    (``_place``), never on the way to a pinned live shard."""
+    for fn in (EnginePool.route, ShardRouter.pinned, ShardRouter.stream_key):
+        ops = {ins.opname for ins in dis.get_instructions(fn)}
+        assert not ops & {"BUILD_LIST", "LIST_APPEND", "LIST_EXTEND"}, fn
+        nested = [
+            c.co_name for c in fn.__code__.co_consts if hasattr(c, "co_name")
+        ]
+        assert not nested, (fn, nested)

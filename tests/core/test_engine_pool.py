@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from repro.core import EnginePool, offloaded
+from repro.core.commands import Command, CommandKind
+from repro.core.engine_pool import _SCALE_DOWN_EVALS, _SCALE_EVERY
+from repro.core.request_pool import OffloadEngineDied
+from repro.dst.targets import _FakeComm
 from repro.mpisim import THREAD_FUNNELED
 from repro.mpisim.exceptions import ThreadLevelError
 
@@ -95,6 +99,84 @@ class TestRouting:
 
         res = run_world_mt(2, prog)
         assert res[1] == [float(i) for i in range(30)]
+
+
+class TestStickyRoute:
+    """``route(cmd)`` on a never-started pool: the pinned shard is
+    asked for first, placement runs on a miss or a dead shard."""
+
+    @staticmethod
+    def _pool(**kw) -> EnginePool:
+        return EnginePool(
+            _FakeComm(),
+            pool_size=2,
+            pool_capacity=8,
+            queue_capacity=16,
+            telemetry=False,
+            **kw,
+        )
+
+    @staticmethod
+    def _sends(n: int) -> list[Command]:
+        comm = _FakeComm()
+        return [
+            Command(CommandKind.ISEND, comm=comm, peer=p, tag=0, slot=0)
+            for p in range(n)
+        ]
+
+    def test_a_stream_stays_on_the_shard_it_was_pinned_to(self):
+        pool = self._pool()
+        cmds = self._sends(16)
+        first = [pool.route(c) for c in cmds]
+        assert {id(e) for e in first} == {id(e) for e in pool.engines}
+        for _ in range(3):
+            assert [pool.route(c) for c in cmds] == first
+        assert pool.router.misroutes == 0
+
+    def test_a_dead_shard_remaps_its_streams_and_counts_each_once(self):
+        pool = self._pool()
+        cmds = self._sends(16)
+        first = [pool.route(c) for c in cmds]
+        dead, live = pool.engines
+        dead._dead = RuntimeError("shard 0 crashed")
+        moved = sum(1 for e in first if e is dead)
+        assert moved
+        for _ in range(3):
+            assert all(pool.route(c) is live for c in cmds)
+        assert pool.router.misroutes == moved
+        assert pool.dead is None
+        live._dead = RuntimeError("shard 1 crashed")
+        with pytest.raises(OffloadEngineDied):
+            pool.route(cmds[0])
+
+    def test_a_scale_event_counts_stale_pins_once_not_per_route(self):
+        pool = self._pool()
+        cmds = self._sends(16)
+        first = [pool.route(c) for c in cmds]
+        on_shard_1 = sum(1 for e in first if e is pool.engines[1])
+        # empty rings: after enough idle evaluations the width shrinks
+        for _ in range(_SCALE_EVERY * _SCALE_DOWN_EVALS):
+            pool.route(cmds[0])
+        assert pool.stats()["shard_scale_events"] == 1
+        assert pool.stats()["active_shards"] == 1
+        assert pool.router.misroutes == on_shard_1
+        # the pins hold (scaling moves new streams only) and routing
+        # them again counts nothing
+        for _ in range(3):
+            assert [pool.route(c) for c in cmds] == first
+        assert pool.router.misroutes == on_shard_1
+        # a new stream is placed inside the narrowed width
+        (late,) = self._sends(17)[16:]
+        assert pool.route(late) is pool.engines[0]
+
+    def test_stickiness_off_pins_nothing(self):
+        pool = self._pool(autoscale=False)
+        pool.router._unsafe_ignore_stickiness = True
+        (cmd,) = self._sends(1)
+        assert pool.router.pinned(cmd) is None
+        assert {id(pool.route(cmd)) for _ in range(4)} == {
+            id(e) for e in pool.engines
+        }
 
 
 class TestGroupWork:
