@@ -1,17 +1,16 @@
 """Ablation: sharded engine pool — pool width x routing policy (DESIGN.md §13).
 
 The paper dedicates one communication thread per rank; the pool shards
-that thread N ways behind a sticky router with sibling work stealing.
+that thread N ways behind a sticky router, one consumer per ring.
 This benchmark drives several ordered send streams (one per
 destination) through the pool and measures aggregate message rate
-across the (pool_size, router) grid, attaching the pool's routing/
-stealing telemetry to each run so future perf PRs have a trajectory
-baseline: steals, steal_batch_hwm, shard_scale_events,
-router_misroutes.
+across the (pool_size, router) grid, attaching the pool's routing
+telemetry (router_misroutes) to each run so future perf PRs have a
+trajectory baseline.
 
 No throughput-ratio assertion: the simulator's engines contend on the
-GIL, so shard scaling here demonstrates the mechanism (routing spread,
-steal traffic), not wall-clock speedup.  ``REPRO_BENCH_SMOKE=1``
+GIL, so shard scaling here demonstrates the mechanism (routing
+spread), not wall-clock speedup.  ``REPRO_BENCH_SMOKE=1``
 shrinks the run to a crash-only CI smoke test.
 """
 
@@ -47,8 +46,6 @@ def _measure(pool_size: int, router: str, n_msgs: int = N_MSGS):
     Rank 0 runs one producer thread per destination — with the ``dest``
     router each (comm, destination) stream is sticky to a shard —
     while ranks 1..NSTREAMS drain their stream with blocking receives.
-    A low steal threshold keeps sibling stealing active whenever
-    routing leaves a shard idle.
     """
 
     def prog(comm):
@@ -57,7 +54,6 @@ def _measure(pool_size: int, router: str, n_msgs: int = N_MSGS):
                 comm,
                 pool_size=pool_size,
                 router=router,
-                steal_threshold=4,
                 telemetry=True,
             ) as oc:
                 def sender(dest: int) -> None:
@@ -86,9 +82,6 @@ def _measure(pool_size: int, router: str, n_msgs: int = N_MSGS):
                 stats = oc.engine.stats()
             return {
                 "rate": (NSTREAMS * n_msgs) / elapsed,
-                "steals": stats.get("steals", 0),
-                "steal_batch_hwm": stats.get("steal_batch_hwm", 0),
-                "shard_scale_events": stats.get("shard_scale_events", 0),
                 "router_misroutes": stats.get("router_misroutes", 0),
                 "engines": stats.get("engines", 1),
             }
@@ -113,18 +106,13 @@ def test_pool_rate_grid(benchmark, pool_size, router):
     )
     print(
         f"\n  pool={pool_size} router={router:4} -> "
-        f"{out['rate']:9.0f} msg/s  ({out['steals']} steals, "
-        f"{out['shard_scale_events']} scale events, "
-        f"{out['router_misroutes']} misroutes)"
+        f"{out['rate']:9.0f} msg/s  ({out['router_misroutes']} misroutes)"
     )
     benchmark.extra_info.update(
         {
             "msgs_per_sec": round(out["rate"]),
             "pool_size": pool_size,
             "router": router,
-            "steals": out["steals"],
-            "steal_batch_hwm": out["steal_batch_hwm"],
-            "shard_scale_events": out["shard_scale_events"],
             "router_misroutes": out["router_misroutes"],
         }
     )
@@ -159,16 +147,12 @@ def test_sharding_trajectory_baseline(benchmark):
         f"\n  pool=1 dest: {base['rate']:9.0f} msg/s"
         f"\n  pool=4 dest: {pooled['rate']:9.0f} msg/s"
         f"\n  ratio:       {ratio:.2f}x"
-        f"  (pool run: {pooled['steals']} steals, "
-        f"{pooled['shard_scale_events']} scale events)"
     )
     benchmark.extra_info.update(
         {
             "rate_pool1": round(base["rate"]),
             "rate_pool4_dest": round(pooled["rate"]),
             "pool4_over_pool1": round(ratio, 2),
-            "pool4_steals": pooled["steals"],
-            "pool4_scale_events": pooled["shard_scale_events"],
         }
     )
     assert ratio > 0, "degenerate measurement"

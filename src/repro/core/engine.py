@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _BATCH = 64
 #: Safety tick: the longest the loop parks without looking around.
 #: Every hand-off has a doorbell (DESIGN.md §17); the tick only keeps
-#: ``heartbeat``, fault-plan maturation and work-stealing alive.
+#: ``heartbeat`` and fault-plan maturation alive.
 _TICK = 1e-3
 _NEVER = float("inf")
 
@@ -88,9 +88,8 @@ class OffloadEngine:
     request_pool:
         Share an existing :class:`OffloadRequestPool` instead of
         constructing a private one.  An :class:`EnginePool` passes one
-        pool to all its shards so any engine (including a thief that
-        stole another shard's batch) can complete any slot, and so the
-        facade can allocate a slot before routing.
+        pool to all its shards so the facade can allocate a slot before
+        routing.
     """
 
     def __init__(
@@ -173,17 +172,6 @@ class OffloadEngine:
         #: entries into the substrate to post p2p commands: one per
         #: drained run, however many it carries
         self.substrate_entries = 0
-        self.steals = 0
-        self.steal_batch_hwm = 0
-        #: installed by EnginePool: callable(thief) -> (victim_queue,
-        #: commands) | None.  When set, an idle engine asks the pool
-        #: for a batch stolen from the deepest sibling ring.
-        self._steal_source = None
-        #: DST-only regression hook: when True, a thief that crashes
-        #: while issuing a stolen batch never releases the victim
-        #: ring's ``steal_pending`` — the wedged-victim leak the
-        #: try/finally in `_try_steal` exists to prevent.
-        self._unsafe_steal_leak_on_crash = False
         #: DST-only regression hook: when True, `_fail_pending` drops
         #: the unprocessed tail of a mid-batch crash instead of failing
         #: it — the lost-command bug `self._drained` was introduced to
@@ -471,10 +459,6 @@ class OffloadEngine:
                         counters.record_max("batch_size_hwm", len(batch))
                     if self._process_batch():
                         shutdown = True
-                    # The batch is fully issued (or terminal); with
-                    # stealing enabled this re-opens the ring to
-                    # thieves.  No-op on a plain ring.
-                    queue.consume_done()
                 did += self._sweep()
                 if counters is not None:
                     counters.inc("testany_sweeps")
@@ -501,22 +485,11 @@ class OffloadEngine:
                     if counters is not None:
                         counters.inc("commands_drained", len(tail))
                     self._process_batch()
-                stole = 0
-                if (
-                    did == 0
-                    and not shutdown
-                    and not self._in_flight
-                    and self._steal_source is not None
-                ):
-                    # Fully idle with siblings possibly backed up:
-                    # batch-steal from the deepest sibling ring.
-                    stole = self._try_steal()
-                if timed_out and (did or stole) and counters is not None:
+                if timed_out and did and counters is not None:
                     counters.inc("timed_wakes")
                 timed_out = False
-                if stole or more:
-                    # More may wait that no ring will announce: the
-                    # rest of a deep ring, another stealable batch.
+                if more:
+                    # The rest of a deep ring: no bell announces it.
                     continue
                 # Park until a doorbell rings (at once if one already
                 # has), a retry or deadline falls due, or the tick.
@@ -594,47 +567,6 @@ class OffloadEngine:
             else:
                 self._post_run([first])
         return shutdown
-
-    def _try_steal(self) -> int:
-        """Steal and issue one batch from a sibling ring (pool mode).
-
-        The stolen commands are appended to *our* ``_drained`` and
-        issued through the normal ``_process_batch`` path, so crash
-        handling, retries and telemetry treat them exactly
-        like locally drained commands (the thief's counters absorb
-        them: per-engine balance intentionally breaks under stealing,
-        pool-merged balance holds).  The victim ring's ``steal_pending``
-        is released even when dispatch crashes this engine — otherwise
-        the surviving victim could never hand out batches again.
-        """
-        source = self._steal_source
-        if source is None or self._dead is not None:
-            return 0
-        picked = source(self)
-        if picked is None:
-            return 0
-        victim_queue, cmds = picked
-        if not cmds:
-            return 0
-        self.steals += 1
-        if len(cmds) > self.steal_batch_hwm:
-            self.steal_batch_hwm = len(cmds)
-        counters = (
-            self._telem.counters if self._telem is not None else None
-        )
-        if counters is not None:
-            counters.inc("steals")
-            counters.record_max("steal_batch_hwm", len(cmds))
-            counters.inc("commands_drained", len(cmds))
-        self._drained.extend(cmds)
-        try:
-            self._process_batch()
-        except BaseException:
-            if not self._unsafe_steal_leak_on_crash:
-                victim_queue.steal_done()
-            raise
-        victim_queue.steal_done()
-        return len(cmds)
 
     def _post_run(self, run: list[Command]) -> None:
         """Admit each command of ``run``, then issue the admitted ones.
@@ -1109,8 +1041,6 @@ class OffloadEngine:
             "batch_dequeues": self.batch_dequeues,
             "batch_size_hwm": self.batch_size_hwm,
             "substrate_entries": self.substrate_entries,
-            "steals": self.steals,
-            "steal_batch_hwm": self.steal_batch_hwm,
             "continuation_fires": self.pool.continuation_fires,
             "continuation_drops": self.pool.continuation_drops,
             # Data-plane copy accounting lives on the substrate's

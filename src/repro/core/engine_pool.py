@@ -1,4 +1,4 @@
-"""Sharded offload engine pool: routed, work-stealing, elastic.
+"""Sharded offload engine pool: N routed engines, one consumer per ring.
 
 The paper dedicates *one* communication thread per rank (§3.1); at
 scale that thread is the serialization point for every offloaded
@@ -7,35 +7,22 @@ Masses" map the design space of shared/oversubscribed progress
 resources; this module brings that space onto the substrate as an
 :class:`EnginePool` — N :class:`~repro.core.engine.OffloadEngine`
 shards per rank behind the same ``route()`` facade a bare engine
-exposes:
+exposes.  A **router** picks the shard at submit time:
+destination-affinity, or thread-sticky — one engine per application
+thread, the paper's §7 "multiple threads for software offload" once
+endpoints exist.
 
-* a **router** picks the shard at submit time: destination-affinity,
-  or thread-sticky — one engine per application thread, the paper's
-  §7 "multiple threads for software offload" once endpoints exist;
-* an idle shard **batch-steals** from the deepest sibling ring
-  (:meth:`~repro.lockfree.mpsc_queue.MPSCQueue.steal_drain`);
-* **dynamic scale-up/down** widens or narrows the set of shards the
-  router places *new* streams on, driven by the queue-depth telemetry
-  the batching PR introduced.
-
-Ordering invariant (why MPI non-overtaking survives all three):
-
-1. The router is *sticky per stream*: every command of one ordered
-   stream — same ``(comm, "send", dest)``, or all receives of one
-   communicator (wildcards can match any of them), or all collectives
-   of one communicator (collective order is rank-global) — lands on
-   the same shard's ring for the stream's lifetime, so a stream is
-   totally ordered by ring order.  Scaling only changes where *new*
-   streams are placed.
-2. The ring hands out at most one batch at a time, in ring order: the
-   owner's ``drain`` refuses while a stolen batch is outstanding
-   (``steal_pending``), and a thief's ``steal_drain`` refuses while
-   the owner is mid-dispatch (``dispatch_busy``) — so batches from one
-   ring are *issued* in the order they were enqueued, whoever issues
-   them.
-
-Together: per-stream issue order equals program order, which is
-exactly the ordering contract MPI gives multithreaded applications.
+Ordering invariant (why MPI non-overtaking survives sharding): the
+router is *sticky per stream*.  Every command of one ordered stream —
+same ``(comm, "send", dest)``, or all receives of one communicator
+(wildcards can match any of them), or all collectives of one
+communicator (collective order is rank-global) — lands on the same
+shard's ring for the stream's lifetime, and that ring has exactly one
+consumer, its own engine, which issues in ring order.  Per-stream issue
+order therefore equals program order, which is exactly the ordering
+contract MPI gives multithreaded applications.  No shard ever takes
+work from a sibling's ring (DESIGN.md §13), so each shard's counters
+balance on their own.
 
 A dead shard does not kill the pool: its pending work is failed with
 typed errors (exactly the single-engine contract) and the router remaps
@@ -48,7 +35,7 @@ as a whole reports ``dead`` only when every shard has died.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.commands import Command, CommandKind
 from repro.core.engine import OffloadEngine
@@ -65,27 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Routing policies accepted by :class:`EnginePool`.
 ROUTER_POLICIES = ("dest", "thread")
 
-#: Default sibling ring depth above which an idle shard steals.
-DEFAULT_STEAL_THRESHOLD = 8
-
-#: Route calls between autoscale evaluations (power of two: the
-#: throttle is a single AND on the hot path).
-_SCALE_EVERY = 64
-
-#: Consecutive all-idle evaluations before the routing width shrinks.
-_SCALE_DOWN_EVALS = 8
-
-
-def _is_control(cmd: Command) -> bool:
-    """Control commands must execute on their own engine: SHUTDOWN
-    stops exactly the engine it was submitted to, and FLUSH fences
-    exactly that engine's prior work.  The steal predicate stops a
-    stolen batch *before* either."""
-    return (
-        cmd.kind is CommandKind.SHUTDOWN
-        or cmd.kind is CommandKind.FLUSH
-    )
-
 
 class ShardRouter:
     """Sticky stream-to-shard assignment under a placement policy.
@@ -99,7 +65,7 @@ class ShardRouter:
         peers spreads, each peer's send stream stays ordered;
     ``thread``
         every command keys on the calling thread and new threads
-        round-robin over the active shards (per-thread program order,
+        round-robin over the live shards (per-thread program order,
         all MPI promises under ``MPI_THREAD_MULTIPLE``).
     """
 
@@ -113,10 +79,7 @@ class ShardRouter:
         self._streams: dict = {}
         self._lock = threading.Lock()
         self._next = 0
-        #: pins that stopped agreeing with where the policy would place
-        #: their stream: dead-shard remaps, and — counted once per scale
-        #: event, not per route — pins a new routing width left stale
-        #: (an imbalance signal, not an error)
+        #: dead-shard remaps: streams moved off a shard that died
         self.misroutes = 0
         #: DST-only regression hook: ignore stickiness entirely and
         #: round-robin every command — splits ordered streams across
@@ -152,27 +115,22 @@ class ShardRouter:
         except KeyError:
             return None
 
-    def _hash_pick(self, key, candidates: list[int]) -> int:
-        return candidates[hash(key) % len(candidates)]
-
-    def assign(self, key, candidates: list[int], alive: list[bool]) -> int:
-        """Pin ``key`` to a shard (or remap it off a dead one);
-        ``candidates`` are the indices the policy may place new streams
-        on (live shards in the active prefix), ``alive`` covers every
-        shard for sticky validation."""
+    def assign(self, key, candidates: list[int]) -> int:
+        """Pin ``key`` to one of ``candidates``, the live shards'
+        indices (or remap it there off a dead one)."""
         if self._unsafe_ignore_stickiness:
             with self._lock:
                 self._next += 1
                 return candidates[(self._next - 1) % len(candidates)]
         with self._lock:
             cur = self._streams.get(key)
-            if cur is not None and alive[cur]:
+            if cur in candidates:
                 return cur  # another thread of the stream pinned it
             if self.policy == "thread":
                 pick = candidates[self._next % len(candidates)]
                 self._next += 1
             else:
-                pick = self._hash_pick(key, candidates)
+                pick = candidates[hash(key) % len(candidates)]
             if cur is not None:
                 # Dead-shard remap: the dead shard failed everything it
                 # held with typed errors, so moving the stream cannot
@@ -180,16 +138,6 @@ class ShardRouter:
                 self.misroutes += 1
             self._streams[key] = pick
             return pick
-
-    def note_rescale(self, candidates: list[int]) -> None:
-        """The routing width changed: count, once, every pin the hash
-        policy would now place elsewhere.  Pins stay where they are."""
-        if self.policy != "dest":
-            return
-        with self._lock:
-            for key, idx in self._streams.items():
-                if self._hash_pick(key, candidates) != idx:
-                    self.misroutes += 1
 
     def release_comm(self, comm_id: int) -> int:
         """Drop every stream keyed to communicator ``comm_id``.
@@ -260,8 +208,8 @@ class EnginePool:
 
     Drop-in wherever a single :class:`OffloadEngine` is used; the
     facade calls ``route(cmd)`` to pick the shard for each command.
-    See the module docstring for the routing/stealing/scaling design
-    and the ordering argument.
+    See the module docstring for the routing design and the ordering
+    argument.
 
     Parameters
     ----------
@@ -271,14 +219,6 @@ class EnginePool:
     router:
         Placement policy for new streams; one of
         :data:`ROUTER_POLICIES`.
-    steal_threshold:
-        Sibling ring depth above which an idle shard batch-steals;
-        ``None`` disables stealing.
-    autoscale:
-        Widen/narrow the active routing prefix from queue depth.  All
-        shards are constructed and started up front — scaling moves
-        *placement*, never engine lifecycle, so there is no
-        submit-versus-stop race to lose commands in.
     """
 
     def __init__(
@@ -286,8 +226,6 @@ class EnginePool:
         comm: "Communicator",
         pool_size: int = 2,
         router: str = "dest",
-        steal_threshold: Optional[int] = DEFAULT_STEAL_THRESHOLD,
-        autoscale: bool = True,
         pool_capacity: int = 4096,
         queue_capacity: int = 4096,
         telemetry: bool | None = None,
@@ -310,10 +248,8 @@ class EnginePool:
                 "world must be MPI_THREAD_MULTIPLE"
             )
         self.comm = comm
-        #: one request pool shared by every shard: any engine —
-        #: including a thief completing a victim's stolen commands —
-        #: can terminate any slot, and the facade can allocate a slot
-        #: before routing.
+        #: one request pool shared by every shard: the facade allocates
+        #: a slot before it knows which shard will complete it.
         self.request_pool = OffloadRequestPool(pool_capacity)
         self.engines = [
             OffloadEngine(
@@ -331,21 +267,6 @@ class EnginePool:
         self.router = ShardRouter(router)
         #: a pool of one routes everything to its only shard
         self._lone = self.engines[0] if pool_size == 1 else None
-        self.steal_threshold = steal_threshold
-        if steal_threshold is not None and pool_size > 1:
-            for e in self.engines:
-                e.queue.enable_steal()
-                e._steal_source = self._steal_for
-        self._autoscale = autoscale and pool_size > 1
-        #: routing width: new streams go to shards [0, _active).  The
-        #: pool starts at full width (all shards earning their keep
-        #: immediately); sustained idleness narrows it, queue depth
-        #: widens it again.
-        self._active = pool_size
-        self._scale_lock = threading.Lock()
-        self._route_ops = 0
-        self._idle_evals = 0
-        self.shard_scale_events = 0
 
     # -- routing ------------------------------------------------------------
 
@@ -359,8 +280,6 @@ class EnginePool:
         lone = self._lone
         if lone is not None:
             return lone
-        if self._autoscale:
-            self._maybe_scale()
         idx = self.router.pinned(cmd)
         if idx is not None:
             engine = self.engines[idx]
@@ -370,11 +289,9 @@ class EnginePool:
 
     def _place(self, cmd: Command | None) -> OffloadEngine:
         """First command of a stream, or its shard died: pick among
-        the live shards of the active prefix (any live shard when the
-        prefix is all dead) and pin the stream there."""
+        the live shards and pin the stream there."""
         engines = self.engines
-        alive = [e._dead is None for e in engines]
-        candidates = self._candidates(alive)
+        candidates = [i for i, e in enumerate(engines) if e._dead is None]
         if not candidates:
             first = next(x for x in engines if x._dead is not None)
             raise OffloadEngineDied(
@@ -382,12 +299,7 @@ class EnginePool:
                 f"{first._dead}"
             )
         key = self.router.stream_key(cmd)
-        return engines[self.router.assign(key, candidates, alive)]
-
-    def _candidates(self, alive: list[bool]) -> list[int]:
-        return [i for i in range(self._active) if alive[i]] or [
-            i for i, up in enumerate(alive) if up
-        ]
+        return engines[self.router.assign(key, candidates)]
 
     def submit(self, cmd: Command) -> None:
         """Route ``cmd`` to its shard and enqueue it there.
@@ -407,60 +319,6 @@ class EnginePool:
         the table does not grow across repeated shrinks.  Returns the
         number of released stream pins."""
         return self.router.release_comm(id(old_comm))
-
-    def _maybe_scale(self) -> None:
-        self._route_ops += 1
-        if self._route_ops & (_SCALE_EVERY - 1):
-            return
-        with self._scale_lock:
-            active = self._active
-            depths = [len(e.queue) for e in self.engines[:active]]
-            threshold = self.steal_threshold or DEFAULT_STEAL_THRESHOLD
-            if active < len(self.engines) and max(depths) >= threshold:
-                self._rescale(active + 1)
-            elif active > 1 and not any(depths):
-                self._idle_evals += 1
-                if self._idle_evals >= _SCALE_DOWN_EVALS:
-                    self._rescale(active - 1)
-            else:
-                self._idle_evals = 0
-
-    def _rescale(self, active: int) -> None:
-        """One scale event (under ``_scale_lock``): new streams go to
-        shards ``[0, active)`` from here on; the streams already pinned
-        stay put and the router counts the pins the new width leaves
-        stale."""
-        self._active = active
-        self._idle_evals = 0
-        self.shard_scale_events += 1
-        self.router.note_rescale(
-            self._candidates([e._dead is None for e in self.engines])
-        )
-
-    # -- stealing -----------------------------------------------------------
-
-    def _steal_for(self, thief: OffloadEngine):
-        """Pick the deepest sibling ring past the threshold and steal
-        one batch from it; installed as every shard's
-        ``_steal_source``.  Returns ``(victim_queue, commands)`` or
-        ``None``."""
-        threshold = self.steal_threshold
-        if threshold is None:
-            return None
-        best: OffloadEngine | None = None
-        best_depth = threshold - 1
-        for e in self.engines:
-            if e is thief or e._dead is not None:
-                continue
-            depth = len(e.queue)
-            if depth > best_depth:
-                best, best_depth = e, depth
-        if best is None:
-            return None
-        cmds = best.queue.steal_drain(thief.batch_size, stop=_is_control)
-        if not cmds:
-            return None
-        return best.queue, cmds
 
     # -- single-engine compatibility surface --------------------------------
 
@@ -509,7 +367,7 @@ class EnginePool:
 
     def stats(self) -> dict[str, int]:
         """Aggregated statistics across shards (sums; maxima for
-        ``*_hwm``/``max_*``), plus pool-level routing/scaling rows."""
+        ``*_hwm``/``max_*``), plus pool-level routing rows."""
         total: dict[str, int] = {}
         for e in self.engines:
             for k, v in e.stats().items():
@@ -523,17 +381,15 @@ class EnginePool:
         total["continuation_fires"] = self.request_pool.continuation_fires
         total["continuation_drops"] = self.request_pool.continuation_drops
         total["engines"] = len(self.engines)
-        total["active_shards"] = self._active
-        total["shard_scale_events"] = self.shard_scale_events
         total["router_misroutes"] = self.router.misroutes
         return total
 
     def telemetry_snapshot(self, include_trace: bool = False) -> dict:
         """Merged structured snapshot across the pool's shards.
 
-        Note the per-shard balance law intentionally breaks under
-        stealing (the victim counts the enqueue, the thief the drain);
-        the pool-merged snapshot is the balanced unit of accounting.
+        Each shard drains only its own ring, so every shard's snapshot
+        balances on its own (its enqueues == its drains == its
+        ``commands_processed``) and the merged one does too.
         """
         from repro import obs
 
@@ -554,9 +410,6 @@ class EnginePool:
         if progress is not None and hasattr(progress, "counters"):
             merged["progress"] = progress.counters()
         if merged.get("counters"):
-            merged["counters"]["shard_scale_events"] = (
-                self.shard_scale_events
-            )
             merged["counters"]["router_misroutes"] = self.router.misroutes
         return merged
 

@@ -62,7 +62,6 @@ def offloaded(
     batch_size: int | None = None,
     pool_size: int | None = None,
     router: str | None = None,
-    steal_threshold: int | None = None,
     zero_copy: bool | None = None,
 ) -> Iterator[OffloadCommunicator]:
     """Context manager: spawn offload thread(s) for ``comm``'s rank,
@@ -83,11 +82,10 @@ def offloaded(
     ``batch_size`` is the engine's batched drain size; ``None`` keeps
     the engine default.
 
-    ``pool_size``/``router``/``steal_threshold`` configure the sharded
-    :class:`~repro.core.engine_pool.EnginePool` (N routed,
-    work-stealing engines per rank — the paper's §7 multiple offload
-    threads; ``router="thread"`` gives each application thread its own
-    engine).  An *explicit* ``pool_size > 1`` requires
+    ``pool_size``/``router`` configure the sharded
+    :class:`~repro.core.engine_pool.EnginePool` (N routed engines per
+    rank — the paper's §7 multiple offload threads; ``router="thread"``
+    gives each application thread its own engine).  An *explicit* ``pool_size > 1`` requires
     ``MPI_THREAD_MULTIPLE`` and raises otherwise; when ``pool_size``
     is None the module default (:data:`DEFAULT_POOL_SIZE`) applies but
     is silently clamped to 1 below ``MPI_THREAD_MULTIPLE`` so
@@ -125,8 +123,6 @@ def offloaded(
             pool_kwargs: dict = {}
             if router is not None:
                 pool_kwargs["router"] = router
-            if steal_threshold is not None:
-                pool_kwargs["steal_threshold"] = steal_threshold
             engine = EnginePool(
                 comm,
                 pool_size=effective_pool,

@@ -724,26 +724,16 @@ class OffloadCommunicator:
         if engines is None:
             self._blocking(Command(kind=K.FLUSH))
             return
-        while True:
-            # Work stealing can move commands from a ring we have not
-            # fenced yet into a shard we already fenced, so one pass is
-            # only conclusive if no steal committed while it ran.  A
-            # steal during the pass means some pre-flush command may
-            # have dodged its fence — run another pass (strictly less
-            # unfinished work each time, so this converges).
-            steals_before = sum(e.queue.steals for e in engines)
-            for e in engines:
-                if e.dead is not None:
-                    continue
-                try:
-                    self._blocking_on(e, Command(kind=K.FLUSH))
-                except OffloadEngineDied:
-                    # Raced a shard crash: the crash failed all its
-                    # pending work typed, so the fence it would have
-                    # provided is vacuous.
-                    continue
-            if sum(e.queue.steals for e in engines) == steals_before:
-                return
+        for e in engines:
+            if e.dead is not None:
+                continue
+            try:
+                self._blocking_on(e, Command(kind=K.FLUSH))
+            except OffloadEngineDied:
+                # Raced a shard crash: the crash failed all its
+                # pending work typed, so the fence it would have
+                # provided is vacuous.
+                pass
 
     def payload_counters(self) -> tuple[int, int]:
         """``(payload_copies, payload_zero_copy_hits)`` for this rank.

@@ -31,29 +31,8 @@ pool under explored schedules and check them against their sequential
 model specs (:mod:`repro.dst.linearize`) — an oracle that catches
 classes of bugs no hand-written invariant anticipates.
 
-The sharded engine-pool PR added four more regression targets, one per
-cross-shard path its correctness argument leans on:
-
-``steal-vs-submit``
-    A thief ignoring the owner's ``dispatch_busy``/``steal_pending``
-    gates can issue a *newer* ring batch before the owner issues an
-    older one — per-queue issue order diverges from ring order and the
-    MPI non-overtaking argument collapses
-    (:attr:`MPSCQueue._unsafe_steal_skip_busy_check` disables the gate).
-
-``steal-vs-close``
-    A thief bypassing the consumer claim races ``close()`` +
-    ``drain_closed()`` over the same cells: both sides walk the same
-    dequeue cursor, so items are delivered twice, lost, or replaced by
-    ``None`` (:attr:`MPSCQueue._unsafe_steal_skip_claim` disables the
-    claim).
-
-``shard-crash-stolen-work``
-    A thief that crashes mid-dispatch of a stolen batch must still
-    release the victim's ``steal_pending`` gate; leaking it wedges the
-    surviving victim shard forever — the explorer surfaces this as a
-    deadlock (:attr:`OffloadEngine._unsafe_steal_leak_on_crash` skips
-    the crash-path release).
+The sharded engine-pool PR added one more, for the path its ordering
+argument leans on:
 
 ``routing-order``
     The router's per-stream stickiness is what keeps same-(dest, tag)
@@ -404,237 +383,6 @@ class MidBatchCrashProgram:
 
 
 # ---------------------------------------------------------------------------
-# Regression race 4: steal vs. owner dispatch (batch-issue ordering)
-# ---------------------------------------------------------------------------
-
-
-class StealSubmitRaceProgram:
-    """Owner drain/issue racing a sibling's batch steal on one ring.
-
-    The ring is pre-filled on the driver thread; an owner and a thief
-    then compete for batches, each appending what it *issues* to a
-    shared log.  Invariant: the issue log is a prefix of ring order —
-    batches leave the ring and are issued strictly oldest-first,
-    whoever issues them.  With the ``dispatch_busy``/``steal_pending``
-    gates disabled, the thief can issue a newer batch while the owner
-    still holds an older one, and the log reorders.
-    """
-
-    def __init__(self, fix_disabled: bool, n_items: int = 6) -> None:
-        self.queue: MPSCQueue[str] = MPSCQueue(16)
-        self.queue.enable_steal()
-        self.queue._unsafe_steal_skip_busy_check = fix_disabled
-        self.items = [f"i{k}" for k in range(n_items)]
-        for item in self.items:
-            self.queue.enqueue(item)
-        self.log: list[str] = []
-
-    def setup(self, sched: Any) -> None:
-        q = self.queue
-
-        def owner() -> None:
-            for _ in range(12):
-                batch = q.drain(2)
-                if batch:
-                    # The engine dispatches between drain and done-ack;
-                    # model that window as a schedule choice point.
-                    _dst.yield_point("owner.issue")
-                    self.log.extend(batch)
-                    q.consume_done()
-                if len(self.log) == len(self.items):
-                    return
-
-        def thief() -> None:
-            for _ in range(8):
-                batch = q.steal_drain(2)
-                if batch:
-                    _dst.yield_point("thief.issue")
-                    self.log.extend(batch)
-                    q.steal_done()
-                if len(self.log) == len(self.items):
-                    return
-
-        sched.spawn(owner, name="owner")
-        sched.spawn(thief, name="thief")
-
-    def check(self) -> None:
-        if len(set(self.log)) != len(self.log):
-            raise InvariantViolation(
-                f"issue log {self.log!r} contains duplicates — one ring "
-                "batch was handed to both the owner and the thief"
-            )
-        if self.log != self.items[: len(self.log)]:
-            raise InvariantViolation(
-                f"issue log {self.log!r} is not a prefix of ring order "
-                f"{self.items!r} — a stolen batch was issued out of "
-                "order against the owner's dispatch"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Regression race 5: steal vs. close/final-drain (exactly-once delivery)
-# ---------------------------------------------------------------------------
-
-
-class StealCloseRaceProgram:
-    """A thief's scan racing ``close()`` + ``drain_closed()``.
-
-    Invariant: the stolen batches and the final drain together deliver
-    every pre-filled item exactly once.  With the consumer claim
-    skipped, both sides walk the same dequeue cursor concurrently —
-    items are delivered twice, lost, or surface as ``None`` (a cell
-    the other side already emptied).
-    """
-
-    def __init__(self, fix_disabled: bool, n_items: int = 4) -> None:
-        self.queue: MPSCQueue[str] = MPSCQueue(8)
-        self.queue.enable_steal()
-        self.queue._unsafe_steal_skip_claim = fix_disabled
-        self.items = [f"i{k}" for k in range(n_items)]
-        for item in self.items:
-            self.queue.enqueue(item)
-        self.stolen: list[str] = []
-        self.drained: list[str] | None = None
-
-    def setup(self, sched: Any) -> None:
-        q = self.queue
-
-        def thief() -> None:
-            for _ in range(3):
-                batch = q.steal_drain(2)
-                if batch:
-                    self.stolen.extend(batch)
-                    q.steal_done()
-
-        def closer() -> None:
-            q.close()
-            self.drained = q.drain_closed()
-
-        sched.spawn(thief, name="thief")
-        sched.spawn(closer, name="closer")
-
-    def check(self) -> None:
-        delivered = list(self.stolen) + list(self.drained or [])
-        if any(v is None for v in delivered):
-            raise InvariantViolation(
-                f"delivery {delivered!r} contains None — a thief stole "
-                "a cell the final drain had already consumed"
-            )
-        for item in self.items:
-            n = delivered.count(item)
-            if n != 1:
-                raise InvariantViolation(
-                    f"item {item!r} delivered {n} times in {delivered!r} "
-                    "(expected exactly once) — the unclaimed steal "
-                    "raced the final drain"
-                )
-
-
-# ---------------------------------------------------------------------------
-# Regression race 6: shard crash with stolen work outstanding
-# ---------------------------------------------------------------------------
-
-
-class ShardCrashStolenWorkProgram:
-    """Thief engine crashing mid-dispatch of a batch stolen from a
-    sibling.
-
-    Two never-started engines share nothing but the victim's ring.
-    The victim drains and dispatches its own queue; the thief steals
-    batches from it through the real ``_try_steal`` path, whose
-    dispatch may crash at the ``engine.dispatch`` crash point.
-
-    Invariants: every accepted command reaches a terminal done-flag
-    state, and the victim shard survives a *thief* crash — with the
-    crash-path ``steal_done`` release leaked, ``steal_pending`` wedges
-    the victim's ring forever and the schedule deadlocks (the explorer
-    counts a deadlock as a violation).
-    """
-
-    def __init__(self, fix_disabled: bool, n_commands: int = 4) -> None:
-        self.victim = OffloadEngine(
-            _FakeComm(),
-            queue_capacity=16,
-            telemetry=False,
-            request_pool=OffloadRequestPool(8, cache_size=0),
-        )
-        self.thief = OffloadEngine(
-            _FakeComm(),
-            queue_capacity=16,
-            telemetry=False,
-            request_pool=OffloadRequestPool(8, cache_size=0),
-        )
-        self.victim.queue.enable_steal()
-        self.thief._unsafe_steal_leak_on_crash = fix_disabled
-        victim_queue = self.victim.queue
-
-        def source(thief_engine: OffloadEngine):
-            cmds = victim_queue.steal_drain(2)
-            if not cmds:
-                return None
-            return victim_queue, cmds
-
-        self.thief._steal_source = source
-        self.accepted: list[Command] = []
-        for _ in range(n_commands):
-            cmd = Command(CommandKind.CALL, fn=lambda: None)
-            self.victim.submit(cmd)
-            self.accepted.append(cmd)
-
-    def setup(self, sched: Any) -> None:
-        victim, thief = self.victim, self.thief
-        q = victim.queue
-
-        def victim_thread() -> None:
-            try:
-                while True:
-                    batch = q.drain(victim.batch_size)
-                    if batch:
-                        victim._drained.extend(batch)
-                        victim._process_batch()
-                        q.consume_done()
-                        continue
-                    if q.steal_pending:
-                        # Idle only because a stolen batch is out; a
-                        # leaked steal_done parks this wait forever.
-                        _dst.wait_until(lambda: not q.steal_pending)
-                        continue
-                    if q.empty():
-                        return
-            except _dst.ScheduledCrash as exc:
-                died = OffloadEngineDied(
-                    f"offload thread crashed: {exc!r}"
-                )
-                died.__cause__ = exc
-                victim._dead = died
-                victim._fail_pending(died)
-
-        def thief_thread() -> None:
-            try:
-                for _ in range(5):
-                    thief._try_steal()
-            except _dst.ScheduledCrash as exc:
-                died = OffloadEngineDied(
-                    f"offload thread crashed: {exc!r}"
-                )
-                died.__cause__ = exc
-                thief._dead = died
-                thief._fail_pending(died)
-
-        sched.spawn(victim_thread, name="victim")
-        sched.spawn(thief_thread, name="thief")
-
-    def check(self) -> None:
-        for i, cmd in enumerate(self.accepted):
-            if cmd.done is None or not cmd.done.is_set():
-                raise InvariantViolation(
-                    f"submitted command #{i} never reached a terminal "
-                    "state — lost between the victim ring and the "
-                    "thief's crashed dispatch"
-                )
-
-
-# ---------------------------------------------------------------------------
 # Regression race 7: router stickiness vs. same-(dest, tag) send order
 # ---------------------------------------------------------------------------
 
@@ -658,8 +406,6 @@ class RoutingOrderProgram:
             _FakeComm(),
             pool_size=2,
             router="dest",
-            steal_threshold=None,
-            autoscale=False,
             pool_capacity=8,
             queue_capacity=16,
             telemetry=False,
@@ -1346,9 +1092,6 @@ class _PlainRing:
         while self._items and (limit is None or len(out) < limit):
             out.append(self._items.popleft())
         return out
-
-    def consume_done(self) -> None:
-        pass
 
     def empty(self) -> bool:
         return not self._items
@@ -2051,39 +1794,6 @@ CORPUS: dict[str, Target] = {
             regression=True,
             strategy="random",
             schedules=400,
-        ),
-        Target(
-            name="steal-vs-submit",
-            description=(
-                "thief ignoring the dispatch_busy/steal_pending gates "
-                "issues ring batches out of order"
-            ),
-            make=StealSubmitRaceProgram,
-            regression=True,
-            strategy="random",
-            schedules=300,
-        ),
-        Target(
-            name="steal-vs-close",
-            description=(
-                "unclaimed steal racing close()+drain_closed() over "
-                "one dequeue cursor (duplicate/lost delivery)"
-            ),
-            make=StealCloseRaceProgram,
-            regression=True,
-            strategy="random",
-            schedules=400,
-        ),
-        Target(
-            name="shard-crash-stolen-work",
-            description=(
-                "thief crash mid-stolen-batch leaking steal_pending "
-                "(victim ring wedged forever)"
-            ),
-            make=ShardCrashStolenWorkProgram,
-            regression=True,
-            strategy="random",
-            schedules=300,
         ),
         Target(
             name="routing-order",

@@ -126,9 +126,9 @@ def default_plan(
         # One engine-thread crash under load against a *sharded* pool
         # (run_chaos widens pool_size for this profile): exactly one
         # shard dies mid-storm, its pending work fails typed, sibling
-        # shards keep completing, and the pool-merged balance law must
-        # still hold — plus light eager delay noise so stealing and
-        # routing stay busy while the crash lands.
+        # shards keep completing, and the balance law must still hold
+        # on every shard — plus light eager delay noise so routing
+        # stays busy while the crash lands.
         plan.add(
             FaultRule(
                 FaultAction.ENGINE_CRASH,
@@ -303,6 +303,7 @@ def _rank_program(
         "degraded_exit": False,
         "dead_shards": 0,
         "snapshot": None,
+        "shard_snapshots": [],
     }
     n = max(1, payload_bytes)
     sbuf = np.full(n, rank % 251, dtype=np.uint8)
@@ -363,10 +364,12 @@ def _rank_program(
         report["dead_shards"] = sum(
             1 for e in engines if e.dead is not None
         )
-        # Pool-merged snapshot: per-shard balance intentionally breaks
-        # under stealing (victim counts the enqueue, thief the drain);
-        # the pool is the balanced unit of accounting.
+        # Each shard drains only its own ring: the balance law holds
+        # shard by shard, not only on the pool-merged snapshot.
         report["snapshot"] = holder.telemetry_snapshot()
+        report["shard_snapshots"] = [
+            e.telemetry_snapshot() for e in engines
+        ]
         stats = holder.stats()
         report["stats"] = {
             k: stats.get(k, 0)
@@ -375,8 +378,6 @@ def _rank_program(
                 "deadline_expirations",
                 "watchdog_trips",
                 "degraded_mode_commands",
-                "steals",
-                "shard_scale_events",
                 "router_misroutes",
             )
         }
@@ -502,10 +503,11 @@ def run_chaos(
     and the telemetry balance law held on every engine.
     ``batch_size`` overrides the engine's batched-drain default.
 
-    ``pool_size > 1`` runs each rank on a sharded, work-stealing
-    :class:`~repro.core.engine_pool.EnginePool`; the ``shard-crash``
-    profile defaults to a 4-shard pool (one shard dies under load, the
-    pool must survive with the merged balance law intact).
+    ``pool_size > 1`` runs each rank on a sharded
+    :class:`~repro.core.engine_pool.EnginePool` and checks the balance
+    law on every shard; the ``shard-crash`` profile defaults to a
+    4-shard pool (one shard dies under load, the pool must survive with
+    every shard's balance intact).
 
     ``zero_copy=True`` runs the storm over the zero-copy data plane
     (DESIGN.md §14) — eager sends borrow user buffers and complete at
@@ -584,12 +586,12 @@ def run_chaos(
     )
     per_engine_violations = []
     for r in reports:
-        snap = r.get("snapshot")
-        if not snap:
-            continue
-        ok, detail = check_balance(snap)
-        if not ok:
-            per_engine_violations.append({"rank": r["rank"], **detail})
+        for shard, snap in enumerate(r["shard_snapshots"]):
+            ok, detail = check_balance(snap)
+            if not ok:
+                per_engine_violations.append(
+                    {"rank": r["rank"], "shard": shard, **detail}
+                )
     failed: dict[str, int] = {}
     for r in reports:
         for name, cnt in r["failed"].items():
@@ -605,12 +607,11 @@ def run_chaos(
         )
     }
     pool_detail = {
-        k: sum(r.get("stats", {}).get(k, 0) for r in reports)
-        for k in ("steals", "shard_scale_events", "router_misroutes")
+        "router_misroutes": sum(
+            r.get("stats", {}).get("router_misroutes", 0) for r in reports
+        ),
+        "dead_shards": sum(r.get("dead_shards", 0) for r in reports),
     }
-    pool_detail["dead_shards"] = sum(
-        r.get("dead_shards", 0) for r in reports
-    )
     ok = (
         not hangs
         and not unexpected

@@ -12,16 +12,19 @@ its payload, then publishes by advancing the cell's sequence.  The
 consumer reads cells in ticket order, waiting only on the *publication*
 of the specific cell it needs.  ABA is impossible because sequence
 numbers increase monotonically (by ``capacity`` per wrap).
+
+One consumer per ring, always: an engine pool gives each shard its own
+ring and never lets a sibling dequeue from it, so the dequeue cursor is
+a plain int with no claim protocol (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Any, Callable, Generic, TypeVar
+from typing import Any, Generic, TypeVar
 
 from repro.dst import hooks as _dst
-from repro.lockfree.atomics import AtomicCell, AtomicCounter
+from repro.lockfree.atomics import AtomicCounter
 
 T = TypeVar("T")
 
@@ -77,37 +80,6 @@ class MPSCQueue(Generic[T]):
         #: ever set by the regression corpus (repro.dst.targets), never
         #: by production code.
         self._unsafe_skip_close_recheck = False
-        # --- work-stealing extension (engine-pool PR) ---------------
-        # Off by default: a plain MPSCQueue keeps the single-consumer
-        # fast path with zero extra synchronization.  enable_steal()
-        # arms the consumer-side claim so sibling engines may remove
-        # batches from the ring front (see steal_drain for the
-        # protocol and its ordering argument).
-        self._steal = False
-        #: consumer claim: which thread currently owns the dequeue side
-        #: (the ring owner draining, a thief stealing, or the closer's
-        #: final drain).  Only consulted when stealing is enabled.
-        self._claim: AtomicCell[int | None] = AtomicCell(None)
-        #: owner-written: True while the owner engine is dispatching a
-        #: batch it drained from this ring; thieves must not steal then
-        #: or the stolen batch could be issued before the older one.
-        self.dispatch_busy = False
-        #: thief-written (always under the claim): number of stolen
-        #: batches not yet fully issued by their thief (0 or 1 — at
-        #: most one outstanding stolen batch per ring).
-        self.steal_pending = 0
-        #: queue-side steal telemetry
-        self.steals = 0
-        self.steal_batch_hwm = 0
-        #: DST-only regression hooks for the stealing protocol.
-        #: ``skip_claim``: the thief bypasses the consumer claim (and
-        #: the closed check), racing the owner's dequeue cursor — the
-        #: structural duplicate/loss race.  ``skip_busy_check``: the
-        #: thief honors the claim but ignores dispatch_busy /
-        #: steal_pending, so a stolen batch can be issued while an
-        #: older batch is still mid-dispatch — the ordering race.
-        self._unsafe_steal_skip_claim = False
-        self._unsafe_steal_skip_busy_check = False
 
     @property
     def capacity(self) -> int:
@@ -199,40 +171,17 @@ class MPSCQueue(Generic[T]):
             # dif > 0: another producer advanced the ticket; retry.
 
     def try_dequeue(self) -> tuple[bool, T | None]:
-        """Single-consumer dequeue; returns ``(False, None)`` when empty."""
-        out = self._drain_some(1)
+        """Dequeue one item; returns ``(False, None)`` when empty."""
+        out = self.drain(1)
         return (True, out[0]) if out else (False, None)
 
     def drain(self, limit: int | None = None) -> list[T]:
         """Dequeue up to ``limit`` items (all available when ``None``).
 
-        With stealing enabled this is the *owner's* batch removal: it
-        runs under the consumer claim, refuses to hand out a batch
-        while a stolen one is still in issue (``steal_pending``), and
-        marks the ring ``dispatch_busy`` until the owner acknowledges
-        issue completion via :meth:`consume_done`.  Together those two
-        flags guarantee at most one batch from this ring is in issue
-        at any time, in ring order — the pool's ordering invariant.
+        The one dequeue loop, consumer thread only: a drained batch
+        costs one call, not one per command, with a yield point before
+        every look at the next cell.
         """
-        if not self._steal:
-            return self._drain_some(limit)
-        self._acquire_claim()
-        try:
-            if self.steal_pending:
-                # A thief holds the ring's oldest batch; issuing a
-                # newer one now would reorder the stream.
-                return []
-            out = self._drain_some(limit)
-            if out:
-                self.dispatch_busy = True
-            return out
-        finally:
-            self._release_claim()
-
-    def _drain_some(self, limit: int | None) -> list[T]:
-        """The single-consumer dequeue protocol, up to ``limit`` items
-        per call (a drained batch costs one call, not one per command;
-        a yield point before every look at the next cell)."""
         out: list[T] = []
         mask = self._mask
         cells = self._cells
@@ -257,132 +206,6 @@ class MPSCQueue(Generic[T]):
             left -= 1
         return out
 
-    # -- work-stealing protocol ------------------------------------
-
-    def enable_steal(self) -> None:
-        """Arm the consumer-side claim so siblings may steal batches."""
-        self._steal = True
-
-    def consume_done(self) -> None:
-        """Owner: the batch last returned by :meth:`drain` is fully
-        issued.  Unconditional clear — cheap enough to call after every
-        batch, even when nothing was drained."""
-        self.dispatch_busy = False
-
-    def steal_done(self) -> None:
-        """Thief: the stolen batch is fully issued (or terminally
-        failed); the owner may hand out batches again."""
-        if _dst._scheduler is not None:
-            _dst.yield_point("queue.steal.done")
-        self.steal_pending = max(0, self.steal_pending - 1)
-
-    def steal_drain(
-        self,
-        limit: int | None = None,
-        stop: Callable[[T], bool] | None = None,
-    ) -> list[T]:
-        """Thief-side batch removal from the ring front.
-
-        Returns ``[]`` unless the steal is *safe*: stealing is enabled,
-        the queue is not closed (a closing owner runs its own final
-        drain), the consumer claim is free (single try — thieves never
-        spin against the owner), the owner is not mid-dispatch
-        (``dispatch_busy``) and no other stolen batch is outstanding
-        (``steal_pending``).  Items matching ``stop`` — the pool passes
-        a predicate for control commands (SHUTDOWN/FLUSH), which must
-        execute on their own engine — end the batch *before* the
-        matching item.  A non-empty steal sets ``steal_pending``; the
-        thief must call :meth:`steal_done` when the batch is terminal.
-        """
-        if not self._steal:
-            return []
-        if self._unsafe_steal_skip_claim:
-            # DST regression hook: race the owner's dequeue cursor
-            # directly (no claim, no closed check).
-            return self._steal_scan(limit, stop)
-        if self._closed:
-            return []
-        if not self._try_claim():
-            return []
-        try:
-            if not self._unsafe_steal_skip_busy_check and (
-                self.dispatch_busy or self.steal_pending
-            ):
-                return []
-            if self._closed:
-                # Re-check under the claim: close()+drain_closed() may
-                # have raced in before we acquired it.
-                return []
-            return self._steal_scan(limit, stop)
-        finally:
-            self._release_claim()
-
-    def _steal_scan(
-        self,
-        limit: int | None,
-        stop: Callable[[T], bool] | None,
-    ) -> list[T]:
-        """Remove published items from the ring front (claim held,
-        except under the DST skip-claim hook)."""
-        out: list[T] = []
-        while limit is None or len(out) < limit:
-            if _dst._scheduler is not None:
-                _dst.yield_point("queue.steal.scan")
-            pos = self._dequeue_pos
-            cell = self._cells[pos & self._mask]
-            if cell.seq - (pos + 1) != 0:
-                break  # next cell unpublished: end of stealable prefix
-            value = cell.value
-            if (
-                value is not _TOMBSTONE
-                and stop is not None
-                and stop(value)
-            ):
-                break
-            if _dst._scheduler is not None:
-                _dst.yield_point("queue.steal.commit")
-            cell.value = None
-            cell.seq = pos + self._mask + 1  # recycle the slot
-            self._dequeue_pos = pos + 1
-            if value is _TOMBSTONE:
-                continue
-            self.dequeue_count += 1
-            out.append(value)  # type: ignore[arg-type]
-        if out:
-            self.steal_pending += 1
-            self.steals += 1
-            if len(out) > self.steal_batch_hwm:
-                self.steal_batch_hwm = len(out)
-        return out
-
-    def _try_claim(self) -> bool:
-        """One CAS attempt on the consumer claim (thief path)."""
-        ok, _ = self._claim.compare_and_swap(None, threading.get_ident())
-        return ok
-
-    def _acquire_claim(self) -> None:
-        """Spin until the consumer claim is ours (owner/closer path).
-
-        Claim holders only run short bounded sections (a batch removal
-        or the final drain), so the spin is brief; under DST the wait
-        parks on the claim's release instead of branching the schedule
-        tree on every failed CAS.
-        """
-        while True:
-            ok, _ = self._claim.compare_and_swap(
-                None, threading.get_ident()
-            )
-            if ok:
-                return
-            if _dst.is_virtual_thread():
-                claim = self._claim
-                _dst.wait_until(lambda: claim._value is None)
-            else:
-                time.sleep(0)
-
-    def _release_claim(self) -> None:
-        self._claim.store(None)
-
     def drain_closed(self, spin_timeout: float = 1.0) -> list[T]:
         """Final drain after :meth:`close`: every committed item.
 
@@ -392,23 +215,8 @@ class MPSCQueue(Generic[T]):
         publishing its cell is waited out (bounded by ``spin_timeout``
         as a wedged-producer backstop); tombstones from producers that
         observed the close are skipped by ``try_dequeue``.
-
-        With stealing enabled the final drain runs under the consumer
-        claim, so it cannot race a thief's scan over the same cells.
-        A still-outstanding stolen batch (``steal_pending``) is *not*
-        waited for: those items already left the ring and are the
-        thief's responsibility to complete or terminally fail.
         """
         assert self._closed, "drain_closed() requires close() first"
-        if not self._steal:
-            return self._drain_closed_inner(spin_timeout)
-        self._acquire_claim()
-        try:
-            return self._drain_closed_inner(spin_timeout)
-        finally:
-            self._release_claim()
-
-    def _drain_closed_inner(self, spin_timeout: float) -> list[T]:
         if _dst._scheduler is not None:
             _dst.yield_point("queue.drain.snapshot")
         end = self._enqueue_pos.load()

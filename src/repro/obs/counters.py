@@ -44,8 +44,8 @@ COUNTER_GLOSSARY: dict[str, str] = {
     "(submit, arrival, or completion of a request the rank owns)",
     "timed_wakes": "parks ended by the tick or a deadline after which "
     "the loop found work — work no doorbell announced (a due retry, "
-    "an expired deadline, a matured fault delay, a steal; otherwise a "
-    "wake source someone forgot to ring)",
+    "an expired deadline, a matured fault delay; otherwise a wake "
+    "source someone forgot to ring)",
     "control_commands": "engine-control commands (SHUTDOWN)",
     "app_blocking_calls": "blocking MPI calls issued by application "
     "threads through the facade",
@@ -78,15 +78,8 @@ COUNTER_GLOSSARY: dict[str, str] = {
     "pool_cache_misses": "request-pool allocations that refilled the "
     "thread cache from the shared free list (one CAS per chunk)",
     # -- sharded engine pool (core.engine_pool) -------------------------
-    "steals": "batches an idle shard stole from the deepest sibling "
-    "command ring (work-stealing events)",
-    "steal_batch_hwm": "largest single batch of commands taken in one "
-    "steal",
-    "shard_scale_events": "autoscale transitions of the pool's active "
-    "routing width (grow on queue depth, shrink on sustained idleness)",
-    "router_misroutes": "sticky stream-to-shard pins that stopped "
-    "agreeing with the policy's placement: dead-shard remaps, and pins "
-    "a scale event left stale (counted once per event, not per route)",
+    "router_misroutes": "streams remapped off a dead shard (counted "
+    "once per stream, not per route)",
     # -- deterministic simulation testing (repro.dst) -------------------
     "schedules_explored": "DST schedules executed by the explorer "
     "(one seeded interleaving each)",

@@ -11,7 +11,8 @@ engine —
 * unset / ``1`` — single-engine baseline, identical to the seed suite
   (no parametrization churn, same test ids);
 * ``REPRO_POOL_SIZE=4`` — every ``offloaded`` call builds a 4-shard
-  routed pool (ids gain a ``pool4`` suffix);
+  routed pool, each shard draining only its own ring (ids gain a
+  ``pool4`` suffix);
 * ``REPRO_POOL_SIZE=1,2,4`` — full conformance sweep, one run per
   width.
 

@@ -44,8 +44,8 @@ RATIO = 1.85
 #: calls per engine-loop iteration that finds nothing to do
 IDLE_BUDGET = 8
 #: calls per ``EnginePool.route(cmd)`` of a stream pinned earlier:
-#: ``route``, ``_maybe_scale``, ``pinned``, ``stream_key``
-ROUTE_HIT_BUDGET = 4
+#: ``route``, ``pinned``, ``stream_key``
+ROUTE_HIT_BUDGET = 3
 
 
 @pytest.fixture(scope="module")
@@ -156,11 +156,10 @@ def _unstarted_pool() -> EnginePool:
 
 def test_a_routed_stream_is_a_dictionary_hit():
     """Routing a command of a stream the pool pinned earlier costs the
-    four calls of ``ROUTE_HIT_BUDGET`` — the autoscale tick, one stream
-    key, one dictionary look — and, on any interpreter, one C function:
-    the ``id`` in the key (before: seven Python calls, two of them list
-    builds, and ``len`` twice, ``id``, ``dict.get`` and ``hash``)."""
-    routes = 60  # with the pinning route, short of an autoscale look
+    three calls of ``ROUTE_HIT_BUDGET`` — the route itself, one stream
+    key, one dictionary look, with no periodic tick on the way — and,
+    on any interpreter, one C function: the ``id`` in the key."""
+    routes = 64
     pool = _unstarted_pool()
     cmd = Command(
         CommandKind.ISEND, comm=_FakeComm(), peer=1, tag=7, slot=0
@@ -183,7 +182,7 @@ def test_a_routed_stream_is_a_dictionary_hit():
 
 
 def test_the_sticky_hit_builds_no_list():
-    """``alive``/``candidates`` are built on a miss or a dead shard
+    """The live ``candidates`` are built on a miss or a dead shard
     (``_place``), never on the way to a pinned live shard."""
     for fn in (EnginePool.route, ShardRouter.pinned, ShardRouter.stream_key):
         ops = {ins.opname for ins in dis.get_instructions(fn)}

@@ -3,17 +3,18 @@
 application thread."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import EnginePool, offloaded
 from repro.core.commands import Command, CommandKind
-from repro.core.engine_pool import _SCALE_DOWN_EVALS, _SCALE_EVERY
 from repro.core.request_pool import OffloadEngineDied
 from repro.dst.targets import _FakeComm
 from repro.mpisim import THREAD_FUNNELED
 from repro.mpisim.exceptions import ThreadLevelError
+from repro.obs import check_balance
 
 from tests.conftest import run_world, run_world_mt
 
@@ -149,34 +150,62 @@ class TestStickyRoute:
         with pytest.raises(OffloadEngineDied):
             pool.route(cmds[0])
 
-    def test_a_scale_event_counts_stale_pins_once_not_per_route(self):
-        pool = self._pool()
-        cmds = self._sends(16)
-        first = [pool.route(c) for c in cmds]
-        on_shard_1 = sum(1 for e in first if e is pool.engines[1])
-        # empty rings: after enough idle evaluations the width shrinks
-        for _ in range(_SCALE_EVERY * _SCALE_DOWN_EVALS):
-            pool.route(cmds[0])
-        assert pool.stats()["shard_scale_events"] == 1
-        assert pool.stats()["active_shards"] == 1
-        assert pool.router.misroutes == on_shard_1
-        # the pins hold (scaling moves new streams only) and routing
-        # them again counts nothing
-        for _ in range(3):
-            assert [pool.route(c) for c in cmds] == first
-        assert pool.router.misroutes == on_shard_1
-        # a new stream is placed inside the narrowed width
-        (late,) = self._sends(17)[16:]
-        assert pool.route(late) is pool.engines[0]
-
     def test_stickiness_off_pins_nothing(self):
-        pool = self._pool(autoscale=False)
+        pool = self._pool()
         pool.router._unsafe_ignore_stickiness = True
         (cmd,) = self._sends(1)
         assert pool.router.pinned(cmd) is None
         assert {id(pool.route(cmd)) for _ in range(4)} == {
             id(e) for e in pool.engines
         }
+
+
+class TestPerShardBalance:
+    def test_each_shard_balances_on_its_own(self):
+        """A deep ring next to an idle sibling: the sibling takes
+        nothing, so every shard drains exactly what it was handed and
+        its counters balance without the pool's merged view."""
+        n = 128
+
+        def prog(comm):
+            pool = EnginePool(
+                comm, pool_size=2, router="dest", telemetry=True
+            )
+            cmds = [
+                Command(CommandKind.CALL, fn=lambda: None) for _ in range(n)
+            ]
+            for cmd in cmds:  # one stream: CALLs key on the thread
+                pool.submit(cmd)
+            loaded = pool.route(cmds[0])
+            (idle,) = [e for e in pool.engines if e is not loaded]
+            assert len(loaded.queue) == n
+            try:
+                # the idle shard runs a few loop iterations with the
+                # sibling's ring full before the owner starts
+                idle.start()
+                deadline = time.monotonic() + 10
+                while idle.heartbeat < 3 and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+                loaded.start()
+                for cmd in cmds:
+                    assert cmd.done.wait(10)
+                for e in pool.engines:
+                    c = e.telemetry.counters.snapshot()
+                    assert (
+                        c.get("enqueues", 0)
+                        == c.get("commands_drained", 0)
+                        == e.commands_processed
+                    )
+                assert loaded.commands_processed == n
+                assert idle.commands_processed == 0
+            finally:
+                pool.stop()
+            for e in pool.engines:
+                ok, detail = check_balance(e.telemetry_snapshot())
+                assert ok, detail
+            return True
+
+        assert all(run_world_mt(1, prog))
 
 
 class TestGroupWork:

@@ -98,11 +98,7 @@ class TestKeywordPlumbing:
         from repro.faults import FaultPlan
 
         plan, recovery = FaultPlan([]), RecoveryPolicy()
-        pool_kw = (
-            {"router": "thread", "steal_threshold": 5}
-            if pool_size > 1
-            else {}
-        )
+        pool_kw = {"router": "thread"} if pool_size > 1 else {}
 
         def prog(comm):
             with offloaded(
@@ -130,7 +126,6 @@ class TestKeywordPlumbing:
                     assert e.recovery is recovery
                 if pool_size > 1:
                     assert holder.router.policy == "thread"
-                    assert holder.steal_threshold == 5
             return True
 
         assert all(run_world_mt(1, prog))
@@ -145,4 +140,4 @@ class TestKeywordPlumbing:
 
         facade = keywords(offloaded)
         assert keywords(OffloadEngine.__init__) - facade == {"request_pool"}
-        assert keywords(EnginePool.__init__) - facade == {"autoscale"}
+        assert keywords(EnginePool.__init__) - facade == set()

@@ -2,13 +2,11 @@
 
 MPI's non-overtaking rule: two sends from the same source to the same
 destination with the same tag are received in the order they were
-sent.  A sharded pool puts that rule at risk two separate ways —
-routing could split one stream over two rings, and a thief could issue
-a stolen batch out of order against its owner — so this stress drives
-both at once: N producer threads each own one (source, dest, tag)
-stream and push an ordered payload sequence through a small-ring,
-steal-happy 4-shard pool, while one receiver thread per stream asserts
-the payloads arrive in exactly program order.
+sent.  A sharded pool puts that rule at risk if routing splits one
+stream over two rings, so this stress has N producer threads each own
+one (source, dest, tag) stream and push an ordered payload sequence
+through a small-ring 4-shard pool, while one receiver thread per
+stream asserts the payloads arrive in exactly program order.
 """
 
 import threading
@@ -58,14 +56,8 @@ def _receiver(oc, tag: int) -> int:
 
 
 def _prog(comm, seed_round: int):
-    # small rings + low steal threshold: constant backpressure and
-    # constant stealing
-    with offloaded(
-        comm,
-        pool_size=4,
-        steal_threshold=2,
-        queue_capacity=16,
-    ) as oc:
+    # small rings: constant backpressure
+    with offloaded(comm, pool_size=4, queue_capacity=16) as oc:
         results = [None] * NSTREAMS
         if comm.rank == 0:
             work = _sender
@@ -92,9 +84,7 @@ def _prog(comm, seed_round: int):
 @pytest.mark.stress
 class TestPoolOrderingStress:
     @pytest.mark.parametrize("test_seed", [0, 1], indirect=True)
-    def test_same_stream_order_survives_routing_and_stealing(
-        self, test_seed
-    ):
+    def test_same_stream_order_survives_routing(self, test_seed):
         out = run_world_mt(2, _prog, test_seed, timeout=150)
         sender_counts, sender_stats = out[0]
         misordered, _ = out[1]

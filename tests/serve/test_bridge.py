@@ -244,8 +244,8 @@ class TestLandedQueue:
 
         def prog(comm):
             n = 32
-            # no stealing: each shard completes what it was handed
-            with offloaded(comm, pool_size=2, steal_threshold=10**6) as oc:
+            # each shard completes what it was handed
+            with offloaded(comm, pool_size=2) as oc:
                 engine = AsyncOffloadEngine(oc)
                 pool = oc.engine.pool
                 shards = oc.engine.engines
