@@ -195,7 +195,7 @@ def _cmd_dst(
     as_json: bool,
 ) -> int:
     """DST corpus self-check; nonzero exit on any wrong outcome."""
-    from repro.dst.targets import CORPUS, run_corpus, run_target
+    from repro.dst.targets import CORPUS, run_corpus
     from repro.obs.counters import Counters
 
     unknown = [t for t in targets if t not in CORPUS]
@@ -204,29 +204,10 @@ def _cmd_dst(
         return 2
     counters = Counters()
     t0 = time.perf_counter()
-    if targets:
-        outcomes = []
-        for name in targets:
-            if CORPUS[name].regression:
-                outcomes.append(
-                    run_target(
-                        name, fix_disabled=True, seed=seed,
-                        schedules=schedules, strategy=strategy,
-                        counters=counters,
-                    )
-                )
-            outcomes.append(
-                run_target(
-                    name, fix_disabled=False, seed=seed,
-                    schedules=schedules, strategy=strategy,
-                    counters=counters,
-                )
-            )
-    else:
-        outcomes = run_corpus(
-            seed=seed, schedules=schedules, strategy=strategy,
-            counters=counters,
-        )
+    outcomes = run_corpus(
+        seed=seed, schedules=schedules, strategy=strategy,
+        counters=counters, names=targets or None,
+    )
     elapsed = time.perf_counter() - t0
     rows = []
     ok = True

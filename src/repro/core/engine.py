@@ -134,7 +134,7 @@ class OffloadEngine:
         # -- fault injection + recovery (both None in normal operation:
         # every hook site is a single `is None` check) --------------------
         if faults is None:
-            faults = getattr(comm.world, "fault_plan", None)
+            faults = comm.world.fault_plan
         self._faults = faults
         self.recovery = recovery
         #: bumped once per loop iteration; sampled by EngineWatchdog
@@ -172,12 +172,6 @@ class OffloadEngine:
         #: entries into the substrate to post p2p commands: one per
         #: drained run, however many it carries
         self.substrate_entries = 0
-        #: DST-only regression hook: when True, `_fail_pending` drops
-        #: the unprocessed tail of a mid-batch crash instead of failing
-        #: it — the lost-command bug `self._drained` was introduced to
-        #: fix.  Only ever set by the regression corpus
-        #: (repro.dst.targets), never by production code.
-        self._unsafe_drop_drained_on_fail = False
 
     # ------------------------------------------------------------ lifecycle
 
@@ -998,9 +992,7 @@ class OffloadEngine:
         # A mid-batch crash leaves the unprocessed tail of the batch in
         # `_drained` (already counted as drained); append everything
         # still committed to the ring behind it.
-        backlog = [] if self._unsafe_drop_drained_on_fail else list(
-            self._drained
-        )
+        backlog = list(self._drained)
         self._drained.clear()
         for cmd in self.queue.drain_closed():
             if counters is not None:
@@ -1045,12 +1037,8 @@ class OffloadEngine:
             "continuation_drops": self.pool.continuation_drops,
             # Data-plane copy accounting lives on the substrate's
             # progress engine (rank-wide, shared by every shard).
-            # getattr: DST harness targets drive the engine with a
-            # stub communicator that has no progress engine behind it.
-            "payload_copies": getattr(self.comm.engine, "payload_copies", 0),
-            "payload_zero_copy_hits": getattr(
-                self.comm.engine, "payload_zero_copy_hits", 0
-            ),
+            "payload_copies": self.comm.engine.payload_copies,
+            "payload_zero_copy_hits": self.comm.engine.payload_zero_copy_hits,
         }
         if self._telem is not None:
             for name, value in self._telem.counters.snapshot().items():

@@ -81,10 +81,6 @@ class ShardRouter:
         self._next = 0
         #: dead-shard remaps: streams moved off a shard that died
         self.misroutes = 0
-        #: DST-only regression hook: ignore stickiness entirely and
-        #: round-robin every command — splits ordered streams across
-        #: shards, the reordering bug stickiness exists to prevent.
-        self._unsafe_ignore_stickiness = False
 
     def stream_key(self, cmd: Command | None):
         if cmd is None or self.policy == "thread":
@@ -108,8 +104,6 @@ class ShardRouter:
         sight — the whole sticky hit: one key, one dictionary look (a
         subscript, not a ``get``: no call).  Whether the shard still
         lives is the caller's check."""
-        if self._unsafe_ignore_stickiness:
-            return None
         try:
             return self._streams[self.stream_key(cmd)]
         except KeyError:
@@ -118,10 +112,6 @@ class ShardRouter:
     def assign(self, key, candidates: list[int]) -> int:
         """Pin ``key`` to one of ``candidates``, the live shards'
         indices (or remap it there off a dead one)."""
-        if self._unsafe_ignore_stickiness:
-            with self._lock:
-                self._next += 1
-                return candidates[(self._next - 1) % len(candidates)]
         with self._lock:
             cur = self._streams.get(key)
             if cur in candidates:
@@ -235,14 +225,7 @@ class EnginePool:
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        # DST harnesses drive never-started engines through a fake
-        # communicator without a world; treat "no world" as MULTIPLE.
-        level = getattr(
-            getattr(comm, "world", None),
-            "thread_level",
-            ThreadLevel.MULTIPLE,
-        )
-        if pool_size > 1 and level < ThreadLevel.MULTIPLE:
+        if pool_size > 1 and comm.world.thread_level < ThreadLevel.MULTIPLE:
             raise ThreadLevelError(
                 "multiple offload threads enter MPI concurrently; the "
                 "world must be MPI_THREAD_MULTIPLE"
@@ -406,9 +389,7 @@ class EnginePool:
             "capacity": self.request_pool.capacity,
             "allocated": self.request_pool.allocated,
         }
-        progress = getattr(self.comm, "engine", None)
-        if progress is not None and hasattr(progress, "counters"):
-            merged["progress"] = progress.counters()
+        merged["progress"] = self.comm.engine.counters()
         if merged.get("counters"):
             merged["counters"]["router_misroutes"] = self.router.misroutes
         return merged

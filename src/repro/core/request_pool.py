@@ -137,12 +137,6 @@ class OffloadRequestPool:
         #: serving tier can assert exactly-once delivery cheaply
         self.continuation_fires = 0
         self.continuation_drops = 0
-        # DST fix-disable hooks (set only by repro.dst.targets): the
-        # first drops the fail-path delivery (continuation-vs-crash),
-        # the second skips the exactly-once claim under cont_lock
-        # (continuation-double-fire).
-        self._unsafe_skip_fire_on_fail = False
-        self._unsafe_skip_fire_once_guard = False
 
     @property
     def capacity(self) -> int:
@@ -212,7 +206,7 @@ class OffloadRequestPool:
         # Ownership flip first: of two racing releases exactly one
         # passes, the other raises DoubleFree before touching the slot.
         freelist = self._freelist
-        if _dst._scheduler is not None or freelist._unsafe_skip_live_check:
+        if _dst._scheduler is not None:
             freelist.mark_free(idx)
         else:
             try:  # `mark_free`, inline: ``set.remove`` is the atomic step
@@ -278,8 +272,6 @@ class OffloadRequestPool:
         generation = slot.generation
         slot.error = error
         slot.flag.set(None)
-        if self._unsafe_skip_fire_on_fail:
-            return
         if _dst._scheduler is not None:
             _dst.yield_point("pool.cont.complete")
         if slot.cont is not None:
@@ -344,9 +336,7 @@ class OffloadRequestPool:
         """
         with slot.cont_lock:
             fn = slot.cont
-            if fn is None or slot.generation != generation:
-                return False
-            if not self._unsafe_skip_fire_once_guard and slot.cont_fired:
+            if fn is None or slot.generation != generation or slot.cont_fired:
                 return False
             slot.cont_fired = True
         if _dst._scheduler is not None:

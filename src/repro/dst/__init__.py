@@ -14,8 +14,9 @@ Layers (bottom-up):
   recorded histories against sequential model specs;
 * :mod:`repro.dst.explorer` — the schedule explorer: budgeted
   exploration, single-token replay, obs counters;
-* :mod:`repro.dst.targets` — the regression corpus (the three
-  lifecycle races re-run as explorer targets).
+* :mod:`repro.dst.targets` — the regression corpus: one table of
+  fixed races, each with the harness-injected broken variant that
+  must be rediscovered, and linearizability oracles.
 
 Every name except ``hooks`` is loaded **lazily** (PEP 562): the
 production lockfree layer sits at the very bottom of the import graph

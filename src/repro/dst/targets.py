@@ -1,146 +1,24 @@
 """DST regression corpus: known races re-run as explorer targets.
 
-The lifecycle-hardening PR fixed three concurrency bugs in the offload
-stack.  Each is kept alive here as a *target program* with a guarded
-fix-disable hook, proving the DST harness would have found it — and
-would find a regression — within a bounded schedule budget:
+:data:`CORPUS` is the table.  Each row names a program, what it
+checks, how to explore it and — for a target whose clean run is a
+proof — the size of the schedule tree that run exhausts.
 
-``queue-close-enqueue``
-    A producer that won its enqueue CAS concurrently with ``close()``
-    published its value into a ring the consumer had already finally
-    drained — the command was silently lost.  Fixed by the post-CAS
-    ``closed`` re-check + tombstone
-    (:attr:`MPSCQueue._unsafe_skip_close_recheck` disables it).
+A *regression* target keeps a fixed race alive.  Its program takes
+``fix_disabled``: with the fix on it runs the unmodified production
+classes, so a clean run is a statement about shipped code; with the
+fix off the harness swaps in the broken variant, a subclass or
+stand-in defined here next to its program that steps the real code
+(answering one look from memory, forgetting one step, or putting the
+scheduler between steps).  Production carries no switch for any of
+them.  The self-check (:func:`run_corpus`, ``python -m repro dst``)
+demands both directions: the broken variant found within the budget,
+the production code clean over it.
 
-``freelist-double-free``
-    Two racing frees of the same slot both succeeded, linking the slot
-    into the free list twice (a cycle), so later allocs handed the same
-    slot to two owners.  Fixed by the live-set ownership ledger
-    (:attr:`FreeList._unsafe_skip_live_check` disables it).
-
-``engine-mid-batch-crash``
-    A crash inside ``_process_batch`` lost the drained-but-undispatched
-    tail of the batch: those commands' waiters hung forever.  Fixed by
-    keeping the batch on ``engine._drained`` where ``_fail_pending``
-    sweeps it (:attr:`OffloadEngine._unsafe_drop_drained_on_fail`
-    disables it).
-
-Alongside the regressions, three *linearizability targets* record
-operation histories of the MPSCQueue, the FreeList, and the request
-pool under explored schedules and check them against their sequential
-model specs (:mod:`repro.dst.linearize`) — an oracle that catches
-classes of bugs no hand-written invariant anticipates.
-
-The sharded engine-pool PR added one more, for the path its ordering
-argument leans on:
-
-``routing-order``
-    The router's per-stream stickiness is what keeps same-(dest, tag)
-    sends on one ring; ignoring it round-robins one ordered stream
-    over two shards and the issue log reorders
-    (:attr:`ShardRouter._unsafe_ignore_stickiness` disables
-    stickiness).
-
-The zero-copy data-plane PR added one more:
-
-``eager-deferred-copy``
-    A zero-copy eager send that completes at *post* time tells the
-    sender its buffer is reusable while a late-matching receiver will
-    still read it through the borrowed reference.  Fixed by deferring
-    completion to the match, where the single copy runs
-    (:attr:`ProgressEngine._unsafe_complete_eager_at_post` re-opens
-    the race).
-
-The fault-tolerance PR (ULFM revoke/shrink/agree, DESIGN.md §15) added
-two more:
-
-``agree-participant-crash``
-    A participant that dies between its round-1 candidate sends leaves
-    a partial candidate set behind; an agreement that decides after one
-    round regardless of gather failures and live-mask mismatches lets
-    one survivor consume the dead rank's candidate while another trusts
-    its own — two different "agreed" values
-    (:attr:`World._unsafe_agree_trust_first_round` disables the
-    decisiveness guard).
-
-``shrink-inflight-eager``
-    A zero-copy eager envelope still in the delivery pipe when
-    ``revoke()`` purges the receiver's UMQ arrives *after* the purge
-    and parks forever — its sender's deferred-completion request never
-    terminates (:attr:`ProgressEngine._unsafe_skip_revoked_drain_check`
-    disables the drain-time poisoning that closes the window).
-
-The continuation-completion PR (serving front-end, DESIGN.md §16)
-added two more:
-
-``continuation-vs-crash``
-    An engine crash fails pending slots through ``pool.fail``; with
-    the fail-path delivery skipped, registered continuations never
-    fire and their asyncio awaiters hang forever
-    (:attr:`OffloadRequestPool._unsafe_skip_fire_on_fail` disables the
-    delivery).
-
-``continuation-double-fire``
-    Registration racing completion: both sides can reach the fire
-    path, and only the ``cont_fired`` claim under ``cont_lock``
-    collapses them to one delivery
-    (:attr:`OffloadRequestPool._unsafe_skip_fire_once_guard` skips the
-    claim).  The completer's first look at ``cont`` takes no lock; run
-    exhaustively (10 schedules) the same program shows that no order
-    of the two looks loses the delivery either.
-
-The event-driven hand-off PR (DESIGN.md §17) added one whose broken
-variant is injected from here, not by a flag in production code:
-
-``park-vs-ring``
-    The engine loop parks on its doorbell in the order clear → look →
-    park.  Looking *before* clearing erases a ring that lands between
-    the look and the clear: the loop parks with work pending and, with
-    the safety tick out of the picture, never wakes.  The target runs
-    the real ``OffloadEngine._run`` against a submit, an arrival
-    (``inject``) and a receive completed from the peer's thread; the
-    harness swaps the loop's ``_wake`` for :class:`_Bell`, whose
-    ``late_clear`` mode is the broken order.
-
-The word-flag PR (DESIGN.md §18) added three more of that kind, all
-injected by a harness subclass:
-
-``flag-park-vs-set``
-    A waiter parks on a done flag in the order look → register → look
-    again → block, against a setter that publishes and then looks for
-    waiters.  Registering *without* the second look loses a set that
-    lands between the look and the registration.  :class:`_SteppedFlag`
-    runs the real :class:`AtomicFlag` code with a choice point between
-    all of its steps; its ``one_look`` mode is the broken order.
-
-``revoke-vs-post-recv``
-    ``post_recv`` drains the inbox before it matches; when that drain
-    handles a ``REVOKE``, the receive must be refused too — checked
-    only *before* the drain it is posted after the purge and never
-    fails (the ``run_resilient`` recovery hang).
-    :class:`_CheckBeforeDrainEngine` is the pre-fix order.
-
-``continuation-vs-release``
-    ``release`` takes ``cont_lock`` only when it sees a continuation:
-    it bumps the generation, then looks at ``cont``; a registrant
-    stores ``cont``, then looks at the generation again.  Without that
-    second look a registration racing a direct consumer is clobbered
-    silently or left on the slot for its next owner.
-    :class:`_SteppedSlot` makes both words choice points under the real
-    ``release`` / ``register_continuation``; its ``no_recheck`` mode is
-    the broken registrant.
-
-The landed-queue PR (DESIGN.md §16–§17) added one more of that kind:
-
-``land-vs-drain``
-    The asyncio bridge's firing threads append to the landed queue and
-    then ring the loop unless the bell is rung already; the drain, on
-    the loop thread, clears the bell and *then* empties the queue.
-    Emptying first and clearing afterwards lets a completion land
-    behind a bell that is about to be cleared: nobody rings for it and
-    its awaiter is never resolved.  :class:`_SteppedLanded` makes the
-    queue and the bell choice points under the real ``fire`` /
-    ``_drain``; its ``late_clear`` mode is the broken drain.
+An *oracle* target records an operation history of a lock-free
+structure and checks it against a sequential model spec
+(:mod:`repro.dst.linearize`) — it catches classes of bugs no
+hand-written invariant anticipates.
 
 This module imports :mod:`repro.core` and therefore must never be
 imported from :mod:`repro.dst.hooks`'s import path (see the package
@@ -156,8 +34,11 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.core.commands import Command, CommandKind
 from repro.core.engine import OffloadEngine
+from repro.core.engine_pool import EnginePool, ShardRouter
 from repro.core.request_pool import (
     OffloadEngineDied,
     OffloadError,
@@ -170,7 +51,6 @@ from repro.dst.explorer import ExplorationResult, Explorer, InvariantViolation
 from repro.dst.linearize import (
     FreeListSpec,
     History,
-    Op,
     QueueSpec,
     RequestPoolSpec,
 )
@@ -181,28 +61,60 @@ from repro.lockfree.freelist import (
     FreeListExhausted,
 )
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
+from repro.mpisim.communicator import _FT_CAND, Communicator
+from repro.mpisim.constants import ThreadLevel
+from repro.mpisim.envelope import Envelope, EnvelopeKind
+from repro.mpisim.exceptions import CommRevokedError, MPIError
 from repro.mpisim.progress import ProgressEngine
+from repro.mpisim.status import EMPTY_STATUS
+from repro.mpisim.world import World
 from repro.serve.bridge import AsyncOffloadEngine, _Landed
 
 
 class _FakeComm:
-    """Minimal communicator stand-in for a never-started engine.
+    """Communicator stand-in for never-started engines and pools: a
+    ``MULTIPLE`` world without faults and a progress engine with nothing
+    copied, what the constructors and ``stats()`` read.  Commands that
+    carry it are routed and drained, never issued."""
 
-    The mid-batch-crash target drives :meth:`OffloadEngine._process_batch`
-    from a virtual thread with CALL commands only, so no substrate is
-    needed — just the two attributes the constructor reads.
-    """
-
-    class _Engine:
-        rank = 0
-
-    world = None
-    engine = _Engine()
+    world = SimpleNamespace(
+        thread_level=ThreadLevel.MULTIPLE, fault_plan=None
+    )
+    engine = SimpleNamespace(
+        rank=0, payload_copies=0, payload_zero_copy_hits=0
+    )
 
 
 # ---------------------------------------------------------------------------
-# Regression race 1: queue close vs. enqueue
+# queue-close-enqueue
 # ---------------------------------------------------------------------------
+
+
+class _OneLookQueue(MPSCQueue):
+    """The command ring with the pre-fix enqueue: a producer's look at
+    ``_closed`` after it won the CAS is answered from its look before
+    the CAS, so a ``close()`` landing in between goes unnoticed and the
+    value is published into a ring already finally drained.  (No yield
+    point is added: the word is read as production reads it.)"""
+
+    def __init__(self, capacity: int) -> None:
+        #: per producer thread: what its look before the CAS saw
+        self._before_cas: dict[int, bool] = {}
+        super().__init__(capacity)
+
+    @property
+    def _closed(self) -> bool:
+        me = threading.get_ident()
+        if me in self._before_cas:
+            return self._before_cas.pop(me)
+        closed = self._closed_word
+        if not closed:  # an enqueue that goes on to its CAS looks again
+            self._before_cas[me] = closed
+        return closed
+
+    @_closed.setter
+    def _closed(self, value: bool) -> None:
+        self._closed_word = value
 
 
 class CloseEnqueueProgram:
@@ -210,12 +122,13 @@ class CloseEnqueueProgram:
 
     Invariant: every enqueue that *reported success* is either in the
     final drain or was delivered by an earlier dequeue — accepted items
-    are never silently lost.
+    are never silently lost.  The fix is the post-CAS ``closed``
+    re-check + tombstone; :class:`_OneLookQueue` is the ring without it.
     """
 
     def __init__(self, fix_disabled: bool, n_producers: int = 1) -> None:
-        self.queue: MPSCQueue[str] = MPSCQueue(8)
-        self.queue._unsafe_skip_close_recheck = fix_disabled
+        ring = _OneLookQueue if fix_disabled else MPSCQueue
+        self.queue: MPSCQueue[str] = ring(8)
         self.n_producers = n_producers
         self.accepted: list[str] = []
         self.drained: list[str] | None = None
@@ -248,8 +161,17 @@ class CloseEnqueueProgram:
 
 
 # ---------------------------------------------------------------------------
-# Regression race 2: free-list double free
+# freelist-double-free
 # ---------------------------------------------------------------------------
+
+
+class _ForgivingLedger(set):
+    """An ownership ledger that lets a slot go twice: ``remove`` of an
+    index that is not live succeeds, so no :class:`DoubleFree` is
+    raised and both frees push the slot (the pre-fix free list)."""
+
+    def remove(self, idx: int) -> None:
+        self.discard(idx)
 
 
 class DoubleFreeProgram:
@@ -257,12 +179,15 @@ class DoubleFreeProgram:
 
     Invariant: exactly one of the racing frees succeeds (the other gets
     a typed :class:`DoubleFree`), and the list stays structurally sound
-    — no cycle, and re-allocating never hands out duplicates.
+    — no cycle, and re-allocating never hands out duplicates.  The fix
+    is the live-set ledger; the broken variant's is
+    :class:`_ForgivingLedger`.
     """
 
     def __init__(self, fix_disabled: bool) -> None:
         self.freelist: FreeList[None] = FreeList(4)
-        self.freelist._unsafe_skip_live_check = fix_disabled
+        if fix_disabled:
+            self.freelist._live = _ForgivingLedger()
         # Claimed on the (unscheduled) driver thread: the race below is
         # over *freeing*, not allocating.
         self.idx = self.freelist.alloc()
@@ -302,75 +227,101 @@ class DoubleFreeProgram:
 
 
 # ---------------------------------------------------------------------------
-# Regression race 3: engine crash mid-batch
+# engine-mid-batch-crash, continuation-vs-crash: a crash inside the loop
 # ---------------------------------------------------------------------------
 
 
-class MidBatchCrashProgram:
-    """Engine loop crashing partway through a drained batch.
+class _EngineCrashProgram:
+    """A never-started engine driven cooperatively against a producer.
 
-    A producer submits CALL commands while a virtual engine thread runs
-    the real drain + ``_process_batch`` path; the scheduler may fire
-    the ``engine.dispatch`` crash point under any command of the batch.
-    Invariant: every command whose ``submit`` reported success reaches
-    a terminal done-flag state — completed or typed-failed, never
-    silently dropped.
+    A virtual engine thread runs the drain + dispatch half of
+    ``OffloadEngine._run`` while :meth:`produce` submits; the scheduler
+    may fire the ``engine.dispatch`` crash point under any command, and
+    the crash is handled exactly as ``_run`` handles it (terminal-fail
+    everything pending).
     """
 
-    def __init__(self, fix_disabled: bool, n_commands: int = 4) -> None:
-        self.engine = OffloadEngine(
+    def __init__(
+        self,
+        engine_cls: type[OffloadEngine],
+        pool_cls: type[OffloadRequestPool],
+        n_commands: int,
+    ) -> None:
+        self.engine = engine_cls(
             _FakeComm(),
             queue_capacity=16,
             telemetry=False,
-            request_pool=OffloadRequestPool(8, cache_size=0),
+            request_pool=pool_cls(8, cache_size=0),
         )
-        self.engine._unsafe_drop_drained_on_fail = fix_disabled
         self.n_commands = n_commands
-        self.accepted: list[Command] = []
         self._submitted_all = False
 
+    def produce(self) -> None:
+        raise NotImplementedError
+
     def setup(self, sched: Any) -> None:
+        sched.spawn(self._engine_thread, name="engine")
+        sched.spawn(self._producer, name="producer")
+
+    def _producer(self) -> None:
+        try:
+            self.produce()
+        finally:
+            self._submitted_all = True
+
+    def _engine_thread(self) -> None:
         eng = self.engine
-
-        def producer() -> None:
-            try:
-                for _ in range(self.n_commands):
-                    cmd = Command(CommandKind.CALL, fn=lambda: None)
-                    try:
-                        eng.submit(cmd)
-                    except OffloadEngineDied:
-                        return
-                    self.accepted.append(cmd)
-            finally:
-                self._submitted_all = True
-
-        def engine_thread() -> None:
-            # The drain + dispatch half of OffloadEngine._run, driven
-            # cooperatively; the crash handling mirrors _run's except
-            # path exactly (terminal-fail everything pending).
-            try:
-                while True:
-                    batch = eng.queue.drain(eng.batch_size)
-                    if batch:
-                        eng._drained.extend(batch)
-                        eng._process_batch()
-                        continue
-                    if self._submitted_all and eng.queue.empty():
-                        return
-                    _dst.wait_until(
-                        lambda: self._submitted_all
-                        or not eng.queue.empty()
-                    )
-            except _dst.ScheduledCrash as exc:
-                died = OffloadEngineDied(
-                    f"offload thread crashed: {exc!r}"
+        try:
+            while True:
+                batch = eng.queue.drain(eng.batch_size)
+                if batch:
+                    eng._drained.extend(batch)
+                    eng._process_batch()
+                    continue
+                if self._submitted_all and eng.queue.empty():
+                    return
+                _dst.wait_until(
+                    lambda: self._submitted_all or not eng.queue.empty()
                 )
-                died.__cause__ = exc
-                eng._dead = died
-                eng._fail_pending(died)
+        except _dst.ScheduledCrash as exc:
+            died = OffloadEngineDied(f"offload thread crashed: {exc!r}")
+            died.__cause__ = exc
+            eng._dead = died
+            eng._fail_pending(died)
 
-        sched.spawn(engine_thread, name="engine")
-        sched.spawn(producer, name="producer")
+
+class _DropTailEngine(OffloadEngine):
+    """``_fail_pending`` in the pre-fix order: the drained but not yet
+    dispatched tail of a crashed batch is forgotten before the sweep."""
+
+    def _fail_pending(self, exc: BaseException) -> None:
+        self._drained.clear()
+        super()._fail_pending(exc)
+
+
+class MidBatchCrashProgram(_EngineCrashProgram):
+    """Engine loop crashing partway through a drained batch.
+
+    The producer submits CALL commands.  Invariant: every command whose
+    ``submit`` reported success reaches a terminal done-flag state —
+    completed or typed-failed, never silently dropped.  The fix keeps
+    the batch on ``engine._drained`` where ``_fail_pending`` sweeps it;
+    :class:`_DropTailEngine` forgets it.
+    """
+
+    def __init__(self, fix_disabled: bool, n_commands: int = 4) -> None:
+        engine = _DropTailEngine if fix_disabled else OffloadEngine
+        super().__init__(engine, OffloadRequestPool, n_commands)
+        self.accepted: list[Command] = []
+
+    def produce(self) -> None:
+        for _ in range(self.n_commands):
+            cmd = Command(CommandKind.CALL, fn=lambda: None)
+            try:
+                self.engine.submit(cmd)
+            except OffloadEngineDied:
+                return
+            self.accepted.append(cmd)
 
     def check(self) -> None:
         for i, cmd in enumerate(self.accepted):
@@ -382,9 +333,107 @@ class MidBatchCrashProgram:
                 )
 
 
+class _DoneInnerRequest:
+    """Inner request that is already complete when the engine tracks
+    it: `_track` short-circuits straight into `_finish`."""
+
+    done = True
+    status = None
+    error = None
+
+
+class _ContComm:
+    """``cmd.comm`` stand-in whose isend completes immediately."""
+
+    @staticmethod
+    def isend(buf: Any, peer: int, tag: int) -> _DoneInnerRequest:
+        return _DoneInnerRequest()
+
+
+class _SilentFailPool(OffloadRequestPool):
+    """``fail`` without the delivery: the slot reaches its terminal
+    state and its registered continuation never runs."""
+
+    def fail(self, idx: int, error: BaseException) -> None:
+        slot = self._slots[idx]
+        slot.error = error
+        slot.flag.set(None)
+
+
+class ContinuationCrashProgram(_EngineCrashProgram):
+    """Continuations registered on slot commands vs. an engine crash.
+
+    The producer allocates slots, registers a continuation on each
+    handle, and submits ISEND commands.  Invariant: every accepted
+    command's continuation fires **exactly once** — success and crash
+    (``_fail_pending`` → ``pool.fail``) are both firing paths, and so
+    is a registration that arrives after the engine already finished
+    the slot (every second command registers only after its submit).
+    :class:`_SilentFailPool` fails slots without delivering: the
+    asyncio awaiters the continuations stand for would hang forever.
+    """
+
+    def __init__(self, fix_disabled: bool, n_commands: int = 4) -> None:
+        pool = _SilentFailPool if fix_disabled else OffloadRequestPool
+        super().__init__(OffloadEngine, pool, n_commands)
+        #: one fire-record per accepted command
+        self.fires: list[list[int]] = []
+        self._comm = _ContComm()
+
+    def produce(self) -> None:
+        pool = self.engine.pool
+        for i in range(self.n_commands):
+            idx = pool.alloc()
+            handle = OffloadRequest(pool, idx)
+            record: list[int] = []
+            # Even commands register before the submit; odd ones after
+            # it, so the registration races the engine's
+            # complete/fail — the completer's lock-free look at
+            # ``cont`` against the registrant's look at the flag.
+            late = i % 2 == 1
+            if not late:
+                handle.add_continuation(lambda r=record: r.append(1))
+            cmd = Command(
+                CommandKind.ISEND,
+                comm=self._comm,
+                buf=None,
+                peer=0,
+                tag=i,
+                slot=idx,
+            )
+            try:
+                self.engine.submit(cmd)
+            except OffloadEngineDied:
+                return
+            if late:
+                handle.add_continuation(lambda r=record: r.append(1))
+            self.fires.append(record)
+
+    def check(self) -> None:
+        for i, record in enumerate(self.fires):
+            if len(record) != 1:
+                raise InvariantViolation(
+                    f"accepted command #{i}'s continuation fired "
+                    f"{len(record)} times (expected exactly once) — "
+                    "its awaiter "
+                    + ("hangs forever" if not record else "was woken twice")
+                )
+
+
 # ---------------------------------------------------------------------------
-# Regression race 7: router stickiness vs. same-(dest, tag) send order
+# routing-order
 # ---------------------------------------------------------------------------
+
+
+class _RoundRobinRouter(ShardRouter):
+    """A router without stickiness: every command goes to the next live
+    shard in turn and nothing is ever pinned, so one ordered stream is
+    split over the shards."""
+
+    def assign(self, key: Any, candidates: list[int]) -> int:
+        with self._lock:
+            self._next += 1
+            return candidates[(self._next - 1) % len(candidates)]
 
 
 class RoutingOrderProgram:
@@ -394,14 +443,12 @@ class RoutingOrderProgram:
     (unstarted) :class:`~repro.core.engine_pool.EnginePool` while one
     consumer per shard drains its ring into a shared issue log.
     Invariant: the log is a prefix of submission order.  Stickiness
-    guarantees it trivially — the whole stream lands on one ring; with
-    stickiness ignored, the stream round-robins over both rings and
+    guarantees it trivially — the whole stream lands on one ring; under
+    :class:`_RoundRobinRouter` the stream is spread over both rings and
     the two consumers interleave it out of order.
     """
 
     def __init__(self, fix_disabled: bool, n_sends: int = 6) -> None:
-        from repro.core.engine_pool import EnginePool
-
         self.pool = EnginePool(
             _FakeComm(),
             pool_size=2,
@@ -410,7 +457,8 @@ class RoutingOrderProgram:
             queue_capacity=16,
             telemetry=False,
         )
-        self.pool.router._unsafe_ignore_stickiness = fix_disabled
+        if fix_disabled:
+            self.pool.router = _RoundRobinRouter("dest")
         self.dest_comm = _FakeComm()
         self.n_sends = n_sends
         self.submitted: list[Command] = []
@@ -468,8 +516,34 @@ class RoutingOrderProgram:
 
 
 # ---------------------------------------------------------------------------
-# Regression race 8: zero-copy eager send completing before the copy
+# eager-deferred-copy
 # ---------------------------------------------------------------------------
+
+
+class _CompleteAtPostEngine(ProgressEngine):
+    """A rank whose zero-copy eager sends complete as soon as they are
+    posted, while the envelope still borrows the sender's buffer (the
+    pre-fix completion).  The engine's delivery route is wrapped: the
+    envelope is delivered as before, then its send request completed.
+    A data descriptor, so it also covers an engine built as a plain
+    :class:`ProgressEngine` and re-classed afterwards."""
+
+    @property
+    def _deliver(self) -> Callable[[int, Envelope], None]:
+        route = self.__dict__["_deliver"]
+
+        def deliver_then_complete(dst: int, env: Envelope) -> None:
+            route(dst, env)
+            req = env.send_req
+            eager = env.kind is EnvelopeKind.EAGER
+            if eager and req is not None and not req.done:
+                req._complete(EMPTY_STATUS)
+
+        return deliver_then_complete
+
+    @_deliver.setter
+    def _deliver(self, route: Callable[[int, Envelope], None]) -> None:
+        self.__dict__["_deliver"] = route
 
 
 class EagerDeferredCopyProgram:
@@ -480,34 +554,23 @@ class EagerDeferredCopyProgram:
     is only sound if the send request completes *at the match* — the
     classic zero-copy race is completing it at post time, which tells
     the sender "your buffer is reusable" while a late-matching
-    receiver will still read it.
+    receiver will still read it (:class:`_CompleteAtPostEngine`).
 
     Rank 0 posts a zero-copy eager send, waits for completion, then
     scribbles the buffer (legal reuse under MPI semantics); rank 1
     posts its receive at a schedule-chosen later point.  Invariant:
     the receiver observes the original payload, never the scribble.
-    :attr:`ProgressEngine._unsafe_complete_eager_at_post` re-opens the
-    race.
     """
 
     def __init__(self, fix_disabled: bool, nbytes: int = 64) -> None:
-        import numpy as np
-
-        from repro.mpisim.constants import ThreadLevel
-        from repro.mpisim.world import World
-
-        self.np = np
-        self.world = World(
-            2, ThreadLevel.MULTIPLE, zero_copy=True
-        )
-        self.world.engines[0]._unsafe_complete_eager_at_post = fix_disabled
+        self.world = World(2, ThreadLevel.MULTIPLE, zero_copy=True)
+        if fix_disabled:
+            self.world.engines[0].__class__ = _CompleteAtPostEngine
         self.nbytes = nbytes
         self.expected = np.arange(nbytes, dtype=np.uint8)
         self.received: Any = None
 
     def setup(self, sched: Any) -> None:
-        np = self.np
-
         def sender() -> None:
             comm = self.world.comm_world(0)
             buf = self.expected.copy()
@@ -552,6 +615,21 @@ class EagerDeferredCopyProgram:
             )
 
 
+# ---------------------------------------------------------------------------
+# agree-participant-crash
+# ---------------------------------------------------------------------------
+
+
+class _DecideEveryRoundComm(Communicator):
+    """``agree`` without the decisiveness guard: every round of the real
+    protocol is called decisive, so a rank decides after round 1
+    whatever failed or mismatched in it."""
+
+    def _agree_round(self, *args: Any) -> tuple[bool, int, int | None]:
+        _, cand, adopted = super()._agree_round(*args)
+        return True, cand, adopted
+
+
 class AgreeParticipantCrashProgram:
     """Fault-tolerant agreement racing a participant's death.
 
@@ -564,29 +642,24 @@ class AgreeParticipantCrashProgram:
 
     Here rank 2 ships its round-1 candidate ``0`` to rank 0 *only*,
     then dies at a schedule-chosen point while ranks 0 and 1 run
-    ``agree(1)``.  With the guard off
-    (:attr:`World._unsafe_agree_trust_first_round`) a rank decides
-    after round 1 regardless: schedules where rank 0 still believed
-    rank 2 live (it consumes the ``0``, decides ``0``) while rank 1
-    already saw it dead (its gather fails, it trusts its own ``1``)
-    split-brain the agreement.  With the guard on, the mask mismatch
-    and gather failure force re-rounds, and the laggard adopts the
-    decider's ``DECIDED`` notice — the values always match.
+    ``agree(1)``.  Without the guard (:class:`_DecideEveryRoundComm`)
+    schedules where rank 0 still believed rank 2 live (it consumes the
+    ``0``, decides ``0``) while rank 1 already saw it dead (its gather
+    fails, it trusts its own ``1``) split-brain the agreement.  With
+    the guard, the mask mismatch and gather failure force re-rounds,
+    and the laggard adopts the decider's ``DECIDED`` notice — the
+    values always match.
     """
 
     def __init__(self, fix_disabled: bool) -> None:
-        from repro.mpisim.constants import ThreadLevel
-        from repro.mpisim.world import World
-
         self.world = World(3, ThreadLevel.MULTIPLE)
-        self.world._unsafe_agree_trust_first_round = fix_disabled
+        self.comms = [self.world.comm_world(rank) for rank in (0, 1)]
+        if fix_disabled:
+            for comm in self.comms:
+                comm.__class__ = _DecideEveryRoundComm
         self.values: dict[int, int] = {}
-        self.complete = False
 
     def setup(self, sched: Any) -> None:
-        from repro.mpisim.communicator import _FT_CAND
-        from repro.mpisim.exceptions import MPIError
-
         def crasher() -> None:
             comm = self.world.comm_world(2)
             # Round-1 candidate 0 to rank 0 only, full live-mask —
@@ -599,9 +672,8 @@ class AgreeParticipantCrashProgram:
             )
 
         def participant(rank: int) -> None:
-            comm = self.world.comm_world(rank)
             try:
-                self.values[rank] = comm.agree(1)
+                self.values[rank] = self.comms[rank].agree(1)
             except MPIError:
                 pass  # typed protocol failure: not a split brain
 
@@ -620,6 +692,37 @@ class AgreeParticipantCrashProgram:
             )
 
 
+# ---------------------------------------------------------------------------
+# shrink-inflight-eager
+# ---------------------------------------------------------------------------
+
+
+class _ParkOnRevokedEngine(ProgressEngine):
+    """``_handle`` without the drain-time revoked check: an arrival on a
+    revoked communicator is matched or parked like any other (the
+    pre-fix order).  The real ``_handle`` runs; where it would poison
+    the arriving envelope, this does what came after the check."""
+
+    _arriving: Envelope | None = None
+
+    def _handle(self, env: Envelope) -> None:
+        self._arriving = env
+        try:
+            super()._handle(env)
+        finally:
+            self._arriving = None
+
+    def _poison_envelope(self, env: Envelope, err: Exception) -> None:
+        if env is not self._arriving:  # a revoke purge: poison as ever
+            super()._poison_envelope(env, err)
+            return
+        req = self._prq.match(env)
+        if req is None:
+            self._umq.add(env)
+        else:
+            self._match_pair(env, req)
+
+
 class ShrinkInflightEagerProgram:
     """Revoke racing a zero-copy eager send already in flight.
 
@@ -627,12 +730,11 @@ class ShrinkInflightEagerProgram:
     fails the purged senders' requests — but an envelope still in the
     delivery pipe at purge time arrives *afterwards*.  The drain-time
     revoked check in ``ProgressEngine._handle`` poisons such arrivals
-    (failing the sender's request typed); with it off
-    (:attr:`ProgressEngine._unsafe_skip_revoked_drain_check`) the
-    zero-copy envelope parks in the UMQ forever, nothing can legally
-    receive it, and the sender's deferred-completion send request never
-    reaches a terminal state — exactly the hang ``shrink`` exists to
-    make impossible.
+    (failing the sender's request typed); without it
+    (:class:`_ParkOnRevokedEngine`) the zero-copy envelope parks in the
+    UMQ forever, nothing can legally receive it, and the sender's
+    deferred-completion send request never reaches a terminal state —
+    exactly the hang ``shrink`` exists to make impossible.
 
     Rank 0 posts a zero-copy eager send; rank 1 revokes the world
     communicator at a schedule-chosen point; both shrink (the
@@ -642,25 +744,15 @@ class ShrinkInflightEagerProgram:
     """
 
     def __init__(self, fix_disabled: bool, nbytes: int = 64) -> None:
-        import numpy as np
-
-        from repro.mpisim.constants import ThreadLevel
-        from repro.mpisim.world import World
-
-        self.np = np
         self.world = World(2, ThreadLevel.MULTIPLE, zero_copy=True)
-        self.world.engines[1]._unsafe_skip_revoked_drain_check = (
-            fix_disabled
-        )
+        if fix_disabled:
+            self.world.engines[1].__class__ = _ParkOnRevokedEngine
         self.nbytes = nbytes
         self.send_req: Any = None
         self.posted = False
         self.complete = 0
 
     def setup(self, sched: Any) -> None:
-        np = self.np
-        from repro.mpisim.exceptions import CommRevokedError, MPIError
-
         def sender() -> None:
             comm = self.world.comm_world(0)
             buf = np.arange(self.nbytes, dtype=np.uint8)
@@ -713,138 +805,23 @@ class ShrinkInflightEagerProgram:
 
 
 # ---------------------------------------------------------------------------
-# Regression races 11/12: continuation completion (serving PR)
+# continuation-double-fire
 # ---------------------------------------------------------------------------
 
 
-class _DoneInnerRequest:
-    """Inner request that is already complete when the engine tracks
-    it: `_track` short-circuits straight into `_finish`."""
+class _UnclaimedSlot(_Slot):
+    """A pool slot whose ``cont_fired`` claim always reads unclaimed, so
+    every fire attempt that reaches ``_fire`` delivers."""
 
-    done = True
-    status = None
-    error = None
+    __slots__ = ()
 
+    @property
+    def cont_fired(self) -> bool:
+        return False
 
-class _ContComm:
-    """``cmd.comm`` stand-in whose isend completes immediately."""
-
-    @staticmethod
-    def isend(buf: Any, peer: int, tag: int) -> _DoneInnerRequest:
-        return _DoneInnerRequest()
-
-
-class ContinuationCrashProgram:
-    """Continuations registered on slot commands vs. an engine crash.
-
-    A producer allocates slots, registers a continuation on each
-    handle, and submits ISEND commands while a virtual engine thread
-    runs the real drain + dispatch path; the scheduler may fire the
-    ``engine.dispatch`` crash point under any command.  Invariant:
-    every accepted command's continuation fires **exactly once** —
-    success and crash (``_fail_pending`` → ``pool.fail``) are both
-    firing paths, and so is a registration that arrives after the
-    engine already finished the slot (every second command registers
-    only after its submit).  With the fail-path delivery disabled
-    (:attr:`OffloadRequestPool._unsafe_skip_fire_on_fail`), a crash
-    leaves continuations undelivered: the asyncio awaiters they stand
-    for would hang forever.
-    """
-
-    def __init__(self, fix_disabled: bool, n_commands: int = 4) -> None:
-        self.engine = OffloadEngine(
-            _FakeComm(),
-            queue_capacity=16,
-            telemetry=False,
-            request_pool=OffloadRequestPool(8, cache_size=0),
-        )
-        self.engine.pool._unsafe_skip_fire_on_fail = fix_disabled
-        self.n_commands = n_commands
-        #: one fire-record per accepted command
-        self.fires: list[list[int]] = []
-        self._submitted_all = False
-        self._comm = _ContComm()
-
-    def setup(self, sched: Any) -> None:
-        eng = self.engine
-        pool = eng.pool
-
-        def producer() -> None:
-            try:
-                for i in range(self.n_commands):
-                    idx = pool.alloc()
-                    handle = OffloadRequest(pool, idx)
-                    record: list[int] = []
-                    # Even commands register before the submit; odd
-                    # ones after it, so the registration races the
-                    # engine's complete/fail — the completer's
-                    # lock-free look at ``cont`` against the
-                    # registrant's look at the flag.
-                    late = i % 2 == 1
-                    if not late:
-                        handle.add_continuation(
-                            lambda r=record: r.append(1)
-                        )
-                    cmd = Command(
-                        CommandKind.ISEND,
-                        comm=self._comm,
-                        buf=None,
-                        peer=0,
-                        tag=i,
-                        slot=idx,
-                    )
-                    try:
-                        eng.submit(cmd)
-                    except OffloadEngineDied:
-                        return
-                    if late:
-                        handle.add_continuation(
-                            lambda r=record: r.append(1)
-                        )
-                    self.fires.append(record)
-            finally:
-                self._submitted_all = True
-
-        def engine_thread() -> None:
-            # Same cooperative drain/dispatch loop as the
-            # mid-batch-crash target, crash handling mirroring _run.
-            try:
-                while True:
-                    batch = eng.queue.drain(eng.batch_size)
-                    if batch:
-                        eng._drained.extend(batch)
-                        eng._process_batch()
-                        continue
-                    if self._submitted_all and eng.queue.empty():
-                        return
-                    _dst.wait_until(
-                        lambda: self._submitted_all
-                        or not eng.queue.empty()
-                    )
-            except _dst.ScheduledCrash as exc:
-                died = OffloadEngineDied(
-                    f"offload thread crashed: {exc!r}"
-                )
-                died.__cause__ = exc
-                eng._dead = died
-                eng._fail_pending(died)
-
-        sched.spawn(engine_thread, name="engine")
-        sched.spawn(producer, name="producer")
-
-    def check(self) -> None:
-        for i, record in enumerate(self.fires):
-            if len(record) != 1:
-                raise InvariantViolation(
-                    f"accepted command #{i}'s continuation fired "
-                    f"{len(record)} times (expected exactly once) — "
-                    "its awaiter "
-                    + (
-                        "hangs forever"
-                        if not record
-                        else "was woken twice"
-                    )
-                )
+    @cont_fired.setter
+    def cont_fired(self, value: bool) -> None:
+        _Slot.cont_fired.__set__(self, value)
 
 
 class ContinuationDoubleFireProgram:
@@ -855,16 +832,19 @@ class ContinuationDoubleFireProgram:
     path (the registrant when it observes the flag already set, the
     completer when it observes a registered continuation); the
     ``cont_fired`` claim under ``cont_lock`` is what collapses them to
-    one delivery.  With the claim skipped
-    (:attr:`OffloadRequestPool._unsafe_skip_fire_once_guard`), the
-    overlap window delivers twice.  Invariant: once both threads have
-    finished, the continuation fired exactly once.
+    one delivery.  On an :class:`_UnclaimedSlot` the overlap window
+    delivers twice.  Invariant: once both threads have finished, the
+    continuation fired exactly once.  The completer's first look at
+    ``cont`` takes no lock; run exhaustively (10 schedules) the same
+    program shows that no order of the two looks loses the delivery
+    either.
     """
 
     def __init__(self, fix_disabled: bool) -> None:
         self.pool = OffloadRequestPool(capacity=4, cache_size=0)
-        self.pool._unsafe_skip_fire_once_guard = fix_disabled
         self.idx = self.pool.alloc()
+        if fix_disabled:
+            self.pool._slots[self.idx] = _UnclaimedSlot()
         self.handle = OffloadRequest(self.pool, self.idx)
         self.fired: list[int] = []
 
@@ -893,6 +873,11 @@ class ContinuationDoubleFireProgram:
                 f"{self.pool.continuation_drops} continuation drops "
                 "recorded although the delivery happened"
             )
+
+
+# ---------------------------------------------------------------------------
+# continuation-vs-release
+# ---------------------------------------------------------------------------
 
 
 class _CoopLock:
@@ -1021,7 +1006,7 @@ class ContinuationVsReleaseProgram:
 
 
 # ---------------------------------------------------------------------------
-# Regression race 13: the engine's park vs. its three kinds of ringer
+# park-vs-ring
 # ---------------------------------------------------------------------------
 
 
@@ -1128,11 +1113,6 @@ class ParkVsRingProgram:
     """
 
     def __init__(self, fix_disabled: bool, nbytes: int = 64) -> None:
-        import numpy as np
-
-        from repro.mpisim.constants import ThreadLevel
-        from repro.mpisim.world import World
-
         self.world = World(2, ThreadLevel.MULTIPLE, eager_threshold=16)
         self.comm = self.world.comm_world(0)
         engine = OffloadEngine(
@@ -1198,7 +1178,7 @@ class ParkVsRingProgram:
 
 
 # ---------------------------------------------------------------------------
-# Regression race 14: a waiter parking on a done flag vs. its setter
+# flag-park-vs-set
 # ---------------------------------------------------------------------------
 
 
@@ -1300,7 +1280,7 @@ class FlagParkVsSetProgram:
 
 
 # ---------------------------------------------------------------------------
-# Regression race 15: a REVOKE notice in the inbox vs. a receive being posted
+# revoke-vs-post-recv
 # ---------------------------------------------------------------------------
 
 
@@ -1338,9 +1318,6 @@ class RevokeVsPostRecvProgram:
     """
 
     def __init__(self, fix_disabled: bool, in_run: bool = False) -> None:
-        from repro.mpisim.constants import ThreadLevel
-        from repro.mpisim.world import World
-
         self.world = World(2, ThreadLevel.MULTIPLE)
         self.in_run = in_run
         if fix_disabled:
@@ -1350,10 +1327,6 @@ class RevokeVsPostRecvProgram:
         self.revoke_sent = False
 
     def setup(self, sched: Any) -> None:
-        import numpy as np
-
-        from repro.mpisim.exceptions import CommRevokedError
-
         def receiver() -> None:
             comm = self.world.comm_world(0)
             _dst.yield_point("revoke.post_delay")
@@ -1394,7 +1367,7 @@ class RevokeVsPostRecvProgram:
 
 
 # ---------------------------------------------------------------------------
-# Regression race 17: completions landing vs. the loop draining them
+# land-vs-drain
 # ---------------------------------------------------------------------------
 
 
@@ -1742,25 +1715,29 @@ class RequestPoolLinearizabilityProgram:
 
 
 # ---------------------------------------------------------------------------
-# Corpus registry + runner
+# The corpus table + runner
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class Target:
-    """One corpus entry: how to build and explore a program."""
+    """One corpus row: how to build and explore a program."""
 
     name: str
     description: str
     #: program factory; regression targets take ``fix_disabled``
     make: Callable[..., Any]
-    #: True for the three guarded-fix regression races
+    #: True for a regression race (its program takes ``fix_disabled``),
+    #: False for a linearizability oracle
     regression: bool
     #: default exploration strategy (every target also supports the
     #: others; exhaustive only where the schedule tree is small enough)
     strategy: str = "exhaustive"
     schedules: int = 2000
     max_steps: int = 20_000
+    #: size of the schedule tree the fix-on run exhausts at the default
+    #: strategy and budget (the proof); None for a sampled target
+    tree: int | None = None
 
 
 CORPUS: dict[str, Target] = {
@@ -1770,25 +1747,29 @@ CORPUS: dict[str, Target] = {
             name="queue-close-enqueue",
             description=(
                 "MPSCQueue close() racing a producer's post-CAS "
-                "publish (silently lost command)"
+                "publish: without the post-CAS closed re-check the "
+                "accepted command is silently lost"
             ),
             make=CloseEnqueueProgram,
             regression=True,
+            tree=134,
         ),
         Target(
             name="freelist-double-free",
             description=(
                 "two frees of one FreeList slot racing the ownership "
-                "ledger (list cycle, duplicate allocs)"
+                "ledger: without it both succeed (list cycle, duplicate "
+                "allocs)"
             ),
             make=DoubleFreeProgram,
             regression=True,
+            tree=36,
         ),
         Target(
             name="engine-mid-batch-crash",
             description=(
-                "engine crash mid-_process_batch dropping the drained "
-                "tail (hung waiters)"
+                "engine crash mid-_process_batch: a _fail_pending that "
+                "forgets the drained tail leaves its waiters hung"
             ),
             make=MidBatchCrashProgram,
             regression=True,
@@ -1872,6 +1853,7 @@ CORPUS: dict[str, Target] = {
             make=ContinuationVsReleaseProgram,
             regression=True,
             schedules=20_000,
+            tree=3_040,
         ),
         Target(
             name="park-vs-ring",
@@ -1883,6 +1865,7 @@ CORPUS: dict[str, Target] = {
             make=ParkVsRingProgram,
             regression=True,
             schedules=20_000,
+            tree=170,
         ),
         Target(
             name="flag-park-vs-set",
@@ -1894,6 +1877,7 @@ CORPUS: dict[str, Target] = {
             make=FlagParkVsSetProgram,
             regression=True,
             schedules=200_000,
+            tree=5_584,
         ),
         Target(
             name="revoke-vs-post-recv",
@@ -1904,6 +1888,7 @@ CORPUS: dict[str, Target] = {
             ),
             make=RevokeVsPostRecvProgram,
             regression=True,
+            tree=6,
         ),
         Target(
             name="land-vs-drain",
@@ -1915,6 +1900,7 @@ CORPUS: dict[str, Target] = {
             make=LandVsDrainProgram,
             regression=True,
             schedules=20_000,
+            tree=6_450,
         ),
         Target(
             name="queue-linearizability",
@@ -1960,13 +1946,21 @@ class TargetOutcome:
     target: str
     fix_disabled: bool
     result: ExplorationResult
+    #: the tree this run must have exhausted (see :attr:`Target.tree`),
+    #: or None when the run is not the row's proof
+    tree: int | None = None
     #: did the exploration behave as the corpus demands?
     expected: bool = field(init=False)
 
     def __post_init__(self) -> None:
         # Fix disabled -> the explorer must rediscover the race.
-        # Fix enabled (or oracle target) -> it must find nothing.
-        self.expected = self.result.found == self.fix_disabled
+        # Fix enabled (or oracle target) -> it must find nothing, and a
+        # proof run must have walked exactly the recorded tree.
+        result = self.result
+        self.expected = result.found == self.fix_disabled and (
+            self.tree is None
+            or (result.exhausted and result.runs == self.tree)
+        )
 
 
 def run_target(
@@ -1988,17 +1982,27 @@ def run_target(
                 f"{name} is an oracle target; it has no fix to disable"
             )
         make = target.make
+    strategy = strategy or target.strategy
+    schedules = schedules or target.schedules
+    proof = (
+        not fix_disabled
+        and strategy == target.strategy
+        and schedules == target.schedules
+    )
     explorer = Explorer(
         make,
-        strategy=strategy or target.strategy,
-        schedules=schedules or target.schedules,
+        strategy=strategy,
+        schedules=schedules,
         seed=seed,
         max_steps=target.max_steps,
         counters=counters,
         verbose=verbose,
     )
     return TargetOutcome(
-        target=name, fix_disabled=fix_disabled, result=explorer.run()
+        target=name,
+        fix_disabled=fix_disabled,
+        result=explorer.run(),
+        tree=target.tree if proof else None,
     )
 
 
@@ -2007,8 +2011,9 @@ def run_corpus(
     schedules: int | None = None,
     strategy: str | None = None,
     counters: Any = None,
+    names: list[str] | None = None,
 ) -> list[TargetOutcome]:
-    """Self-check the whole corpus.
+    """Self-check the corpus (or the targets ``names``, in that order).
 
     Every regression target is explored twice — fix disabled (the race
     must be rediscovered) and fix enabled (the schedule budget must
@@ -2017,26 +2022,17 @@ def run_corpus(
     crying wolf on fixed code.
     """
     outcomes: list[TargetOutcome] = []
-    for name, target in CORPUS.items():
-        if target.regression:
+    for name in CORPUS if names is None else names:
+        runs = [True, False] if CORPUS[name].regression else [False]
+        for fix_disabled in runs:
             outcomes.append(
                 run_target(
                     name,
-                    fix_disabled=True,
+                    fix_disabled=fix_disabled,
                     seed=seed,
                     schedules=schedules,
                     strategy=strategy,
                     counters=counters,
                 )
             )
-        outcomes.append(
-            run_target(
-                name,
-                fix_disabled=False,
-                seed=seed,
-                schedules=schedules,
-                strategy=strategy,
-                counters=counters,
-            )
-        )
     return outcomes

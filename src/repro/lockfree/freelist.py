@@ -60,11 +60,6 @@ class FreeList(Generic[T]):
         # C-level calls, so this is safe from many threads and `len`
         # replaces the old racy +=1/-=1 approximate counter).
         self._live: set[int] = set()
-        #: DST-only regression hook: when True, :meth:`mark_free` skips
-        #: the live-set ownership check — the double-free bug the ledger
-        #: was added to catch.  Only ever set by the regression corpus
-        #: (repro.dst.targets), never by production code.
-        self._unsafe_skip_live_check = False
 
     @property
     def capacity(self) -> int:
@@ -155,9 +150,6 @@ class FreeList(Generic[T]):
             raise IndexError(f"slot index {idx} out of range")
         if _dst._scheduler is not None:
             _dst.yield_point("freelist.mark_free")
-        if self._unsafe_skip_live_check:
-            self._live.discard(idx)
-            return
         try:
             self._live.remove(idx)
         except KeyError:

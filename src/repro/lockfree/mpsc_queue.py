@@ -74,12 +74,6 @@ class MPSCQueue(Generic[T]):
         #: occupancy high-water mark (off by default — zero overhead)
         self.track_occupancy = False
         self.occupancy_hwm = 0
-        #: DST-only regression hook: when True, a producer that wins its
-        #: enqueue CAS skips the post-CAS ``closed`` re-check — the exact
-        #: close/enqueue race fixed in the lifecycle-hardening PR.  Only
-        #: ever set by the regression corpus (repro.dst.targets), never
-        #: by production code.
-        self._unsafe_skip_close_recheck = False
 
     @property
     def capacity(self) -> int:
@@ -138,7 +132,7 @@ class MPSCQueue(Generic[T]):
                     # concurrent close()+drain_closed() can run here.
                     if _dst._scheduler is not None:
                         _dst.yield_point("queue.enqueue.post_cas")
-                    if self._closed and not self._unsafe_skip_close_recheck:
+                    if self._closed:
                         # Lost the race against close(): the consumer's
                         # final drain may already have run, so this cell
                         # might never be read again.  Publish a

@@ -723,14 +723,11 @@ class Communicator:
         table means live-masks converge once deaths stop — so the loop
         terminates.
         """
-        eng = self.engine
-        world = self.world
         with self._agree_lock:
             epoch = self._agree_seq
             self._agree_seq += 1
         deadline = time.perf_counter() + timeout
         cand = int(flag)
-        trust_first = world._unsafe_agree_trust_first_round
         max_rounds = 4 * self.size + 8
         stash: dict[int, np.ndarray] = {}
         rnd = 0
@@ -742,66 +739,15 @@ class Communicator:
                     f"agree: no decision after {max_rounds} rounds "
                     f"(cid {self.cid}, epoch {epoch})"
                 )
-            eng.agree_rounds += 1
-            dead = world.dead_ranks
-            mask = [
-                i
-                for i in range(self.size)
-                if self.group[i] == eng.rank or self.group[i] not in dead
-            ]
-            mask_bits = 0
-            for i in mask:
-                mask_bits |= 1 << i
-            decisive = True
-            for i in mask:
-                if i == self.rank:
-                    continue
-                try:
-                    self._ft_send(
-                        i, epoch, _FT_CAND, rnd, cand, mask_bits
-                    )
-                except RankDeadError:
-                    decisive = False
-            for i in mask:
-                if i == self.rank:
-                    continue
-                msg = stash.pop(i, None)
-                while True:
-                    if msg is None:
-                        try:
-                            msg = self._ft_next_msg(i, epoch, deadline)
-                        except RankDeadError:
-                            decisive = False
-                            break
-                    kind = int(msg[1])
-                    if kind == _FT_DECIDED:
-                        decided_value = int(msg[3])
-                        break
-                    mrnd = int(msg[2])
-                    if mrnd < rnd:
-                        # Stale round (we retried past it): drop.
-                        msg = None
-                        continue
-                    cand &= int(msg[3])
-                    if mrnd > rnd:
-                        # Peer ran ahead; its value is safe to AND
-                        # (monotone) but deciding on drifted rounds is
-                        # not — keep it for the round it belongs to.
-                        stash[i] = msg
-                        decisive = False
-                    if int(msg[4]) != mask_bits:
-                        decisive = False
-                    break
-                if decided_value is not None:
-                    break
-            if decided_value is not None:
-                break
-            if decisive or trust_first:
+            decisive, cand, decided_value = self._agree_round(
+                epoch, rnd, cand, stash, deadline
+            )
+            if decisive and decided_value is None:
                 decided_value = cand
         # Decision reached (own or adopted): disseminate before
         # returning, so peers still gathering consume DECIDED as this
         # rank's next message and adopt the same value.
-        dead = world.dead_ranks
+        dead = self.world.dead_ranks
         for i in range(self.size):
             if i == self.rank or self.group[i] in dead:
                 continue
@@ -812,6 +758,71 @@ class Communicator:
             except RankDeadError:
                 pass
         return decided_value
+
+    def _agree_round(
+        self,
+        epoch: int,
+        rnd: int,
+        cand: int,
+        stash: dict[int, np.ndarray],
+        deadline: float,
+    ) -> tuple[bool, int, int | None]:
+        """One round of :meth:`agree`: send the candidate to every peer
+        this rank believes live, then gather one message from each.
+
+        Returns ``(decisive, cand, adopted)``: whether the round may
+        decide, the candidate ANDed with everything gathered, and the
+        value of a ``DECIDED`` notice if one arrived instead (else
+        ``None``).
+        """
+        eng = self.engine
+        eng.agree_rounds += 1
+        dead = self.world.dead_ranks
+        mask = [
+            i
+            for i in range(self.size)
+            if self.group[i] == eng.rank or self.group[i] not in dead
+        ]
+        mask_bits = 0
+        for i in mask:
+            mask_bits |= 1 << i
+        decisive = True
+        for i in mask:
+            if i == self.rank:
+                continue
+            try:
+                self._ft_send(i, epoch, _FT_CAND, rnd, cand, mask_bits)
+            except RankDeadError:
+                decisive = False
+        for i in mask:
+            if i == self.rank:
+                continue
+            msg = stash.pop(i, None)
+            while True:
+                if msg is None:
+                    try:
+                        msg = self._ft_next_msg(i, epoch, deadline)
+                    except RankDeadError:
+                        decisive = False
+                        break
+                if int(msg[1]) == _FT_DECIDED:
+                    return decisive, cand, int(msg[3])
+                mrnd = int(msg[2])
+                if mrnd < rnd:
+                    # Stale round (we retried past it): drop.
+                    msg = None
+                    continue
+                cand &= int(msg[3])
+                if mrnd > rnd:
+                    # Peer ran ahead; its value is safe to AND
+                    # (monotone) but deciding on drifted rounds is
+                    # not — keep it for the round it belongs to.
+                    stash[i] = msg
+                    decisive = False
+                if int(msg[4]) != mask_bits:
+                    decisive = False
+                break
+        return decisive, cand, None
 
     def shrink(self, timeout: float = 60.0) -> "Communicator":
         """Build a live-members-only communicator (ULFM ``MPI_Comm_shrink``).

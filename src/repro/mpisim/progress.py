@@ -109,21 +109,6 @@ class ProgressEngine:
         self.comm_revokes = 0
         self.agree_rounds = 0
         self.shrink_epochs = 0
-        #: DST-only regression hook: complete zero-copy eager sends at
-        #: *post* time (the pre-fix behavior) instead of at match time.
-        #: Re-opens the classic zero-copy race — sender legally reuses
-        #: its buffer after completion while a late-matching receiver
-        #: still reads the borrowed view.  Only ever set by the
-        #: regression corpus (repro.dst.targets), never by production
-        #: code.
-        self._unsafe_complete_eager_at_post = False
-        #: DST-only regression hook: skip the drain-time revoked check
-        #: in :meth:`_handle` (the pre-fix behavior).  Re-opens the
-        #: shrink-vs-inflight-eager race — a zero-copy eager envelope
-        #: that arrives *after* the revoke purge parks in the UMQ
-        #: forever and its sender's request never completes.  Only ever
-        #: set by the regression corpus (repro.dst.targets).
-        self._unsafe_skip_revoked_drain_check = False
 
     # -- library lock ------------------------------------------------------
 
@@ -208,11 +193,6 @@ class ProgressEngine:
                         send_req=req,
                     )
                     self._deliver(dst, env)
-                    if (
-                        self._unsafe_complete_eager_at_post
-                        and not req.done
-                    ):
-                        req._complete(EMPTY_STATUS)
                     return req
                 # Eager: copy now (this copy IS the cost the paper's
                 # Figure 4 shows growing toward the 128 KB threshold).
@@ -632,7 +612,6 @@ class ProgressEngine:
             self._revoked
             and env.context_id >= 0
             and (env.context_id >> 1) in self._revoked
-            and not self._unsafe_skip_revoked_drain_check
         ):
             # The cid was revoked after this envelope left its sender:
             # without this check a zero-copy eager arrival would park

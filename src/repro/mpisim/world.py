@@ -98,12 +98,6 @@ class World:
         #: keyed context-id allocations (see :meth:`allocate_cid_keyed`)
         self._keyed_cids: dict[object, int] = {}
         self._cid_key_lock = threading.Lock()
-        #: DST-only regression hook: make ``Communicator.agree`` decide
-        #: after its first round, skipping the uniform-mask check and
-        #: gather-failure retry (the pre-fix behavior).  Re-opens the
-        #: split-brain agreement race the ``agree-vs-participant-crash``
-        #: corpus target rediscovers.  Only ever set by repro.dst.targets.
-        self._unsafe_agree_trust_first_round = False
         #: rank → CPU of the current/last :meth:`run`; None before the
         #: first run and whenever the ranks ran unbound (more than one
         #: rank, or a platform without the affinity call, or a refusal)

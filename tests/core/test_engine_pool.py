@@ -11,7 +11,7 @@ import pytest
 from repro.core import EnginePool, offloaded
 from repro.core.commands import Command, CommandKind
 from repro.core.request_pool import OffloadEngineDied
-from repro.dst.targets import _FakeComm
+from repro.dst.targets import _FakeComm, _RoundRobinRouter
 from repro.mpisim import THREAD_FUNNELED
 from repro.mpisim.exceptions import ThreadLevelError
 from repro.obs import check_balance
@@ -152,7 +152,7 @@ class TestStickyRoute:
 
     def test_stickiness_off_pins_nothing(self):
         pool = self._pool()
-        pool.router._unsafe_ignore_stickiness = True
+        pool.router = _RoundRobinRouter(pool.router.policy)
         (cmd,) = self._sends(1)
         assert pool.router.pinned(cmd) is None
         assert {id(pool.route(cmd)) for _ in range(4)} == {

@@ -1,16 +1,39 @@
-"""The DST regression corpus: every race fixed in the lifecycle PR must
-be rediscovered by the explorer when its fix is disabled, pass clean
-when the fix is on, and reproduce exactly from the printed token.
+"""The DST regression corpus: every fixed race must be rediscovered by
+the explorer when its fix is disabled, pass clean when the fix is on
+(the production classes, unmodified), and reproduce exactly from the
+printed token.
 
 The unmarked tests are the CI smoke subset (small bounded budgets); the
 ``-m dst`` tier re-runs the full corpus at its default budgets.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.core.engine import OffloadEngine
+from repro.core.engine_pool import ShardRouter
+from repro.core.request_pool import OffloadRequestPool, _Slot
 from repro.dst.explorer import Explorer
 from repro.dst.targets import CORPUS, run_corpus, run_target
+from repro.lockfree.mpsc_queue import MPSCQueue
+from repro.mpisim.communicator import Communicator
+from repro.mpisim.progress import ProgressEngine
 from repro.obs.counters import Counters
+
+#: target -> (the part of its program the broken variant replaces, the
+#: production class that part must be with the fix on)
+PORTED = {
+    "queue-close-enqueue": (lambda p: p.queue, MPSCQueue),
+    "freelist-double-free": (lambda p: p.freelist._live, set),
+    "engine-mid-batch-crash": (lambda p: p.engine, OffloadEngine),
+    "routing-order": (lambda p: p.pool.router, ShardRouter),
+    "eager-deferred-copy": (lambda p: p.world.engines[0], ProgressEngine),
+    "agree-participant-crash": (lambda p: p.comms[0], Communicator),
+    "shrink-inflight-eager": (lambda p: p.world.engines[1], ProgressEngine),
+    "continuation-vs-crash": (lambda p: p.engine.pool, OffloadRequestPool),
+    "continuation-double-fire": (lambda p: p.pool._slots[p.idx], _Slot),
+}
 
 
 class TestCorpusRegistry:
@@ -43,6 +66,26 @@ class TestCorpusRegistry:
     def test_oracle_targets_reject_fix_disabled(self):
         with pytest.raises(ValueError, match="oracle"):
             run_target("queue-linearizability", fix_disabled=True)
+
+    def test_a_proof_run_must_walk_the_recorded_tree(self, monkeypatch):
+        name = "revoke-vs-post-recv"
+        assert run_target(name).expected
+        wrong = dataclasses.replace(CORPUS[name], tree=CORPUS[name].tree + 1)
+        monkeypatch.setitem(CORPUS, name, wrong)
+        outcome = run_target(name)
+        assert not outcome.result.found and outcome.result.exhausted
+        assert outcome.expected is False
+        # off the row's default budget the run is a sample, not its proof
+        assert run_target(name, schedules=3).expected
+
+    @pytest.mark.parametrize("name", sorted(PORTED))
+    def test_fix_on_runs_the_production_class(self, name):
+        """The fix-on side is shipped code; only the broken side swaps
+        in a harness variant."""
+        part, production = PORTED[name]
+        make = CORPUS[name].make
+        assert type(part(make(False))) is production
+        assert type(part(make(True))) is not production
 
 
 class TestSmokeRegressions:

@@ -114,8 +114,12 @@ class TestPostedReceiveHappyPath:
         np.testing.assert_array_equal(buf, np.arange(16, dtype=np.uint8))
 
     def test_unsafe_hook_reopens_the_race(self):
+        """The DST harness's pre-fix engine (completion at post) breaks
+        the contract the tests above pin."""
+        from repro.dst.targets import _CompleteAtPostEngine
+
         e0, e1 = make_pair()
-        e0._unsafe_complete_eager_at_post = True
+        e0.__class__ = _CompleteAtPostEngine
         payload = np.arange(16, dtype=np.uint8)
         sreq = e0.post_send(payload, dst=1, tag=1, context_id=0)
         assert sreq.done  # the bug: complete while still borrowed
