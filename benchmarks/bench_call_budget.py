@@ -8,7 +8,8 @@ warmed windows of pre-posted ``irecv`` / ``isend`` + ``wait``
 the plain communicator, and records over the same windows the engine's
 substrate entries per command and the substrate's own work per message
 (envelopes handled, send-time copies): fewer calls must be the same
-work.
+work.  ``calls_per_msg_telemetry`` prices the telemetry switch (trace
+ring and ring occupancy; the counters are always on).
 
 All are ``counter``-kind metrics: they repeat to within a call per
 message on one interpreter, so ``benchmarks/ratchet.py`` blocks on
@@ -31,7 +32,9 @@ from repro.bench.call_budget import NBYTES, WINDOW, WINDOWS, measure
 def test_call_budget(bench_trajectory):
     offload = measure(offload=True)
     plain = measure(offload=False)
+    traced = measure(offload=True, telemetry=True)
     print(f"\noffloaded: {offload.report()}")
+    print(f"offloaded, telemetry on: {traced.report(top=5)}")
     print(f"plain: {plain.report(top=0)}")
     print(
         f"substrate entries per command: {offload.entries_per_cmd:.3f} "
@@ -57,6 +60,7 @@ def test_call_budget(bench_trajectory):
             0.15,
         ),
         ("calls_per_msg_plain", round(plain.per_msg, 1), 0.15),
+        ("calls_per_msg_telemetry", round(traced.per_msg, 1), 0.15),
         (
             "substrate_entries_per_cmd",
             round(offload.entries_per_cmd, 3),

@@ -57,9 +57,8 @@ def program(comm):
     baseline = exchange(comm, "baseline (no progress):")
 
     # --- offload: the paper's dedicated communication thread ----------
-    # telemetry=True turns on the engine's counter/trace layer (it is
-    # off — and free — by default; see repro.obs)
-    with offloaded(comm, telemetry=True) as ocomm:
+    # the engine's counters are always on (see repro.obs)
+    with offloaded(comm) as ocomm:
         offload = exchange(ocomm, "offload thread (paper §3):")
         # the offloaded communicator is a drop-in replacement:
         total = ocomm.allreduce(np.array([float(ocomm.rank)]))

@@ -42,6 +42,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(names: list[str], full: bool, telemetry: bool = False) -> int:
+    from repro import obs
     from repro.experiments import REGISTRY, load
 
     wanted = names or list(REGISTRY)
@@ -49,20 +50,15 @@ def _cmd_run(names: list[str], full: bool, telemetry: bool = False) -> int:
     if unknown:
         print(f"unknown artifact(s): {unknown}; try 'python -m repro list'")
         return 2
-    if telemetry:
-        from repro import obs
-
-        obs.set_enabled(True)
-        obs.drain_snapshots()
+    obs.drain_snapshots()
     failures = []
     for exp_id in wanted:
         mod = load(exp_id)
         t0 = time.perf_counter()
-        table = mod.run(fast=not full)
+        with obs.telemetry(telemetry):
+            table = mod.run(fast=not full)
         print(table.render())
         if telemetry:
-            from repro import obs
-
             snaps = obs.drain_snapshots()
             if snaps:
                 print()

@@ -6,7 +6,9 @@ profile hook on every thread (application *and* engine threads) sums
 ``call`` + ``c_call`` events over warmed windows of pre-posted
 ``irecv`` / ``isend`` + ``wait`` between two ranks — the shape of the
 ``eager_stream`` workload — once through ``offloaded()`` and once
-through the plain communicator.  Counts, unlike timings, repeat from
+through the plain communicator.  ``telemetry=True`` prices the switch:
+the trace ring and the ring's occupancy tracking (the counters are
+always on, and cost no call).  Counts, unlike timings, repeat from
 run to run on a drifting box (to a few tenths of a call per message:
 only the number of engine-loop iterations varies).
 """
@@ -111,7 +113,9 @@ def _window(c, rank: int, out, into, tok) -> None:
         req.wait()
 
 
-def measure(offload: bool, windows: int = WINDOWS) -> CallCount:
+def measure(
+    offload: bool, windows: int = WINDOWS, telemetry: bool = False
+) -> CallCount:
     """Count calls per message over ``windows`` warmed windows."""
     hook = Hook()
     gate = threading.Barrier(2)
@@ -123,7 +127,7 @@ def measure(offload: bool, windows: int = WINDOWS) -> CallCount:
         into = np.zeros((WINDOW, NBYTES), dtype=np.uint8)
         tok = np.zeros(1, dtype=np.uint8)
         ctx = (
-            offloaded(comm, telemetry=False, pool_size=1)
+            offloaded(comm, telemetry=telemetry, pool_size=1)
             if offload
             else contextlib.nullcontext(comm)
         )

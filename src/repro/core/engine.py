@@ -53,6 +53,27 @@ _BATCH = 64
 #: ``heartbeat`` and fault-plan maturation alive.
 _TICK = 1e-3
 _NEVER = float("inf")
+#: The engine's own counters, each a plain int attribute bumped where
+#: its event happens (DESIGN.md §9); ``stats()`` adds what the ring,
+#: the request pool and the progress engine already hold.
+_COUNTS = (
+    "commands_processed",
+    "progress_sweeps",
+    "completions",
+    "control_commands",
+    "blocking_conversions",
+    "doorbell_wakes",
+    "timed_wakes",
+    "max_in_flight",
+    "queue_full_retries",
+    "retries",
+    "deadline_expirations",
+    "watchdog_trips",
+    "degraded_mode_commands",
+    "batch_dequeues",
+    "batch_size_hwm",
+    "substrate_entries",
+)
 
 
 def _is_rank_dead(exc: BaseException) -> bool:
@@ -90,6 +111,10 @@ class OffloadEngine:
         constructing a private one.  An :class:`EnginePool` passes one
         pool to all its shards so the facade can allocate a slot before
         routing.
+    telemetry:
+        Keep a trace ring, track the command ring's occupancy, and file
+        the final snapshot in the :mod:`repro.obs` registry (default:
+        :func:`repro.obs.enabled`).  The counters are always on.
     """
 
     def __init__(
@@ -143,35 +168,14 @@ class OffloadEngine:
         self._retries: list[tuple[float, int, Command]] = []
         self._retry_seq = 0
         self._trip_lock = threading.Lock()
-        # -- telemetry (zero-overhead when disabled: every hot path
-        # guards on a single `is None` check of self._telem) -------------
         if telemetry is None:
             telemetry = obs.enabled()
-        self._telem: obs.Telemetry | None = (
-            obs.Telemetry() if telemetry else None
-        )
-        if self._telem is not None:
-            self.queue.track_occupancy = True
-            if self.pool.telemetry is None:
-                # A shared pool keeps the first shard's counters: pool
-                # alloc/release telemetry is pool-global, and wiring it
-                # to every shard would double-count each event.
-                self.pool.telemetry = self._telem.counters
-        # -- statistics ---------------------------------------------------
-        self.commands_processed = 0
-        self.progress_sweeps = 0
-        self.completions = 0
-        self.max_in_flight = 0
-        self.queue_full_retries = 0
-        self.retry_count = 0
-        self.deadline_expirations = 0
-        self.watchdog_trips = 0
-        self.degraded_commands = 0
-        self.batch_dequeues = 0
-        self.batch_size_hwm = 0
-        #: entries into the substrate to post p2p commands: one per
-        #: drained run, however many it carries
-        self.substrate_entries = 0
+        #: the trace ring (None with telemetry off: every trace site is
+        #: one `is None` check)
+        self.trace = obs.TraceBuffer() if telemetry else None
+        self.queue.track_occupancy = bool(telemetry)
+        for name in _COUNTS:
+            setattr(self, name, 0)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -230,7 +234,7 @@ class OffloadEngine:
                 pending=pending,
             )
         self._thread = None
-        if self._telem is not None:
+        if self.trace is not None:
             obs.record_snapshot(self.telemetry_snapshot())
 
     def abort(
@@ -252,7 +256,7 @@ class OffloadEngine:
                 return
             self._thread = None
         self._fail_pending(exc)
-        if self._telem is not None:
+        if self.trace is not None:
             obs.record_snapshot(self.telemetry_snapshot())
 
     def watchdog_trip(self, reason: str) -> None:
@@ -269,12 +273,10 @@ class OffloadEngine:
             if self._dead is not None:
                 return
             self.watchdog_trips += 1
-            if self._telem is not None:
-                self._telem.counters.inc("watchdog_trips")
-                if self._telem.trace is not None:
-                    self._telem.trace.append(
-                        "watchdog_trip", rank=self.comm.engine.rank
-                    )
+            if self.trace is not None:
+                self.trace.append(
+                    "watchdog_trip", rank=self.comm.engine.rank
+                )
             exc = OffloadEngineDied(f"watchdog tripped: {reason}")
             self._dead = exc
         self._wake.set()
@@ -338,7 +340,6 @@ class OffloadEngine:
         against a dead (or never-started) engine raises instead of
         spinning forever.
         """
-        tm = self._telem
         if _dst._scheduler is not None:
             _dst.yield_point("engine.submit")
         if self._dead is not None:
@@ -360,12 +361,10 @@ class OffloadEngine:
                 ) from closed
             except QueueFull:
                 self.queue_full_retries += 1
-                if tm is not None:
-                    tm.counters.inc("queue_full_retries")
-                    if tm.trace is not None:
-                        tm.trace.append(
-                            "queue_full", rank=self.comm.engine.rank
-                        )
+                if self.trace is not None:
+                    self.trace.append(
+                        "queue_full", rank=self.comm.engine.rank
+                    )
                 if self._dead is not None:
                     raise OffloadEngineDied(
                         f"offload engine terminated with the command "
@@ -385,8 +384,6 @@ class OffloadEngine:
                     _dst.yield_point("engine.submit.retry")
                 else:
                     time.sleep(1e-5)
-        if tm is not None:
-            tm.counters.inc("enqueues")
         if not self._wake._flag:  # a rung bell is not rung again
             self._wake.set()
 
@@ -400,18 +397,12 @@ class OffloadEngine:
         world.set_funnel_thread(rank, threading.get_ident())
         shutdown = False
         timed_out = False
-        tm = self._telem
-        counters = tm.counters if tm is not None else None
-        # Mirror engine telemetry into the substrate's progress engine
+        # Share the trace ring with the substrate's progress engine
         # (trace only; the progress engine keeps its own counters).
         progress_engine = self.comm.engine
         attached_trace = False
-        if (
-            tm is not None
-            and tm.trace is not None
-            and progress_engine.trace is None
-        ):
-            progress_engine.trace = tm.trace
+        if self.trace is not None and progress_engine.trace is None:
+            progress_engine.trace = self.trace
             attached_trace = True
         # Every arrival at this rank and every completion of a request
         # it owns rings `_wake` for as long as the loop lives.
@@ -447,15 +438,9 @@ class OffloadEngine:
                     self.batch_dequeues += 1
                     if len(batch) > self.batch_size_hwm:
                         self.batch_size_hwm = len(batch)
-                    if counters is not None:
-                        counters.inc("commands_drained", len(batch))
-                        counters.inc("batch_dequeues")
-                        counters.record_max("batch_size_hwm", len(batch))
                     if self._process_batch():
                         shutdown = True
                 did += self._sweep()
-                if counters is not None:
-                    counters.inc("testany_sweeps")
                 if self._retries:
                     did += self._run_due_retries()
                 if self._flushes:
@@ -476,11 +461,9 @@ class OffloadEngine:
                     if not tail:
                         break
                     self._drained.extend(tail)
-                    if counters is not None:
-                        counters.inc("commands_drained", len(tail))
                     self._process_batch()
-                if timed_out and did and counters is not None:
-                    counters.inc("timed_wakes")
+                if timed_out and did:
+                    self.timed_wakes += 1
                 timed_out = False
                 if more:
                     # The rest of a deep ring: no bell announces it.
@@ -495,8 +478,8 @@ class OffloadEngine:
                     if due == _NEVER
                     else min(_TICK, max(0.0, due - time.perf_counter()))
                 )
-                if counters is not None and not timed_out:
-                    counters.inc("doorbell_wakes")
+                if not timed_out:
+                    self.doorbell_wakes += 1
             if self._dead is not None:
                 # Poisoned while running (abort/watchdog on a wedged
                 # loop): we are the only legal queue consumer, so fail
@@ -536,9 +519,6 @@ class OffloadEngine:
         to ``_post_run``, which owns it from there: whatever raises,
         nothing drained is held where ``_fail_pending`` cannot find it.
         """
-        counters = (
-            self._telem.counters if self._telem is not None else None
-        )
         drained = self._drained
         shutdown = False
         while drained:
@@ -555,8 +535,7 @@ class OffloadEngine:
                 continue
             drained.popleft()
             if kind is CommandKind.SHUTDOWN:
-                if counters is not None:
-                    counters.inc("control_commands")
+                self.control_commands += 1
                 shutdown = True
             else:
                 self._post_run([first])
@@ -573,14 +552,13 @@ class OffloadEngine:
         retry or back on ``self._drained``.
 
         A crash injected at command *N* terminal-fails *N* (its waiter
-        gets a typed error and the telemetry balance law holds), puts
+        gets a typed error and the balance law holds), puts
         the unexamined tail back for ``_fail_pending``, and *then*
         posts the prefix admitted before it — those commands were
         accepted while the engine lived, exactly as if dispatched one
         by one — before the crash kills the loop.
         """
-        tm = self._telem
-        trace = tm.trace if tm is not None else None
+        trace = self.trace
         faults = self._faults
         live = run  # the admitted: a copy only once one is refused
         n = 0
@@ -674,7 +652,7 @@ class OffloadEngine:
             inners, raised = comm._post_run(ops)
         except BaseException as exc:  # noqa: BLE001 - thread-level error
             inners, raised = [exc] * len(posted), True
-        tm = self._telem
+        trace = self.trace
         pool = self.pool
         for cmd, inner in zip(posted, inners):
             if raised and isinstance(inner, BaseException):
@@ -686,8 +664,10 @@ class OffloadEngine:
                 and inner.error is None
             ):
                 self.completions += 1
-                if tm is not None:
-                    self._note_completion(tm, cmd.slot)
+                if trace is not None:
+                    trace.append(
+                        "complete", rank=self.comm.engine.rank, slot=cmd.slot
+                    )
                 pool.complete(cmd.slot, inner.status)
             else:
                 self._track(inner, cmd)
@@ -719,19 +699,16 @@ class OffloadEngine:
             and isinstance(exc, rec.retry.retry_on)
         ):
             cmd.attempts += 1
-            self.retry_count += 1
-            if self._telem is not None:
-                self._telem.counters.inc("retries")
+            self.retries += 1
             due = time.perf_counter() + rec.retry.backoff(cmd.attempts)
             self._retry_seq += 1
             heapq.heappush(self._retries, (due, self._retry_seq, cmd))
             return
-        if self._telem is not None:
-            self._telem.counters.inc("completions")
         self._fail(cmd, exc)
 
     def _fail(self, cmd: Command, exc: BaseException) -> None:
         """Publish ``exc`` as ``cmd``'s terminal state (slot or flag)."""
+        self.completions += 1
         if cmd.kind.nonblocking:
             self.pool.fail(cmd.slot, exc)
         else:
@@ -752,16 +729,10 @@ class OffloadEngine:
     def _expire(self, cmd: Command) -> None:
         """Terminal-fail a command that missed its deadline."""
         self.deadline_expirations += 1
-        tm = self._telem
-        if tm is not None:
-            tm.counters.inc("deadline_expirations")
-            tm.counters.inc("completions")
-            if tm.trace is not None:
-                tm.trace.append(
-                    "deadline_expired",
-                    rank=self.comm.engine.rank,
-                    slot=cmd.slot,
-                )
+        if self.trace is not None:
+            self.trace.append(
+                "deadline_expired", rank=self.comm.engine.rank, slot=cmd.slot
+            )
         what = f"offloaded {cmd.kind.name.lower()} missed its deadline"
         if cmd.attempts:
             what += (
@@ -809,8 +780,7 @@ class OffloadEngine:
         """A command that ran to completion on the engine thread."""
         cmd.result = result
         assert cmd.done is not None
-        if self._telem is not None:
-            self._telem.counters.inc("completions")
+        self.completions += 1
         cmd.done.set(result)
 
     def _run_inline(self, cmd: Command) -> None:
@@ -846,10 +816,10 @@ class OffloadEngine:
         pool slot (nonblocking) or done flag (blocking)."""
         if cmd.slot >= 0:
             self.pool._slots[cmd.slot].inner = inner  # now it exists
-        elif self._telem is not None:
+        else:
             # A done-flag (not a pool slot) means this was a blocking
             # call the engine converted to its nonblocking form (§3.3).
-            self._telem.counters.inc("blocking_conversions")
+            self.blocking_conversions += 1
         if inner.done:
             # Born complete: no in-flight record to build, sweep over
             # and discard.
@@ -885,8 +855,6 @@ class OffloadEngine:
         depth = len(self._in_flight)
         if depth > self.max_in_flight:
             self.max_in_flight = depth
-            if self._telem is not None:
-                self._telem.counters.record_max("in_flight_hwm", depth)
         in_flight = self._in_flight
         gone: list[int] = []  # positions that reached a terminal state
         now = -1.0
@@ -917,17 +885,12 @@ class OffloadEngine:
         self._next_deadline = soonest
         return len(gone)
 
-    def _note_completion(self, tm: "obs.Telemetry", slot: int) -> None:
-        tm.counters.inc("completions")
-        if tm.trace is not None:
-            tm.trace.append(
-                "complete", rank=self.comm.engine.rank, slot=slot
-            )
-
     def _finish(self, inner: "Request", cmd: Command) -> None:
         self.completions += 1
-        if self._telem is not None:
-            self._note_completion(self._telem, cmd.slot)
+        if self.trace is not None:
+            self.trace.append(
+                "complete", rank=self.comm.engine.rank, slot=cmd.slot
+            )
         status = inner.status
         error = inner.error
         comm = cmd.comm
@@ -966,8 +929,7 @@ class OffloadEngine:
             return
         for cmd in self._flushes:
             assert cmd.done is not None
-            if self._telem is not None:
-                self._telem.counters.inc("completions")
+            self.completions += 1
             cmd.done.set(None)
         self._flushes.clear()
 
@@ -980,13 +942,8 @@ class OffloadEngine:
         from ``submit`` — the close/enqueue race can no longer lose a
         command.
         """
-        counters = (
-            self._telem.counters if self._telem is not None else None
-        )
         self.queue.close()
         for _, cmd in self._in_flight:
-            if counters is not None:
-                counters.inc("completions")
             self._fail(cmd, exc)
         self._in_flight.clear()
         # A mid-batch crash leaves the unprocessed tail of the batch in
@@ -994,63 +951,55 @@ class OffloadEngine:
         # still committed to the ring behind it.
         backlog = list(self._drained)
         self._drained.clear()
-        for cmd in self.queue.drain_closed():
-            if counters is not None:
-                counters.inc("commands_drained")
-            backlog.append(cmd)
+        backlog.extend(self.queue.drain_closed())
         for cmd in backlog + self._flushes:
             if cmd.kind.nonblocking or cmd.done is not None:
-                if counters is not None:
-                    counters.inc("completions")
                 self._fail(cmd, exc)
-            elif counters is not None:
+            else:
                 # SHUTDOWN (and any other flagless control command)
-                counters.inc("control_commands")
+                self.control_commands += 1
         self._flushes.clear()
 
     # ------------------------------------------------------------ stats
 
-    @property
-    def telemetry(self) -> "obs.Telemetry | None":
-        """This engine's telemetry bundle (``None`` when disabled)."""
-        return self._telem
+    def _own_counts(self) -> dict[str, int]:
+        """What this engine counted: its attributes and its ring's
+        cursors (the ring keeps no enqueue count: what came out plus
+        what is still in)."""
+        out = {name: getattr(self, name) for name in _COUNTS}
+        queue = self.queue
+        drained = queue.dequeue_count
+        out["enqueues"] = drained + len(queue)
+        out["commands_drained"] = drained
+        out["testany_sweeps"] = self.heartbeat
+        out["queue_cas_failures"] = queue.cas_failures
+        return out
+
+    def _shared_counts(self) -> dict[str, int]:
+        """What this engine's request pool and the rank's progress
+        engine hold: shared by every shard of a pool, so read once."""
+        pool = self.pool
+        progress = self.comm.engine
+        return {
+            "pool_allocated": pool.allocated,
+            "pool_exhausted": pool.exhausted,
+            "refills": pool.refills,
+            "continuation_fires": pool.continuation_fires,
+            "continuation_drops": pool.continuation_drops,
+            "payload_copies": progress.payload_copies,
+            "payload_zero_copy_hits": progress.payload_zero_copy_hits,
+        }
 
     def stats(self) -> dict[str, int]:
-        """Flat counter dict (always available; telemetry counters are
-        merged in when telemetry is enabled)."""
-        s = {
-            "commands_processed": self.commands_processed,
-            "progress_sweeps": self.progress_sweeps,
-            "completions": self.completions,
-            "max_in_flight": self.max_in_flight,
-            "queue_cas_failures": self.queue.cas_failures,
-            "queue_full_retries": self.queue_full_retries,
-            "pool_allocated": self.pool.allocated,
-            "retries": self.retry_count,
-            "deadline_expirations": self.deadline_expirations,
-            "watchdog_trips": self.watchdog_trips,
-            "degraded_mode_commands": self.degraded_commands,
-            "batch_dequeues": self.batch_dequeues,
-            "batch_size_hwm": self.batch_size_hwm,
-            "substrate_entries": self.substrate_entries,
-            "continuation_fires": self.pool.continuation_fires,
-            "continuation_drops": self.pool.continuation_drops,
-            # Data-plane copy accounting lives on the substrate's
-            # progress engine (rank-wide, shared by every shard).
-            "payload_copies": self.comm.engine.payload_copies,
-            "payload_zero_copy_hits": self.comm.engine.payload_zero_copy_hits,
-        }
-        if self._telem is not None:
-            for name, value in self._telem.counters.snapshot().items():
-                # telemetry's exact per-thread counts win over the
-                # legacy best-effort shared-int counters on collisions
-                s[name] = value
-        return s
+        """Every counter of the engine, flat (always on; the same dict
+        is a snapshot's ``counters``)."""
+        return {**self._own_counts(), **self._shared_counts()}
 
     def telemetry_snapshot(self, include_trace: bool = False) -> dict:
         """Structured snapshot (counters + queue/pool/progress state).
 
-        See :func:`repro.obs.report.snapshot_engine`; valid whether or
-        not telemetry is enabled (counters are empty when disabled).
+        See :func:`repro.obs.report.snapshot_engine`; the same with the
+        switch on or off, except that only an engine with telemetry on
+        has a trace to include.
         """
         return obs.snapshot_engine(self, include_trace=include_trace)

@@ -45,6 +45,7 @@ from repro.core.request_pool import (
 )
 from repro.mpisim.constants import ThreadLevel
 from repro.mpisim.exceptions import ThreadLevelError
+from repro.obs.counters import merge_counters
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.communicator import Communicator
@@ -147,50 +148,6 @@ class ShardRouter:
             for key in stale:
                 del self._streams[key]
             return len(stale)
-
-
-class _PoolCounters:
-    """Read-mostly merged view over the shards' telemetry counters."""
-
-    def __init__(self, pool: "EnginePool") -> None:
-        self._pool = pool
-
-    def _snapshots(self) -> list[dict]:
-        out = []
-        for e in self._pool.engines:
-            tm = e.telemetry
-            if tm is not None:
-                out.append(dict(tm.counters.snapshot()))
-        return out
-
-    def snapshot(self) -> dict:
-        from repro.obs.counters import merge_counters
-
-        return merge_counters(self._snapshots())
-
-    def get(self, name: str, default: int = 0) -> int:
-        return self.snapshot().get(name, default)
-
-    # Writes land on shard 0 (facade paths always write through a
-    # *routed* engine's counters; this is defensive compatibility).
-    def inc(self, name: str, delta: int = 1) -> None:
-        tm = self._pool.engines[0].telemetry
-        if tm is not None:
-            tm.counters.inc(name, delta)
-
-    def record_max(self, name: str, value: int) -> None:
-        tm = self._pool.engines[0].telemetry
-        if tm is not None:
-            tm.counters.record_max(name, value)
-
-
-class _PoolTelemetry:
-    """Pool-level stand-in for an engine's telemetry bundle."""
-
-    trace = None
-
-    def __init__(self, pool: "EnginePool") -> None:
-        self.counters = _PoolCounters(pool)
 
 
 class EnginePool:
@@ -333,13 +290,6 @@ class EnginePool:
     def queue_full_retries(self) -> int:
         return sum(e.queue_full_retries for e in self.engines)
 
-    @property
-    def telemetry(self):
-        """Merged counters view (``None`` when telemetry is off)."""
-        if self.engines[0].telemetry is None:
-            return None
-        return _PoolTelemetry(self)
-
     def pending_work(self) -> list[str]:
         out: list[str] = []
         for i, e in enumerate(self.engines):
@@ -349,20 +299,11 @@ class EnginePool:
         return out
 
     def stats(self) -> dict[str, int]:
-        """Aggregated statistics across shards (sums; maxima for
-        ``*_hwm``/``max_*``), plus pool-level routing rows."""
-        total: dict[str, int] = {}
-        for e in self.engines:
-            for k, v in e.stats().items():
-                if k.endswith("_hwm") or k.startswith("max_"):
-                    total[k] = max(total.get(k, 0), v)
-                else:
-                    total[k] = total.get(k, 0) + v
-        # The request pool is shared: per-shard views each saw the
-        # whole pool, so the sum overcounted it.
-        total["pool_allocated"] = self.request_pool.allocated
-        total["continuation_fires"] = self.request_pool.continuation_fires
-        total["continuation_drops"] = self.request_pool.continuation_drops
+        """The shards' own counters merged (sums; maxima for peaks),
+        the shared request pool and the rank's progress engine read
+        once, plus pool-level routing rows."""
+        total = merge_counters([e._own_counts() for e in self.engines])
+        total.update(self.engines[0]._shared_counts())
         total["engines"] = len(self.engines)
         total["router_misroutes"] = self.router.misroutes
         return total
@@ -372,7 +313,8 @@ class EnginePool:
 
         Each shard drains only its own ring, so every shard's snapshot
         balances on its own (its enqueues == its drains == its
-        ``commands_processed``) and the merged one does too.
+        ``commands_processed``) and the merged one does too.  Its
+        ``counters`` are :meth:`stats`.
         """
         from repro import obs
 
@@ -390,8 +332,7 @@ class EnginePool:
             "allocated": self.request_pool.allocated,
         }
         merged["progress"] = self.comm.engine.counters()
-        if merged.get("counters"):
-            merged["counters"]["router_misroutes"] = self.router.misroutes
+        merged["counters"] = self.stats()
         return merged
 
     # -- lifecycle ----------------------------------------------------------

@@ -123,8 +123,6 @@ class OffloadCommunicator:
         rec = engine.recovery
         if rec is not None and rec.degrade and engine.dead is not None:
             return self._degraded_blocking(engine, cmd)
-        if engine._telem is not None:
-            engine._telem.counters.inc("app_blocking_calls")
         if self.op_timeout is not None and cmd.deadline is None:
             cmd.deadline = time.perf_counter() + self.op_timeout
         try:
@@ -196,8 +194,6 @@ class OffloadCommunicator:
         if rec is not None and rec.degrade and engine.dead is not None:
             holder.pool.release(slot)
             return self._degraded_nonblocking(engine, cmd)
-        if engine._telem is not None:
-            engine._telem.counters.inc("app_nonblocking_calls")
         if self.op_timeout is not None:
             cmd.deadline = time.perf_counter() + self.op_timeout
         handle = OffloadRequest(
@@ -223,9 +219,7 @@ class OffloadCommunicator:
         designation; the substrate would reject inline calls from this
         thread, so the degraded caller takes the designation over.
         """
-        engine.degraded_commands += 1
-        if engine.telemetry is not None:
-            engine.telemetry.counters.inc("degraded_mode_commands")
+        engine.degraded_mode_commands += 1
         world = self.inner.world
         rank = self.inner.engine.rank
         if world.thread_level is ThreadLevel.FUNNELED:
@@ -746,10 +740,7 @@ class OffloadCommunicator:
         moved exactly once.
         """
         eng = self.inner.engine
-        return (
-            getattr(eng, "payload_copies", 0),
-            getattr(eng, "payload_zero_copy_hits", 0),
-        )
+        return eng.payload_copies, eng.payload_zero_copy_hits
 
     # ------------------------------------------------------------ persistent
 

@@ -130,11 +130,12 @@ class OffloadRequestPool:
         self._local = threading.local()
         #: stashes of threads that have exited (see :class:`_Stash`)
         self._orphans: list[list[int]] = []
-        #: telemetry hook: a :class:`repro.obs.counters.Counters` the
-        #: owning engine installs when telemetry is enabled (else None)
-        self.telemetry = None
-        #: continuation accounting, kept even with telemetry off so the
-        #: serving tier can assert exactly-once delivery cheaply
+        #: chunks moved from the shared list into a thread's cache
+        self.refills = 0
+        #: allocations refused with the pool empty
+        self.exhausted = 0
+        #: continuation accounting: the serving tier asserts
+        #: exactly-once delivery on it
         self.continuation_fires = 0
         self.continuation_drops = 0
 
@@ -148,31 +149,20 @@ class OffloadRequestPool:
 
     def alloc(self) -> int:
         """Claim a slot index; raises :class:`FreeListExhausted`."""
-        counters = self.telemetry
         try:
             if not self._cache_size:
-                idx = self._freelist.alloc()
-            else:
-                try:
-                    cache = self._local.cache
-                except AttributeError:
-                    cache = self._local.cache = _Stash(self._orphans)
-                hit = bool(cache)
-                if not hit:
-                    self._refill(cache)
-                idx = cache.pop()
-                self._live.add(idx)  # the hand-out's one ledger flip
-                if counters is not None:
-                    counters.inc(
-                        "pool_cache_hits" if hit else "pool_cache_misses"
-                    )
+                return self._freelist.alloc()
+            try:
+                cache = self._local.cache
+            except AttributeError:
+                cache = self._local.cache = _Stash(self._orphans)
+            if not cache:
+                self._refill(cache)
+            idx = cache.pop()
         except FreeListExhausted:
-            if counters is not None:
-                counters.inc("pool_exhausted")
+            self.exhausted += 1
             raise
-        if counters is not None:
-            counters.inc("pool_allocs")
-            counters.record_max("pool_in_use_hwm", len(self._live))
+        self._live.add(idx)  # the hand-out's one ledger flip
         return idx
 
     def _refill(self, cache: list[int]) -> None:
@@ -182,6 +172,7 @@ class OffloadRequestPool:
         orphans = self._orphans
         try:
             cache.extend(self._freelist.pop_batch(self._cache_size))
+            self.refills += 1
         except FreeListExhausted:
             if not orphans:
                 raise
@@ -213,8 +204,6 @@ class OffloadRequestPool:
                 self._live.remove(idx)
             except KeyError:
                 freelist.mark_free(idx)  # says which: range, or not live
-        if self.telemetry is not None:
-            self.telemetry.inc("pool_releases")
         slot = self._slots[idx]
         # Invalidate handles first, look for a continuation second: a
         # registrant writes ``cont`` and then re-reads ``generation``
@@ -230,7 +219,7 @@ class OffloadRequestPool:
                     # registration is destroyed undelivered, and must
                     # be accounted, not silently lost.
                     slot.cont_fired = True
-                    self._note_drop()
+                    self.continuation_drops += 1
         # Owner only from here: the slot is reset for its next
         # operation and parked in this thread's cache (both inline —
         # this runs once per message on the waiter's thread).
@@ -342,8 +331,6 @@ class OffloadRequestPool:
         if _dst._scheduler is not None:
             _dst.yield_point("pool.cont.fire")
         self.continuation_fires += 1
-        if self.telemetry is not None:
-            self.telemetry.inc("continuation_fires")
         try:
             fn()
         except BaseException:
@@ -351,11 +338,6 @@ class OffloadRequestPool:
             # (usually the engine loop); the callback owns its errors.
             pass
         return True
-
-    def _note_drop(self) -> None:
-        self.continuation_drops += 1
-        if self.telemetry is not None:
-            self.telemetry.inc("continuation_drops")
 
 
 #: Serialises the consumption of a handle (the ``_released`` flip): of

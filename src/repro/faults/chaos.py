@@ -11,7 +11,7 @@ robustness contract:
   (:class:`~repro.core.request_pool.OffloadError` family or
   :class:`~repro.mpisim.exceptions.MPIError` family) within its
   deadline;
-* **no lost completion** — the telemetry balance law
+* **no lost completion** — the balance law
   ``enqueued == drained == completions + control + in_flight`` holds
   on every engine's final snapshot;
 * **no silent failure** — anything outside the typed families is
@@ -322,7 +322,6 @@ def _rank_program(
     wait_budget = 4 * op_timeout + 1.0
     with offloaded(
         comm,
-        telemetry=True,
         recovery=recovery,
         op_timeout=op_timeout,
         batch_size=batch_size,
@@ -500,7 +499,7 @@ def run_chaos(
     """One seeded chaos run; returns a structured verdict report.
 
     ``report["ok"]`` is True iff no rank hung, every failure was typed,
-    and the telemetry balance law held on every engine.
+    and the balance law held on every engine.
     ``batch_size`` overrides the engine's batched-drain default.
 
     ``pool_size > 1`` runs each rank on a sharded

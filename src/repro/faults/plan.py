@@ -272,11 +272,9 @@ class FaultPlan:
     def faults_injected(self) -> int:
         return self.counters.get("faults_injected")
 
-    def _count(self, action: FaultAction, engine: "OffloadEngine | None" = None) -> None:
+    def _count(self, action: FaultAction) -> None:
         self.counters.inc("faults_injected")
         self.counters.inc(f"fault_{action.value}")
-        if engine is not None and engine.telemetry is not None:
-            engine.telemetry.counters.inc("faults_injected")
 
     # ------------------------------------------------------ hook: deliver
 
@@ -421,7 +419,7 @@ class FaultPlan:
                     continue
                 if not rule._fire(self._rng):
                     continue
-                self._count(rule.action, engine)
+                self._count(rule.action)
                 action = rule.action
                 break
             else:

@@ -159,9 +159,7 @@ def _rank_loop(
         from repro.core.interpose import offloaded
 
         rec = recovery or RecoveryPolicy(rank_failure="shrink")
-        with offloaded(
-            comm, telemetry=True, recovery=rec, op_timeout=op_timeout
-        ) as oc:
+        with offloaded(comm, recovery=rec, op_timeout=op_timeout) as oc:
             blob = _epoch_loop(oc)
     else:
         blob = _epoch_loop(comm)

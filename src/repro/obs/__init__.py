@@ -5,27 +5,28 @@ queue occupancy, Testany sweep frequency, rendezvous progress during
 compute — that timings alone cannot verify.  This package makes that
 behavior observable:
 
-* :mod:`repro.obs.counters` — per-thread counter sets merged on read
-  (the lock-free idiom of :mod:`repro.lockfree.atomics`: no lock on
-  the hot path);
+* :mod:`repro.obs.counters` — the counter glossary, plus per-thread
+  counter sets for owners that keep no attribute of their own (fault
+  plans, checkpoint stores, the DST explorer);
 * :mod:`repro.obs.trace` — a bounded ring of structured trace events
   with JSON export;
 * :mod:`repro.obs.report` — snapshot / merge / render helpers plus the
   process-global registry benchmarks drain.
 
-Telemetry is **off by default and zero-overhead when off**: engines
-consult :func:`enabled` once at construction, and every instrumented
-hot path is guarded by a single ``is None`` check.  Enable it globally
-with :func:`set_enabled` (or the ``REPRO_TELEMETRY`` environment
-variable), per scope with :func:`telemetry`, or per engine with the
-``telemetry=`` keyword on :class:`~repro.core.engine.OffloadEngine` /
+The offload stack's counters are always on: each is a plain int
+attribute of the object that owns the event, or a value read from the
+structure that holds the fact (DESIGN.md §9).  The telemetry switch
+decides only whether an engine keeps a trace ring, whether its ring
+tracks occupancy, and whether its final snapshot is filed in the
+registry.  Engines read the default from :func:`enabled` once at
+construction; scope it with :func:`telemetry`, or pass ``telemetry=``
+to :class:`~repro.core.engine.OffloadEngine` /
 :func:`~repro.core.interpose.offloaded`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Iterator
 
 from repro.obs.counters import COUNTER_GLOSSARY, Counters, merge_counters
@@ -40,20 +41,12 @@ from repro.obs.report import (
     snapshot_engine,
 )
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-_enabled = os.environ.get("REPRO_TELEMETRY", "").strip().lower() in _TRUTHY
+_enabled = False
 
 
 def enabled() -> bool:
     """Is telemetry globally enabled (default for new engines)?"""
     return _enabled
-
-
-def set_enabled(on: bool) -> None:
-    """Set the global default consulted at engine construction."""
-    global _enabled
-    _enabled = bool(on)
 
 
 @contextlib.contextmanager
@@ -68,25 +61,10 @@ def telemetry(on: bool = True) -> Iterator[None]:
         _enabled = prev
 
 
-class Telemetry:
-    """One engine's telemetry bundle: counters plus a trace ring."""
-
-    __slots__ = ("counters", "trace")
-
-    def __init__(
-        self, trace_capacity: int = DEFAULT_TRACE_CAPACITY
-    ) -> None:
-        self.counters = Counters()
-        self.trace: TraceBuffer | None = (
-            TraceBuffer(trace_capacity) if trace_capacity > 0 else None
-        )
-
-
 __all__ = [
     "COUNTER_GLOSSARY",
     "Counters",
     "DEFAULT_TRACE_CAPACITY",
-    "Telemetry",
     "TraceBuffer",
     "TraceEvent",
     "check_balance",
@@ -97,7 +75,6 @@ __all__ = [
     "peek_snapshots",
     "record_snapshot",
     "render",
-    "set_enabled",
     "snapshot_engine",
     "telemetry",
 ]

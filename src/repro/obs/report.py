@@ -1,10 +1,10 @@
 """Snapshot / merge / render helpers for engine telemetry.
 
 A *snapshot* is a plain dict (JSON-serializable) capturing one offload
-engine's telemetry counters plus the state of its command ring, request
-pool, and the underlying per-rank progress engine.  Snapshots from many
-engines/ranks merge into one aggregate; ``render`` turns either into a
-human-readable block for examples and benchmark logs.
+engine's counters (its ``stats()``) plus the state of its command ring,
+request pool, and the underlying per-rank progress engine.  Snapshots
+from many engines/ranks merge into one aggregate; ``render`` turns
+either into a human-readable block for examples and benchmark logs.
 
 A process-global *registry* collects the final snapshot of every
 telemetry-enabled engine at shutdown, so harnesses (benchmarks, the
@@ -26,46 +26,42 @@ _DICT_SECTIONS = ("counters", "queue", "pool", "progress")
 def snapshot_engine(engine: Any, include_trace: bool = False) -> dict:
     """Capture one :class:`~repro.core.engine.OffloadEngine`'s state.
 
-    Works on any object with the engine's surface (``telemetry``,
+    Works on any object with the engine's surface (``stats``, ``trace``,
     ``queue``, ``pool``, ``comm``, ``_in_flight``); the duck typing
-    keeps this module free of imports from :mod:`repro.core`.
+    keeps this module free of imports from :mod:`repro.core`.  Its
+    ``counters`` are the engine's ``stats()``: one function builds both
+    views, with the switch on or off.
     """
-    tm = engine.telemetry
     queue = engine.queue
-    pool = engine.pool
     progress = engine.comm.engine
-    # the ring keeps no enqueue count: what came out + what is still in
-    dequeued, occupancy = queue.dequeue_count, len(queue)
     snap: dict = {
         "rank": progress.rank,
         "ranks": [progress.rank],
         # where the engine thread ran (None: not started, or no mask)
         "cpus": engine.cpus,
-        "counters": dict(tm.counters.snapshot()) if tm else {},
+        "counters": engine.stats(),
         "in_flight": len(engine._in_flight),
         "queue": {
             "capacity": queue.capacity,
-            "occupancy": occupancy,
-            "enqueued": dequeued + occupancy,
-            "dequeued": dequeued,
-            "cas_failures": queue.cas_failures,
-            "occupancy_hwm": getattr(queue, "occupancy_hwm", 0),
+            "occupancy": len(queue),
+            "occupancy_hwm": queue.occupancy_hwm,
         },
         "pool": {
-            "capacity": pool.capacity,
-            "allocated": pool.allocated,
+            "capacity": engine.pool.capacity,
+            "allocated": engine.pool.allocated,
         },
         "progress": progress.counters(),
     }
-    if include_trace and tm is not None and tm.trace is not None:
-        snap["trace"] = tm.trace.to_dicts()
+    trace = engine.trace
+    if include_trace and trace is not None:
+        snap["trace"] = trace.to_dicts()
     return snap
 
 
 def merge(snapshots: "list[dict]") -> dict:
     """Merge per-engine snapshots into one aggregate.
 
-    Counter-like sections merge element-wise (sum, max for ``*_hwm``);
+    Counter-like sections merge element-wise (sum, max for peaks);
     capacities sum (they are per-engine resources); rank lists and the
     engine threads' CPU masks union.
     """
@@ -161,7 +157,8 @@ _registry_lock = threading.Lock()
 
 
 def record_snapshot(snapshot: dict) -> None:
-    """Engines push their final snapshot here at stop()/abort()."""
+    """Engines with telemetry on push their final snapshot here at
+    stop()/abort()."""
     with _registry_lock:
         _registry.append(snapshot)
 

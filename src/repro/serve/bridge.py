@@ -73,12 +73,6 @@ class AsyncOffloadEngine:
         #: drains run, i.e. ``call_soon_threadsafe`` wake-ups (self-pipe
         #: writes) this bridge cost its loops
         self.loop_crossings = 0
-        # Lands on the engine's counter set too, like the front-end's
-        # serve_* counters (None with telemetry off).
-        holder = getattr(ocomm, "engine", None)
-        self._counters = getattr(
-            getattr(holder, "pool", None), "telemetry", None
-        )
 
     @property
     def rank(self) -> int:
@@ -112,7 +106,7 @@ class AsyncOffloadEngine:
                 if abandoned:
                     pool = getattr(req, "_pool", None)
                     if pool is not None:
-                        pool._note_drop()
+                        pool.continuation_drops += 1
                 try:
                     req.test()
                 except BaseException:
@@ -162,8 +156,6 @@ class AsyncOffloadEngine:
         nothing — harmless, like ``Doorbell.set``.)"""
         landed.rung = False
         self.loop_crossings += 1
-        if self._counters is not None:
-            self._counters.inc("loop_crossings")
         queue = landed.queue
         while queue:
             queue.popleft()()
@@ -197,8 +189,11 @@ class AsyncOffloadEngine:
         return await self.awaitable(self.ocomm.isend_obj(obj, dest, tag))
 
     def telemetry_snapshot(self) -> dict:
-        """Merged engine snapshot (pool-merged when sharded)."""
-        return self.ocomm.engine.telemetry_snapshot()
+        """Merged engine snapshot (pool-merged when sharded); its
+        ``counters`` are :meth:`stats`."""
+        snap = self.ocomm.engine.telemetry_snapshot()
+        snap["counters"]["loop_crossings"] = self.loop_crossings
+        return snap
 
     def stats(self) -> dict:
         stats = self.ocomm.engine.stats()

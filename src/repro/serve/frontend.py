@@ -27,10 +27,10 @@ sharded) offload engine.  Its contract:
   queued`` at all times, on either route — nothing is silently lost;
   the loadgen and stress tiers assert this to zero after a drain.
 - **SLOs.**  :meth:`ServingFrontend.slo_report` folds the recorded
-  latency reservoir into p50/p99 and attaches the engine's telemetry
-  snapshot counters, so one report carries both the user-visible
-  percentiles and the engine-side evidence (continuation fires/drops,
-  pool/queue behavior) behind them.
+  latency reservoir into p50/p99 and attaches the engine's snapshot
+  counters and the front-end's own (``serve_*``), so one report carries
+  both the user-visible percentiles and the engine-side evidence
+  (continuation fires/drops, pool/queue behavior) behind them.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class SLOReport:
     target_p50_ms: float | None
     target_p99_ms: float | None
     met: bool
-    #: engine-side counters from the telemetry snapshot at report time
+    #: engine-side and ``serve_*`` counters at report time
     counters: dict = field(default_factory=dict)
 
     def render(self) -> str:
@@ -152,11 +152,6 @@ class ServingFrontend:
         self.rejected = 0
         self.failed: dict[str, int] = {}
         self.latencies_s: list[float] = []
-        # serve_* telemetry lands on the engine's counter set so the
-        # front-end shows up in the same snapshot as the engine.
-        holder = getattr(engine.ocomm, "engine", None)
-        pool = getattr(holder, "pool", None)
-        self._counters = getattr(pool, "telemetry", None)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -189,14 +184,10 @@ class ServingFrontend:
     def _accept(self, state: _TenantState) -> None:
         state.accepted += 1
         self.accepted += 1
-        if self._counters is not None:
-            self._counters.inc("serve_accepted")
 
     def _reject(self, state: _TenantState) -> None:
         state.rejected += 1
         self.rejected += 1
-        if self._counters is not None:
-            self._counters.inc("serve_rejected")
 
     def submit(
         self, tenant: str, op: Callable[[], Awaitable[Any]]
@@ -299,15 +290,11 @@ class ServingFrontend:
             state.failed += 1
             name = type(exc).__name__
             self.failed[name] = self.failed.get(name, 0) + 1
-            if self._counters is not None:
-                self._counters.inc("serve_failed")
             raise
         else:
             state.completed += 1
             self.completed += 1
             self.latencies_s.append(time.perf_counter() - t0)
-            if self._counters is not None:
-                self._counters.inc("serve_completed")
             return result
         finally:
             self._in_flight -= 1
@@ -346,8 +333,13 @@ class ServingFrontend:
         )
 
     def slo_report(self) -> SLOReport:
-        snap = self.engine.telemetry_snapshot()
-        counters = dict(snap.get("counters") or {})
+        counters = {
+            **self.engine.telemetry_snapshot()["counters"],
+            "serve_accepted": self.accepted,
+            "serve_rejected": self.rejected,
+            "serve_completed": self.completed,
+            "serve_failed": sum(self.failed.values()),
+        }
         lat = sorted(self.latencies_s)
         p50_ms = percentile(lat, 0.50) * 1e3
         p99_ms = percentile(lat, 0.99) * 1e3

@@ -243,7 +243,6 @@ def run_loadgen(
     def program(comm) -> None:
         with offloaded(
             comm,
-            telemetry=True,
             pool_size=config.pool_size if config.pool_size > 1 else None,
             op_timeout=config.op_timeout,
             recovery=recovery if recovery else None,

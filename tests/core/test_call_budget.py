@@ -41,6 +41,9 @@ ENGINE_BUDGET = 66
 PLAIN_BUDGET = 64
 #: ... and offloaded as a multiple of plain
 RATIO = 1.85
+#: calls per message with telemetry on: the trace ring and the ring's
+#: occupancy tracking, and no counter mirror (DESIGN.md §9)
+TELEMETRY_BUDGET = 145
 #: calls per engine-loop iteration that finds nothing to do
 IDLE_BUDGET = 8
 #: calls per ``EnginePool.route(cmd)`` of a stream pinned earlier:
@@ -84,6 +87,20 @@ def test_plain_communicator_stays_inside_its_call_budget(counts):
 def test_offload_costs_at_most_twice_the_plain_communicator(counts):
     offload, plain = counts
     assert offload.per_msg <= RATIO * plain.per_msg, _detail(offload, plain)
+
+
+def test_telemetry_keeps_no_second_set_of_counters():
+    """The switch adds a trace and occupancy tracking, nothing else:
+    every counter is an attribute bumped in place, so no frame of
+    ``obs/counters.py`` runs on any thread."""
+    traced = measure(offload=True, telemetry=True)
+    mirror = {
+        name: calls
+        for name, calls in (traced.app + traced.engine).items()
+        if name.startswith("counters.py:")
+    }
+    assert not mirror, mirror
+    assert traced.per_msg <= TELEMETRY_BUDGET, traced.report()
 
 
 def test_one_substrate_entry_per_drained_run(counts):

@@ -190,10 +190,10 @@ class TestPerShardBalance:
                 for cmd in cmds:
                     assert cmd.done.wait(10)
                 for e in pool.engines:
-                    c = e.telemetry.counters.snapshot()
+                    c = e.stats()
                     assert (
-                        c.get("enqueues", 0)
-                        == c.get("commands_drained", 0)
+                        c["enqueues"]
+                        == c["commands_drained"]
                         == e.commands_processed
                     )
                 assert loaded.commands_processed == n

@@ -121,7 +121,7 @@ class TestKeywordPlumbing:
                     assert e.batch_size == 7
                     assert e.queue.capacity == 32
                     assert e.pool.capacity == 64
-                    assert e.telemetry is not None
+                    assert e.trace is not None
                     assert e._faults is plan
                     assert e.recovery is recovery
                 if pool_size > 1:

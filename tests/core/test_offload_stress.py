@@ -133,8 +133,7 @@ class TestOffloadEngineStress:
         assert c["testany_sweeps"] > 0
         assert c["blocking_conversions"] > 0
         # pool conservation: every alloc was released
-        assert c["pool_allocs"] == c["pool_releases"]
-        assert snap["pool"]["allocated"] == 0
+        assert c["pool_allocated"] == snap["pool"]["allocated"] == 0
         # final (post-shutdown) snapshot from the registry also balances
         final = obs.merge(obs.drain_snapshots())
         ok, detail = obs.check_balance(final)

@@ -34,8 +34,7 @@ def slow_tick(monkeypatch):
 
 
 def _wakes(engine) -> tuple[int, int]:
-    counters = engine.telemetry.counters
-    return counters.get("doorbell_wakes"), counters.get("timed_wakes")
+    return engine.doorbell_wakes, engine.timed_wakes
 
 
 def _settle(predicate, budget: float = 10.0) -> None:

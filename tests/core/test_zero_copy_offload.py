@@ -77,6 +77,33 @@ class TestOffloadedHappyPath:
         assert s["payload_copies"] == 0
         assert s["payload_zero_copy_hits"] == 0
 
+    def test_pool_reads_the_rank_wide_pair_once(self):
+        """Every shard of a pool shares the rank's one progress engine:
+        the pool's stats report its copy counters once, not once per
+        shard."""
+        n = 10
+
+        def prog(comm):
+            with offloaded(comm, pool_size=2) as oc:
+                peer = 1 - oc.rank
+                bufs = [np.empty(64, dtype=np.uint8) for _ in range(n)]
+                recvs = [oc.irecv(b, peer, tag=i) for i, b in enumerate(bufs)]
+                oc.barrier()  # every receive posted before the sends
+                for i in range(n):
+                    oc.isend(np.full(64, i, dtype=np.uint8), peer, i).wait()
+                for r in recvs:
+                    r.wait(timeout=30)
+                oc.barrier()
+                stats = oc.engine.stats()
+                return (
+                    stats["payload_copies"],
+                    stats["payload_zero_copy_hits"],
+                ), oc.payload_counters()
+
+        for pool_view, rank_view in run_world_mt(2, prog, zero_copy=True):
+            assert pool_view == rank_view
+            assert rank_view[1] >= n
+
 
 class TestKnobPlumbing:
     def test_offloaded_sets_and_restores_flag(self):

@@ -1,8 +1,17 @@
-"""Unit tests for the per-thread telemetry counters."""
+"""Unit tests for the per-thread counters and the counter glossary."""
 
+import asyncio
 import threading
 
+import numpy as np
+import pytest
+
+from repro.core import offloaded
+from repro.faults.plan import FaultAction, FaultPlan, FaultRule
 from repro.obs.counters import COUNTER_GLOSSARY, Counters, merge_counters
+from repro.serve import AsyncOffloadEngine, ServingFrontend
+
+from tests.conftest import run_world_mt
 
 
 class TestCounters:
@@ -81,33 +90,109 @@ class TestMergeCounters:
     def test_sum_and_max_semantics(self):
         merged = merge_counters(
             [
-                {"events": 3, "depth_hwm": 5},
-                {"events": 4, "depth_hwm": 2, "other": 1},
+                {"events": 3, "depth_hwm": 5, "max_depth": 1},
+                {"events": 4, "depth_hwm": 2, "max_depth": 6, "other": 1},
             ]
         )
-        assert merged == {"events": 7, "depth_hwm": 5, "other": 1}
+        assert merged == {
+            "events": 7, "depth_hwm": 5, "max_depth": 6, "other": 1
+        }
 
     def test_empty(self):
         assert merge_counters([]) == {}
 
+    def test_a_zero_peak_is_kept(self):
+        merged = merge_counters([{"max_depth": 0}, {"depth_hwm": 0}])
+        assert merged == {"max_depth": 0, "depth_hwm": 0}
 
-def test_glossary_covers_engine_counters():
-    """Every counter the engine stack emits is documented."""
-    for name in (
-        "enqueues",
-        "queue_full_retries",
-        "commands_drained",
-        "blocking_conversions",
-        "testany_sweeps",
-        "completions",
-        "doorbell_wakes",
-        "timed_wakes",
-        "control_commands",
-        "pool_allocs",
-        "pool_releases",
-        "pool_exhausted",
-        "in_flight_hwm",
-        "queue_occupancy_hwm",
-    ):
-        assert name in COUNTER_GLOSSARY
-        assert COUNTER_GLOSSARY[name]
+
+#: Glossary rows owned outside the offload stack: fault plans,
+#: checkpoint stores and the DST explorer count through ``Counters``,
+#: and the substrate's fault-tolerance counters sit in a snapshot's
+#: ``progress`` section.
+_ELSEWHERE = {
+    "faults_injected",
+    "duplicate_deep_copies",
+    "checkpoint_bytes",
+    "restarts",
+    "schedules_explored",
+    "yields",
+    "lin_histories_checked",
+    "dst_violations",
+    "comm_revokes",
+    "agree_rounds",
+    "shrink_epochs",
+}
+
+
+def _exchange(oc) -> None:
+    peer = (oc.rank + 1) % oc.size
+    src = (oc.rank - 1) % oc.size
+    r = oc.irecv(np.empty(8), src, tag=0)
+    oc.isend(np.ones(8), peer, tag=0).wait(timeout=30)
+    r.wait(timeout=30)
+    oc.allreduce(np.array([1.0]))
+    oc.flush()
+
+
+def _engine_counters(**kw) -> list[dict]:
+    def prog(comm):
+        with offloaded(comm, **kw) as oc:
+            _exchange(oc)
+            return oc.engine.telemetry_snapshot()["counters"]
+
+    return run_world_mt(2, prog)
+
+
+def _served_counters() -> dict:
+    def prog(comm):
+        with offloaded(comm) as oc:
+            bridge = AsyncOffloadEngine(oc)
+
+            async def echo() -> None:
+                rbuf = np.empty(4, dtype=np.uint8)
+                await asyncio.gather(
+                    bridge.offload_irecv(rbuf, 0, tag=1),
+                    bridge.offload_isend(np.ones(4, np.uint8), 0, tag=1),
+                )
+
+            async def main() -> dict:
+                front = ServingFrontend(bridge)
+                await front.start()
+                await front.request("t", echo)
+                await front.stop()
+                return front.slo_report().counters
+
+            return asyncio.run(main())
+
+    (counters,) = run_world_mt(1, prog)
+    return counters
+
+
+@pytest.fixture(scope="module")
+def emitted() -> list[dict]:
+    """Counter sections of real snapshots: a single engine, a pool of
+    two, an engine under an installed fault plan, and a front-end
+    serving through the asyncio bridge."""
+    plan = FaultPlan([FaultRule(FaultAction.STALL, duration=1e-3)])
+    return [
+        *_engine_counters(pool_size=1),
+        *_engine_counters(pool_size=2),
+        *_engine_counters(pool_size=1, faults=plan),
+        _served_counters(),
+    ]
+
+
+def test_glossary_covers_engine_counters(emitted):
+    """Every counter a real snapshot carries is documented."""
+    for counters in emitted:
+        missing = set(counters) - set(COUNTER_GLOSSARY)
+        assert not missing, missing
+
+
+def test_every_offload_stack_row_is_emitted(emitted):
+    """A glossary row of the offload stack names a counter some
+    snapshot carries: a deleted counter takes its row with it."""
+    seen = set().union(*emitted)
+    stale = set(COUNTER_GLOSSARY) - _ELSEWHERE - seen
+    assert not stale, stale

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import offloaded
+from repro.core import OffloadTimeout, offloaded
+from repro.core.offload_comm import OffloadCommunicator
+from repro.core.request_pool import OffloadError
 
 from tests.conftest import run_world_mt
 
@@ -32,6 +34,26 @@ def _run_some_traffic(telemetry=True, pool_size=None):
     return run_world_mt(2, prog)
 
 
+def _mixed_terminal_states(telemetry: bool):
+    def prog(comm):
+        with offloaded(comm, telemetry=telemetry, pool_size=1) as oc:
+            r = oc.irecv(np.empty(8), 0, tag=0)
+            oc.isend(np.ones(8), 0, tag=0).wait(timeout=30)
+            r.wait(timeout=30)
+            with pytest.raises(OffloadError):
+                oc.isend(np.ones(8), comm.size + 5, tag=0).wait(timeout=30)
+            hurried = OffloadCommunicator(oc.inner, oc.engine, op_timeout=0.05)
+            with pytest.raises(OffloadTimeout):
+                hurried.irecv(np.empty(8), 0, tag=99).wait(timeout=30)
+            oc.flush()
+            engine = oc.engine
+        # stopped: nothing ticks between the two reads
+        return engine.telemetry_snapshot(), engine.stats()
+
+    (result,) = run_world_mt(1, prog)
+    return result
+
+
 class TestSnapshot:
     def test_engine_snapshot_shape_and_balance(self):
         snaps = _run_some_traffic()
@@ -46,12 +68,29 @@ class TestSnapshot:
             ok, detail = obs.check_balance(snap)
             assert ok, detail
 
-    def test_snapshot_without_telemetry_has_empty_counters(self):
-        snaps = _run_some_traffic(telemetry=False)
-        for snap in snaps:
-            assert snap["counters"] == {}
-            # structural sections still present (queue/pool/progress)
-            assert snap["queue"]["enqueued"] > 0
+    def test_counters_do_not_depend_on_the_switch(self):
+        """One successful exchange, one isend to a rank that does not
+        exist, one deadline expiry and one flush: with telemetry off
+        the balance law holds on real counts, ``completions`` counts
+        every terminal state as with it on, and the snapshot's counters
+        are ``stats()``."""
+        off_snap, off_stats = _mixed_terminal_states(telemetry=False)
+        on_snap, on_stats = _mixed_terminal_states(telemetry=True)
+        ok, detail = obs.check_balance(off_snap)
+        assert ok, detail
+        assert detail["enqueued"] > 0
+        assert off_stats["completions"] == on_stats["completions"] == 5
+        assert off_stats["deadline_expirations"] == 1
+        for key, value in off_snap["counters"].items():
+            assert value == off_stats[key], key
+        for key in (
+            "enqueues",
+            "commands_drained",
+            "commands_processed",
+            "control_commands",
+            "deadline_expirations",
+        ):
+            assert off_stats[key] == on_stats[key], key
 
     def test_group_snapshot_merges_engines(self):
         snaps = _run_some_traffic(pool_size=2)
@@ -127,6 +166,6 @@ class TestGlobalToggle:
             with obs.telemetry(True):
                 with offloaded(comm) as oc:
                     oc.allreduce(np.array([1.0]))
-                    return oc.engine.telemetry is not None
+                    return oc.engine.route().trace is not None
 
         assert all(run_world_mt(2, prog))
