@@ -3,10 +3,10 @@
 The engine's hot loop pays a fixed per-iteration cost (one progress
 pump, one retry/deadline sweep) regardless of how many commands it
 issues.  Draining the ring in batches amortizes that cost over up to
-``batch_size`` commands, posted under one substrate entry per run.
-This benchmark measures small-message rate across ``batch_size`` and
-asserts the headline claim: batch 16 beats the unbatched loop by
->= 1.5x.
+``repro.core.engine._BATCH`` commands, posted under one substrate
+entry per run.  This benchmark patches that batch size, measures
+small-message rate across it and asserts the headline claim: batch 16
+beats the unbatched loop by >= 1.5x.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the run to a crash-only CI smoke test
 (tiny message counts, no throughput assertion).
@@ -20,7 +20,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.engine import OffloadEngine
+from repro.core import engine as engine_mod
+from repro.core.engine_pool import EnginePool
 from repro.core.offload_comm import OffloadCommunicator
 from repro.mpisim.constants import ANY_SOURCE, ANY_TAG, THREAD_MULTIPLE
 from repro.mpisim.world import World
@@ -28,7 +29,7 @@ from repro.mpisim.world import World
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 N_MSGS = 100 if SMOKE else 1_500
 
-#: ``batch_size`` grid; batch=1 is the pre-batching loop.
+#: batch-size grid; batch=1 is the pre-batching loop.
 GRID = [1, 16, 64]
 
 
@@ -45,14 +46,13 @@ def _measure(batch_size: int, n_msgs: int = N_MSGS):
 
     def prog(comm):
         cap = 1 << (2 * n_msgs + 2).bit_length()
-        engine = OffloadEngine(
+        oc = OffloadCommunicator(
             comm,
-            pool_capacity=cap,
-            queue_capacity=cap,
-            batch_size=batch_size,
-            telemetry=True,
+            EnginePool(
+                comm, pool_capacity=cap, queue_capacity=cap, telemetry=True
+            ),
         )
-        oc = OffloadCommunicator(comm, engine)
+        (engine,) = oc.engine.engines
         bufs = [np.empty(1) for _ in range(n_msgs)]
         payload = np.array([1.0])
         handles = []
@@ -77,7 +77,9 @@ def _measure(batch_size: int, n_msgs: int = N_MSGS):
         }
 
     world = World(1, thread_level=THREAD_MULTIPLE)
-    (out,) = world.run(prog, timeout=300.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_mod, "_BATCH", batch_size)
+        (out,) = world.run(prog, timeout=300.0)
     return out
 
 

@@ -123,7 +123,7 @@ def _cmd_chaos(
     run_timeout: float,
     as_json: bool,
     pool_size: int = 1,
-    router: str | None = None,
+    router: str = "dest",
     workload: str = "ring",
 ) -> int:
     """Seeded chaos run; nonzero exit on any contract violation."""
@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         "loadgen (concurrent awaiters over the asyncio bridge)",
     )
     cha.add_argument(
-        "--router", default=None,
+        "--router", default="dest",
         choices=["dest", "thread"],
         help="pool routing policy (default: dest affinity)",
     )

@@ -10,7 +10,10 @@ progress with a ``Testany`` loop whenever the queue is empty
 Highlights, mapped to the paper:
 
 * :class:`~repro.core.engine.OffloadEngine` — the dedicated thread +
-  command queue + in-flight tracker (§3.1, §3.2).
+  command queue + in-flight tracker (§3.1, §3.2); always one shard of
+  an :class:`~repro.core.engine_pool.EnginePool`, the rank's engine
+  holder — a pool of one is the paper's one offload thread, N routed
+  shards its §7 several.
 * :class:`~repro.core.request_pool.OffloadRequestPool` — pre-allocated
   array-based free list of request slots so nonblocking calls return a
   handle before MPI has been invoked (§3.1).

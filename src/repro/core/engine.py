@@ -44,9 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.communicator import Communicator
     from repro.mpisim.requests import Request
 
-#: Default commands drained per loop iteration (one ``drain`` call)
-#: before the single per-batch progress sweep; override per engine with
-#: the ``batch_size`` constructor knob.
+#: Commands drained per loop iteration (one ``drain`` call) before the
+#: single per-batch progress sweep.
 _BATCH = 64
 #: Safety tick: the longest the loop parks without looking around.
 #: Every hand-off has a doorbell (DESIGN.md §17); the tick only keeps
@@ -99,18 +98,12 @@ class OffloadEngine:
         communicator).  All offloaded traffic flows through its
         progress engine; commands may nonetheless carry *any*
         communicator that shares the engine (e.g. dup'ed ones).
-    pool_capacity / queue_capacity:
-        Sizes of the pre-allocated request pool and command ring.
-    batch_size:
-        Commands drained from the ring per loop iteration; the whole
-        batch is issued before the single per-batch progress pump and
-        retry/deadline sweep, amortizing per-iteration overhead over
-        up to ``batch_size`` commands.
     request_pool:
-        Share an existing :class:`OffloadRequestPool` instead of
-        constructing a private one.  An :class:`EnginePool` passes one
-        pool to all its shards so the facade can allocate a slot before
-        routing.
+        The :class:`OffloadRequestPool` whose slots this engine
+        completes.  An :class:`EnginePool` passes one pool to all its
+        shards so the facade can allocate a slot before routing.
+    queue_capacity:
+        Size of the command ring.
     telemetry:
         Keep a trace ring, track the command ring's occupancy, and file
         the final snapshot in the :mod:`repro.obs` registry (default:
@@ -120,26 +113,15 @@ class OffloadEngine:
     def __init__(
         self,
         comm: "Communicator",
-        pool_capacity: int = 4096,
+        request_pool: OffloadRequestPool,
         queue_capacity: int = 4096,
         telemetry: bool | None = None,
         faults: "FaultPlan | None" = None,
         recovery: RecoveryPolicy | None = None,
-        batch_size: int | None = None,
-        request_pool: OffloadRequestPool | None = None,
     ) -> None:
-        if batch_size is None:
-            batch_size = _BATCH
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.comm = comm
         self.queue: MPSCQueue[Command] = MPSCQueue(queue_capacity)
-        self.pool = (
-            request_pool
-            if request_pool is not None
-            else OffloadRequestPool(pool_capacity)
-        )
-        self.batch_size = batch_size
+        self.pool = request_pool
         #: commands drained from the ring but not yet dispatched; kept
         #: on the instance (not a loop local) so `_fail_pending` can
         #: fail a partially processed batch after a mid-batch crash
@@ -313,21 +295,6 @@ class OffloadEngine:
             out.append(f"{len(self._retries)} scheduled retry(s)")
         return out
 
-    def __enter__(self) -> "OffloadEngine":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def route(self, cmd: Command | None = None) -> "OffloadEngine":
-        """Pool compatibility: a bare engine routes to itself."""
-        return self
-
-    def remap_shrunk(self, old_comm, new_comm) -> int:
-        """Pool compatibility: a bare engine keeps no per-communicator
-        routing state, so a shrink needs no remap here."""
-        return 0
-
     # ------------------------------------------------------------ submission
 
     def submit(self, cmd: Command) -> None:
@@ -429,11 +396,11 @@ class OffloadEngine:
                 # (a publish after it rings `_wake`, cleared above).
                 pos = queue._dequeue_pos
                 published = queue._cells[pos & queue._mask].seq == pos + 1
-                batch = queue.drain(self.batch_size) if published else ()
+                batch = queue.drain(_BATCH) if published else ()
                 more = False
                 if batch:
                     did += len(batch)
-                    more = len(batch) == self.batch_size
+                    more = len(batch) == _BATCH
                     self._drained.extend(batch)
                     self.batch_dequeues += 1
                     if len(batch) > self.batch_size_hwm:
@@ -674,23 +641,8 @@ class OffloadEngine:
 
     def _command_failed(self, cmd: Command, exc: BaseException) -> None:
         """A dispatch attempt failed: retry per policy or fail."""
+        self._revoke_if_rank_dead(cmd.comm, exc)
         rec = self.recovery
-        if (
-            rec is not None
-            and getattr(rec, "rank_failure", "fail") == "shrink"
-            and cmd.comm is not None
-            and _is_rank_dead(exc)
-        ):
-            # ULFM recovery mode: a peer death surfaced through this
-            # command — revoke its communicator so every survivor's
-            # operations on it fail typed *now* (locally, remotely via
-            # REVOKE notices), unblocking the revoke→agree→shrink
-            # driver instead of leaving siblings to time out one by
-            # one.  Idempotent; the command itself still fails below.
-            try:
-                cmd.comm.revoke()
-            except Exception:  # noqa: BLE001 - revoke is best-effort
-                pass
         if (
             rec is not None
             and rec.retry is not None
@@ -705,6 +657,28 @@ class OffloadEngine:
             heapq.heappush(self._retries, (due, self._retry_seq, cmd))
             return
         self._fail(cmd, exc)
+
+    def _revoke_if_rank_dead(
+        self, comm: "Communicator | None", exc: BaseException
+    ) -> None:
+        """The ULFM response to a failed command (``rank_failure=
+        "shrink"``): a peer death surfaced through ``comm`` — at
+        dispatch or in flight — so revoke it, and every survivor's
+        operations on it fail typed *now* (locally, remotely via REVOKE
+        notices), unblocking the revoke→agree→shrink driver instead of
+        leaving siblings to time out one by one.  Idempotent; the
+        command itself still fails."""
+        rec = self.recovery
+        if (
+            rec is not None
+            and rec.rank_failure == "shrink"
+            and comm is not None
+            and _is_rank_dead(exc)
+        ):
+            try:
+                comm.revoke()
+            except Exception:  # noqa: BLE001 - revoke is best-effort
+                pass
 
     def _fail(self, cmd: Command, exc: BaseException) -> None:
         """Publish ``exc`` as ``cmd``'s terminal state (slot or flag)."""
@@ -894,21 +868,9 @@ class OffloadEngine:
         status = inner.status
         error = inner.error
         comm = cmd.comm
-        rec = self.recovery
-        if (
-            error is not None
-            and rec is not None
-            and getattr(rec, "rank_failure", "fail") == "shrink"
-            and comm is not None
-            and _is_rank_dead(error)
-        ):
-            # An in-flight operation (e.g. a posted receive) failed
-            # because its peer died after dispatch: same ULFM response
-            # as a dispatch-time death (see _command_failed).
-            try:
-                comm.revoke()
-            except Exception:  # noqa: BLE001 - revoke is best-effort
-                pass
+        if error is not None:
+            # e.g. a posted receive whose peer died after dispatch
+            self._revoke_if_rank_dead(comm, error)
         # Engine-level statuses carry global ranks; convert to the
         # command's communicator-local numbering before publishing
         # (where the two differ).

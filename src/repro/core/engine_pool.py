@@ -6,8 +6,10 @@ operation.  "MPI Progress For All" and "Asynchronous MPI for the
 Masses" map the design space of shared/oversubscribed progress
 resources; this module brings that space onto the substrate as an
 :class:`EnginePool` — N :class:`~repro.core.engine.OffloadEngine`
-shards per rank behind the same ``route()`` facade a bare engine
-exposes.  A **router** picks the shard at submit time:
+shards per rank, the paper's one thread being the pool of one.  Every
+:class:`~repro.core.offload_comm.OffloadCommunicator` holds a pool; an
+engine is only ever one of its shards.  A **router** picks the shard
+at submit time:
 destination-affinity, or thread-sticky — one engine per application
 thread, the paper's §7 "multiple threads for software offload" once
 endpoints exist.
@@ -153,8 +155,8 @@ class ShardRouter:
 class EnginePool:
     """N offload engines behind one ``route()`` interface.
 
-    Drop-in wherever a single :class:`OffloadEngine` is used; the
-    facade calls ``route(cmd)`` to pick the shard for each command.
+    The facade picks the shard for each command: the only one of a
+    pool of one (``_lone``, an attribute read), else ``route(cmd)``.
     See the module docstring for the routing design and the ordering
     argument.
 
@@ -166,19 +168,21 @@ class EnginePool:
     router:
         Placement policy for new streams; one of
         :data:`ROUTER_POLICIES`.
+    pool_capacity / queue_capacity:
+        Sizes of the request pool the shards share and of each shard's
+        command ring.
     """
 
     def __init__(
         self,
         comm: "Communicator",
-        pool_size: int = 2,
+        pool_size: int = 1,
         router: str = "dest",
         pool_capacity: int = 4096,
         queue_capacity: int = 4096,
         telemetry: bool | None = None,
         faults=None,
         recovery=None,
-        batch_size: int | None = None,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
@@ -187,24 +191,23 @@ class EnginePool:
                 "multiple offload threads enter MPI concurrently; the "
                 "world must be MPI_THREAD_MULTIPLE"
             )
+        self.router = ShardRouter(router)
         self.comm = comm
+        self.recovery = recovery
         #: one request pool shared by every shard: the facade allocates
         #: a slot before it knows which shard will complete it.
-        self.request_pool = OffloadRequestPool(pool_capacity)
+        self.pool = OffloadRequestPool(pool_capacity)
         self.engines = [
             OffloadEngine(
                 comm,
-                pool_capacity=pool_capacity,
+                self.pool,
                 queue_capacity=queue_capacity,
                 telemetry=telemetry,
                 faults=faults,
                 recovery=recovery,
-                request_pool=self.request_pool,
-                batch_size=batch_size,
             )
             for _ in range(pool_size)
         ]
-        self.router = ShardRouter(router)
         #: a pool of one routes everything to its only shard
         self._lone = self.engines[0] if pool_size == 1 else None
 
@@ -213,9 +216,8 @@ class EnginePool:
     def route(self, cmd: Command | None = None) -> OffloadEngine:
         """The shard that must carry ``cmd`` (sticky per stream).
 
-        With no command, routes by calling thread — the inspection/
-        compatibility path (``oc.engine.route().stats()`` etc.).
-        Raises :class:`OffloadEngineDied` only when every shard died.
+        With no command, routes by calling thread.  Raises
+        :class:`OffloadEngineDied` only when every shard died.
         """
         lone = self._lone
         if lone is not None:
@@ -242,11 +244,8 @@ class EnginePool:
         return engines[self.router.assign(key, candidates)]
 
     def submit(self, cmd: Command) -> None:
-        """Route ``cmd`` to its shard and enqueue it there.
-
-        Engine-compatibility surface: callers holding ``oc.engine``
-        may submit directly; the router picks the shard at submit
-        time, exactly as the facade does."""
+        """Route ``cmd`` to its shard and enqueue it there, exactly as
+        the facade does."""
         self.route(cmd).submit(cmd)
 
     def remap_shrunk(self, old_comm, new_comm) -> int:
@@ -260,7 +259,7 @@ class EnginePool:
         number of released stream pins."""
         return self.router.release_comm(id(old_comm))
 
-    # -- single-engine compatibility surface --------------------------------
+    # -- the pool as a whole ---------------------------------------------
 
     @property
     def dead(self) -> BaseException | None:
@@ -273,22 +272,6 @@ class EnginePool:
             if first is None:
                 first = e._dead
         return first
-
-    @property
-    def recovery(self):
-        return self.engines[0].recovery
-
-    @property
-    def pool(self) -> OffloadRequestPool:
-        return self.request_pool
-
-    @property
-    def queue(self):
-        return self.route().queue
-
-    @property
-    def queue_full_retries(self) -> int:
-        return sum(e.queue_full_retries for e in self.engines)
 
     def pending_work(self) -> list[str]:
         out: list[str] = []
@@ -328,8 +311,8 @@ class EnginePool:
         # pool and the same per-rank progress engine; keep one copy
         # instead of an N-fold sum.
         merged["pool"] = {
-            "capacity": self.request_pool.capacity,
-            "allocated": self.request_pool.allocated,
+            "capacity": self.pool.capacity,
+            "allocated": self.pool.allocated,
         }
         merged["progress"] = self.comm.engine.counters()
         merged["counters"] = self.stats()

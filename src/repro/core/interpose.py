@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.engine import OffloadEngine
+from repro.core.engine_pool import EnginePool
 from repro.core.offload_comm import OffloadCommunicator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,12 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_POOL_SIZE = 1
 
 
-def interpose(
-    comm: "Communicator", engine: OffloadEngine
-) -> OffloadCommunicator:
+def interpose(comm: "Communicator", engine: EnginePool) -> OffloadCommunicator:
     """Wrap ``comm`` so its MPI calls route through ``engine``.
 
-    The engine must already be running and must share ``comm``'s rank.
+    The pool must already be running and must share ``comm``'s rank.
     """
     if engine.comm.engine.rank != comm.engine.rank:
         raise ValueError(
@@ -59,9 +57,8 @@ def offloaded(
     faults=None,
     recovery=None,
     op_timeout: float | None = None,
-    batch_size: int | None = None,
     pool_size: int | None = None,
-    router: str | None = None,
+    router: str = "dest",
     zero_copy: bool | None = None,
 ) -> Iterator[OffloadCommunicator]:
     """Context manager: spawn offload thread(s) for ``comm``'s rank,
@@ -80,13 +77,11 @@ def offloaded(
     errors, so exit does not raise on top of the application's own
     handling.
 
-    ``batch_size`` is the engine's batched drain size; ``None`` keeps
-    the engine default.
-
-    ``pool_size``/``router`` configure the sharded
-    :class:`~repro.core.engine_pool.EnginePool` (N routed engines per
-    rank — the paper's §7 multiple offload threads; ``router="thread"``
-    gives each application thread its own engine).  An *explicit* ``pool_size > 1`` requires
+    ``pool_size``/``router`` configure the rank's
+    :class:`~repro.core.engine_pool.EnginePool`: one engine (the
+    paper's one offload thread) or N routed ones (its §7 multiple
+    offload threads; ``router="thread"`` gives each application thread
+    its own engine).  An *explicit* ``pool_size > 1`` requires
     ``MPI_THREAD_MULTIPLE`` and raises otherwise; when ``pool_size``
     is None the module default (:data:`DEFAULT_POOL_SIZE`) applies but
     is silently clamped to 1 below ``MPI_THREAD_MULTIPLE`` so
@@ -118,33 +113,16 @@ def offloaded(
         restore_zero_copy = comm.engine.zero_copy
         comm.engine.zero_copy = zero_copy
     try:
-        if effective_pool > 1:
-            from repro.core.engine_pool import EnginePool
-
-            pool_kwargs: dict = {}
-            if router is not None:
-                pool_kwargs["router"] = router
-            engine = EnginePool(
-                comm,
-                pool_size=effective_pool,
-                pool_capacity=pool_capacity,
-                queue_capacity=queue_capacity,
-                telemetry=telemetry,
-                faults=faults,
-                recovery=recovery,
-                batch_size=batch_size,
-                **pool_kwargs,
-            )
-        else:
-            engine = OffloadEngine(
-                comm,
-                pool_capacity=pool_capacity,
-                queue_capacity=queue_capacity,
-                telemetry=telemetry,
-                faults=faults,
-                recovery=recovery,
-                batch_size=batch_size,
-            )
+        engine = EnginePool(
+            comm,
+            pool_size=effective_pool,
+            router=router,
+            pool_capacity=pool_capacity,
+            queue_capacity=queue_capacity,
+            telemetry=telemetry,
+            faults=faults,
+            recovery=recovery,
+        )
         engine.start()
         try:
             yield OffloadCommunicator(comm, engine, op_timeout)
@@ -155,23 +133,20 @@ def offloaded(
             comm.engine.zero_copy = restore_zero_copy
 
 
-def _teardown(engine) -> None:
-    """Stop an engine/pool, absorbing death it already reported.
+def _teardown(engine: EnginePool) -> None:
+    """Stop a pool, absorbing death it already reported.
 
     A dead engine failed all its pending work with typed exceptions at
     death time; raising again out of the ``finally`` would mask the
-    application's own exception handling.  A *live* engine that cannot
-    stop still raises (stuck work is a real error)."""
+    application's own exception handling.  A pool whose every shard is
+    *live* but cannot stop still raises (stuck work is a real error)."""
     from repro.core.request_pool import OffloadEngineDied
 
-    dead = getattr(engine, "dead", None)
-    if dead is None and hasattr(engine, "engines"):
-        if any(e.dead is not None for e in engine.engines):
-            dead = True
+    dead = any(e.dead is not None for e in engine.engines)
     try:
         engine.stop()
     except OffloadEngineDied:
         pass
     except RuntimeError:
-        if dead is None:
+        if not dead:
             raise

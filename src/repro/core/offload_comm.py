@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.core.commands import Command, CommandKind
-from repro.core.engine import OffloadEngine
 from repro.core.recovery import EngineWatchdog, RecoveryPolicy
 from repro.core.request_pool import (
     OffloadEngineDied,
@@ -43,6 +42,8 @@ from repro.mpisim.reduce_ops import ReduceOp, SUM
 from repro.mpisim.status import Status
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.engine import OffloadEngine
+    from repro.core.engine_pool import EnginePool
     from repro.mpisim.communicator import Communicator
 
 K = CommandKind
@@ -54,13 +55,17 @@ _WAITANY_SLICE = 1e-3
 class OffloadCommunicator:
     """Drop-in communicator whose MPI calls run on the offload thread.
 
+    ``engine`` is the rank's :class:`~repro.core.engine_pool.EnginePool`
+    (one shard for the paper's one offload thread); each call goes to
+    the shard that carries its stream.
+
     ``op_timeout`` (optional) stamps every command with an absolute
     deadline; the engine terminal-fails commands that miss it with
     :class:`~repro.core.recovery.OffloadTimeout`, so no operation can
     outlive ``op_timeout`` once the engine has seen it.
 
-    When the engine carries a :class:`~repro.core.recovery.RecoveryPolicy`
-    with ``degrade=True``, calls issued *after* the engine died run
+    When the pool carries a :class:`~repro.core.recovery.RecoveryPolicy`
+    with ``degrade=True``, calls issued *after* their shard died run
     inline on the calling thread (the FUNNELED fallback) instead of
     raising — nonblocking calls then return the substrate's own request
     handle, which exposes the same ``done``/``test``/``wait`` surface
@@ -70,7 +75,7 @@ class OffloadCommunicator:
     def __init__(
         self,
         comm: "Communicator",
-        engine: OffloadEngine,
+        engine: "EnginePool",
         op_timeout: float | None = None,
     ) -> None:
         self.inner = comm
@@ -97,28 +102,22 @@ class OffloadCommunicator:
     # ------------------------------------------------------------- plumbing
 
     def _blocking(self, cmd: Command) -> Any:
-        # route(cmd) picks the shard that must carry this command (a
-        # single engine routes to itself; an EnginePool keys sends by
-        # destination, receives/collectives by communicator, etc. so
-        # every MPI-ordered stream stays on one ring).
+        # The shard that must carry this command: a pool of one's only
+        # shard, or route(cmd) — sends keyed by destination, receives/
+        # collectives by communicator, etc. so every MPI-ordered stream
+        # stays on one ring.
         holder = self.engine
         try:
-            bare = type(holder) is OffloadEngine
-            engine = holder if bare else holder.route(cmd)
+            engine = holder._lone or holder.route(cmd)
         except OffloadEngineDied:
-            # Only an EnginePool raises here, and only with every
-            # shard dead — the single-engine "engine died" contract.
+            # Every shard is dead.
             rec = holder.recovery
             if rec is not None and rec.degrade:
-                return self._degraded_blocking(self._any_engine(), cmd)
+                return self._degraded_blocking(holder.engines[0], cmd)
             raise
         return self._blocking_on(engine, cmd)
 
-    def _any_engine(self) -> OffloadEngine:
-        """Some engine to account degraded-mode work against."""
-        return getattr(self.engine, "engines", [self.engine])[0]
-
-    def _blocking_on(self, engine: OffloadEngine, cmd: Command) -> Any:
+    def _blocking_on(self, engine: "OffloadEngine", cmd: Command) -> Any:
         assert cmd.done is not None
         rec = engine.recovery
         if rec is not None and rec.degrade and engine.dead is not None:
@@ -144,7 +143,7 @@ class OffloadCommunicator:
 
     @staticmethod
     def _watchful_wait(
-        engine: OffloadEngine, cmd: Command, rec: RecoveryPolicy
+        engine: "OffloadEngine", cmd: Command, rec: RecoveryPolicy
     ) -> None:
         """Wait on ``cmd.done`` while sampling engine health.
 
@@ -176,19 +175,17 @@ class OffloadCommunicator:
 
     def _nonblocking(self, cmd: Command) -> Any:
         """Route and enqueue ``cmd``, whose pool slot the caller has
-        allocated (the request pool is shared across an EnginePool's
-        shards, so the slot exists before the command is routed)."""
+        allocated (the request pool is shared across the pool's shards,
+        so the slot exists before the command is routed)."""
         holder = self.engine
         slot = cmd.slot
         try:
-            # a bare engine carries every command itself: nothing to ask
-            bare = type(holder) is OffloadEngine
-            engine = holder if bare else holder.route(cmd)
+            engine = holder._lone or holder.route(cmd)
         except OffloadEngineDied:
             holder.pool.release(slot)
             rec = holder.recovery
             if rec is not None and rec.degrade:
-                return self._degraded_nonblocking(self._any_engine(), cmd)
+                return self._degraded_nonblocking(holder.engines[0], cmd)
             raise
         rec = engine.recovery
         if rec is not None and rec.degrade and engine.dead is not None:
@@ -212,7 +209,7 @@ class OffloadCommunicator:
 
     # --------------------------------------------------- degraded (FUNNELED)
 
-    def _note_degraded(self, engine: OffloadEngine) -> None:
+    def _note_degraded(self, engine: "OffloadEngine") -> None:
         """Account one inline-fallback command and adopt the funnel.
 
         Under FUNNELED the dead offload thread still holds the funnel
@@ -226,7 +223,7 @@ class OffloadCommunicator:
             if world.funnel_thread(rank) != threading.get_ident():
                 world.set_funnel_thread(rank, threading.get_ident())
 
-    def _degraded_blocking(self, engine: OffloadEngine, cmd: Command) -> Any:
+    def _degraded_blocking(self, engine: "OffloadEngine", cmd: Command) -> Any:
         self._note_degraded(engine)
         comm = cmd.comm if cmd.comm is not None else self.inner
         k = cmd.kind
@@ -267,7 +264,9 @@ class OffloadCommunicator:
             f"no degraded inline fallback for {k.name}"
         )  # pragma: no cover - all facade kinds handled above
 
-    def _degraded_nonblocking(self, engine: OffloadEngine, cmd: Command) -> Any:
+    def _degraded_nonblocking(
+        self, engine: "OffloadEngine", cmd: Command
+    ) -> Any:
         self._note_degraded(engine)
         comm = cmd.comm if cmd.comm is not None else self.inner
         k = cmd.kind
@@ -700,27 +699,24 @@ class OffloadCommunicator:
         assignments instead of inheriting dead sticky state.
         """
         new_inner = self.inner.shrink(timeout=timeout)
-        remap = getattr(self.engine, "remap_shrunk", None)
-        if remap is not None:
-            remap(self.inner, new_inner)
+        self.engine.remap_shrunk(self.inner, new_inner)
         return OffloadCommunicator(new_inner, self.engine, self.op_timeout)
 
     def flush(self) -> None:
         """Wait until every previously submitted operation completed.
 
-        Against an :class:`~repro.core.engine_pool.EnginePool` the
-        fence is broadcast: one FLUSH per live shard, since previously
-        submitted work may be spread over every ring.  A shard that
-        died needs no fence — its backlog was already terminally
-        failed, so there is nothing left to wait for.
+        The fence is broadcast: one FLUSH per live shard, since
+        previously submitted work may be spread over every ring.  A
+        shard that died needs no fence — its backlog was already
+        terminally failed, so there is nothing left to wait for.  With
+        no shard alive, flush fails like every other blocking call:
+        :class:`~repro.core.request_pool.OffloadEngineDied`, or the
+        inline no-op under ``degrade=True``.
         """
-        engines = getattr(self.engine, "engines", None)
-        if engines is None:
+        live = [e for e in self.engine.engines if e.dead is None]
+        if not live:
             self._blocking(Command(kind=K.FLUSH))
-            return
-        for e in engines:
-            if e.dead is not None:
-                continue
+        for e in live:
             try:
                 self._blocking_on(e, Command(kind=K.FLUSH))
             except OffloadEngineDied:

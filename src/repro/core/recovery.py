@@ -127,59 +127,44 @@ class RecoveryPolicy:
 
 
 class EngineWatchdog:
-    """Caller-side heartbeat monitor for an engine — or a whole pool.
+    """Caller-side heartbeat monitor for one engine (one pool shard).
 
     Each engine increments ``engine.heartbeat`` once per loop
-    iteration; callers hold one watchdog per wait and call
-    :meth:`check` each sampling period.  A heartbeat frozen past the
-    bound (with the thread either wedged or vanished) trips the
-    watchdog, which poisons the engine via
-    :meth:`OffloadEngine.watchdog_trip`.
-
-    Handed an :class:`~repro.core.engine_pool.EnginePool` (anything
-    with an ``engines`` attribute), the watchdog samples every live
-    shard independently and poisons only the wedged one — one shard
-    dying is a shard-local event, the pool survives and keeps routing
-    around it.
+    iteration; callers hold one watchdog per wait, on the shard that
+    carries the awaited command, and call :meth:`check` each sampling
+    period.  A heartbeat frozen past the bound (with the thread either
+    wedged or vanished) trips the watchdog, which poisons the engine
+    via :meth:`OffloadEngine.watchdog_trip` — a shard-local event: its
+    pool survives and keeps routing around it.
     """
 
-    __slots__ = ("engine", "engines", "timeout", "_states")
+    __slots__ = ("engine", "timeout", "_beat", "_since")
 
     def __init__(self, engine: "OffloadEngine", timeout: float) -> None:
         self.engine = engine
-        #: the individual engines monitored (the pool's shards, or the
-        #: single engine itself)
-        self.engines = list(getattr(engine, "engines", None) or [engine])
         self.timeout = timeout
-        now = time.perf_counter()
-        #: per-shard (last heartbeat sampled, time it last advanced)
-        self._states = {
-            id(e): (e.heartbeat, now) for e in self.engines
-        }
+        #: the last heartbeat sampled and the time it last advanced
+        self._beat = engine.heartbeat
+        self._since = time.perf_counter()
 
     def check(self) -> bool:
-        """Sample every live shard once; True when any shard tripped.
-
-        Only the wedged shard is poisoned — siblings keep running."""
-        tripped = False
+        """Sample the engine once; True when this sample tripped it."""
+        engine = self.engine
+        if engine.dead is not None:
+            return False  # already dead; nothing to detect
         now = time.perf_counter()
-        for engine in self.engines:
-            if engine.dead is not None:
-                continue  # already dead; nothing to detect
-            beat = engine.heartbeat
-            last_beat, last_change = self._states[id(engine)]
-            if beat != last_beat:
-                self._states[id(engine)] = (beat, now)
-                continue
-            thread = engine._thread
-            if thread is not None and not thread.is_alive():
-                engine.watchdog_trip("offload thread vanished")
-                tripped = True
-                continue
-            if now - last_change >= self.timeout:
-                engine.watchdog_trip(
-                    f"heartbeat frozen for {now - last_change:.3f}s "
-                    f"(bound {self.timeout}s)"
-                )
-                tripped = True
-        return tripped
+        beat = engine.heartbeat
+        if beat != self._beat:
+            self._beat, self._since = beat, now
+            return False
+        thread = engine._thread
+        if thread is not None and not thread.is_alive():
+            engine.watchdog_trip("offload thread vanished")
+            return True
+        if now - self._since >= self.timeout:
+            engine.watchdog_trip(
+                f"heartbeat frozen for {now - self._since:.3f}s "
+                f"(bound {self.timeout}s)"
+            )
+            return True
+        return False

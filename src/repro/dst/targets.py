@@ -37,7 +37,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.commands import Command, CommandKind
-from repro.core.engine import OffloadEngine
+from repro.core.engine import _BATCH, OffloadEngine
 from repro.core.engine_pool import EnginePool, ShardRouter
 from repro.core.request_pool import (
     OffloadEngineDied,
@@ -273,7 +273,7 @@ class _EngineCrashProgram:
         eng = self.engine
         try:
             while True:
-                batch = eng.queue.drain(eng.batch_size)
+                batch = eng.queue.drain(_BATCH)
                 if batch:
                     eng._drained.extend(batch)
                     eng._process_batch()
@@ -471,7 +471,7 @@ class RoutingOrderProgram:
             for i in range(self.n_sends):
                 # Facade order: allocate a slot from the shared request
                 # pool, then route, then submit to the routed shard.
-                slot = pool.request_pool.alloc()
+                slot = pool.pool.alloc()
                 cmd = Command(
                     CommandKind.ISEND,
                     comm=self.dest_comm,

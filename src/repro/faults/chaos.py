@@ -289,9 +289,8 @@ def _rank_program(
     op_timeout: float,
     reports: list,
     lock: threading.Lock,
-    batch_size: int | None = None,
     pool_size: int = 1,
-    router: str | None = None,
+    router: str = "dest",
 ) -> None:
     rank, size = comm.rank, comm.size
     report: dict[str, Any] = {
@@ -324,13 +323,12 @@ def _rank_program(
         comm,
         recovery=recovery,
         op_timeout=op_timeout,
-        batch_size=batch_size,
         pool_size=pool_size if pool_size > 1 else None,
         router=router,
     ) as oc:
-        # ``holder`` is the bare engine or the EnginePool; ``dead`` is
-        # only non-None once *no* shard can serve (a pool with one dead
-        # shard keeps running: its streams are remapped to survivors).
+        # ``holder`` is the EnginePool; ``dead`` is only non-None once
+        # *no* shard can serve (a pool with one dead shard keeps
+        # running: its streams are remapped to survivors).
         holder = oc.engine
         for rnd in range(rounds):
             if holder.dead is not None:
@@ -359,7 +357,7 @@ def _rank_program(
             oc.flush()
         except (OffloadError, MPIError):
             pass
-        engines = getattr(holder, "engines", [holder])
+        engines = holder.engines
         report["dead_shards"] = sum(
             1 for e in engines if e.dead is not None
         )
@@ -490,9 +488,8 @@ def run_chaos(
     profile: str = "mixed",
     run_timeout: float = 120.0,
     plan: FaultPlan | None = None,
-    batch_size: int | None = None,
     pool_size: int = 1,
-    router: str | None = None,
+    router: str = "dest",
     zero_copy: bool = False,
     workload: str = "ring",
 ) -> dict:
@@ -500,7 +497,6 @@ def run_chaos(
 
     ``report["ok"]`` is True iff no rank hung, every failure was typed,
     and the balance law held on every engine.
-    ``batch_size`` overrides the engine's batched-drain default.
 
     ``pool_size > 1`` runs each rank on a sharded
     :class:`~repro.core.engine_pool.EnginePool` and checks the balance
@@ -567,7 +563,6 @@ def run_chaos(
             op_timeout,
             reports,
             lock,
-            batch_size,
             pool_size,
             router,
             timeout=run_timeout,

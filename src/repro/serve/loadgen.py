@@ -267,7 +267,7 @@ def run_loadgen(
             balance_ok, detail = obs.check_balance(snap)
             # a pool's shards each drain only their own ring: each
             # must balance on its own, not only the merged view
-            for shard in getattr(oc.engine, "engines", ()):
+            for shard in oc.engine.engines:
                 ok, _ = obs.check_balance(shard.telemetry_snapshot())
                 balance_ok = balance_ok and ok
             stats = engine.stats()

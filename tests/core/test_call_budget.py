@@ -133,15 +133,16 @@ def test_a_look_that_finds_nothing_costs_nothing():
 
     def prog(comm):
         with offloaded(comm, telemetry=False, pool_size=1) as c:
+            (engine,) = c.engine.engines
             time.sleep(0.01)  # past start-up: parked on its doorbell
-            start = c.engine.heartbeat
+            start = engine.heartbeat
             deadline = time.monotonic() + 30.0
             hook.on = True
-            while c.engine.heartbeat - start < ticks:
+            while engine.heartbeat - start < ticks:
                 assert time.monotonic() < deadline, "engine loop stalled"
                 time.sleep(1e-3)
             hook.on = False
-            beats.append(c.engine.heartbeat - start)
+            beats.append(engine.heartbeat - start)
         return True
 
     profile = threading.getprofile()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import OffloadEngine, OffloadError, offloaded
+from repro.core import EnginePool, OffloadError, offloaded
 from repro.core.offload_comm import OffloadCommunicator
 from repro.core.request_pool import OffloadEngineDied, OffloadRequest
 from repro.faults import FaultAction, FaultPlan, FaultRule
@@ -24,10 +24,11 @@ from tests.conftest import run_world, run_world_mt
 
 
 def _preloaded_engine(comm, **kwargs):
-    """Engine with commands queued *before* the thread starts, so the
-    first drain deterministically pulls them as one batch."""
-    engine = OffloadEngine(comm, **kwargs)
-    return engine, OffloadCommunicator(comm, engine)
+    """A pool of one whose shard gets commands queued *before* its
+    thread starts, so the first drain deterministically pulls them as
+    one batch; returns the shard and the facade."""
+    pool = EnginePool(comm, **kwargs)
+    return pool.engines[0], OffloadCommunicator(comm, pool)
 
 
 class TestBatchOrdering:
@@ -354,7 +355,7 @@ class TestRunOutcomes:
         def prog(comm):
             other = comm.dup()
             engine, oc = _preloaded_engine(comm, telemetry=True)
-            oc2 = OffloadCommunicator(other, engine)
+            oc2 = OffloadCommunicator(other, oc.engine)
             bufs = [np.empty(1), np.empty(1)]
             handles = [
                 oc.irecv(bufs[0], 0, tag=0),
@@ -410,7 +411,7 @@ class TestShutdownRace:
         error), and rejected submits raise typed — nothing hangs."""
 
         def prog(comm):
-            engine = OffloadEngine(comm, telemetry=True).start()
+            engine = EnginePool(comm, telemetry=True).start()
             oc = OffloadCommunicator(comm, engine)
             results = {"ok": 0, "rejected": 0, "failed": 0}
             lock = threading.Lock()
@@ -459,7 +460,8 @@ class TestShutdownRace:
 
 @pytest.mark.chaos
 class TestChaosWithBatching:
-    def test_transient_profile_with_explicit_batch_size(self):
+    def test_transient_profile_with_explicit_batch_size(self, monkeypatch):
+        monkeypatch.setattr("repro.core.engine._BATCH", 4)
         report = run_chaos(
             nranks=2,
             rounds=8,
@@ -467,14 +469,14 @@ class TestChaosWithBatching:
             profile="transient",
             op_timeout=0.5,
             run_timeout=60.0,
-            batch_size=4,
         )
         assert report["ok"], render_report(report)
         assert report["balance"]["ok"]
 
-    def test_messages_profile_batch_one_still_correct(self):
-        # batch_size=1 degenerates to the pre-batching loop; the chaos
-        # contract must hold at both extremes
+    def test_messages_profile_batch_one_still_correct(self, monkeypatch):
+        # a batch of one degenerates to the pre-batching loop; the
+        # chaos contract must hold at both extremes
+        monkeypatch.setattr("repro.core.engine._BATCH", 1)
         report = run_chaos(
             nranks=2,
             rounds=6,
@@ -482,6 +484,5 @@ class TestChaosWithBatching:
             profile="messages",
             op_timeout=0.4,
             run_timeout=60.0,
-            batch_size=1,
         )
         assert report["ok"], render_report(report)

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core import OffloadEngine, offloaded
+from repro.core import EnginePool, offloaded
 from repro.core.commands import Command, CommandKind
 
 from tests.conftest import run_world, run_world_mt
 
 
 class TestRouting:
-    def test_bare_engine_routes_to_itself(self):
+    def test_pool_of_one_routes_to_its_only_shard(self):
         def prog(comm):
-            with OffloadEngine(comm) as e:
-                assert e.route() is e
+            with EnginePool(comm) as pool:
+                (shard,) = pool.engines
+                assert pool._lone is shard
+                assert pool.route() is shard
             return True
 
         assert all(run_world(1, prog))
@@ -105,7 +107,7 @@ class TestStats:
                     )
                 for r in reqs:
                     r.wait(timeout=60)
-                return oc.engine.queue_full_retries
+                return oc.engine.stats()["queue_full_retries"]
 
         res = run_world_mt(2, prog)
         # with a 4-deep ring and 128 commands, some retries are expected

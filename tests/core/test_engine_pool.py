@@ -44,6 +44,45 @@ class TestConstruction:
 
         assert all(run_world_mt(1, prog))
 
+    @pytest.mark.parametrize("pool_size", [1, 2])
+    def test_unknown_router_rejected_at_every_width(self, pool_size):
+        def prog(comm):
+            with pytest.raises(ValueError, match="unknown router"):
+                with offloaded(comm, pool_size=pool_size, router="bogus"):
+                    pass
+            return True
+
+        assert all(run_world_mt(1, prog))
+
+
+class TestInspection:
+    @pytest.mark.parametrize("pool_size", [1, 2])
+    def test_reading_the_pool_pins_no_stream(self, pool_size):
+        """Only commands are routed: inspecting the pool from a thread
+        the router has never seen leaves its pin table as it was."""
+
+        def prog(comm):
+            with offloaded(comm, pool_size=pool_size, router="thread") as oc:
+                oc.allreduce(np.ones(1))
+                pool = oc.engine
+                pins = dict(pool.router._streams)
+                out = []
+
+                def inspect():
+                    pool.stats()
+                    pool.telemetry_snapshot()
+                    pool.pending_work()
+                    out.append(dict(pool.router._streams))
+
+                t = threading.Thread(target=inspect)
+                t.start()
+                t.join(30)
+                assert out == [pins]
+                assert not hasattr(pool, "queue")
+            return True
+
+        assert all(run_world_mt(1, prog))
+
 
 class TestRouting:
     def test_sticky_per_thread_assignment(self):

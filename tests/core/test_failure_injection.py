@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import OffloadEngine, OffloadError, offloaded
+from repro.core import EnginePool, OffloadError, offloaded
 from repro.core.commands import Command, CommandKind
 from repro.core.offload_comm import OffloadCommunicator
 from repro.core.request_pool import OffloadEngineDied, OffloadRequest
@@ -89,8 +89,8 @@ class TestEngineDeath:
 
         def prog(comm):
             comm.world.install_faults(plan)
-            engine = OffloadEngine(comm).start()
-            oc = OffloadCommunicator(comm, engine)
+            oc = OffloadCommunicator(comm, EnginePool(comm).start())
+            (engine,) = oc.engine.engines
             with pytest.raises(OffloadError):
                 oc.iprobe(0, tag=0)  # first command crashes the thread
             _await_dead(engine)
@@ -104,7 +104,7 @@ class TestEngineDeath:
 
     def test_fail_pending_drains_queue(self):
         def prog(comm):
-            engine = OffloadEngine(comm)
+            (engine,) = EnginePool(comm).engines
             # engine NOT started: queue up work, then fail it
             slot = engine.pool.alloc()
             handle = OffloadRequest(engine.pool, slot)
@@ -174,8 +174,8 @@ class TestShutdown:
     def test_stop_drains_inflight_work(self):
         def prog(comm):
             peer = 1 - comm.rank
-            engine = OffloadEngine(comm).start()
-            oc = OffloadCommunicator(comm, engine)
+            oc = OffloadCommunicator(comm, EnginePool(comm).start())
+            (engine,) = oc.engine.engines
             out = np.empty(1)
             r = oc.irecv(out, peer, tag=1)
             oc.isend(np.array([float(comm.rank)]), peer, tag=1)
@@ -187,7 +187,7 @@ class TestShutdown:
 
     def test_double_start_rejected(self):
         def prog(comm):
-            engine = OffloadEngine(comm).start()
+            (engine,) = EnginePool(comm).start().engines
             with pytest.raises(RuntimeError):
                 engine.start()
             engine.stop()
@@ -197,7 +197,7 @@ class TestShutdown:
 
     def test_stop_idempotent(self):
         def prog(comm):
-            engine = OffloadEngine(comm).start()
+            (engine,) = EnginePool(comm).start().engines
             engine.stop()
             engine.stop()  # no-op
             return True
@@ -211,8 +211,8 @@ class TestAbort:
         complete (the MPI_Finalize-with-pending-requests situation)."""
 
         def prog(comm):
-            engine = OffloadEngine(comm).start()
-            oc = OffloadCommunicator(comm, engine)
+            oc = OffloadCommunicator(comm, EnginePool(comm).start())
+            (engine,) = oc.engine.engines
             stuck = oc.irecv(np.empty(1), 0, tag=404)  # never sent
             engine.abort("test teardown")
             with pytest.raises(OffloadError):
@@ -230,8 +230,8 @@ class TestAbort:
         import threading
 
         def prog(comm):
-            engine = OffloadEngine(comm).start()
-            oc = OffloadCommunicator(comm, engine)
+            oc = OffloadCommunicator(comm, EnginePool(comm).start())
+            (engine,) = oc.engine.engines
             slots = [oc.irecv(np.empty(1), 0, tag=100 + i) for i in range(4)]
             errors = []
 

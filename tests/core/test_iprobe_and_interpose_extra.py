@@ -90,7 +90,7 @@ class TestNestedOffload:
 
 class TestKeywordPlumbing:
     """Every ``offloaded()`` keyword reaches the object that consumes
-    it, on both construction branches (bare engine, sharded pool)."""
+    it, at one shard and at two."""
 
     @pytest.mark.parametrize("pool_size", [1, 2])
     def test_every_keyword_is_observable(self, pool_size):
@@ -98,34 +98,31 @@ class TestKeywordPlumbing:
         from repro.faults import FaultPlan
 
         plan, recovery = FaultPlan([]), RecoveryPolicy()
-        pool_kw = {"router": "thread"} if pool_size > 1 else {}
 
         def prog(comm):
             with offloaded(
                 comm,
                 pool_size=pool_size,
-                batch_size=7,
+                router="thread",
                 queue_capacity=32,
                 pool_capacity=64,
                 telemetry=True,
                 faults=plan,
                 recovery=recovery,
                 op_timeout=12.5,
-                **pool_kw,
             ) as oc:
                 assert oc.op_timeout == 12.5
                 holder = oc.engine
-                shards = getattr(holder, "engines", [holder])
-                assert len(shards) == pool_size
-                for e in shards:
-                    assert e.batch_size == 7
+                assert len(holder.engines) == pool_size
+                assert holder.recovery is recovery
+                assert holder.pool.capacity == 64
+                for e in holder.engines:
                     assert e.queue.capacity == 32
-                    assert e.pool.capacity == 64
+                    assert e.pool is holder.pool
                     assert e.trace is not None
                     assert e._faults is plan
                     assert e.recovery is recovery
-                if pool_size > 1:
-                    assert holder.router.policy == "thread"
+                assert holder.router.policy == "thread"
             return True
 
         assert all(run_world_mt(1, prog))

@@ -238,6 +238,6 @@ class TestEngineBehaviour:
             for t in threads:
                 t.join()
             assert not errors, errors
-            return oc.engine.queue.cas_failures >= 0
+            return oc.engine.stats()["queue_cas_failures"] >= 0
 
         run_world_mt(2, offload_prog(body))

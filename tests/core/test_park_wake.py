@@ -131,8 +131,8 @@ class TestDoorbells:
             with EnginePool(comm, pool_size=2, telemetry=True) as pool:
                 owner, sibling = pool.engines
                 buf = np.empty(8, dtype=np.uint8)
-                slot = pool.request_pool.alloc()
-                handle = OffloadRequest(pool.request_pool, slot)
+                slot = pool.pool.alloc()
+                handle = OffloadRequest(pool.pool, slot)
                 owner.submit(
                     Command(
                         kind=CommandKind.IRECV,

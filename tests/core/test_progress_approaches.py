@@ -12,7 +12,7 @@ from repro.core import (
     offloaded,
     progress_hook,
 )
-from repro.core.engine import OffloadEngine
+from repro.core.engine_pool import EnginePool
 from repro.mpisim import THREAD_FUNNELED, World
 from repro.mpisim.exceptions import ThreadLevelError
 from repro.util.units import KIB
@@ -216,13 +216,13 @@ class TestInterpose:
 
     def test_interpose_rank_check(self):
         def prog(comm):
-            engine = OffloadEngine(comm).start()
+            pool = EnginePool(comm).start()
             try:
                 other = comm.world.comm_world((comm.rank + 1) % comm.size)
                 with pytest.raises(ValueError):
-                    interpose(other, engine)
+                    interpose(other, pool)
             finally:
-                engine.stop()
+                pool.stop()
             return True
 
         assert all(run_world_mt(2, prog))

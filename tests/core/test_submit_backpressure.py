@@ -12,10 +12,15 @@ import time
 
 import pytest
 
-from repro.core import Command, CommandKind, OffloadEngine, OffloadEngineDied
+from repro.core import Command, CommandKind, EnginePool, OffloadEngineDied
 from repro.core.interpose import offloaded
 
 from tests.conftest import run_world, run_world_mt
+
+
+def _shard(comm, **kwargs):
+    """The only engine of an unstarted pool of one."""
+    return EnginePool(comm, **kwargs).engines[0]
 
 
 def _call_cmd(fn=lambda: None):
@@ -25,7 +30,7 @@ def _call_cmd(fn=lambda: None):
 class TestDeadEngineRaises:
     def test_full_ring_on_never_started_engine_raises(self):
         def prog(comm):
-            engine = OffloadEngine(comm, queue_capacity=2, telemetry=True)
+            engine = _shard(comm, queue_capacity=2, telemetry=True)
             # an unstarted engine accepts commands while the ring has
             # room (they would run at start()) ...
             engine.submit(_call_cmd())
@@ -45,7 +50,7 @@ class TestDeadEngineRaises:
         # submit afterwards fails typed — it used to be *accepted* and
         # silently lost until the ring filled up.
         def prog(comm):
-            engine = OffloadEngine(comm, queue_capacity=2).start()
+            engine = _shard(comm, queue_capacity=2).start()
             engine.stop()
             with pytest.raises(OffloadEngineDied):
                 engine.submit(_call_cmd())
@@ -59,7 +64,7 @@ class TestDeadEngineRaises:
 
         def prog(comm):
             gate = threading.Event()
-            engine = OffloadEngine(comm, queue_capacity=2).start()
+            engine = _shard(comm, queue_capacity=2).start()
             # wedge the engine on a blocking CALL, then fill the ring
             engine.submit(_call_cmd(lambda: gate.wait(30)))
             time.sleep(0.05)  # let the engine dequeue the wedge

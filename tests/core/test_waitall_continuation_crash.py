@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import OffloadEngine, offload_waitall
+from repro.core import EnginePool, offload_waitall
 from repro.core.offload_comm import OffloadCommunicator
 from repro.core.request_pool import OffloadEngineDied, OffloadError
 
@@ -26,8 +26,8 @@ class TestCrashMidWaitContinuations:
         no continuation is silently abandoned."""
 
         def prog(comm):
-            engine = OffloadEngine(comm).start()
-            oc = OffloadCommunicator(comm, engine)
+            oc = OffloadCommunicator(comm, EnginePool(comm).start())
+            (engine,) = oc.engine.engines
             n = 6
             reqs = [
                 oc.irecv(np.empty(1), 0, tag=500 + i)  # never matched
@@ -68,8 +68,8 @@ class TestCrashMidWaitContinuations:
         before the error is re-raised, within a bounded grace."""
 
         def prog(comm):
-            engine = OffloadEngine(comm).start()
-            oc = OffloadCommunicator(comm, engine)
+            oc = OffloadCommunicator(comm, EnginePool(comm).start())
+            (engine,) = oc.engine.engines
             reqs = [
                 oc.irecv(np.empty(1), 0, tag=600 + i) for i in range(5)
             ]
@@ -104,8 +104,8 @@ class TestCrashMidWaitContinuations:
         report the same typed outcome and the pool drains clean."""
 
         def prog(comm):
-            engine = OffloadEngine(comm).start()
-            oc = OffloadCommunicator(comm, engine)
+            oc = OffloadCommunicator(comm, EnginePool(comm).start())
+            (engine,) = oc.engine.engines
             cont_reqs = [
                 oc.irecv(np.empty(1), 0, tag=700 + i) for i in range(3)
             ]

@@ -67,13 +67,7 @@ class TestOffloadedHappyPath:
         world = World(1, THREAD_MULTIPLE, zero_copy=True)
         comm = world.comm_world(0)
         with offloaded(comm) as oc:
-            engine = oc.engine
-            shard = (
-                engine.engines[0]
-                if hasattr(engine, "engines")
-                else engine
-            )
-            s = shard.stats()
+            s = oc.engine.engines[0].stats()
         assert s["payload_copies"] == 0
         assert s["payload_zero_copy_hits"] == 0
 

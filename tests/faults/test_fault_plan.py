@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from repro.core import OffloadEngine, OffloadError, offloaded
+from repro.core import EnginePool, OffloadError, offloaded
 from repro.faults import (
     FaultAction,
     FaultPlan,
@@ -250,7 +250,7 @@ class TestCommandScope:
 class TestZeroOverhead:
     def test_no_plan_means_no_hooks(self):
         def prog(comm):
-            engine = OffloadEngine(comm)
+            (engine,) = EnginePool(comm).engines
             return (
                 engine._faults is None
                 and comm.world.fault_plan is None
@@ -264,7 +264,7 @@ class TestZeroOverhead:
 
         def prog(comm):
             comm.world.install_faults(plan)
-            engine = OffloadEngine(comm)
+            (engine,) = EnginePool(comm).engines
             return engine._faults is plan and comm.engine.faults is plan
 
         assert all(run_world(1, prog))

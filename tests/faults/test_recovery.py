@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    OffloadEngine,
+    EnginePool,
     OffloadError,
     OffloadStopTimeout,
     OffloadTimeout,
@@ -322,7 +322,7 @@ class TestPoolRecovery:
 
         assert all(run_world_mt(1, prog, timeout=60))
 
-    def test_pool_watchdog_monitors_every_shard(self):
+    def test_shard_watchdog_poisons_only_its_shard(self):
         from repro.core.recovery import EngineWatchdog
 
         def prog(comm):
@@ -338,18 +338,21 @@ class TestPoolRecovery:
                         )
                     )
                     time.sleep(0.05)
-                    # a watchdog holding the *pool* samples all shards
-                    wd = EngineWatchdog(pool, timeout=0.15)
-                    assert wd.engines == list(pool.engines)
+                    # one watchdog per shard, as every waiter holds one
+                    # on the shard that carries its command
+                    dogs = [
+                        EngineWatchdog(e, timeout=0.15) for e in pool.engines
+                    ]
                     stop_at = time.perf_counter() + 5.0
-                    tripped = False
-                    while not tripped and time.perf_counter() < stop_at:
+                    tripped = [False, False]
+                    while not tripped[0] and time.perf_counter() < stop_at:
                         time.sleep(0.02)
-                        tripped = wd.check()
-                    assert tripped, "pool watchdog never tripped"
+                        tripped = [wd.check() for wd in dogs]
+                    assert tripped == [True, False], tripped
                     # only the wedged shard was poisoned
                     assert shard0.dead is not None
                     assert shard1.dead is None
+                    assert not dogs[0].check()  # dead: nothing to detect
                     gate.set()
                     assert oc.allreduce(np.ones(1))[0] == 1.0
             finally:
@@ -358,12 +361,44 @@ class TestPoolRecovery:
 
         assert all(run_world_mt(1, prog, timeout=60))
 
+    @pytest.mark.parametrize("pool_size", [1, 2])
+    def test_flush_with_every_shard_dead_raises(self, pool_size):
+        """Like every other blocking call: a fence nobody can serve
+        fails typed instead of returning as if it had fenced."""
+
+        def prog(comm):
+            with offloaded(comm, pool_size=pool_size) as oc:
+                for e in oc.engine.engines:
+                    e.abort("test: every shard dies")
+                with pytest.raises(OffloadEngineDied):
+                    oc.barrier()
+                with pytest.raises(OffloadEngineDied):
+                    oc.flush()
+            return True
+
+        assert all(run_world_mt(1, prog, timeout=60))
+
+    def test_flush_with_every_shard_dead_degrades(self):
+        rec = RecoveryPolicy(degrade=True, poll_interval=5e-3)
+
+        def prog(comm):
+            with offloaded(comm, pool_size=2, recovery=rec) as oc:
+                for e in oc.engine.engines:
+                    e.abort("test: every shard dies")
+                before = oc.engine.stats()["degraded_mode_commands"]
+                assert oc.flush() is None
+                after = oc.engine.stats()["degraded_mode_commands"]
+                assert after == before + 1
+            return True
+
+        assert all(run_world_mt(1, prog, timeout=60))
+
 
 class TestStopTimeout:
     def test_stop_timeout_names_pending_work(self):
         def prog(comm):
-            engine = OffloadEngine(comm).start()
-            oc = OffloadCommunicator(comm, engine)
+            oc = OffloadCommunicator(comm, EnginePool(comm).start())
+            (engine,) = oc.engine.engines
             stuck = oc.irecv(np.empty(1), 0, tag=404)  # never sent
             with pytest.raises(OffloadStopTimeout) as ei:
                 engine.stop(timeout=0.3)
@@ -378,8 +413,8 @@ class TestStopTimeout:
 
     def test_clean_stop_within_small_timeout(self):
         def prog(comm):
-            engine = OffloadEngine(comm).start()
-            oc = OffloadCommunicator(comm, engine)
+            oc = OffloadCommunicator(comm, EnginePool(comm).start())
+            (engine,) = oc.engine.engines
             buf = np.empty(1)
             r = oc.irecv(buf, 0, tag=1)
             oc.isend(np.array([8.0]), 0, tag=1)

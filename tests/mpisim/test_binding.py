@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import OffloadCommunicator, OffloadEngine, offloaded
+from repro.core import EnginePool, OffloadCommunicator, offloaded
 from repro.core.commself import CommSelfProgressThread
 from repro.core.recovery import OffloadStopTimeout
 from repro.core.thread_groups import ThreadGroupRunner, make_thread_comms
@@ -84,8 +84,9 @@ def test_everything_a_rank_spawns_inherits_its_mask(launch_mask, nranks):
         mine = _mask()
         seen = {}
         with offloaded(comm) as oc:
-            seen["engine"] = _mask_of(oc.engine._thread)
-            seen["engine.cpus"] = set(oc.engine.cpus)
+            (engine,) = oc.engine.engines
+            seen["engine"] = _mask_of(engine._thread)
+            seen["engine.cpus"] = set(engine.cpus)
         with offloaded(comm, pool_size=2) as oc:
             for i, shard in enumerate(oc.engine.engines):
                 seen[f"shard{i}"] = _mask_of(shard._thread)
@@ -152,9 +153,10 @@ def test_timeout_names_the_ranks_cpu(launch_mask):
 
 def test_stop_timeout_names_the_engines_cpu(launch_mask):
     def prog(comm):
-        engine = OffloadEngine(comm).start()
+        oc = OffloadCommunicator(comm, EnginePool(comm).start())
+        (engine,) = oc.engine.engines
         # a receive nobody sends to: a clean stop is impossible
-        OffloadCommunicator(comm, engine).irecv(np.empty(1), 0, tag=99)
+        oc.irecv(np.empty(1), 0, tag=99)
         with pytest.raises(OffloadStopTimeout) as info:
             engine.stop(timeout=0.2)
         engine.abort("test teardown")
@@ -194,7 +196,7 @@ def test_refused_binding_runs_unbound(launch_mask, monkeypatch):
     def prog(comm):
         with offloaded(comm) as oc:
             total = oc.allreduce(np.array([float(comm.rank + 1)]))
-            return float(total[0]), _mask(), oc.engine.cpus
+            return float(total[0]), _mask(), oc.engine.engines[0].cpus
 
     world = World(1)
     with warnings.catch_warnings():
@@ -226,10 +228,12 @@ def test_platform_without_affinity_runs_unbound(launch_mask, monkeypatch):
 
     def prog(comm):
         with offloaded(comm) as oc:
-            return oc.engine.cpus, oc.engine.telemetry_snapshot()["cpus"]
+            (engine,) = oc.engine.engines
+            return engine.cpus, oc.engine.telemetry_snapshot()["cpus"]
 
     world = World(1)
-    assert world.run(prog) == [(None, None)]
+    # the pool's snapshot unions its shards' masks: none recorded
+    assert world.run(prog) == [(None, [])]
     assert world.binding is None
     monkeypatch.undo()  # the fixture's own check needs the real call
 

@@ -113,7 +113,7 @@ class TestBridge:
                     await asyncio.sleep(0.05)
                     loop = asyncio.get_running_loop()
                     await loop.run_in_executor(
-                        None, lambda: oc.engine.abort("bridge test")
+                        None, lambda: oc.engine.engines[0].abort("bridge test")
                     )
                     with pytest.raises(OffloadEngineDied):
                         await fut
