@@ -10,6 +10,10 @@ substrate entries per command and the substrate's own work per message
 (envelopes handled, send-time copies): fewer calls must be the same
 work.  ``calls_per_msg_telemetry`` prices the telemetry switch (trace
 ring and ring occupancy; the counters are always on).
+``app_calls_per_blocking_rt`` / ``engine_calls_per_blocking_rt`` count
+the blocking path: calls per 8 B ``send``/``recv`` round trip
+(:func:`repro.bench.call_budget.measure_blocking`) — a blocking call
+is its nonblocking command plus a wait on the slot (DESIGN.md §22).
 
 All are ``counter``-kind metrics: they repeat to within a call per
 message on one interpreter, so ``benchmarks/ratchet.py`` blocks on
@@ -26,16 +30,24 @@ asserted in ``tests/core/test_call_budget.py``.
 
 from __future__ import annotations
 
-from repro.bench.call_budget import NBYTES, WINDOW, WINDOWS, measure
+from repro.bench.call_budget import (
+    NBYTES,
+    WINDOW,
+    WINDOWS,
+    measure,
+    measure_blocking,
+)
 
 
 def test_call_budget(bench_trajectory):
     offload = measure(offload=True)
     plain = measure(offload=False)
     traced = measure(offload=True, telemetry=True)
+    blocking = measure_blocking()
     print(f"\noffloaded: {offload.report()}")
     print(f"offloaded, telemetry on: {traced.report(top=5)}")
     print(f"plain: {plain.report(top=0)}")
+    print(f"blocking 8 B round trip: {blocking.report(top=5)}")
     print(
         f"substrate entries per command: {offload.entries_per_cmd:.3f} "
         f"({offload.substrate_entries} / {offload.commands})"
@@ -65,6 +77,16 @@ def test_call_budget(bench_trajectory):
             "substrate_entries_per_cmd",
             round(offload.entries_per_cmd, 3),
             1.0,
+        ),
+        (
+            "app_calls_per_blocking_rt",
+            round(sum(blocking.app.values()) / blocking.messages, 1),
+            0.15,
+        ),
+        (
+            "engine_calls_per_blocking_rt",
+            round(sum(blocking.engine.values()) / blocking.messages, 1),
+            0.15,
         ),
         ("envelopes_per_msg", round(offload.envelopes / n, 3), 0.02),
         ("copies_per_msg", round(offload.copies / n, 3), 0.02),

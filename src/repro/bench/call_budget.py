@@ -11,6 +11,8 @@ the trace ring and the ring's occupancy tracking (the counters are
 always on, and cost no call).  Counts, unlike timings, repeat from
 run to run on a drifting box (to a few tenths of a call per message:
 only the number of engine-loop iterations varies).
+:func:`measure_blocking` counts the blocking path the same way: calls
+per 8 B ``send``/``recv`` round trip through ``offloaded()``.
 """
 
 from __future__ import annotations
@@ -113,15 +115,72 @@ def _window(c, rank: int, out, into, tok) -> None:
         req.wait()
 
 
+def _counted(prog, messages: int) -> CallCount:
+    """Run ``prog`` on two ranks under the hook, GIL switch interval
+    pinned; the calls it counted, split by side."""
+    hook = Hook()
+    interval, profile = sys.getswitchinterval(), threading.getprofile()
+    sys.setswitchinterval(SWITCH_INTERVAL)
+    # rank threads and the engine threads they start run under the hook
+    threading.setprofile(hook)
+    try:
+        World(2, thread_level=THREAD_FUNNELED).run(prog, hook, timeout=120)
+    finally:
+        threading.setprofile(profile)
+        sys.setswitchinterval(interval)
+    count = CallCount(messages=messages)
+    for name, counts in hook.by_thread.items():
+        side = count.engine if name.startswith(ENGINE_THREAD) else count.app
+        side.update(counts)
+    return count
+
+
+def _hooked(hook: Hook, gate: threading.Barrier, run) -> None:
+    """``run()`` with the hook on, both ranks lined up around it."""
+    gate.wait(_TIMEOUT)
+    hook.on = True
+    gate.wait(_TIMEOUT)
+    run()
+    gate.wait(_TIMEOUT)
+    hook.on = False
+    gate.wait(_TIMEOUT)
+
+
+def measure_blocking(rounds: int = 400) -> CallCount:
+    """Count calls per blocking 8 B round trip (``messages`` counts
+    round trips): rank 0 sends then receives, rank 1 the reverse —
+    the ``pingpong`` workload's shape."""
+    gate = threading.Barrier(2)
+
+    def prog(comm, hook):
+        buf = np.zeros(1, dtype=np.int64)  # 8 B
+        peer = 1 - comm.rank
+
+        def trips(n: int) -> None:
+            for _ in range(n):
+                if comm.rank == 0:
+                    c.send(buf, peer)
+                    c.recv(buf, peer)
+                else:
+                    c.recv(buf, peer)
+                    c.send(buf, peer)
+
+        with offloaded(comm, pool_size=1) as c:
+            trips(20)  # warm: caches, lazy imports
+            _hooked(hook, gate, lambda: trips(rounds))
+        return True
+
+    return _counted(prog, rounds)
+
+
 def measure(
     offload: bool, windows: int = WINDOWS, telemetry: bool = False
 ) -> CallCount:
     """Count calls per message over ``windows`` warmed windows."""
-    hook = Hook()
     gate = threading.Barrier(2)
     stats: list = []
 
-    def prog(comm):
+    def prog(comm, hook):
         rank = comm.rank
         out = np.arange(NBYTES, dtype=np.uint8)
         into = np.zeros((WINDOW, NBYTES), dtype=np.uint8)
@@ -139,32 +198,19 @@ def measure(
                 **comm.engine.counters(),
             }
             before = counters()
-            gate.wait(_TIMEOUT)
-            hook.on = True
-            gate.wait(_TIMEOUT)
-            for _ in range(windows):
-                _window(c, rank, out, into, tok)
-            gate.wait(_TIMEOUT)
-            hook.on = False
-            gate.wait(_TIMEOUT)
+            _hooked(
+                hook,
+                gate,
+                lambda: [
+                    _window(c, rank, out, into, tok) for _ in range(windows)
+                ],
+            )
             after = counters()
             stats.append({k: after[k] - before.get(k, 0) for k in after})
             assert rank == 0 or (into == out).all()
         return True
 
-    # rank threads and the engine threads they start run under the hook
-    interval, profile = sys.getswitchinterval(), threading.getprofile()
-    sys.setswitchinterval(SWITCH_INTERVAL)
-    threading.setprofile(hook)
-    try:
-        World(2, thread_level=THREAD_FUNNELED).run(prog, timeout=120)
-    finally:
-        threading.setprofile(profile)
-        sys.setswitchinterval(interval)
-    count = CallCount(messages=windows * WINDOW)
-    for name, counts in hook.by_thread.items():
-        side = count.engine if name.startswith(ENGINE_THREAD) else count.app
-        side.update(counts)
+    count = _counted(prog, windows * WINDOW)
     for delta in stats:
         count.substrate_entries += delta.get("substrate_entries", 0)
         count.commands += delta.get("commands_processed", 0)

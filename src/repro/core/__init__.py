@@ -16,12 +16,13 @@ Highlights, mapped to the paper:
   shards its §7 several.
 * :class:`~repro.core.request_pool.OffloadRequestPool` — pre-allocated
   array-based free list of request slots so nonblocking calls return a
-  handle before MPI has been invoked (§3.1).
+  handle before MPI has been invoked (§3.1); a slot's done flag is the
+  one completion channel between engine and caller.
 * :class:`~repro.core.offload_comm.OffloadCommunicator` — the facade
   that turns an ordinary communicator's API into enqueued commands;
-  blocking calls are converted to nonblocking + completion-flag wait
-  (§3.3), so a blocking call from one application thread never stalls
-  the engine.
+  a blocking call submits its nonblocking equivalent and waits on the
+  slot's done flag (§3.3), so a blocking call from one application
+  thread never stalls the engine.
 * :func:`~repro.core.interpose.offloaded` — transparent interposition
   so *unmodified* applications gain offload (§3.4; the Python analogue
   of LD_PRELOAD).

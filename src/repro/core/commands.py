@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
-
-from repro.lockfree.atomics import AtomicFlag
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.communicator import Communicator
@@ -23,106 +21,67 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class CommandKind(Enum):
-    """Every MPI operation the offload engine accepts."""
+    """Every command the offload engine accepts.
+
+    Blocking calls have no kinds of their own: the facade submits the
+    nonblocking equivalent and waits on its slot (§3.3).
+    """
 
     ISEND = auto()
     IRECV = auto()
-    # blocking p2p (converted to nonblocking by the engine, §3.3)
-    SEND = auto()
-    RECV = auto()
     IPROBE = auto()
-    # collectives with nonblocking equivalents: engine issues the
-    # I-variant and tracks it like any other in-flight request
-    BARRIER = auto()
-    BCAST = auto()
-    ALLREDUCE = auto()
-    GATHER = auto()
-    ALLTOALL = auto()
-    # collectives lacking a nonblocking equivalent in the substrate:
-    # the engine runs these inline (the paper's acknowledged
-    # MPI_WIN_FENCE-style shortcoming, §3.3).  Progress on other
-    # in-flight operations still occurs because the blocking wait pumps
-    # the same progress engine.
-    REDUCE = auto()
-    SCATTER = auto()
-    ALLGATHER = auto()
-    REDUCE_SCATTER = auto()
-    SCAN = auto()
-    # nonblocking collectives requested by the app
     IBARRIER = auto()
     IBCAST = auto()
     IALLREDUCE = auto()
     IGATHER = auto()
     IALLTOALL = auto()
-    # generic inline call on the offload thread (dup/split/teardown);
-    # the functional analogue of offloading any remaining MPI entry point
+    # any other entry point, run to completion on the offload thread:
+    # the collectives the substrate has no nonblocking form of (the
+    # paper's acknowledged MPI_WIN_FENCE-style shortcoming, §3.3),
+    # dup/split, window operations.  Their blocking wait pumps the same
+    # progress engine, so other in-flight operations still advance.
     CALL = auto()
     # engine control
     FLUSH = auto()
     SHUTDOWN = auto()
 
 
-#: Command kinds that return an OffloadRequest handle to the caller.
-NONBLOCKING_KINDS = frozenset(
-    {
-        CommandKind.ISEND,
-        CommandKind.IRECV,
-        CommandKind.IBARRIER,
-        CommandKind.IBCAST,
-        CommandKind.IALLREDUCE,
-        CommandKind.IGATHER,
-        CommandKind.IALLTOALL,
-    }
-)
+K = CommandKind
 
-#: Collectives the engine must execute inline (no I-variant available).
-INLINE_KINDS = frozenset(
-    {
-        CommandKind.REDUCE,
-        CommandKind.SCATTER,
-        CommandKind.ALLGATHER,
-        CommandKind.REDUCE_SCATTER,
-        CommandKind.SCAN,
-    }
-)
+#: How each issuable kind enters the substrate: one call on the
+#: command's communicator, made by the engine — or, degraded, by the
+#: calling thread.  IPROBE and CALL return their result; every other
+#: kind returns a substrate request to track.
+ISSUE = {
+    K.ISEND: lambda c: c.comm.isend(c.buf, c.peer, c.tag),
+    K.IRECV: lambda c: c.comm.irecv(c.buf, c.peer, c.tag),
+    K.IPROBE: lambda c: c.comm.iprobe(c.peer, c.tag),
+    K.IBARRIER: lambda c: c.comm.ibarrier(),
+    K.IBCAST: lambda c: c.comm.ibcast(c.buf, c.peer),
+    K.IALLREDUCE: lambda c: c.comm.iallreduce(c.buf, c.buf2, c.op),
+    K.IGATHER: lambda c: c.comm.igather(c.buf, c.buf2, c.peer),
+    K.IALLTOALL: lambda c: c.comm.ialltoall(c.buf, c.buf2),
+    K.CALL: lambda c: c.fn(),
+}
 
 #: Kinds safe to re-drive after a failed dispatch *attempt*.  A retry
 #: only ever happens for transient errors raised before the substrate
 #: was entered (see :class:`repro.core.recovery.RetryPolicy`), so
 #: anything that merely posts an operation is idempotent.  CALL runs
-#: arbitrary user code and the inline collectives execute in place, so
-#: neither may be re-driven.
-IDEMPOTENT_KINDS = frozenset(
-    {
-        CommandKind.ISEND,
-        CommandKind.IRECV,
-        CommandKind.SEND,
-        CommandKind.RECV,
-        CommandKind.IPROBE,
-        CommandKind.BARRIER,
-        CommandKind.BCAST,
-        CommandKind.ALLREDUCE,
-        CommandKind.GATHER,
-        CommandKind.ALLTOALL,
-        CommandKind.IBARRIER,
-        CommandKind.IBCAST,
-        CommandKind.IALLREDUCE,
-        CommandKind.IGATHER,
-        CommandKind.IALLTOALL,
-    }
-)
+#: arbitrary code to completion, so it may not be re-driven.
+IDEMPOTENT_KINDS = frozenset(ISSUE) - {K.CALL}
 
 
 #: Kind predicates as member attributes, resolved once here: the hot
-#: paths read ``cmd.kind.nonblocking`` instead of hashing an enum
-#: member into a frozenset per command (DESIGN.md §19).
+#: paths read ``cmd.kind.p2p`` instead of hashing an enum member into
+#: a frozenset per command (DESIGN.md §19).
 for _kind in CommandKind:
-    _kind.nonblocking = _kind in NONBLOCKING_KINDS
-    _kind.inline = _kind in INLINE_KINDS
     _kind.idempotent = _kind in IDEMPOTENT_KINDS
+    #: completes where it is issued: the call's return is the payload
+    _kind.immediate = _kind is K.IPROBE or _kind is K.CALL
     #: point-to-point: posted in runs through ``ProgressEngine.post_batch``
-    _kind.p2p = _kind.name in ("ISEND", "IRECV", "SEND", "RECV")
-    _kind.is_send = _kind.name in ("ISEND", "SEND")
+    _kind.p2p = _kind is K.ISEND or _kind is K.IRECV
+    _kind.is_send = _kind is K.ISEND
 del _kind
 
 
@@ -130,11 +89,15 @@ del _kind
 class Command:
     """One serialized MPI call.
 
-    ``done`` is the completion flag the issuing thread may spin on
-    (blocking calls); ``slot`` is the request-pool index for
-    nonblocking calls (so the engine can publish the inner request and
-    completion there instead).
+    ``slot`` is the request-pool index the engine completes: every
+    command but SHUTDOWN has one, blocking calls included — the slot's
+    done flag is the one completion channel (§3.1).
     """
+
+    #: Always None: completion lives in the slot.  Kept readable
+    #: because the frozen end-to-end tracer (``benchmarks/e2e``) reads
+    #: ``cmd.done`` to tell flag waiters from slot waiters.
+    done: ClassVar[None] = None
 
     kind: CommandKind
     comm: "Communicator | None"
@@ -143,10 +106,7 @@ class Command:
     peer: int  # dest/source/root
     tag: int
     op: "ReduceOp | None"
-    slot: int  # request-pool slot for nonblocking commands
-    done: AtomicFlag | None  # completion flag for blocking commands
-    result: Any  # e.g. iprobe Status, CALL return value
-    error: BaseException | None
+    slot: int  # request-pool slot the engine completes
     fn: Any  # CALL payload: zero-argument callable
     #: absolute perf_counter() time by which the command must reach a
     #: terminal state; the engine expires it with OffloadTimeout after
@@ -164,17 +124,13 @@ class Command:
         tag: int = 0,
         op: "ReduceOp | None" = None,
         slot: int = -1,
-        done: AtomicFlag | None = None,
         fn: Any = None,
         deadline: float | None = None,
     ) -> None:
         # Written out (not dataclass-generated) so building the record
         # is one call: no ``__post_init__`` hop on the issue path.
-        if kind.nonblocking:
-            if slot < 0:
-                raise ValueError(f"{kind.name} command needs a slot")
-        elif done is None and kind is not CommandKind.SHUTDOWN:
-            done = AtomicFlag()
+        if slot < 0 and kind is not CommandKind.SHUTDOWN:
+            raise ValueError(f"{kind.name} command needs a slot")
         self.kind = kind
         self.comm = comm
         self.buf = buf
@@ -183,9 +139,6 @@ class Command:
         self.tag = tag
         self.op = op
         self.slot = slot
-        self.done = done
-        self.result = None
-        self.error = None
         self.fn = fn
         self.deadline = deadline
         self.attempts = 0

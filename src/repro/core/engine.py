@@ -3,11 +3,12 @@
 Implements the loop of paper §3.1–§3.3:
 
 1. drain the lock-free command queue, issuing the corresponding MPI
-   calls (blocking commands are first converted to their nonblocking
-   equivalents so they cannot stall the engine);
+   calls (blocking calls arrive as their nonblocking equivalents, so
+   they cannot stall the engine);
 2. when the queue is empty, drive asynchronous progress on every
    in-flight request (the ``MPI_Testany()`` sweep of §3.2), completing
-   done flags / request-pool slots as operations finish.
+   request-pool slots as operations finish — the only completion the
+   engine publishes.
 
 The engine designates itself the rank's *funnel thread*, so the
 substrate's thread-level enforcement proves the paper's claim that the
@@ -23,7 +24,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.core.commands import Command, CommandKind
+from repro.core.commands import ISSUE, Command, CommandKind
 from repro.core.recovery import (
     OffloadStopTimeout,
     OffloadTimeout,
@@ -60,7 +61,6 @@ _COUNTS = (
     "progress_sweeps",
     "completions",
     "control_commands",
-    "blocking_conversions",
     "doorbell_wakes",
     "timed_wakes",
     "max_in_flight",
@@ -277,9 +277,7 @@ class OffloadEngine:
         """
         out: list[str] = []
         for _, cmd in list(self._in_flight):
-            desc = cmd.kind.name.lower()
-            if cmd.slot >= 0:
-                desc += f"[slot {cmd.slot}]"
+            desc = f"{cmd.kind.name.lower()}[slot {cmd.slot}]"
             if cmd.peer >= 0:
                 desc += f" peer={cmd.peer}"
             if cmd.tag:
@@ -579,7 +577,7 @@ class OffloadEngine:
                     self._command_failed(cmd, exc)
 
     def _post_p2p(self, cmds: list[Command]) -> None:
-        """One substrate entry for a run of ISEND/IRECV/SEND/RECV.
+        """One substrate entry for a run of ISEND/IRECV.
 
         Validation and buffer normalisation stay per command
         (``Communicator._p2p_op``), then one thread-level check and one
@@ -624,12 +622,7 @@ class OffloadEngine:
         for cmd, inner in zip(posted, inners):
             if raised and isinstance(inner, BaseException):
                 self._command_failed(cmd, inner)
-            elif (
-                inner.done
-                and cmd.slot >= 0
-                and cmd.kind.is_send
-                and inner.error is None
-            ):
+            elif inner.done and cmd.kind.is_send and inner.error is None:
                 self.completions += 1
                 if trace is not None:
                     trace.append(
@@ -681,14 +674,9 @@ class OffloadEngine:
                 pass
 
     def _fail(self, cmd: Command, exc: BaseException) -> None:
-        """Publish ``exc`` as ``cmd``'s terminal state (slot or flag)."""
+        """Publish ``exc`` as ``cmd``'s terminal state."""
         self.completions += 1
-        if cmd.kind.nonblocking:
-            self.pool.fail(cmd.slot, exc)
-        else:
-            cmd.error = exc
-            if cmd.done is not None:
-                cmd.done.set(None)
+        self.pool.fail(cmd.slot, exc)
 
     def _run_due_retries(self) -> int:
         """Re-drive retry-scheduled commands whose backoff elapsed."""
@@ -718,82 +706,26 @@ class OffloadEngine:
     def _dispatch(self, cmd: Command) -> None:
         """Issue one non-p2p command (p2p runs go through `_post_p2p`).
 
-        Blocking collectives with a nonblocking equivalent are issued
-        as that equivalent (§3.3), so they cannot stall the engine;
-        whether completion lands in a pool slot or on the command's
-        done flag is the command's own business (``_track``).
+        One :data:`~repro.core.commands.ISSUE` call: IPROBE and CALL
+        run to completion here and their return is the slot's payload;
+        the collectives are tracked like any other in-flight request.
         """
-        comm = cmd.comm
         kind = cmd.kind
-        K = CommandKind
-        if kind is K.CALL:
-            self._done_inline(cmd, cmd.fn())
-        elif kind is K.FLUSH:
+        if kind is CommandKind.FLUSH:
             self._flushes.append(cmd)
-        elif kind.inline:
-            self._run_inline(cmd)
-        elif comm is None:
+        elif cmd.comm is None and kind is not CommandKind.CALL:
             raise ValueError(f"{kind.name} command carries no communicator")
-        elif kind is K.IPROBE:
-            self._done_inline(cmd, comm.iprobe(cmd.peer, cmd.tag))
-        elif kind is K.BARRIER or kind is K.IBARRIER:
-            self._track(comm.ibarrier(), cmd)
-        elif kind is K.BCAST or kind is K.IBCAST:
-            self._track(comm.ibcast(cmd.buf, cmd.peer), cmd)
-        elif kind is K.ALLREDUCE or kind is K.IALLREDUCE:
-            assert cmd.op is not None
-            self._track(comm.iallreduce(cmd.buf, cmd.buf2, cmd.op), cmd)
-        elif kind is K.GATHER or kind is K.IGATHER:
-            self._track(comm.igather(cmd.buf, cmd.buf2, cmd.peer), cmd)
-        elif kind is K.ALLTOALL or kind is K.IALLTOALL:
-            self._track(comm.ialltoall(cmd.buf, cmd.buf2), cmd)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unhandled command kind {kind}")
-
-    def _done_inline(self, cmd: Command, result) -> None:
-        """A command that ran to completion on the engine thread."""
-        cmd.result = result
-        assert cmd.done is not None
-        self.completions += 1
-        cmd.done.set(result)
-
-    def _run_inline(self, cmd: Command) -> None:
-        """Collectives with no nonblocking equivalent run in place.
-
-        Their blocking wait pumps the same progress engine, so other
-        in-flight operations still advance; only command *dequeueing*
-        pauses (the paper's acknowledged limitation for calls like
-        ``MPI_WIN_FENCE``).
-        """
-        comm = cmd.comm
-        assert comm is not None
-        K = CommandKind
-        if cmd.kind is K.REDUCE:
-            assert cmd.op is not None
-            cmd.result = comm.reduce(cmd.buf, cmd.buf2, cmd.op, cmd.peer)
-        elif cmd.kind is K.SCATTER:
-            cmd.result = comm.scatter(cmd.buf, cmd.buf2, cmd.peer)
-        elif cmd.kind is K.ALLGATHER:
-            cmd.result = comm.allgather(cmd.buf, cmd.buf2)
-        elif cmd.kind is K.REDUCE_SCATTER:
-            assert cmd.op is not None
-            cmd.result = comm.reduce_scatter(cmd.buf, cmd.buf2, cmd.op)
-        elif cmd.kind is K.SCAN:
-            assert cmd.op is not None
-            cmd.result = comm.scan(cmd.buf, cmd.buf2, cmd.op)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"not an inline kind: {cmd.kind}")
-        self._done_inline(cmd, cmd.result)
+        elif kind.immediate:
+            result = ISSUE[kind](cmd)
+            self.completions += 1
+            self.pool.complete(cmd.slot, result)
+        else:
+            self._track(ISSUE[kind](cmd), cmd)
 
     def _track(self, inner: "Request", cmd: Command) -> None:
         """Follow ``inner`` until done; completion goes to ``cmd``'s
-        pool slot (nonblocking) or done flag (blocking)."""
-        if cmd.slot >= 0:
-            self.pool._slots[cmd.slot].inner = inner  # now it exists
-        else:
-            # A done-flag (not a pool slot) means this was a blocking
-            # call the engine converted to its nonblocking form (§3.3).
-            self.blocking_conversions += 1
+        pool slot."""
+        self.pool._slots[cmd.slot].inner = inner  # now it exists
         if inner.done:
             # Born complete: no in-flight record to build, sweep over
             # and discard.
@@ -865,34 +797,20 @@ class OffloadEngine:
             self.trace.append(
                 "complete", rank=self.comm.engine.rank, slot=cmd.slot
             )
-        status = inner.status
         error = inner.error
-        comm = cmd.comm
         if error is not None:
             # e.g. a posted receive whose peer died after dispatch
-            self._revoke_if_rank_dead(comm, error)
-        # Engine-level statuses carry global ranks; convert to the
-        # command's communicator-local numbering before publishing
-        # (where the two differ).
-        if status is not None and comm is not None and comm._local_rank:
-            status = comm._localize_status(status)
-        if cmd.slot >= 0:
-            if error is not None:
-                self.pool.fail(cmd.slot, error)
-            else:
-                self.pool.complete(cmd.slot, status)
-        elif cmd.done is not None:
-            if error is not None:
-                cmd.error = error
-            cmd.done.set(status)
+            self._revoke_if_rank_dead(cmd.comm, error)
+            self.pool.fail(cmd.slot, error)
+        else:
+            self.pool.complete(cmd.slot, inner.status)
 
     def _check_flushes(self) -> None:
         if not self._flushes or self._in_flight or not self.queue.empty():
             return
         for cmd in self._flushes:
-            assert cmd.done is not None
             self.completions += 1
-            cmd.done.set(None)
+            self.pool.complete(cmd.slot, None)
         self._flushes.clear()
 
     def _fail_pending(self, exc: BaseException) -> None:
@@ -915,11 +833,10 @@ class OffloadEngine:
         self._drained.clear()
         backlog.extend(self.queue.drain_closed())
         for cmd in backlog + self._flushes:
-            if cmd.kind.nonblocking or cmd.done is not None:
-                self._fail(cmd, exc)
-            else:
-                # SHUTDOWN (and any other flagless control command)
+            if cmd.kind is CommandKind.SHUTDOWN:
                 self.control_commands += 1
+            else:
+                self._fail(cmd, exc)
         self._flushes.clear()
 
     # ------------------------------------------------------------ stats

@@ -89,17 +89,20 @@ class ShardRouter:
         if cmd is None or self.policy == "thread":
             return ("t", threading.get_ident())
         kind = cmd.kind
-        K = CommandKind
-        if kind is K.SEND or kind is K.ISEND:
+        if kind is CommandKind.ISEND:
             return (id(cmd.comm), "s", cmd.peer)
-        if kind is K.RECV or kind is K.IRECV or kind is K.IPROBE:
+        if kind is CommandKind.IRECV or kind is CommandKind.IPROBE:
             # All receives of a communicator form ONE stream: a
             # wildcard receive may match any posted receive's sender,
             # so splitting them across shards could reorder matching.
             return (id(cmd.comm), "r")
-        if kind is K.CALL or kind is K.FLUSH or kind is K.SHUTDOWN:
+        if cmd.comm is None:
+            # FLUSH, SHUTDOWN, a CALL on no communicator
             return ("t", threading.get_ident())
-        # Collectives: rank-global order per communicator.
+        # Collectives — the I-kinds and every CALL that carries its
+        # communicator (gatherv, dup, split, win_create, ...): one
+        # stream per communicator, since collective order is
+        # rank-global.
         return (id(cmd.comm), "c")
 
     def pinned(self, cmd: Command | None) -> int | None:

@@ -7,11 +7,13 @@ application code is *unchanged* — it simply holds this object instead
 parameters into a :class:`~repro.core.commands.Command` and enqueues it;
 the calling thread never enters MPI:
 
-* nonblocking calls allocate a request-pool slot and return an
-  :class:`~repro.core.request_pool.OffloadRequest` immediately — the
-  paper's constant ~140 ns post cost (Figure 4);
-* blocking calls wait on the command's done flag (§3.1: the paper's
-  caller spins on it; under one GIL it parks, see DESIGN.md §17);
+* every call allocates a request-pool slot and submits a command
+  through one path (``_call``); a nonblocking call returns an
+  :class:`~repro.core.request_pool.OffloadRequest` on the slot
+  immediately — the paper's constant ~140 ns post cost (Figure 4);
+* a blocking call is its nonblocking equivalent plus a wait on the
+  slot's done flag (§3.3; §3.1: the paper's caller spins on it, under
+  one GIL it parks, see DESIGN.md §17) — no handle is built for it;
 * many application threads may call concurrently — the queue and pool
   are lock-free, which is the paper's ``MPI_THREAD_MULTIPLE`` story
   (§3.3, Figure 6).
@@ -25,12 +27,12 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.core.commands import Command, CommandKind
-from repro.core.recovery import EngineWatchdog, RecoveryPolicy
+from repro.core.commands import ISSUE, Command, CommandKind
 from repro.core.request_pool import (
     OffloadEngineDied,
-    OffloadError,
     OffloadRequest,
+    raise_typed,
+    recovery_wait,
 )
 from repro.mpisim import datatypes
 from repro.mpisim.constants import (
@@ -101,116 +103,99 @@ class OffloadCommunicator:
 
     # ------------------------------------------------------------- plumbing
 
-    def _blocking(self, cmd: Command) -> Any:
-        # The shard that must carry this command: a pool of one's only
-        # shard, or route(cmd) — sends keyed by destination, receives/
-        # collectives by communicator, etc. so every MPI-ordered stream
-        # stays on one ring.
-        holder = self.engine
-        try:
-            engine = holder._lone or holder.route(cmd)
-        except OffloadEngineDied:
-            # Every shard is dead.
-            rec = holder.recovery
-            if rec is not None and rec.degrade:
-                return self._degraded_blocking(holder.engines[0], cmd)
-            raise
-        return self._blocking_on(engine, cmd)
+    def _call(
+        self,
+        cmd: Command,
+        wait: bool = True,
+        engine: "OffloadEngine | None" = None,
+    ) -> Any:
+        """Submit ``cmd`` and wait on its slot (a blocking call, §3.3)
+        — or, with ``wait=False``, return the caller's handle.
 
-    def _blocking_on(self, engine: "OffloadEngine", cmd: Command) -> Any:
-        assert cmd.done is not None
-        rec = engine.recovery
-        if rec is not None and rec.degrade and engine.dead is not None:
-            return self._degraded_blocking(engine, cmd)
-        if self.op_timeout is not None and cmd.deadline is None:
-            cmd.deadline = time.perf_counter() + self.op_timeout
-        try:
-            engine.submit(cmd)
-        except OffloadEngineDied:
-            if rec is not None and rec.degrade:
-                return self._degraded_blocking(engine, cmd)
-            raise
-        if rec is None:
-            cmd.done.wait()
-        else:
-            self._watchful_wait(engine, cmd, rec)
-        if cmd.error is not None:
-            err = cmd.error
-            if isinstance(err, OffloadError):
-                raise err
-            raise OffloadError(str(err)) from err
-        return cmd.done.payload
-
-    @staticmethod
-    def _watchful_wait(
-        engine: "OffloadEngine", cmd: Command, rec: RecoveryPolicy
-    ) -> None:
-        """Wait on ``cmd.done`` while sampling engine health.
-
-        Bounded-hang guarantee: if the engine dies (or the watchdog
-        trips it), the waiter fails the command locally — even a
-        command the engine can no longer reach (wedged mid-dispatch)
-        terminates within ``watchdog_timeout + poll_interval``.
+        The one submission path.  The caller allocated ``cmd``'s slot:
+        the request pool is shared by the pool's shards, so the slot
+        exists before the command is routed.  ``engine`` pins the shard
+        (a flush fence); otherwise the shard that carries the command's
+        stream takes it — a pool of one's only shard, or ``route(cmd)``.
+        When that shard (or every shard) is dead and the recovery
+        policy degrades, the call runs on this thread instead.
         """
-        assert cmd.done is not None
-        done = cmd.done
-        watchdog = (
-            EngineWatchdog(engine, rec.watchdog_timeout)
-            if rec.watchdog_timeout is not None
-            else None
-        )
-        while True:
-            if done.wait(rec.poll_interval):
-                return
-            if engine.dead is not None:
-                if not done.is_set():
-                    cmd.error = OffloadEngineDied(
-                        f"offload engine terminated with {cmd.kind.name} "
-                        f"pending: {engine.dead}"
-                    )
-                    done.set(None)
-                return
-            if watchdog is not None:
-                watchdog.check()
-
-    def _nonblocking(self, cmd: Command) -> Any:
-        """Route and enqueue ``cmd``, whose pool slot the caller has
-        allocated (the request pool is shared across the pool's shards,
-        so the slot exists before the command is routed)."""
         holder = self.engine
-        slot = cmd.slot
+        if engine is None:
+            engine = holder._lone
         try:
-            engine = holder._lone or holder.route(cmd)
-        except OffloadEngineDied:
-            holder.pool.release(slot)
-            rec = holder.recovery
-            if rec is not None and rec.degrade:
-                return self._degraded_nonblocking(holder.engines[0], cmd)
-            raise
-        rec = engine.recovery
-        if rec is not None and rec.degrade and engine.dead is not None:
-            holder.pool.release(slot)
-            return self._degraded_nonblocking(engine, cmd)
-        if self.op_timeout is not None:
-            cmd.deadline = time.perf_counter() + self.op_timeout
-        handle = OffloadRequest(
-            engine.pool, slot, engine if rec is not None else None
-        )
-        try:
+            if engine is None:
+                engine = holder.route(cmd)
+            if self.op_timeout is not None:
+                cmd.deadline = time.perf_counter() + self.op_timeout
             engine.submit(cmd)
         except OffloadEngineDied:
-            # The command never reached the engine, so the slot can be
+            # The command never reached an engine, so the slot can be
             # recycled safely (no later completion can touch it).
-            engine.pool.release(slot)
-            if rec is not None and rec.degrade:
-                return self._degraded_nonblocking(engine, cmd)
-            raise
-        return handle
+            holder.pool.release(cmd.slot)
+            rec = holder.recovery
+            if rec is None or not rec.degrade:
+                raise
+            return self._degraded(engine or holder.engines[0], cmd, wait)
+        rec = engine.recovery
+        pool = engine.pool
+        if not wait:
+            return OffloadRequest(
+                pool, cmd.slot, engine if rec is not None else None
+            )
+        # A blocking call is a wait on the slot, with no handle built.
+        slot = pool._slots[cmd.slot]
+        if not slot.flag.done:
+            if rec is None:
+                slot.flag.wait()
+            else:  # raises if the engine died: the slot is abandoned
+                recovery_wait(slot, cmd.slot, engine, None)
+        error = slot.error
+        payload = slot.flag.payload
+        pool.release(cmd.slot)
+        if error is not None:
+            raise_typed(error)
+        return payload
+
+    def _run(self, fn, *args) -> Any:
+        """Run the collective ``fn(*args)`` on the offload thread and
+        return its result (a CALL: no nonblocking form in the
+        substrate).  The CALL carries this facade's communicator, so it
+        travels the communicator's collective stream."""
+        return self._call(
+            Command(
+                K.CALL,
+                self.inner,
+                slot=self.engine.pool.alloc(),
+                fn=lambda: fn(*args),
+            )
+        )
+
+    def _coll(
+        self,
+        kind: CommandKind,
+        buf: Any = None,
+        buf2: Any = None,
+        root: int = -1,
+        op: ReduceOp | None = None,
+        wait: bool = True,
+    ) -> Any:
+        """Submit a collective of ``kind`` on this communicator."""
+        return self._call(
+            Command(
+                kind, self.inner, buf, buf2, root, 0, op,
+                self.engine.pool.alloc(),
+            ),
+            wait,
+        )
 
     # --------------------------------------------------- degraded (FUNNELED)
 
-    def _note_degraded(self, engine: "OffloadEngine") -> None:
-        """Account one inline-fallback command and adopt the funnel.
+    def _degraded(self, engine: "OffloadEngine", cmd: Command, wait: bool):
+        """Run ``cmd`` inline on the calling thread (the FUNNELED
+        fallback): the same :data:`~repro.core.commands.ISSUE` call the
+        engine would have made.  A nonblocking call returns the
+        substrate's own request, a blocking one waits on it here.
 
         Under FUNNELED the dead offload thread still holds the funnel
         designation; the substrate would reject inline calls from this
@@ -222,110 +207,56 @@ class OffloadCommunicator:
         if world.thread_level is ThreadLevel.FUNNELED:
             if world.funnel_thread(rank) != threading.get_ident():
                 world.set_funnel_thread(rank, threading.get_ident())
-
-    def _degraded_blocking(self, engine: "OffloadEngine", cmd: Command) -> Any:
-        self._note_degraded(engine)
-        comm = cmd.comm if cmd.comm is not None else self.inner
-        k = cmd.kind
-        if k is K.SEND:
-            return comm.send(cmd.buf, cmd.peer, cmd.tag)
-        if k is K.RECV:
-            return comm.recv(cmd.buf, cmd.peer, cmd.tag)
-        if k is K.IPROBE:
-            return comm.iprobe(cmd.peer, cmd.tag)
-        if k is K.BARRIER:
-            return comm.barrier()
-        if k is K.BCAST:
-            return comm.bcast(cmd.buf, cmd.peer)
-        if k is K.ALLREDUCE:
-            return comm.allreduce(cmd.buf, cmd.buf2, cmd.op)
-        if k is K.GATHER:
-            return comm.gather(cmd.buf, cmd.buf2, cmd.peer)
-        if k is K.ALLTOALL:
-            return comm.alltoall(cmd.buf, cmd.buf2)
-        if k is K.REDUCE:
-            return comm.reduce(cmd.buf, cmd.buf2, cmd.op, cmd.peer)
-        if k is K.SCATTER:
-            return comm.scatter(cmd.buf, cmd.buf2, cmd.peer)
-        if k is K.ALLGATHER:
-            return comm.allgather(cmd.buf, cmd.buf2)
-        if k is K.REDUCE_SCATTER:
-            return comm.reduce_scatter(cmd.buf, cmd.buf2, cmd.op)
-        if k is K.SCAN:
-            return comm.scan(cmd.buf, cmd.buf2, cmd.op)
-        if k is K.CALL:
-            return cmd.fn()
-        if k is K.FLUSH:
-            # Nothing can be in flight on the engine for *this* caller
-            # anymore (it is dead and failed its backlog); inline ops
-            # complete synchronously, so flush is a no-op.
+        kind = cmd.kind
+        if kind is K.FLUSH:
+            # The dead shard failed its backlog, and inline calls
+            # complete synchronously: nothing is left to fence.
             return None
-        raise OffloadError(
-            f"no degraded inline fallback for {k.name}"
-        )  # pragma: no cover - all facade kinds handled above
-
-    def _degraded_nonblocking(
-        self, engine: "OffloadEngine", cmd: Command
-    ) -> Any:
-        self._note_degraded(engine)
-        comm = cmd.comm if cmd.comm is not None else self.inner
-        k = cmd.kind
-        if k is K.ISEND:
-            return comm.isend(cmd.buf, cmd.peer, cmd.tag)
-        if k is K.IRECV:
-            return comm.irecv(cmd.buf, cmd.peer, cmd.tag)
-        if k is K.IBARRIER:
-            return comm.ibarrier()
-        if k is K.IBCAST:
-            return comm.ibcast(cmd.buf, cmd.peer)
-        if k is K.IALLREDUCE:
-            return comm.iallreduce(cmd.buf, cmd.buf2, cmd.op)
-        if k is K.IGATHER:
-            return comm.igather(cmd.buf, cmd.buf2, cmd.peer)
-        if k is K.IALLTOALL:
-            return comm.ialltoall(cmd.buf, cmd.buf2)
-        raise OffloadError(
-            f"no degraded inline fallback for {k.name}"
-        )  # pragma: no cover - all facade kinds handled above
+        out = ISSUE[kind](cmd)
+        return out.wait() if wait and not kind.immediate else out
 
     # ------------------------------------------------------------------ p2p
 
     def isend(self, buf: Any, dest: int, tag: int = 0) -> OffloadRequest:
         """Nonblocking send; returns immediately after one enqueue."""
         # positional: (kind, comm, buf, buf2, peer, tag, op, slot)
-        return self._nonblocking(
+        return self._call(
             Command(
                 K.ISEND, self.inner, buf, None, dest, tag, None,
                 self.engine.pool.alloc(),
-            )
+            ),
+            False,
         )
 
     def irecv(
         self, buf: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> OffloadRequest:
         """Nonblocking receive; returns immediately after one enqueue."""
-        return self._nonblocking(
+        return self._call(
             Command(
                 K.IRECV, self.inner, buf, None, source, tag, None,
                 self.engine.pool.alloc(),
-            )
+            ),
+            False,
         )
 
     def send(self, buf: Any, dest: int, tag: int = 0) -> None:
-        self._blocking(
-            Command(kind=K.SEND, comm=self.inner, buf=buf, peer=dest, tag=tag)
+        self._call(
+            Command(
+                K.ISEND, self.inner, buf, None, dest, tag, None,
+                self.engine.pool.alloc(),
+            )
         )
 
     def recv(
         self, buf: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Status:
-        st = self._blocking(
+        return self._call(
             Command(
-                kind=K.RECV, comm=self.inner, buf=buf, peer=source, tag=tag
+                K.IRECV, self.inner, buf, None, source, tag, None,
+                self.engine.pool.alloc(),
             )
         )
-        assert isinstance(st, Status)
-        return st
 
     def sendrecv(
         self,
@@ -336,6 +267,10 @@ class OffloadCommunicator:
         sendtag: int = 0,
         recvtag: int = ANY_TAG,
     ) -> Status:
+        # Validate the send before the receive is posted: a send that
+        # fails must not leave the receive behind to match the next
+        # message from ``source``.
+        self.inner._p2p_op(True, sendbuf, dest, sendtag)
         rreq = self.irecv(recvbuf, source, recvtag)
         sreq = self.isend(sendbuf, dest, sendtag)
         sreq.wait()
@@ -346,8 +281,11 @@ class OffloadCommunicator:
     def iprobe(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Status | None:
-        return self._blocking(
-            Command(kind=K.IPROBE, comm=self.inner, peer=source, tag=tag)
+        return self._call(
+            Command(
+                K.IPROBE, self.inner, None, None, source, tag, None,
+                self.engine.pool.alloc(),
+            )
         )
 
     def probe(
@@ -385,14 +323,20 @@ class OffloadCommunicator:
         return datatypes.unpack_object(buf)
 
     # ------------------------------------------------------------ collectives
+    # Those with a nonblocking form submit it (blocking: and wait); the
+    # rest run as CALLs on the offload thread.
 
     def barrier(self) -> None:
-        self._blocking(Command(kind=K.BARRIER, comm=self.inner))
+        self._coll(K.IBARRIER)
+
+    def ibarrier(self) -> OffloadRequest:
+        return self._coll(K.IBARRIER, wait=False)
 
     def bcast(self, buf: np.ndarray, root: int = 0) -> None:
-        self._blocking(
-            Command(kind=K.BCAST, comm=self.inner, buf=buf, peer=root)
-        )
+        self._coll(K.IBCAST, buf, root=root)
+
+    def ibcast(self, buf: np.ndarray, root: int = 0) -> OffloadRequest:
+        return self._coll(K.IBCAST, buf, root=root, wait=False)
 
     def bcast_obj(self, obj: Any = None, root: int = 0) -> Any:
         size_buf = np.zeros(1, dtype=np.int64)
@@ -413,16 +357,54 @@ class OffloadCommunicator:
     ) -> np.ndarray:
         if recvbuf is None:
             recvbuf = np.empty_like(sendbuf)
-        self._blocking(
-            Command(
-                kind=K.ALLREDUCE,
-                comm=self.inner,
-                buf=sendbuf,
-                buf2=recvbuf,
-                op=op,
-            )
-        )
+        elif recvbuf is sendbuf:
+            sendbuf = sendbuf.copy()  # in place
+        self._coll(K.IALLREDUCE, sendbuf, recvbuf, op=op)
         return recvbuf
+
+    def iallreduce(
+        self,
+        sendbuf: np.ndarray,
+        recvbuf: np.ndarray,
+        op: ReduceOp = SUM,
+    ) -> OffloadRequest:
+        return self._coll(K.IALLREDUCE, sendbuf, recvbuf, op=op, wait=False)
+
+    def gather(
+        self,
+        sendbuf: np.ndarray,
+        recvbuf: np.ndarray | None = None,
+        root: int = 0,
+    ) -> np.ndarray | None:
+        if self.rank != root:
+            recvbuf = None
+        elif recvbuf is None:
+            recvbuf = np.empty(
+                (self.size,) + sendbuf.shape, dtype=sendbuf.dtype
+            )
+        self._coll(K.IGATHER, sendbuf, recvbuf, root)
+        return recvbuf
+
+    def igather(
+        self,
+        sendbuf: np.ndarray,
+        recvbuf: np.ndarray | None = None,
+        root: int = 0,
+    ) -> OffloadRequest:
+        return self._coll(K.IGATHER, sendbuf, recvbuf, root, wait=False)
+
+    def alltoall(
+        self, sendbuf: np.ndarray, recvbuf: np.ndarray | None = None
+    ) -> np.ndarray:
+        if recvbuf is None:
+            recvbuf = np.empty_like(sendbuf)
+        self._coll(K.IALLTOALL, sendbuf, recvbuf)
+        return recvbuf
+
+    def ialltoall(
+        self, sendbuf: np.ndarray, recvbuf: np.ndarray
+    ) -> OffloadRequest:
+        return self._coll(K.IALLTOALL, sendbuf, recvbuf, wait=False)
 
     def reduce(
         self,
@@ -431,39 +413,7 @@ class OffloadCommunicator:
         op: ReduceOp = SUM,
         root: int = 0,
     ) -> np.ndarray | None:
-        if recvbuf is None and self.rank == root:
-            recvbuf = np.empty_like(sendbuf)
-        return self._blocking(
-            Command(
-                kind=K.REDUCE,
-                comm=self.inner,
-                buf=sendbuf,
-                buf2=recvbuf,
-                op=op,
-                peer=root,
-            )
-        )
-
-    def gather(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        root: int = 0,
-    ) -> np.ndarray | None:
-        if recvbuf is None and self.rank == root:
-            recvbuf = np.empty(
-                (self.size,) + sendbuf.shape, dtype=sendbuf.dtype
-            )
-        self._blocking(
-            Command(
-                kind=K.GATHER,
-                comm=self.inner,
-                buf=sendbuf,
-                buf2=recvbuf,
-                peer=root,
-            )
-        )
-        return recvbuf if self.rank == root else None
+        return self._run(self.inner.reduce, sendbuf, recvbuf, op, root)
 
     def scatter(
         self,
@@ -471,42 +421,12 @@ class OffloadCommunicator:
         recvbuf: np.ndarray,
         root: int = 0,
     ) -> np.ndarray:
-        self._blocking(
-            Command(
-                kind=K.SCATTER,
-                comm=self.inner,
-                buf=sendbuf,
-                buf2=recvbuf,
-                peer=root,
-            )
-        )
-        return recvbuf
+        return self._run(self.inner.scatter, sendbuf, recvbuf, root)
 
     def allgather(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray | None = None
     ) -> np.ndarray:
-        if recvbuf is None:
-            recvbuf = np.empty(
-                (self.size,) + sendbuf.shape, dtype=sendbuf.dtype
-            )
-        self._blocking(
-            Command(
-                kind=K.ALLGATHER, comm=self.inner, buf=sendbuf, buf2=recvbuf
-            )
-        )
-        return recvbuf
-
-    def alltoall(
-        self, sendbuf: np.ndarray, recvbuf: np.ndarray | None = None
-    ) -> np.ndarray:
-        if recvbuf is None:
-            recvbuf = np.empty_like(sendbuf)
-        self._blocking(
-            Command(
-                kind=K.ALLTOALL, comm=self.inner, buf=sendbuf, buf2=recvbuf
-            )
-        )
-        return recvbuf
+        return self._run(self.inner.allgather, sendbuf, recvbuf)
 
     def reduce_scatter(
         self,
@@ -514,18 +434,7 @@ class OffloadCommunicator:
         recvbuf: np.ndarray | None = None,
         op: ReduceOp = SUM,
     ) -> np.ndarray:
-        if recvbuf is None:
-            recvbuf = np.empty(sendbuf.shape[1:], dtype=sendbuf.dtype)
-        self._blocking(
-            Command(
-                kind=K.REDUCE_SCATTER,
-                comm=self.inner,
-                buf=sendbuf,
-                buf2=recvbuf,
-                op=op,
-            )
-        )
-        return recvbuf
+        return self._run(self.inner.reduce_scatter, sendbuf, recvbuf, op)
 
     def scan(
         self,
@@ -533,14 +442,7 @@ class OffloadCommunicator:
         recvbuf: np.ndarray | None = None,
         op: ReduceOp = SUM,
     ) -> np.ndarray:
-        if recvbuf is None:
-            recvbuf = np.empty_like(sendbuf)
-        self._blocking(
-            Command(
-                kind=K.SCAN, comm=self.inner, buf=sendbuf, buf2=recvbuf, op=op
-            )
-        )
-        return recvbuf
+        return self._run(self.inner.scan, sendbuf, recvbuf, op)
 
     def gatherv(
         self,
@@ -549,15 +451,8 @@ class OffloadCommunicator:
         recvbuf: np.ndarray | None = None,
         root: int = 0,
     ) -> np.ndarray | None:
-        """Variable-count gather, executed inline on the offload thread
-        (no nonblocking equivalent in the substrate — the §3.3 class)."""
-        return self._blocking(
-            Command(
-                kind=K.CALL,
-                fn=lambda: self.inner.gatherv(
-                    sendbuf, recvcounts, recvbuf, root
-                ),
-            )
+        return self._run(
+            self.inner.gatherv, sendbuf, recvcounts, recvbuf, root
         )
 
     def scatterv(
@@ -567,13 +462,8 @@ class OffloadCommunicator:
         recvbuf: np.ndarray,
         root: int = 0,
     ) -> np.ndarray:
-        return self._blocking(
-            Command(
-                kind=K.CALL,
-                fn=lambda: self.inner.scatterv(
-                    sendbuf, sendcounts, recvbuf, root
-                ),
-            )
+        return self._run(
+            self.inner.scatterv, sendbuf, sendcounts, recvbuf, root
         )
 
     def alltoallv(
@@ -583,81 +473,21 @@ class OffloadCommunicator:
         recvbuf: np.ndarray,
         recvcounts,
     ) -> np.ndarray:
-        return self._blocking(
-            Command(
-                kind=K.CALL,
-                fn=lambda: self.inner.alltoallv(
-                    sendbuf, sendcounts, recvbuf, recvcounts
-                ),
-            )
-        )
-
-    # -------------------------------------------------- nonblocking collectives
-
-    def ibarrier(self) -> OffloadRequest:
-        return self._nonblocking(
-            Command(K.IBARRIER, self.inner, slot=self.engine.pool.alloc())
-        )
-
-    def ibcast(self, buf: np.ndarray, root: int = 0) -> OffloadRequest:
-        return self._nonblocking(
-            Command(
-                K.IBCAST, self.inner, buf, peer=root,
-                slot=self.engine.pool.alloc(),
-            )
-        )
-
-    def iallreduce(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray,
-        op: ReduceOp = SUM,
-    ) -> OffloadRequest:
-        return self._nonblocking(
-            Command(
-                K.IALLREDUCE, self.inner, sendbuf, recvbuf, op=op,
-                slot=self.engine.pool.alloc(),
-            )
-        )
-
-    def igather(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        root: int = 0,
-    ) -> OffloadRequest:
-        return self._nonblocking(
-            Command(
-                K.IGATHER, self.inner, sendbuf, recvbuf, root,
-                slot=self.engine.pool.alloc(),
-            )
-        )
-
-    def ialltoall(
-        self, sendbuf: np.ndarray, recvbuf: np.ndarray
-    ) -> OffloadRequest:
-        return self._nonblocking(
-            Command(
-                K.IALLTOALL, self.inner, sendbuf, recvbuf,
-                slot=self.engine.pool.alloc(),
-            )
+        return self._run(
+            self.inner.alltoallv, sendbuf, sendcounts, recvbuf, recvcounts
         )
 
     # ------------------------------------------------------ communicator algebra
 
     def dup(self) -> "OffloadCommunicator":
         """Collective duplicate executed on the offload thread."""
-        new_inner = self._blocking(
-            Command(kind=K.CALL, fn=self.inner.dup)
-        )
+        new_inner = self._run(self.inner.dup)
         return OffloadCommunicator(new_inner, self.engine, self.op_timeout)
 
     def split(
         self, color: int | None, key: int = 0
     ) -> "OffloadCommunicator | None":
-        new_inner = self._blocking(
-            Command(kind=K.CALL, fn=lambda: self.inner.split(color, key))
-        )
+        new_inner = self._run(self.inner.split, color, key)
         if new_inner is None:
             return None
         return OffloadCommunicator(new_inner, self.engine, self.op_timeout)
@@ -713,12 +543,13 @@ class OffloadCommunicator:
         :class:`~repro.core.request_pool.OffloadEngineDied`, or the
         inline no-op under ``degrade=True``.
         """
+        pool = self.engine.pool
         live = [e for e in self.engine.engines if e.dead is None]
         if not live:
-            self._blocking(Command(kind=K.FLUSH))
+            self._call(Command(K.FLUSH, slot=pool.alloc()))
         for e in live:
             try:
-                self._blocking_on(e, Command(kind=K.FLUSH))
+                self._call(Command(K.FLUSH, slot=pool.alloc()), engine=e)
             except OffloadEngineDied:
                 # Raced a shard crash: the crash failed all its
                 # pending work typed, so the fence it would have

@@ -246,11 +246,14 @@ class OffloadRequestPool:
 
     # -- engine-side completion ------------------------------------------
 
-    def complete(self, idx: int, status: Status | None) -> None:
-        """Engine: the operation finished; wake any waiter."""
+    def complete(self, idx: int, payload: Any) -> None:
+        """Engine: the operation finished; wake any waiter.
+
+        ``payload`` is stored as given: a receive's status, an iprobe
+        miss's ``None``, a CALL's return value."""
         slot = self._slots[idx]
         generation = slot.generation
-        slot.flag.set(status or EMPTY_STATUS)
+        slot.flag.set(payload)
         if _dst._scheduler is not None:
             _dst.yield_point("pool.cont.complete")
         if slot.cont is not None:  # see `_fire`: safe without the lock
@@ -427,7 +430,12 @@ class OffloadRequest:
         if not slot.flag.done:
             engine = self._engine
             if engine is not None and engine.recovery is not None:
-                self._recovery_wait(slot, timeout, engine)
+                try:
+                    recovery_wait(slot, self._idx, engine, timeout)
+                except OffloadEngineDied:
+                    with _consume_lock:
+                        self._released = True  # abandon, never recycle
+                    raise
             elif not slot.flag.wait(timeout):
                 raise TimeoutError(
                     f"offloaded request (slot {self._idx}) pending after "
@@ -436,48 +444,6 @@ class OffloadRequest:
         st = self._finish(slot)
         assert st is not None
         return st
-
-    def _recovery_wait(
-        self, slot: _Slot, timeout: float | None, engine: "OffloadEngine"
-    ) -> None:
-        """Flag wait that samples engine health between slices.
-
-        If the engine dies while this slot is pending, the waiter
-        *abandons* the slot (never recycled) and raises — the wedged
-        engine thread may still hold a reference and complete it later;
-        recycling here could corrupt a fresh allocation.  A dead
-        engine's pool is never reused, so the leak is bounded.
-        """
-        from repro.core.recovery import EngineWatchdog
-
-        rec = engine.recovery
-        assert rec is not None
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        watchdog = (
-            EngineWatchdog(engine, rec.watchdog_timeout)
-            if rec.watchdog_timeout is not None
-            else None
-        )
-        while True:
-            step = rec.poll_interval
-            if deadline is not None:
-                step = min(step, deadline - time.perf_counter())
-                if step <= 0 and not slot.flag.is_set():
-                    raise TimeoutError(
-                        f"offloaded request (slot {self._idx}) pending "
-                        f"after {timeout}s"
-                    )
-            if slot.flag.wait(max(step, 0.0)):
-                return
-            if engine.dead is not None and not slot.flag.is_set():
-                with _consume_lock:
-                    self._released = True  # abandon, never recycle
-                raise OffloadEngineDied(
-                    f"offload engine terminated with request "
-                    f"(slot {self._idx}) pending: {engine.dead}"
-                )
-            if watchdog is not None:
-                watchdog.check()
 
     def _finish(self, slot: _Slot) -> Status | None:
         with _consume_lock:
@@ -488,8 +454,61 @@ class OffloadRequest:
         payload: Any = slot.flag.payload
         self._pool.release(self._idx)
         if error is not None:
-            if isinstance(error, OffloadError):
-                raise error
-            raise OffloadError(str(error)) from error
-        # `complete` stores a Status; only `fail` (raised above) does not
+            raise_typed(error)
         return payload if payload is not None else EMPTY_STATUS
+
+
+def raise_typed(error: BaseException) -> None:
+    """Raise a failed slot's error as an :class:`OffloadError`."""
+    if isinstance(error, OffloadError):
+        raise error
+    raise OffloadError(str(error)) from error
+
+
+def recovery_wait(
+    slot: _Slot,
+    idx: int,
+    engine: "OffloadEngine",
+    timeout: float | None,
+) -> None:
+    """Wait on ``slot``'s done flag while sampling ``engine``'s health
+    (the engine carries a :class:`~repro.core.recovery.RecoveryPolicy`).
+
+    Bounded-hang guarantee: if the engine dies (or the watchdog trips
+    it) with the slot pending, this raises :class:`OffloadEngineDied`
+    within ``watchdog_timeout + poll_interval`` — even for a command
+    the engine can no longer reach (wedged mid-dispatch).  The caller
+    must then *abandon* the slot, never release it: the wedged engine
+    thread may still hold a reference and complete it later, and
+    recycling it could corrupt a fresh allocation.  A dead engine's
+    pool is never reused, so the leak is bounded.
+    """
+    from repro.core.recovery import EngineWatchdog
+
+    rec = engine.recovery
+    assert rec is not None
+    flag = slot.flag
+    deadline = None if timeout is None else time.perf_counter() + timeout
+    watchdog = (
+        EngineWatchdog(engine, rec.watchdog_timeout)
+        if rec.watchdog_timeout is not None
+        else None
+    )
+    while True:
+        step = rec.poll_interval
+        if deadline is not None:
+            step = min(step, deadline - time.perf_counter())
+            if step <= 0 and not flag.is_set():
+                raise TimeoutError(
+                    f"offloaded request (slot {idx}) pending after "
+                    f"{timeout}s"
+                )
+        if flag.wait(max(step, 0.0)):
+            return
+        if engine.dead is not None and not flag.is_set():
+            raise OffloadEngineDied(
+                f"offload engine terminated with slot {idx} pending: "
+                f"{engine.dead}"
+            )
+        if watchdog is not None:
+            watchdog.check()

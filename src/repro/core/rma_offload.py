@@ -45,13 +45,7 @@ class OffloadWindow:
         cls, ocomm: "OffloadCommunicator", local: np.ndarray
     ) -> "OffloadWindow":
         """Collective window creation via the offload thread."""
-        win = ocomm._blocking(
-            Command(
-                kind=CommandKind.CALL,
-                fn=lambda: Window.create(ocomm.inner, local),
-            )
-        )
-        return cls(ocomm, win)
+        return cls(ocomm, ocomm._run(Window.create, ocomm.inner, local))
 
     def free(self) -> None:
         self._call(self.win.free)
@@ -59,8 +53,13 @@ class OffloadWindow:
     # -- plumbing -----------------------------------------------------------
 
     def _call(self, fn, *args, **kwargs) -> Any:
-        return self.ocomm._blocking(
-            Command(kind=CommandKind.CALL, fn=lambda: fn(*args, **kwargs))
+        ocomm = self.ocomm
+        return ocomm._call(
+            Command(
+                CommandKind.CALL,
+                slot=ocomm.engine.pool.alloc(),
+                fn=lambda: fn(*args, **kwargs),
+            )
         )
 
     @property

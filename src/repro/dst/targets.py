@@ -302,21 +302,24 @@ class _DropTailEngine(OffloadEngine):
 class MidBatchCrashProgram(_EngineCrashProgram):
     """Engine loop crashing partway through a drained batch.
 
-    The producer submits CALL commands.  Invariant: every command whose
-    ``submit`` reported success reaches a terminal done-flag state —
-    completed or typed-failed, never silently dropped.  The fix keeps
-    the batch on ``engine._drained`` where ``_fail_pending`` sweeps it;
-    :class:`_DropTailEngine` forgets it.
+    The producer submits CALL commands, each on its own slot.
+    Invariant: every command whose ``submit`` reported success reaches
+    a terminal slot state — completed or typed-failed, never silently
+    dropped.  The fix keeps the batch on ``engine._drained`` where
+    ``_fail_pending`` sweeps it; :class:`_DropTailEngine` forgets it.
     """
 
     def __init__(self, fix_disabled: bool, n_commands: int = 4) -> None:
         engine = _DropTailEngine if fix_disabled else OffloadEngine
         super().__init__(engine, OffloadRequestPool, n_commands)
         self.accepted: list[Command] = []
+        # allocated here, outside the scheduler: the free list's CAS
+        # yield points are not this target's subject
+        self.slots = [self.engine.pool.alloc() for _ in range(n_commands)]
 
     def produce(self) -> None:
-        for _ in range(self.n_commands):
-            cmd = Command(CommandKind.CALL, fn=lambda: None)
+        for slot in self.slots:
+            cmd = Command(CommandKind.CALL, fn=lambda: None, slot=slot)
             try:
                 self.engine.submit(cmd)
             except OffloadEngineDied:
@@ -324,11 +327,12 @@ class MidBatchCrashProgram(_EngineCrashProgram):
             self.accepted.append(cmd)
 
     def check(self) -> None:
+        pool = self.engine.pool
         for i, cmd in enumerate(self.accepted):
-            if cmd.done is None or not cmd.done.is_set():
+            if not pool.slot(cmd.slot).flag.is_set():
                 raise InvariantViolation(
                     f"submitted command #{i} never reached a terminal "
-                    "state (done flag unset) — lost from the drained "
+                    "state (slot flag unset) — lost from the drained "
                     "batch by the mid-batch crash"
                 )
 

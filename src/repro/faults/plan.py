@@ -130,7 +130,9 @@ class FaultRule:
     kind:
         Message rules: envelope kind name (``"eager"``, ``"rts"``,
         ``"cts"``, ``"rma"``); command rules: command kind name
-        (``"isend"``, ``"allreduce"``, ...).  ``None`` matches any.
+        (``"isend"``, ``"iallreduce"``, ``"call"``, ...; a blocking
+        call is its nonblocking kind, so ``"isend"`` matches ``send``
+        too).  ``None`` matches any.
     tag:
         Message/command tag filter (``None`` matches any).
     after:

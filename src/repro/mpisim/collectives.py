@@ -1,15 +1,17 @@
-"""Blocking collectives implemented over point-to-point.
+"""Blocking collectives.
 
-Algorithms are the textbook ones production MPIs use at these scales:
+Those with a nonblocking form are a wait on it: barrier, bcast,
+allreduce, gather and alltoall run the schedules of
+:mod:`repro.mpisim.nbc` — one algorithm per collective.  The rest are
+written here over point-to-point, with the textbook algorithms
+production MPIs use at these scales:
 
-* barrier — dissemination (⌈log₂ p⌉ rounds);
-* bcast / reduce — binomial trees;
-* allreduce — recursive doubling (power-of-two), reduce+bcast otherwise;
-* gather / scatter — linear rooted exchange;
+* reduce — binomial tree;
+* scatter — linear rooted exchange;
 * allgather — ring;
-* alltoall — fully posted nonblocking pairwise exchange;
 * reduce_scatter — reduce + scatter;
-* scan — linear chain.
+* scan — linear chain;
+* gatherv / scatterv / alltoallv — linear, variable counts.
 
 All traffic runs on the communicator's *collective* context with a
 per-call sequence tag, so user point-to-point can never match it and
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mpisim import nbc
 from repro.mpisim.communicator import Communicator
 from repro.mpisim.datatypes import pack_object, unpack_object
 from repro.mpisim.reduce_ops import ReduceOp, SUM
@@ -34,65 +37,15 @@ def _contig(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _sendrecv(
-    comm: Communicator,
-    sendarr: np.ndarray,
-    dst: int,
-    recvarr: np.ndarray,
-    src: int,
-    tag: int,
-) -> None:
-    ctx = comm.ctx_coll
-    rreq = comm._irecv_internal(recvarr, src, tag, ctx)
-    sreq = comm._isend_internal(sendarr, dst, tag, ctx)
-    waitall([sreq, rreq])
-
-
 def barrier(comm: Communicator) -> None:
     """Dissemination barrier."""
-    tag = comm.next_coll_tag()
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return
-    token = np.zeros(1, dtype=np.uint8)
-    sink = np.zeros(1, dtype=np.uint8)
-    dist = 1
-    while dist < size:
-        dst = (rank + dist) % size
-        src = (rank - dist) % size
-        _sendrecv(comm, token, dst, sink, src, tag)
-        dist <<= 1
+    nbc.ibarrier(comm).wait()
 
 
 def bcast(comm: Communicator, buf: np.ndarray, root: int = 0) -> None:
     """Binomial-tree broadcast; ``buf`` holds data at root, is filled
     elsewhere."""
-    buf = _contig(buf, "buf")
-    tag = comm.next_coll_tag()
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return
-    ctx = comm.ctx_coll
-    vrank = (rank - root) % size
-    # Receive from the parent (peel the lowest set bit of vrank).
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            parent = ((vrank - mask) + root) % size
-            comm._irecv_internal(buf, parent, tag, ctx).wait()
-            break
-        mask <<= 1
-    else:
-        mask = 1
-        while mask < size:
-            mask <<= 1
-    # Forward to children, highest distance first.
-    mask >>= 1
-    while mask > 0:
-        if vrank + mask < size and not (vrank & mask):
-            child = ((vrank + mask) + root) % size
-            comm._isend_internal(buf, child, tag, ctx).wait()
-        mask >>= 1
+    nbc.ibcast(comm, _contig(buf, "buf"), root).wait()
 
 
 def bcast_obj(comm: Communicator, obj=None, root: int = 0):
@@ -153,31 +106,14 @@ def allreduce(
     op: ReduceOp = SUM,
 ) -> np.ndarray:
     """All-reduce: recursive doubling when ``size`` is a power of two,
-    otherwise binomial reduce followed by broadcast."""
+    otherwise binomial reduce followed by broadcast.  ``recvbuf`` may
+    be ``sendbuf`` (in place)."""
     sendbuf = _contig(sendbuf, "sendbuf")
-    size, rank = comm.size, comm.rank
     if recvbuf is None:
         recvbuf = np.empty_like(sendbuf)
-    if size == 1:
-        np.copyto(recvbuf, sendbuf)
-        return recvbuf
-    if size & (size - 1) == 0:
-        tag = comm.next_coll_tag()
-        acc = sendbuf.copy()
-        tmp = np.empty_like(sendbuf)
-        mask = 1
-        while mask < size:
-            partner = rank ^ mask
-            _sendrecv(comm, acc, partner, tmp, partner, tag)
-            op(acc, tmp, out=acc)
-            mask <<= 1
-        np.copyto(recvbuf, acc)
-        return recvbuf
-    out = reduce(comm, sendbuf, recvbuf if rank == 0 else None, op, 0)
-    if rank == 0:
-        assert out is not None
-        np.copyto(recvbuf, out)
-    bcast(comm, recvbuf, 0)
+    elif recvbuf is sendbuf:
+        sendbuf = sendbuf.copy()
+    nbc.iallreduce(comm, sendbuf, recvbuf, op).wait()
     return recvbuf
 
 
@@ -193,26 +129,13 @@ def gather(
     ``size`` axis when ``None``), ``None`` elsewhere.
     """
     sendbuf = _contig(sendbuf, "sendbuf")
-    tag = comm.next_coll_tag()
-    size, rank = comm.size, comm.rank
-    ctx = comm.ctx_coll
-    if rank == root:
-        if recvbuf is None:
-            recvbuf = np.empty((size,) + sendbuf.shape, dtype=sendbuf.dtype)
-        recvbuf = _contig(recvbuf, "recvbuf")
-        flat = recvbuf.reshape(size, -1)
-        reqs = []
-        for r in range(size):
-            if r == root:
-                flat[r] = sendbuf.reshape(-1)
-            else:
-                reqs.append(
-                    comm._irecv_internal(flat[r], r, tag, ctx)
-                )
-        waitall(reqs)
-        return recvbuf
-    comm._isend_internal(sendbuf, root, tag, ctx).wait()
-    return None
+    if comm.rank != root:
+        nbc.igather(comm, sendbuf, None, root).wait()
+        return None
+    if recvbuf is None:
+        recvbuf = np.empty((comm.size,) + sendbuf.shape, dtype=sendbuf.dtype)
+    nbc.igather(comm, sendbuf, _contig(recvbuf, "recvbuf"), root).wait()
+    return recvbuf
 
 
 def scatter(
@@ -265,10 +188,13 @@ def allgather(
         return recvbuf
     right = (rank + 1) % size
     left = (rank - 1) % size
+    ctx = comm.ctx_coll
     for step in range(1, size):
         send_idx = (rank - step + 1) % size
         recv_idx = (rank - step) % size
-        _sendrecv(comm, flat[send_idx], right, flat[recv_idx], left, tag)
+        rreq = comm._irecv_internal(flat[recv_idx], left, tag, ctx)
+        sreq = comm._isend_internal(flat[send_idx], right, tag, ctx)
+        waitall([sreq, rreq])
     return recvbuf
 
 
@@ -285,27 +211,9 @@ def alltoall(
     CNN workloads.
     """
     sendbuf = _contig(sendbuf, "sendbuf")
-    size, rank = comm.size, comm.rank
-    if sendbuf.shape[0] != size:
-        raise ValueError(
-            f"sendbuf leading dimension {sendbuf.shape[0]} != size {size}"
-        )
-    tag = comm.next_coll_tag()
-    ctx = comm.ctx_coll
     if recvbuf is None:
         recvbuf = np.empty_like(sendbuf)
-    recvbuf = _contig(recvbuf, "recvbuf")
-    sflat = sendbuf.reshape(size, -1)
-    rflat = recvbuf.reshape(size, -1)
-    rflat[rank] = sflat[rank]
-    reqs = []
-    for off in range(1, size):
-        peer = (rank + off) % size
-        reqs.append(comm._irecv_internal(rflat[peer], peer, tag, ctx))
-    for off in range(1, size):
-        peer = (rank - off) % size
-        reqs.append(comm._isend_internal(sflat[peer], peer, tag, ctx))
-    waitall(reqs)
+    nbc.ialltoall(comm, sendbuf, _contig(recvbuf, "recvbuf")).wait()
     return recvbuf
 
 

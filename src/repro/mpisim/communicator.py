@@ -93,6 +93,8 @@ class Communicator:
             if group == tuple(range(len(group)))
             else {g: i for i, g in enumerate(group)}
         )
+        if self._local_rank is not None:
+            engine.local_ranks[self.ctx_p2p] = self._local_rank
         self._coll_seq = 0
         self._coll_lock = threading.Lock()
         #: agreement epoch counter (one per ``agree`` call; collective
@@ -232,8 +234,7 @@ class Communicator:
         self, buf: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Status:
         """Blocking buffer receive; returns the message status."""
-        st = self.irecv(buf, source, tag).wait()
-        return self._localize_status(st)
+        return self.irecv(buf, source, tag).wait()
 
     def sendrecv(
         self,
@@ -245,10 +246,14 @@ class Communicator:
         recvtag: int = ANY_TAG,
     ) -> Status:
         """Combined send+receive; deadlock-free for exchange patterns."""
+        # Validate the send before the receive is posted: a send that
+        # raises must not leave the receive behind to match the next
+        # message from ``source``.
+        self._p2p_op(True, sendbuf, dest, sendtag)
         rreq = self.irecv(recvbuf, source, recvtag)
         sreq = self.isend(sendbuf, dest, sendtag)
         sreq.wait()
-        return self._localize_status(rreq.wait())
+        return rreq.wait()
 
     def _localize_status(self, st: Status) -> Status:
         """Convert the engine's global source rank to a comm-local one."""

@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from repro.mpisim.communicator import Communicator
-from repro.mpisim.exceptions import MPIError
 from repro.mpisim.reduce_ops import ReduceOp, SUM
 from repro.mpisim.requests import Request
 from repro.mpisim.status import EMPTY_STATUS
@@ -41,10 +40,13 @@ class NBCRequest(Request):
         self._round_idx = 0
         self._current: list[Request] | None = None
         self._finish: Callable[[], None] | None = None
-        comm.engine.register_nbc(self)
         # Kick the schedule so round 0 is posted immediately (matching
-        # MPI semantics: the collective starts at the I-call).
+        # MPI semantics: the collective starts at the I-call).  A post
+        # that raises (a dead peer, a revoked communicator) raises
+        # here, with nothing registered for progress to re-post.
         self._advance()
+        if not self.done:
+            comm.engine.register_nbc(self)
 
     def _advance(self) -> None:
         """Advance as many rounds as are currently completable.
@@ -75,9 +77,10 @@ class NBCRequest(Request):
                 self._finish = finish
             for r in self._current:
                 if r.error is not None:
-                    raise MPIError(
-                        f"collective sub-operation failed: {r.error}"
-                    ) from r.error
+                    # the sub-operation's own typed error (RankDeadError,
+                    # CommRevokedError, ...), as a blocking caller of
+                    # the point-to-point schedule would have seen it
+                    raise r.error
             if not all(r.done for r in self._current):
                 return
             if self._finish is not None:

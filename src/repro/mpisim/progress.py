@@ -105,6 +105,11 @@ class ProgressEngine:
         #: DESIGN.md §15).  Empty set in normal operation — every hot
         #: path guard is one truthiness check.
         self._revoked: set[int] = set()
+        #: point-to-point context id -> global-to-local rank map, for
+        #: every communicator on this rank whose numbering differs from
+        #: the world's (registered by ``Communicator``); a receive
+        #: posted there reports its status in local ranks
+        self.local_ranks: dict[int, dict[int, int]] = {}
         # --- fault-tolerance counters (DESIGN.md §15) --------------------
         self.comm_revokes = 0
         self.agree_rounds = 0
@@ -246,6 +251,8 @@ class ProgressEngine:
                     context_id, f"receive from rank {source}"
                 )
             req = RecvRequest(self, buffer, source, tag, context_id)
+            if self.local_ranks:
+                req.local = self.local_ranks.get(context_id)
             env = self._umq.match(source, tag, context_id)
             if env is None:
                 if (

@@ -156,7 +156,7 @@ class SendRequest(Request):
 class RecvRequest(Request):
     """Posted receive awaiting a match (or rendezvous data)."""
 
-    __slots__ = ("buffer", "source", "tag", "context_id", "matched")
+    __slots__ = ("buffer", "source", "tag", "context_id", "matched", "local")
 
     def __init__(
         self,
@@ -179,6 +179,29 @@ class RecvRequest(Request):
         self.context_id = context_id
         #: set once matching succeeds; cancellation is then impossible
         self.matched = False
+        #: global -> comm-local rank map of the receive's communicator,
+        #: or None where the numberings coincide (set by ``post_recv``)
+        self.local: dict[int, int] | None = None
+
+    def _complete(self, status: Status) -> None:
+        # The one place a receive's status becomes comm-local: every
+        # completion (match, rendezvous data, cancel) passes here, so
+        # wait, test and the wait*/test* family all report it local.
+        local = self.local
+        if local is not None and status.source >= 0:
+            status = Status(
+                local[status.source], status.tag, status.count,
+                status.cancelled,
+            )
+        # `Request._complete`, written out: one call per receive
+        self.status = status
+        self.done = True
+        if self._waiters is not None:
+            self._wake()
+        if self.engine is not None:
+            for bell in self.engine._doorbells:
+                if not bell._flag:
+                    bell.set()
 
     def cancel(self) -> bool:
         if self.done:

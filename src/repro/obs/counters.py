@@ -47,8 +47,6 @@ COUNTER_GLOSSARY: dict[str, str] = {
     "(backpressure events)",
     "queue_cas_failures": "failed enqueue CAS attempts on the ring "
     "(producer contention)",
-    "blocking_conversions": "blocking calls converted to nonblocking + "
-    "done-flag (paper §3.3)",
     "testany_sweeps": "engine loop iterations, each pumping progress "
     "over in-flight requests (the §3.2 Testany loop; the heartbeat)",
     "progress_sweeps": "Testany passes that found requests in flight",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import EnginePool, offloaded
-from repro.core.commands import Command, CommandKind
 
 from tests.conftest import run_world, run_world_mt
 
@@ -122,9 +121,7 @@ class TestCallEscapeHatch:
         def prog(comm):
             with offloaded(comm) as oc:
                 app_ident = threading.get_ident()
-                ran_on = oc._blocking(
-                    Command(kind=CommandKind.CALL, fn=threading.get_ident)
-                )
+                ran_on = oc._run(threading.get_ident)
                 assert ran_on != app_ident
             return True
 

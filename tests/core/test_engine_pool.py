@@ -211,7 +211,10 @@ class TestPerShardBalance:
                 comm, pool_size=2, router="dest", telemetry=True
             )
             cmds = [
-                Command(CommandKind.CALL, fn=lambda: None) for _ in range(n)
+                Command(
+                    CommandKind.CALL, fn=lambda: None, slot=pool.pool.alloc()
+                )
+                for _ in range(n)
             ]
             for cmd in cmds:  # one stream: CALLs key on the thread
                 pool.submit(cmd)
@@ -227,7 +230,7 @@ class TestPerShardBalance:
                     time.sleep(1e-3)
                 loaded.start()
                 for cmd in cmds:
-                    assert cmd.done.wait(10)
+                    assert pool.pool.slot(cmd.slot).flag.wait(10)
                 for e in pool.engines:
                     c = e.stats()
                     assert (

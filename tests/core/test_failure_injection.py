@@ -58,9 +58,8 @@ class TestCommandErrors:
                 def explode():
                     raise RuntimeError("kaboom")
 
-                cmd = Command(kind=CommandKind.CALL, fn=explode)
                 with pytest.raises(OffloadError, match="kaboom"):
-                    oc._blocking(cmd)
+                    oc._run(explode)
                 return True
 
         assert all(run_world_mt(1, prog))
@@ -96,7 +95,9 @@ class TestEngineDeath:
             _await_dead(engine)
             assert isinstance(engine.dead, OffloadEngineDied)
             with pytest.raises(OffloadEngineDied):
-                engine.submit(Command(CommandKind.BARRIER, comm=comm))
+                engine.submit(
+                    Command(CommandKind.IBARRIER, comm=comm, slot=0)
+                )
             engine.stop()  # dead thread: joins immediately
             return True
 
@@ -112,13 +113,17 @@ class TestEngineDeath:
                 Command(CommandKind.ISEND, comm=comm, buf=np.zeros(1),
                         peer=0, slot=slot)
             )
-            blocking = Command(CommandKind.BARRIER, comm=comm)
+            blocking = Command(
+                CommandKind.IBARRIER, comm=comm, slot=engine.pool.alloc()
+            )
             engine.queue.enqueue(blocking)
             engine._fail_pending(RuntimeError("injected"))
             with pytest.raises(OffloadError):
                 handle.wait(timeout=1)
-            assert blocking.done.is_set()
-            assert blocking.error is not None
+            # the blocking caller's slot, failed as typed as the handle's
+            bslot = engine.pool.slot(blocking.slot)
+            assert bslot.flag.is_set()
+            assert bslot.error is not None
             return True
 
         assert all(run_world_mt(1, prog))
@@ -218,7 +223,9 @@ class TestAbort:
             with pytest.raises(OffloadError):
                 stuck.wait(timeout=5)
             with pytest.raises(OffloadEngineDied):
-                engine.submit(Command(CommandKind.BARRIER, comm=comm))
+                engine.submit(
+                    Command(CommandKind.IBARRIER, comm=comm, slot=0)
+                )
             return True
 
         assert all(run_world_mt(1, prog))
@@ -257,7 +264,9 @@ class TestAbort:
                 with pytest.raises(OffloadEngineDied):
                     h.wait(timeout=5)
             with pytest.raises(OffloadEngineDied):
-                engine.submit(Command(CommandKind.BARRIER, comm=comm))
+                engine.submit(
+                    Command(CommandKind.IBARRIER, comm=comm, slot=0)
+                )
             return True
 
         assert all(run_world_mt(1, prog))

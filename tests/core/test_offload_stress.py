@@ -131,7 +131,6 @@ class TestOffloadEngineStress:
         # backpressure was actually exercised by the tiny ring
         assert snap["queue"]["occupancy_hwm"] <= snap["queue"]["capacity"]
         assert c["testany_sweeps"] > 0
-        assert c["blocking_conversions"] > 0
         # pool conservation: every alloc was released
         assert c["pool_allocated"] == snap["pool"]["allocated"] == 0
         # final (post-shutdown) snapshot from the registry also balances

@@ -23,8 +23,8 @@ def _shard(comm, **kwargs):
     return EnginePool(comm, **kwargs).engines[0]
 
 
-def _call_cmd(fn=lambda: None):
-    return Command(kind=CommandKind.CALL, fn=fn)
+def _call_cmd(engine, fn=lambda: None):
+    return Command(kind=CommandKind.CALL, fn=fn, slot=engine.pool.alloc())
 
 
 class TestDeadEngineRaises:
@@ -33,12 +33,12 @@ class TestDeadEngineRaises:
             engine = _shard(comm, queue_capacity=2, telemetry=True)
             # an unstarted engine accepts commands while the ring has
             # room (they would run at start()) ...
-            engine.submit(_call_cmd())
-            engine.submit(_call_cmd())
+            engine.submit(_call_cmd(engine))
+            engine.submit(_call_cmd(engine))
             # ... but a full ring with no thread to drain it must not
             # spin forever
             with pytest.raises(OffloadEngineDied, match="not started"):
-                engine.submit(_call_cmd())
+                engine.submit(_call_cmd(engine))
             assert engine.queue_full_retries >= 1
             assert engine.stats()["queue_full_retries"] >= 1
             return True
@@ -53,7 +53,7 @@ class TestDeadEngineRaises:
             engine = _shard(comm, queue_capacity=2).start()
             engine.stop()
             with pytest.raises(OffloadEngineDied):
-                engine.submit(_call_cmd())
+                engine.submit(_call_cmd(engine))
             return True
 
         assert all(run_world(1, prog))
@@ -66,15 +66,15 @@ class TestDeadEngineRaises:
             gate = threading.Event()
             engine = _shard(comm, queue_capacity=2).start()
             # wedge the engine on a blocking CALL, then fill the ring
-            engine.submit(_call_cmd(lambda: gate.wait(30)))
+            engine.submit(_call_cmd(engine, lambda: gate.wait(30)))
             time.sleep(0.05)  # let the engine dequeue the wedge
-            engine.submit(_call_cmd())
-            engine.submit(_call_cmd())
+            engine.submit(_call_cmd(engine))
+            engine.submit(_call_cmd(engine))
             raised = []
 
             def producer():
                 try:
-                    engine.submit(_call_cmd())
+                    engine.submit(_call_cmd(engine))
                 except OffloadEngineDied as exc:
                     raised.append(exc)
 
@@ -103,15 +103,13 @@ class TestLiveBackpressure:
                 # engine, the calling thread's shard on a pool)
                 engine = oc.engine.route()
                 # wedge the engine so the ring genuinely fills
-                wedge = Command(
-                    kind=CommandKind.CALL, fn=lambda: gate.wait(30)
-                )
+                wedge = _call_cmd(engine, lambda: gate.wait(30))
                 engine.submit(wedge)
                 done = []
 
                 def producer():
                     for _ in range(12):
-                        engine.submit(_call_cmd())
+                        engine.submit(_call_cmd(engine))
                     done.append(True)
 
                 t = threading.Thread(target=producer)
@@ -125,7 +123,7 @@ class TestLiveBackpressure:
                 assert stats["queue_full_retries"] > 0
                 snap = engine.telemetry_snapshot()
                 assert snap["counters"]["queue_full_retries"] > 0
-                wedge.done.wait(timeout=30)
+                engine.pool.slot(wedge.slot).flag.wait(timeout=30)
             return True
 
         assert all(run_world_mt(1, prog))

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.core.commands import Command, CommandKind
 from repro.core.offload_comm import OffloadCommunicator
-from repro.core.request_pool import OffloadEngineDied
+from repro.core.request_pool import OffloadEngineDied, recovery_wait
 from repro.faults import FaultAction, FaultPlan, FaultRule
 
 from tests.conftest import run_world, run_world_mt
@@ -153,9 +153,8 @@ class TestRetry:
         def prog(comm):
             comm.world.install_faults(plan)
             with offloaded(comm, recovery=rec) as oc:
-                cmd = Command(kind=CommandKind.CALL, fn=lambda: 42)
                 with pytest.raises(OffloadError):
-                    oc._blocking(cmd)
+                    oc._run(lambda: 42)
                 assert oc.engine.route().stats()["retries"] == 0
                 return True
 
@@ -297,18 +296,21 @@ class TestPoolRecovery:
                         Command(
                             kind=CommandKind.CALL,
                             fn=lambda: gate.wait(30),
+                            slot=pool.pool.alloc(),
                         )
                     )
                     time.sleep(0.05)  # shard 0 dequeues the wedge
-                    victim = Command(
-                        kind=CommandKind.CALL, fn=lambda: None
+                    victim = pool.pool.alloc()
+                    shard0.submit(
+                        Command(CommandKind.CALL, fn=lambda: None, slot=victim)
                     )
-                    shard0.submit(victim)
                     t0 = time.perf_counter()
-                    OffloadCommunicator._watchful_wait(shard0, victim, rec)
+                    with pytest.raises(OffloadEngineDied):
+                        recovery_wait(
+                            pool.pool.slot(victim), victim, shard0, None
+                        )
                     # unblocked by the watchdog bound, not the wedge
                     assert time.perf_counter() - t0 < 1.0
-                    assert isinstance(victim.error, OffloadEngineDied)
                     assert shard0.dead is not None
                     assert shard0.stats()["watchdog_trips"] == 1
                     # the pool survives: only every-shard-dead is dead
@@ -335,6 +337,7 @@ class TestPoolRecovery:
                         Command(
                             kind=CommandKind.CALL,
                             fn=lambda: gate.wait(30),
+                            slot=pool.pool.alloc(),
                         )
                     )
                     time.sleep(0.05)
