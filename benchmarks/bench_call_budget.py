@@ -8,8 +8,8 @@ warmed windows of pre-posted ``irecv`` / ``isend`` + ``wait``
 the plain communicator, and records over the same windows the engine's
 substrate entries per command and the substrate's own work per message
 (envelopes handled, send-time copies): fewer calls must be the same
-work.  ``calls_per_msg_telemetry`` prices the telemetry switch (trace
-ring and ring occupancy; the counters are always on).
+work.  ``calls_per_msg_telemetry`` prices the telemetry switch, which
+only files a final snapshot: it counts what the switch off does.
 ``app_calls_per_blocking_rt`` / ``engine_calls_per_blocking_rt`` count
 the blocking path: calls per 8 B ``send``/``recv`` round trip
 (:func:`repro.bench.call_budget.measure_blocking`) — a blocking call

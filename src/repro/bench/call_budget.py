@@ -6,11 +6,11 @@ profile hook on every thread (application *and* engine threads) sums
 ``call`` + ``c_call`` events over warmed windows of pre-posted
 ``irecv`` / ``isend`` + ``wait`` between two ranks — the shape of the
 ``eager_stream`` workload — once through ``offloaded()`` and once
-through the plain communicator.  ``telemetry=True`` prices the switch:
-the trace ring and the ring's occupancy tracking (the counters are
-always on, and cost no call).  Counts, unlike timings, repeat from
-run to run on a drifting box (to a few tenths of a call per message:
-only the number of engine-loop iterations varies).
+through the plain communicator.  ``telemetry=True`` prices the switch,
+which files a final snapshot and changes nothing on the message path:
+it counts what ``telemetry=False`` does.  Counts, unlike timings,
+repeat from run to run on a drifting box (to a few tenths of a call
+per message: only the number of engine-loop iterations varies).
 :func:`measure_blocking` counts the blocking path the same way: calls
 per 8 B ``send``/``recv`` round trip through ``offloaded()``.
 """

@@ -75,6 +75,18 @@ _COUNTS = (
 )
 
 
+def _describe(cmd: Command) -> str:
+    """One line for a pending command: kind, slot, peer/tag, attempts."""
+    desc = f"{cmd.kind.name.lower()}[slot {cmd.slot}]"
+    if cmd.peer >= 0:
+        desc += f" peer={cmd.peer}"
+    if cmd.tag:
+        desc += f" tag={cmd.tag}"
+    if cmd.attempts:
+        desc += f" attempts={cmd.attempts}"
+    return desc
+
+
 def _is_rank_dead(exc: BaseException) -> bool:
     """Is ``exc`` (or its cause chain) a substrate RankDeadError?"""
     from repro.mpisim.exceptions import RankDeadError
@@ -105,9 +117,9 @@ class OffloadEngine:
     queue_capacity:
         Size of the command ring.
     telemetry:
-        Keep a trace ring, track the command ring's occupancy, and file
-        the final snapshot in the :mod:`repro.obs` registry (default:
-        :func:`repro.obs.enabled`).  The counters are always on.
+        File the final snapshot in the :mod:`repro.obs` registry
+        (default: :func:`repro.obs.enabled`).  Nothing else depends on
+        it: the counters are always on and the loop is the same code.
     """
 
     def __init__(
@@ -150,14 +162,15 @@ class OffloadEngine:
         self._retries: list[tuple[float, int, Command]] = []
         self._retry_seq = 0
         self._trip_lock = threading.Lock()
-        if telemetry is None:
-            telemetry = obs.enabled()
-        #: the trace ring (None with telemetry off: every trace site is
-        #: one `is None` check)
-        self.trace = obs.TraceBuffer() if telemetry else None
-        self.queue.track_occupancy = bool(telemetry)
+        #: file the final snapshot in the `repro.obs` registry
+        self.telemetry = obs.enabled() if telemetry is None else telemetry
         for name in _COUNTS:
             setattr(self, name, 0)
+        #: the balance law's counts as one value — (enqueues, drained,
+        #: completions, control, pending) — published by `_publish`
+        #: where every drained command is accounted for; a live
+        #: snapshot reads this, never the counters one by one
+        self._tally = (0, 0, 0, 0, 0)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -216,7 +229,7 @@ class OffloadEngine:
                 pending=pending,
             )
         self._thread = None
-        if self.trace is not None:
+        if self.telemetry:
             obs.record_snapshot(self.telemetry_snapshot())
 
     def abort(
@@ -238,7 +251,7 @@ class OffloadEngine:
                 return
             self._thread = None
         self._fail_pending(exc)
-        if self.trace is not None:
+        if self.telemetry:
             obs.record_snapshot(self.telemetry_snapshot())
 
     def watchdog_trip(self, reason: str) -> None:
@@ -255,10 +268,6 @@ class OffloadEngine:
             if self._dead is not None:
                 return
             self.watchdog_trips += 1
-            if self.trace is not None:
-                self.trace.append(
-                    "watchdog_trip", rank=self.comm.engine.rank
-                )
             exc = OffloadEngineDied(f"watchdog tripped: {reason}")
             self._dead = exc
         self._wake.set()
@@ -275,22 +284,14 @@ class OffloadEngine:
         Read from the caller's thread without synchronization (the
         engine may be mutating concurrently) — diagnostic only.
         """
-        out: list[str] = []
-        for _, cmd in list(self._in_flight):
-            desc = f"{cmd.kind.name.lower()}[slot {cmd.slot}]"
-            if cmd.peer >= 0:
-                desc += f" peer={cmd.peer}"
-            if cmd.tag:
-                desc += f" tag={cmd.tag}"
-            out.append(desc)
+        out = [_describe(cmd) for _, cmd in list(self._in_flight)]
+        out += [f"retry {_describe(cmd)}" for *_, cmd in list(self._retries)]
         queued = len(self.queue)
         if queued:
             out.append(f"{queued} queued command(s)")
         drained = len(self._drained)
         if drained:
             out.append(f"{drained} drained command(s) awaiting dispatch")
-        if self._retries:
-            out.append(f"{len(self._retries)} scheduled retry(s)")
         return out
 
     # ------------------------------------------------------------ submission
@@ -326,10 +327,6 @@ class OffloadEngine:
                 ) from closed
             except QueueFull:
                 self.queue_full_retries += 1
-                if self.trace is not None:
-                    self.trace.append(
-                        "queue_full", rank=self.comm.engine.rank
-                    )
                 if self._dead is not None:
                     raise OffloadEngineDied(
                         f"offload engine terminated with the command "
@@ -362,13 +359,7 @@ class OffloadEngine:
         world.set_funnel_thread(rank, threading.get_ident())
         shutdown = False
         timed_out = False
-        # Share the trace ring with the substrate's progress engine
-        # (trace only; the progress engine keeps its own counters).
         progress_engine = self.comm.engine
-        attached_trace = False
-        if self.trace is not None and progress_engine.trace is None:
-            progress_engine.trace = self.trace
-            attached_trace = True
         # Every arrival at this rank and every completion of a request
         # it owns rings `_wake` for as long as the loop lives.
         progress_engine.add_doorbell(self._wake)
@@ -462,8 +453,7 @@ class OffloadEngine:
             self._fail_pending(died)
         finally:
             progress_engine.remove_doorbell(self._wake)
-            if attached_trace:
-                progress_engine.trace = None
+            self._publish(len(self._in_flight))
             # Restore the funnel designation only if we still hold it —
             # a degraded facade may have re-pointed it at an app thread.
             if world.funnel_thread(rank) == threading.get_ident():
@@ -523,7 +513,6 @@ class OffloadEngine:
         accepted while the engine lived, exactly as if dispatched one
         by one — before the crash kills the loop.
         """
-        trace = self.trace
         faults = self._faults
         live = run  # the admitted: a copy only once one is refused
         n = 0
@@ -531,17 +520,12 @@ class OffloadEngine:
             for cmd in run:
                 n += 1
                 self.commands_processed += 1
-                if trace is not None:
-                    trace.append(
-                        f"dispatch:{cmd.kind.name.lower()}",
-                        rank=self.comm.engine.rank,
-                        slot=cmd.slot,
-                    )
                 if (
                     cmd.deadline is not None
                     and time.perf_counter() > cmd.deadline
                 ):
                     # Sat in the queue (or the retry heap) too long.
+                    self.completions += 1
                     self._expire(cmd)
                 elif (
                     faults is not None
@@ -617,17 +601,12 @@ class OffloadEngine:
             inners, raised = comm._post_run(ops)
         except BaseException as exc:  # noqa: BLE001 - thread-level error
             inners, raised = [exc] * len(posted), True
-        trace = self.trace
         pool = self.pool
         for cmd, inner in zip(posted, inners):
             if raised and isinstance(inner, BaseException):
                 self._command_failed(cmd, inner)
             elif inner.done and cmd.kind.is_send and inner.error is None:
                 self.completions += 1
-                if trace is not None:
-                    trace.append(
-                        "complete", rank=self.comm.engine.rank, slot=cmd.slot
-                    )
                 pool.complete(cmd.slot, inner.status)
             else:
                 self._track(inner, cmd)
@@ -689,19 +668,15 @@ class OffloadEngine:
         return n
 
     def _expire(self, cmd: Command) -> None:
-        """Terminal-fail a command that missed its deadline."""
+        """Publish ``cmd``'s missed deadline (counted by the caller)."""
         self.deadline_expirations += 1
-        if self.trace is not None:
-            self.trace.append(
-                "deadline_expired", rank=self.comm.engine.rank, slot=cmd.slot
-            )
         what = f"offloaded {cmd.kind.name.lower()} missed its deadline"
         if cmd.attempts:
             what += (
                 f" (after {cmd.attempts} "
                 f"retr{'y' if cmd.attempts == 1 else 'ies'})"
             )
-        self._fail(cmd, OffloadTimeout(what))
+        self.pool.fail(cmd.slot, OffloadTimeout(what))
 
     def _dispatch(self, cmd: Command) -> None:
         """Issue one non-p2p command (p2p runs go through `_post_p2p`).
@@ -729,6 +704,7 @@ class OffloadEngine:
         if inner.done:
             # Born complete: no in-flight record to build, sweep over
             # and discard.
+            self.completions += 1
             self._finish(inner, cmd)
             return
         self._in_flight.append((inner, cmd))
@@ -753,50 +729,63 @@ class OffloadEngine:
             # stall): stop touching completion state — the loop exit
             # path fails everything pending exactly once.
             return 0
-        if not self._in_flight:
-            return 0
-        self.progress_sweeps += 1
-        # In-flight depth only grows between sweeps, so its high-water
-        # mark is always the depth some sweep starts with.
-        depth = len(self._in_flight)
-        if depth > self.max_in_flight:
-            self.max_in_flight = depth
         in_flight = self._in_flight
-        gone: list[int] = []  # positions that reached a terminal state
-        now = -1.0
-        soonest = _NEVER
-        for i, (inner, cmd) in enumerate(in_flight):
+        gone: list[int] = []  # positions done or past their deadline
+        depth = 0
+        if in_flight:
+            self.progress_sweeps += 1
+            # In-flight depth only grows between sweeps, so its
+            # high-water mark is always the depth some sweep starts with.
+            depth = len(in_flight)
+            if depth > self.max_in_flight:
+                self.max_in_flight = depth
+            now = -1.0
+            soonest = _NEVER
+            for i, (inner, cmd) in enumerate(in_flight):
+                if inner.done:
+                    gone.append(i)
+                elif cmd.deadline is not None:
+                    if now < 0.0:
+                        now = time.perf_counter()
+                    if now > cmd.deadline:
+                        gone.append(i)
+                    elif cmd.deadline < soonest:
+                        soonest = cmd.deadline
+            self._next_deadline = soonest
+        if not gone:
+            tally = self._tally
+            if (
+                self.completions != tally[2]
+                or self.queue.dequeue_count != tally[1]
+            ):
+                # the batch drained or completed something: the balance
+                # counts moved since the last publish
+                self._publish(depth)
+            return 0
+        # Count and drop, publish, and only then complete: whoever sees
+        # one of these completions reads a tally that holds it.
+        n = len(gone)
+        drop = set(gone)
+        self._in_flight = [e for i, e in enumerate(in_flight) if i not in drop]
+        self.completions += n
+        self._publish(depth - n)
+        for i in gone:
+            inner, cmd = in_flight[i]
             if inner.done:
                 self._finish(inner, cmd)
-                gone.append(i)
-            elif cmd.deadline is not None:
-                if now < 0.0:
-                    now = time.perf_counter()
-                if now > cmd.deadline:
-                    # Cancel what can be cancelled (only receives),
-                    # then fail the waiter with OffloadTimeout.
-                    try:
-                        inner.cancel()
-                    except Exception:  # noqa: BLE001
-                        pass
-                    self._expire(cmd)
-                    gone.append(i)
-                elif cmd.deadline < soonest:
-                    soonest = cmd.deadline
-        if gone:  # rebuilt only by a sweep that finished something
-            drop = set(gone)
-            self._in_flight = [
-                e for i, e in enumerate(in_flight) if i not in drop
-            ]
-        self._next_deadline = soonest
-        return len(gone)
+            else:
+                # Past its deadline: cancel what can be cancelled (only
+                # receives), then fail the waiter with OffloadTimeout.
+                try:
+                    inner.cancel()
+                except Exception:  # noqa: BLE001
+                    pass
+                self._expire(cmd)
+        return n
 
     def _finish(self, inner: "Request", cmd: Command) -> None:
-        self.completions += 1
-        if self.trace is not None:
-            self.trace.append(
-                "complete", rank=self.comm.engine.rank, slot=cmd.slot
-            )
+        """Publish ``inner``'s outcome to ``cmd``'s slot (counted by
+        the caller)."""
         error = inner.error
         if error is not None:
             # e.g. a posted receive whose peer died after dispatch
@@ -808,10 +797,12 @@ class OffloadEngine:
     def _check_flushes(self) -> None:
         if not self._flushes or self._in_flight or not self.queue.empty():
             return
-        for cmd in self._flushes:
-            self.completions += 1
+        flushes = self._flushes
+        self._flushes = []
+        self.completions += len(flushes)
+        self._publish(0)  # as a sweep does: before they are visible
+        for cmd in flushes:
             self.pool.complete(cmd.slot, None)
-        self._flushes.clear()
 
     def _fail_pending(self, exc: BaseException) -> None:
         """Engine died: fail everything in flight, drained and queued.
@@ -832,12 +823,38 @@ class OffloadEngine:
         backlog = list(self._drained)
         self._drained.clear()
         backlog.extend(self.queue.drain_closed())
-        for cmd in backlog + self._flushes:
+        # So were the commands waiting on a flush or out a retry
+        # backoff, which no loop will re-drive now.
+        backlog += self._flushes + [cmd for *_, cmd in self._retries]
+        self._flushes.clear()
+        self._retries.clear()
+        for cmd in backlog:
             if cmd.kind is CommandKind.SHUTDOWN:
                 self.control_commands += 1
             else:
                 self._fail(cmd, exc)
-        self._flushes.clear()
+        self._publish(0)
+
+    def _publish(self, in_flight: int) -> None:
+        """Publish the balance law's counts as one value, ``_tally``.
+
+        Called where every drained command is accounted for: by a sweep
+        or a flush check before what it completes is visible, and when
+        the loop ends.  ``in_flight`` is the posted depth; commands
+        waiting on a flush or a retry backoff are drained but not
+        terminal, so they count as pending too.
+        """
+        if self._flushes or self._retries:
+            in_flight += len(self._flushes) + len(self._retries)
+        queue = self.queue
+        drained = queue.dequeue_count
+        self._tally = (
+            drained + queue._enqueue_pos._value - queue._dequeue_pos,
+            drained,
+            self.completions,
+            self.control_commands,
+            in_flight,
+        )
 
     # ------------------------------------------------------------ stats
 
@@ -874,11 +891,10 @@ class OffloadEngine:
         is a snapshot's ``counters``)."""
         return {**self._own_counts(), **self._shared_counts()}
 
-    def telemetry_snapshot(self, include_trace: bool = False) -> dict:
+    def telemetry_snapshot(self) -> dict:
         """Structured snapshot (counters + queue/pool/progress state).
 
         See :func:`repro.obs.report.snapshot_engine`; the same with the
-        switch on or off, except that only an engine with telemetry on
-        has a trace to include.
+        switch on or off.
         """
-        return obs.snapshot_engine(self, include_trace=include_trace)
+        return obs.snapshot_engine(self)

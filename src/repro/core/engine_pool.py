@@ -277,39 +277,44 @@ class EnginePool:
         return first
 
     def pending_work(self) -> list[str]:
+        """Every shard's pending work, each line prefixed with the
+        shard's index (and its death, if it died)."""
         out: list[str] = []
         for i, e in enumerate(self.engines):
-            out.extend(
-                f"shard {i}: {desc}" for desc in e.pending_work()
-            )
+            who = f"shard {i}"
+            if e._dead is not None:
+                who += f" (dead: {e._dead})"
+            out.extend(f"{who}: {desc}" for desc in e.pending_work())
         return out
+
+    def _pool_rows(self, counters: dict[str, int]) -> dict[str, int]:
+        """``counters`` (shards' counts merged) with the shared request
+        pool and progress engine read once, plus the routing rows."""
+        counters.update(self.engines[0]._shared_counts())
+        counters["engines"] = len(self.engines)
+        counters["router_misroutes"] = self.router.misroutes
+        return counters
 
     def stats(self) -> dict[str, int]:
         """The shards' own counters merged (sums; maxima for peaks),
         the shared request pool and the rank's progress engine read
         once, plus pool-level routing rows."""
-        total = merge_counters([e._own_counts() for e in self.engines])
-        total.update(self.engines[0]._shared_counts())
-        total["engines"] = len(self.engines)
-        total["router_misroutes"] = self.router.misroutes
-        return total
+        return self._pool_rows(
+            merge_counters([e._own_counts() for e in self.engines])
+        )
 
-    def telemetry_snapshot(self, include_trace: bool = False) -> dict:
+    def telemetry_snapshot(self) -> dict:
         """Merged structured snapshot across the pool's shards.
 
         Each shard drains only its own ring, so every shard's snapshot
         balances on its own (its enqueues == its drains == its
         ``commands_processed``) and the merged one does too.  Its
-        ``counters`` are :meth:`stats`.
+        ``counters`` are the shards' snapshot counters merged, with the
+        rows of :meth:`stats` that are the pool's own.
         """
         from repro import obs
 
-        merged = obs.merge(
-            [
-                e.telemetry_snapshot(include_trace=include_trace)
-                for e in self.engines
-            ]
-        )
+        merged = obs.merge([e.telemetry_snapshot() for e in self.engines])
         # Shared sections: every shard snapshotted the same request
         # pool and the same per-rank progress engine; keep one copy
         # instead of an N-fold sum.
@@ -318,12 +323,15 @@ class EnginePool:
             "allocated": self.pool.allocated,
         }
         merged["progress"] = self.comm.engine.counters()
-        merged["counters"] = self.stats()
+        self._pool_rows(merged["counters"])
         return merged
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "EnginePool":
+        """Start every shard, and name the pool's pending work in its
+        rank's hang report (``ProgressEngine.describers``) until
+        :meth:`stop` — a crashed shard's included."""
         started = []
         try:
             for e in self.engines:
@@ -333,6 +341,7 @@ class EnginePool:
             for e in started:
                 e.abort("pool start failed")
             raise
+        self.comm.engine.describers.append(self.pending_work)
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
@@ -343,6 +352,9 @@ class EnginePool:
             except RuntimeError as exc:  # pragma: no cover - watchdog
                 errors.append(exc)
                 e.abort("pool stop escalation")
+        describers = self.comm.engine.describers
+        if self.pending_work in describers:
+            describers.remove(self.pending_work)
         if errors:  # pragma: no cover
             raise errors[0]
 

@@ -66,8 +66,8 @@ def offloaded(
     paper's intercept-at-``MPI_Init``/``MPI_Finalize`` lifecycle).
 
     ``telemetry`` overrides the global :func:`repro.obs.enabled`
-    default for these engines: a trace ring, ring occupancy, and the
-    final snapshot filed in the registry (the counters are always on).
+    default for these engines: whether their final snapshots are filed
+    in the registry (nothing else; the counters are always on).
 
     ``faults`` installs a :class:`repro.faults.plan.FaultPlan` on the
     engines, ``recovery`` a :class:`repro.core.recovery.RecoveryPolicy`,

@@ -23,7 +23,7 @@ module is the caller-side half of surviving either case:
 
 All of it is opt-in and zero-overhead when unused: an engine without a
 recovery policy runs the exact pre-existing hot paths (a single
-``is None`` check at each site, mirroring the telemetry discipline).
+``is None`` check at each site, as for fault plans).
 """
 
 from __future__ import annotations

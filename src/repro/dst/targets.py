@@ -1059,9 +1059,11 @@ class _PlainRing:
 
     The engine loop's look before it calls ``drain`` (``_cells[pos &
     mask].seq == pos + 1``: published) is answered by one cell at
-    position 0 that says whether anything is queued."""
+    position 0 that says whether anything is queued.  The cursors the
+    engine's tally reads stay at zero."""
 
-    _mask = _dequeue_pos = 0
+    _mask = _dequeue_pos = dequeue_count = 0
+    _enqueue_pos = SimpleNamespace(_value=0)
 
     def __init__(self) -> None:
         self._items: deque = deque()

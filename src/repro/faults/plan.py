@@ -22,9 +22,8 @@ those failures *injectable* so the recovery machinery
     engine crashes, and whole-rank crashes, called by the offload
     engine before dispatching each command.
 
-Zero-overhead discipline (mirrors telemetry): when no plan is
-installed, every hook site is a single ``is None`` check; no plan code
-runs.
+Zero-overhead discipline: when no plan is installed, every hook site
+is a single ``is None`` check; no plan code runs.
 
 Determinism: rule eligibility is counted per rule (``after`` / ``count``
 windows) and probabilistic decisions come from one seeded
@@ -371,7 +370,6 @@ class FaultPlan:
         rank = engine.rank
         matured: list[Envelope] = []
         sleep_for = 0.0
-        action: FaultAction | None = None
         with self._lock:
             if self._delayed:
                 now = time.perf_counter()
@@ -392,12 +390,9 @@ class FaultPlan:
                     continue
                 self._count(rule.action)
                 sleep_for = rule.duration
-                action = rule.action
                 break
         if sleep_for > 0.0:
             self._interruptible_sleep(sleep_for, None)
-        if action is not None and engine.trace is not None:
-            engine.trace.append(f"fault:{action.value}", rank=rank)
         return matured
 
     # ------------------------------------------------------ hook: command

@@ -70,9 +70,9 @@ class MPSCQueue(Generic[T]):
         self._dequeue_pos = 0  # single consumer: plain int
         self._closed = False
         self.dequeue_count = 0
-        #: telemetry hook: when True, successful enqueues update the
-        #: occupancy high-water mark (off by default — zero overhead)
-        self.track_occupancy = False
+        #: deepest the ring has been, read by the consumer at the top of
+        #: each drain: occupancy only grows between dequeues, so its
+        #: peak is always the depth some drain starts with
         self.occupancy_hwm = 0
 
     @property
@@ -147,16 +147,6 @@ class MPSCQueue(Generic[T]):
                     if _dst._scheduler is not None:
                         _dst.yield_point("queue.enqueue.publish")
                     cell.seq = pos + 1  # publish
-                    if self.track_occupancy:
-                        # best-effort (racy reads are fine for a hwm)
-                        occ = len(self)
-                        if occ < 1:
-                            # We *just* published, so true occupancy was
-                            # >= 1 at that instant; a racing drain can
-                            # hide it from the sampled read.
-                            occ = 1
-                        if occ > self.occupancy_hwm:
-                            self.occupancy_hwm = occ
                     return
             elif dif < 0:
                 raise QueueFull(
@@ -174,10 +164,14 @@ class MPSCQueue(Generic[T]):
 
         The one dequeue loop, consumer thread only: a drained batch
         costs one call, not one per command, with a yield point before
-        every look at the next cell.
+        every look at the next cell.  It first notes the ring's depth
+        in ``occupancy_hwm``: attribute reads, paid once per batch.
         """
-        out: list[T] = []
         mask = self._mask
+        depth = self._enqueue_pos._value - self._dequeue_pos
+        if depth > self.occupancy_hwm:
+            self.occupancy_hwm = depth if depth <= mask else mask + 1
+        out: list[T] = []
         cells = self._cells
         left = -1 if limit is None else limit
         while left:
@@ -253,9 +247,9 @@ class MPSCQueue(Generic[T]):
 
         The dequeue side is read *first*: between the two reads the
         single consumer can only drain further, so reading it second
-        would transiently under-report (the flappy-``occupancy_hwm``
-        bug).  Read this way the result is an over-estimate during
-        races, clamped to the ring's structural bounds.
+        would transiently under-report.  Read this way the result is an
+        over-estimate during races, clamped to the ring's structural
+        bounds.
         """
         dequeued = self._dequeue_pos
         n = self._enqueue_pos.load() - dequeued

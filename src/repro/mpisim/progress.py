@@ -92,9 +92,10 @@ class ProgressEngine:
         #: deliveries satisfied directly from the sender's user buffer
         #: (one copy total, no intermediate materialization)
         self.payload_zero_copy_hits = 0
-        #: telemetry hook: a :class:`repro.obs.trace.TraceBuffer` an
-        #: offload engine attaches while it runs (else None)
-        self.trace = None
+        #: what is pending on this rank beyond its queues: callables
+        #: returning description lines (an engine pool registers its
+        #: ``pending_work`` while it runs), read by a hang report
+        self.describers: list[Callable[[], list[str]]] = []
         #: fault-injection hook: a :class:`repro.faults.plan.FaultPlan`
         #: the world installs (else None; single `is None` check)
         self.faults = None
@@ -595,10 +596,6 @@ class ProgressEngine:
 
     def _handle(self, env: Envelope) -> None:
         self.envelopes_handled += 1
-        if self.trace is not None:
-            self.trace.append(
-                f"envelope:{env.kind.name.lower()}", rank=self.rank
-            )
         if env.revoked:
             # Piggybacked revoke notice: the sender knew these cids
             # were revoked when it sent — learn them before handling,

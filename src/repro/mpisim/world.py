@@ -339,13 +339,19 @@ class World:
             t.join(max(0.0, remaining))
             if t.is_alive():
                 where = "unbound" if binding is None else f"CPU {binding[r]}"
+                engine = self.engines[r]
+                what = f"queues: {engine.pending_counts()}"
+                # what the rank's offload engines still hold
+                offload = [
+                    ln for d in list(engine.describers) for ln in d()
+                ]
+                if offload:
+                    what += f"; offload: {'; '.join(offload)}"
                 failures.setdefault(
                     r,
                     TimeoutError(
                         f"rank {r} ({where}) did not finish "
-                        f"within {timeout}s "
-                        f"(likely deadlock); queues: "
-                        f"{self.engines[r].pending_counts()}"
+                        f"within {timeout}s (likely deadlock); {what}"
                     ),
                 )
         # Snapshot under the death lock: a straggler fault-injection

@@ -1,4 +1,4 @@
-"""Observability for the offload stack (counters, traces, reports).
+"""Observability for the offload stack (counters and reports).
 
 The paper's claims are statements about *internal engine behavior* —
 queue occupancy, Testany sweep frequency, rendezvous progress during
@@ -8,18 +8,16 @@ behavior observable:
 * :mod:`repro.obs.counters` — the counter glossary, plus per-thread
   counter sets for owners that keep no attribute of their own (fault
   plans, checkpoint stores, the DST explorer);
-* :mod:`repro.obs.trace` — a bounded ring of structured trace events
-  with JSON export;
 * :mod:`repro.obs.report` — snapshot / merge / render helpers plus the
   process-global registry benchmarks drain.
 
 The offload stack's counters are always on: each is a plain int
 attribute of the object that owns the event, or a value read from the
 structure that holds the fact (DESIGN.md §9).  The telemetry switch
-decides only whether an engine keeps a trace ring, whether its ring
-tracks occupancy, and whether its final snapshot is filed in the
-registry.  Engines read the default from :func:`enabled` once at
-construction; scope it with :func:`telemetry`, or pass ``telemetry=``
+decides only whether an engine's final snapshot is filed in the
+registry: the engine runs the same code either way.  Engines read the
+default from :func:`enabled` once at construction; scope it with
+:func:`telemetry`, or pass ``telemetry=``
 to :class:`~repro.core.engine.OffloadEngine` /
 :func:`~repro.core.interpose.offloaded`.
 """
@@ -30,7 +28,6 @@ import contextlib
 from typing import Iterator
 
 from repro.obs.counters import COUNTER_GLOSSARY, Counters, merge_counters
-from repro.obs.trace import DEFAULT_TRACE_CAPACITY, TraceBuffer, TraceEvent
 from repro.obs.report import (
     check_balance,
     drain_snapshots,
@@ -64,9 +61,6 @@ def telemetry(on: bool = True) -> Iterator[None]:
 __all__ = [
     "COUNTER_GLOSSARY",
     "Counters",
-    "DEFAULT_TRACE_CAPACITY",
-    "TraceBuffer",
-    "TraceEvent",
     "check_balance",
     "drain_snapshots",
     "enabled",

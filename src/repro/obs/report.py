@@ -23,24 +23,34 @@ from repro.obs.counters import COUNTER_GLOSSARY, merge_counters
 _DICT_SECTIONS = ("counters", "queue", "pool", "progress")
 
 
-def snapshot_engine(engine: Any, include_trace: bool = False) -> dict:
+def snapshot_engine(engine: Any) -> dict:
     """Capture one :class:`~repro.core.engine.OffloadEngine`'s state.
 
-    Works on any object with the engine's surface (``stats``, ``trace``,
-    ``queue``, ``pool``, ``comm``, ``_in_flight``); the duck typing
-    keeps this module free of imports from :mod:`repro.core`.  Its
-    ``counters`` are the engine's ``stats()``: one function builds both
-    views, with the switch on or off.
+    Works on any object with the engine's surface (``stats``,
+    ``_tally``, ``queue``, ``pool``, ``comm``, ``cpus``); the duck
+    typing keeps this module free of imports from :mod:`repro.core`.
+    Its ``counters`` are the engine's ``stats()``, except that the
+    balance law's counts and ``in_flight`` come from the one value the
+    engine loop last published (``_tally``), so a snapshot of a live
+    engine balances whenever the loop did.
     """
     queue = engine.queue
     progress = engine.comm.engine
-    snap: dict = {
+    enqueued, drained, completions, control, in_flight = engine._tally
+    counters = engine.stats()
+    counters.update(
+        enqueues=enqueued,
+        commands_drained=drained,
+        completions=completions,
+        control_commands=control,
+    )
+    return {
         "rank": progress.rank,
         "ranks": [progress.rank],
         # where the engine thread ran (None: not started, or no mask)
         "cpus": engine.cpus,
-        "counters": engine.stats(),
-        "in_flight": len(engine._in_flight),
+        "counters": counters,
+        "in_flight": in_flight,
         "queue": {
             "capacity": queue.capacity,
             "occupancy": len(queue),
@@ -52,10 +62,6 @@ def snapshot_engine(engine: Any, include_trace: bool = False) -> dict:
         },
         "progress": progress.counters(),
     }
-    trace = engine.trace
-    if include_trace and trace is not None:
-        snap["trace"] = trace.to_dicts()
-    return snap
 
 
 def merge(snapshots: "list[dict]") -> dict:
@@ -65,17 +71,6 @@ def merge(snapshots: "list[dict]") -> dict:
     capacities sum (they are per-engine resources); rank lists and the
     engine threads' CPU masks union.
     """
-    if not snapshots:
-        return {
-            "ranks": [],
-            "cpus": [],
-            "counters": {},
-            "in_flight": 0,
-            "queue": {},
-            "pool": {},
-            "progress": {},
-            "engines": 0,
-        }
     out: dict = {
         "ranks": sorted(
             {r for s in snapshots for r in s.get("ranks", [])}

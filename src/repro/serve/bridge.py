@@ -189,8 +189,8 @@ class AsyncOffloadEngine:
         return await self.awaitable(self.ocomm.isend_obj(obj, dest, tag))
 
     def telemetry_snapshot(self) -> dict:
-        """Merged engine snapshot (pool-merged when sharded); its
-        ``counters`` are :meth:`stats`."""
+        """Merged engine snapshot (pool-merged when sharded), with
+        ``loop_crossings`` among its ``counters``."""
         snap = self.ocomm.engine.telemetry_snapshot()
         snap["counters"]["loop_crossings"] = self.loop_crossings
         return snap

@@ -17,9 +17,12 @@ from repro.core import (
     offloaded,
 )
 from repro.core.commands import Command, CommandKind
+from repro.core.engine import OffloadEngine
 from repro.core.offload_comm import OffloadCommunicator
 from repro.core.request_pool import OffloadEngineDied, recovery_wait
 from repro.faults import FaultAction, FaultPlan, FaultRule
+from repro.mpisim import THREAD_MULTIPLE, World
+from repro.mpisim.exceptions import WorldError
 
 from tests.conftest import run_world, run_world_mt
 
@@ -128,6 +131,44 @@ class TestRetry:
 
         assert all(run_world_mt(1, prog))
 
+    def test_crash_fails_a_scheduled_retry(self):
+        """A command waiting out its backoff when its shard crashes is
+        failed with everything else the shard held: its slot ends
+        ``OffloadEngineDied`` and goes back to the pool (the serve
+        stall: five such slots stayed allocated, their awaiters
+        pending, forever)."""
+        plan = FaultPlan(
+            [
+                FaultRule(FaultAction.COMMAND_ERROR, kind="isend", count=1),
+                FaultRule(FaultAction.ENGINE_CRASH, kind="call", count=1),
+            ]
+        )
+        rec = RecoveryPolicy(
+            retry=RetryPolicy(base_backoff=30.0, max_backoff=30.0)
+        )
+
+        def prog(comm):
+            comm.world.install_faults(plan)
+            with offloaded(comm, recovery=rec, pool_size=1) as oc:
+                engine = oc.engine.route()
+                s = oc.isend(np.ones(1), 0, tag=1)
+                deadline = time.perf_counter() + 5.0
+                while not engine._retries:
+                    assert time.perf_counter() < deadline
+                    time.sleep(0.002)
+                with pytest.raises(OffloadError):
+                    oc._run(lambda: None)  # the crash
+                _await_dead(engine)
+                slot = oc.engine.pool.slot(s._idx)
+                assert slot.flag.is_set()
+                assert isinstance(slot.error, OffloadEngineDied)
+                assert engine._retries == []
+                with pytest.raises(OffloadEngineDied):
+                    s.wait(timeout=10)
+                return oc.engine.pool.allocated
+
+        assert run_world_mt(1, prog) == [0]
+
     def test_no_retry_without_policy(self):
         plan = FaultPlan(
             [FaultRule(FaultAction.COMMAND_ERROR, kind="isend", count=1)]
@@ -159,6 +200,76 @@ class TestRetry:
                 return True
 
         assert all(run_world_mt(1, prog))
+
+
+class _KeepRetriesEngine(OffloadEngine):
+    """``_fail_pending`` without its retry sweep: a command waiting out
+    its backoff when the shard dies is left scheduled, and no loop will
+    ever re-drive it."""
+
+    def _fail_pending(self, exc: BaseException) -> None:
+        kept = list(self._retries)
+        self._retries.clear()
+        super()._fail_pending(exc)
+        self._retries[:] = kept
+
+
+class TestHangReport:
+    def test_world_timeout_names_the_stuck_retry(self):
+        """With the retry sweep re-disabled the slot never completes;
+        the rank's ``World.run`` timeout names the shard (and its
+        death), the slot and the scheduled retry."""
+        plan = FaultPlan(
+            [
+                FaultRule(FaultAction.COMMAND_ERROR, kind="isend", count=1),
+                FaultRule(FaultAction.ENGINE_CRASH, kind="call", count=1),
+            ]
+        )
+        rec = RecoveryPolicy(
+            retry=RetryPolicy(base_backoff=30.0, max_backoff=30.0)
+        )
+        release, finished = threading.Event(), threading.Event()
+        seen = {}
+
+        def prog(comm):
+            comm.world.install_faults(plan)
+            pool = EnginePool(comm, pool_size=2, router="thread",
+                              recovery=rec)
+            for e in pool.engines:
+                e.__class__ = _KeepRetriesEngine
+            oc = OffloadCommunicator(comm, pool.start())
+            try:
+                s = oc.isend(np.ones(1), 0, tag=7)
+                engine = pool.route()
+                seen["shard"] = pool.engines.index(engine)
+                seen["slot"] = s._idx
+                deadline = time.perf_counter() + 5.0
+                while not engine._retries:
+                    assert time.perf_counter() < deadline
+                    time.sleep(0.002)
+                with pytest.raises(OffloadError):
+                    oc._run(lambda: None)  # the crash
+                _await_dead(engine)
+                # an awaiter without a recovery policy (the asyncio
+                # bridge's) waits on a flag the dead shard never sets
+                flag = pool.pool.slot(s._idx).flag
+                while not (flag.wait(0.05) or release.is_set()):
+                    pass
+            finally:
+                pool.stop()
+                finished.set()
+
+        world = World(1, thread_level=THREAD_MULTIPLE)
+        try:
+            with pytest.raises(WorldError) as info:
+                world.run(prog, timeout=1.0)
+        finally:
+            release.set()
+            assert finished.wait(10)
+        msg = str(info.value)
+        shard, slot = seen["shard"], seen["slot"]
+        assert f"shard {shard} (dead: " in msg, msg
+        assert f"retry isend[slot {slot}] peer=0 tag=7 attempts=1" in msg
 
 
 class TestWatchdog:

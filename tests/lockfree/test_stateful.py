@@ -151,7 +151,7 @@ class TestQueueConcurrentProperties:
 
     Invariants: nothing lost, nothing duplicated, items from any one
     producer dequeue in that producer's order (per-producer FIFO), and
-    the tracked occupancy high-water mark never exceeds capacity.
+    the occupancy high-water mark never exceeds capacity.
     """
 
     NPRODUCERS = 4
@@ -161,7 +161,6 @@ class TestQueueConcurrentProperties:
     def test_no_loss_no_dup_fifo_per_producer(self, test_seed):
         seed = test_seed
         q: MPSCQueue = MPSCQueue(16)
-        q.track_occupancy = True
         consumed: list[tuple[int, int]] = []
         stop = threading.Event()
 

@@ -1,5 +1,7 @@
 """Snapshot / merge / render / registry tests against real engines."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,70 @@ class TestSnapshot:
             assert ok, detail
 
 
+def _settled(snap: dict) -> bool:
+    """The balance law's half that holds under traffic: every drained
+    command is terminal, engine control, or still pending."""
+    c = snap["counters"]
+    return (
+        c["enqueues"] >= c["commands_drained"]
+        == c["completions"] + c["control_commands"] + snap["in_flight"]
+    )
+
+
+class TestLiveSnapshot:
+    @pytest.mark.parametrize("pool_size", [1, 2])
+    def test_snapshots_sampled_under_traffic_balance(self, pool_size):
+        """A sampler thread snapshots the pool and each shard while the
+        rank exchanges windows of messages and collectives: every
+        snapshot balances, because its counts and depth are the one
+        value the loop last published, never a read of counters the
+        loop is moving (ROADMAP item 2(f))."""
+
+        def prog(comm):
+            peer = (comm.rank + 1) % comm.size
+            src = (comm.rank - 1) % comm.size
+            with offloaded(comm, telemetry=False, pool_size=pool_size) as oc:
+                stop = threading.Event()
+                bad: list = []
+                samples = [0]
+
+                def sample():
+                    while not stop.is_set():
+                        pool = oc.engine
+                        for snap in [pool.telemetry_snapshot()] + [
+                            e.telemetry_snapshot() for e in pool.engines
+                        ]:
+                            if not _settled(snap):
+                                bad.append(snap)
+                        samples[0] += 1
+
+                sampler = threading.Thread(target=sample)
+                sampler.start()
+                try:
+                    for rnd in range(30):
+                        reqs = [
+                            oc.irecv(np.empty(8), src, tag=rnd)
+                            for _ in range(8)
+                        ] + [
+                            oc.isend(np.ones(8), peer, tag=rnd)
+                            for _ in range(8)
+                        ]
+                        for r in reqs:
+                            r.wait(timeout=30)
+                        if rnd % 5 == 4:
+                            oc.allreduce(np.array([1.0]))
+                        oc.flush()
+                finally:
+                    stop.set()
+                    sampler.join(30)
+                assert not sampler.is_alive()
+                return bad[:1], samples[0]
+
+        for bad, samples in run_world_mt(2, prog):
+            assert samples > 0
+            assert not bad, obs.render(bad[0])
+
+
 class TestMergeRender:
     def test_merge_sums_and_unions_ranks(self):
         snaps = _run_some_traffic()
@@ -166,8 +232,9 @@ class TestGlobalToggle:
     def test_engine_picks_up_global_default(self):
         def prog(comm):
             with obs.telemetry(True):
-                with offloaded(comm) as oc:
+                with offloaded(comm, pool_size=1) as oc:
                     oc.allreduce(np.array([1.0]))
-                    return oc.engine.route().trace is not None
 
-        assert all(run_world_mt(2, prog))
+        run_world_mt(2, prog)
+        # one final snapshot filed per engine (2 ranks x 1 engine)
+        assert len(obs.drain_snapshots()) == 2
