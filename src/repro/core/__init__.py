@@ -14,10 +14,11 @@ Highlights, mapped to the paper:
   an :class:`~repro.core.engine_pool.EnginePool`, the rank's engine
   holder — a pool of one is the paper's one offload thread, N routed
   shards its §7 several.
-* :class:`~repro.core.request_pool.OffloadRequestPool` — pre-allocated
+* :class:`~repro.core.request_pool.OffloadRequestPool` — pre-built
   array-based free list of request slots so nonblocking calls return a
-  handle before MPI has been invoked (§3.1); a slot's done flag is the
-  one completion channel between engine and caller.
+  handle before MPI has been invoked (§3.1); a slot is built on its
+  first hand-out, and its done flag is the one completion channel
+  between engine and caller.
 * :class:`~repro.core.offload_comm.OffloadCommunicator` — the facade
   that turns an ordinary communicator's API into enqueued commands;
   a blocking call submits its nonblocking equivalent and waits on the

@@ -278,6 +278,19 @@ class OffloadEngine:
                 return
         self._fail_pending(exc)
 
+    def _die(self, exc: BaseException) -> BaseException:
+        """Mark the engine dead of ``exc`` (once per crash: see
+        ``_post_run``) and return the death, an OffloadEngineDied."""
+        died = self._dead
+        if died is None or (died is not exc and died.__cause__ is not exc):
+            if isinstance(exc, OffloadEngineDied):
+                died = exc
+            else:
+                died = OffloadEngineDied(f"offload thread crashed: {exc!r}")
+                died.__cause__ = exc
+            self._dead = died
+        return died
+
     def pending_work(self) -> list[str]:
         """Best-effort descriptions of everything not yet terminal.
 
@@ -384,7 +397,7 @@ class OffloadEngine:
                 # published? — is made here, so an empty ring is no call
                 # (a publish after it rings `_wake`, cleared above).
                 pos = queue._dequeue_pos
-                published = queue._cells[pos & queue._mask].seq == pos + 1
+                published = queue._seqs[pos & queue._mask] == pos + 1
                 batch = queue.drain(_BATCH) if published else ()
                 more = False
                 if batch:
@@ -442,15 +455,7 @@ class OffloadEngine:
                 # everything pending from here.
                 self._fail_pending(self._dead)
         except BaseException as exc:  # noqa: BLE001 - reported via slots
-            if isinstance(exc, OffloadEngineDied):
-                died = exc
-            else:
-                died = OffloadEngineDied(
-                    f"offload thread crashed: {exc!r}"
-                )
-                died.__cause__ = exc
-            self._dead = died
-            self._fail_pending(died)
+            self._fail_pending(self._die(exc))
         finally:
             progress_engine.remove_doorbell(self._wake)
             self._publish(len(self._in_flight))
@@ -545,6 +550,9 @@ class OffloadEngine:
                 if live is run:
                     live = run[: n - 1]
         except BaseException as crash:
+            # Dead before the crashing command's failure is visible, so
+            # no caller reacting to it routes its next command here.
+            self._die(crash)
             self._command_failed(cmd, crash)
             self._drained.extendleft(reversed(run[n:]))
             if live is run:

@@ -1,10 +1,18 @@
-"""Pre-allocated request slots for offloaded nonblocking calls.
+"""Request slots for offloaded nonblocking calls.
 
 Paper §3.1: a nonblocking offloaded call must return an ``MPI_Request``
 to the application *before* the offload thread has invoked MPI, so no
-real request exists yet.  The library therefore pre-allocates an array
-of request objects, managed as an array-based singly linked free list,
+real request exists yet.  The library therefore keeps an array of
+request objects, managed as an array-based singly linked free list,
 and returns the slot *index* as the application-visible request.
+
+The free list is pre-built (its ``next`` array costs a fraction of a
+millisecond at the default 4096); the slots are not.  A slot — a
+Python object with a done flag and a lock — is built the first time
+its index leaves the shared list, so a rank pays for the slots it
+uses, not for ``capacity``.  The list hands untouched indices out in
+ascending order and reuses freed ones last-in first-out, so the built
+prefix tracks peak concurrency plus what the per-thread caches park.
 
 Here the application-visible handle is :class:`OffloadRequest`, which
 wraps a slot index and exposes ``test``/``wait`` that — per §3.2 —
@@ -98,7 +106,7 @@ class _Stash(list):
 
 
 class OffloadRequestPool:
-    """Fixed-size pool of slots behind a lock-free free list.
+    """Fixed-capacity pool of slots behind a lock-free free list.
 
     A slot's done flag is a word (:class:`AtomicFlag`): building the
     pool allocates no condition variable per slot, completing a slot
@@ -125,7 +133,10 @@ class OffloadRequestPool:
         self._freelist: FreeList[None] = FreeList(capacity)
         #: the free list's ownership ledger (flipped inline when cached)
         self._live = self._freelist._live
-        self._slots = [_Slot() for _ in range(capacity)]
+        #: slot *i* for every index ever handed out; grown only by
+        #: appending (see `_grow`), so a slot never moves
+        self._slots: list[_Slot] = []
+        self._grow_lock = threading.Lock()
         self._cache_size = max(0, cache_size)
         self._local = threading.local()
         #: stashes of threads that have exited (see :class:`_Stash`)
@@ -151,7 +162,10 @@ class OffloadRequestPool:
         """Claim a slot index; raises :class:`FreeListExhausted`."""
         try:
             if not self._cache_size:
-                return self._freelist.alloc()
+                idx = self._freelist.alloc()
+                if idx >= len(self._slots):
+                    self._grow(idx)
+                return idx
             try:
                 cache = self._local.cache
             except AttributeError:
@@ -171,7 +185,13 @@ class OffloadRequestPool:
         back onto the list (one CAS per dead thread)."""
         orphans = self._orphans
         try:
-            cache.extend(self._freelist.pop_batch(self._cache_size))
+            chunk = self._freelist.pop_batch(self._cache_size)
+            # Untouched indices sit below every freed one on the list,
+            # in ascending order: a chunk's last index is its highest
+            # unbuilt one, if it has any.
+            if chunk[-1] >= len(self._slots):
+                self._grow(chunk[-1])
+            cache.extend(chunk)
             self.refills += 1
         except FreeListExhausted:
             if not orphans:
@@ -183,6 +203,15 @@ class OffloadRequestPool:
                     break
                 self._freelist.push_batch(chunk)
             self._refill(cache)
+
+    def _grow(self, top: int) -> None:
+        """Build the slots up to index ``top``, once: the lock makes
+        two racing refills append each slot exactly once, in index
+        order, so an index handed out always finds its own slot."""
+        slots = self._slots
+        with self._grow_lock:
+            while len(slots) <= top:
+                slots.append(_Slot())
 
     def slot(self, idx: int) -> _Slot:
         return self._slots[idx]

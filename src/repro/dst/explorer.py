@@ -21,11 +21,23 @@ failure line is a complete reproduction recipe.
 Counters (``schedules_explored``, ``yields``,
 ``lin_histories_checked``) follow the :mod:`repro.obs` conventions and
 are exposed on :attr:`Explorer.counters`.
+
+Placement: a schedule is a chain of hand-offs between the driving loop
+and one virtual thread at a time, and a hand-off costs a few
+microseconds between threads on one CPU but can cost tens across two.
+So :meth:`Explorer.run` explores on a thread of its own bound to the
+first CPU of the caller's mask — the rule ``World.run`` applies to the
+rank of a one-rank world (DESIGN.md §21) — and every virtual thread,
+spawned from there, inherits that CPU.  The caller's own mask is never
+changed; where the affinity call is missing or refused, exploration
+runs unbound.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -56,6 +68,30 @@ _SEED_STRIDE = 1_000_003
 def derive_seed(base_seed: int, run_index: int) -> int:
     """The seed of run ``run_index`` under base seed ``base_seed``."""
     return base_seed * _SEED_STRIDE + run_index
+
+
+def _on_one_cpu(fn: Callable[[], Any]) -> Any:
+    """``fn()`` on a thread bound to the first CPU of the caller's mask
+    (see the module docstring): its result, or its exception raised."""
+    out: list[tuple[bool, Any]] = []
+
+    def body() -> None:
+        try:  # the new thread starts with the caller's mask
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        except (AttributeError, OSError):
+            pass  # no affinity call, or refused: explore unbound
+        try:
+            out.append((True, fn()))
+        except BaseException as exc:  # noqa: BLE001 - raised below
+            out.append((False, exc))
+
+    thread = threading.Thread(target=body, name="dst-explorer", daemon=True)
+    thread.start()
+    thread.join()
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
 
 
 @dataclass
@@ -209,6 +245,9 @@ class Explorer:
 
     def run(self) -> ExplorationResult:
         """Explore up to ``schedules`` schedules; stop on first violation."""
+        return _on_one_cpu(self._explore)
+
+    def _explore(self) -> ExplorationResult:
         total_steps = 0
         total_yields = 0
         runs = 0

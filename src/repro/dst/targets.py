@@ -284,10 +284,7 @@ class _EngineCrashProgram:
                     lambda: self._submitted_all or not eng.queue.empty()
                 )
         except _dst.ScheduledCrash as exc:
-            died = OffloadEngineDied(f"offload thread crashed: {exc!r}")
-            died.__cause__ = exc
-            eng._dead = died
-            eng._fail_pending(died)
+            eng._fail_pending(eng._die(exc))
 
 
 class _DropTailEngine(OffloadEngine):
@@ -1057,10 +1054,10 @@ class _PlainRing:
     publish.  The MPSC ring's own interleavings belong to the queue
     targets; leaving them out keeps this schedule tree enumerable.
 
-    The engine loop's look before it calls ``drain`` (``_cells[pos &
-    mask].seq == pos + 1``: published) is answered by one cell at
-    position 0 that says whether anything is queued.  The cursors the
-    engine's tally reads stay at zero."""
+    The engine loop's look before it calls ``drain`` (``_seqs[pos &
+    mask] == pos + 1``: published) is answered by one sequence number
+    at position 0 that says whether anything is queued.  The cursors
+    the engine's tally reads stay at zero."""
 
     _mask = _dequeue_pos = dequeue_count = 0
     _enqueue_pos = SimpleNamespace(_value=0)
@@ -1070,8 +1067,8 @@ class _PlainRing:
         self._closed = False
 
     @property
-    def _cells(self) -> list:
-        return [SimpleNamespace(seq=1 if self._items else 0)]
+    def _seqs(self) -> list:
+        return [1 if self._items else 0]
 
     def enqueue(self, value: Any) -> None:
         if self._closed:

@@ -7,11 +7,14 @@ offload thread dequeues them.
 
 The implementation is Dmitry Vyukov's bounded MPMC queue specialized
 for one consumer: a circular array of cells, each carrying a sequence
-number.  A producer claims a slot by CAS on the enqueue ticket, writes
-its payload, then publishes by advancing the cell's sequence.  The
-consumer reads cells in ticket order, waiting only on the *publication*
-of the specific cell it needs.  ABA is impossible because sequence
-numbers increase monotonically (by ``capacity`` per wrap).
+number.  Cell *i* is an entry in each of two flat arrays, its sequence
+number ``_seqs[i]`` and its value ``_vals[i]`` — no object per cell, so
+building a ring is two list constructions.  A producer claims a cell
+by CAS on the enqueue ticket, writes its payload, then publishes by
+advancing the cell's sequence.  The consumer reads cells in ticket
+order, waiting only on the *publication* of the specific cell it needs.
+ABA is impossible because sequence numbers increase monotonically (by
+``capacity`` per wrap).
 
 One consumer per ring, always: an engine pool gives each shard its own
 ring and never lets a sibling dequeue from it, so the dequeue cursor is
@@ -43,14 +46,6 @@ class QueueClosed(Exception):
     """Raised when enqueueing to a closed queue."""
 
 
-class _Cell:
-    __slots__ = ("seq", "value")
-
-    def __init__(self, seq: int) -> None:
-        self.seq = seq  # published via GIL-atomic attribute store
-        self.value: Any = None
-
-
 class MPSCQueue(Generic[T]):
     """Lock-free bounded queue, many producers / one consumer.
 
@@ -65,7 +60,10 @@ class MPSCQueue(Generic[T]):
         if capacity <= 0 or capacity & (capacity - 1):
             raise ValueError("capacity must be a positive power of two")
         self._mask = capacity - 1
-        self._cells = [_Cell(i) for i in range(capacity)]
+        #: cell *i*'s sequence number (published by a GIL-atomic
+        #: item store) and value
+        self._seqs = list(range(capacity))
+        self._vals: list[Any] = [None] * capacity
         self._enqueue_pos = AtomicCounter(0)
         self._dequeue_pos = 0  # single consumer: plain int
         self._closed = False
@@ -115,6 +113,7 @@ class MPSCQueue(Generic[T]):
         if self._closed:
             raise QueueClosed("command queue is closed")
         ticket = self._enqueue_pos
+        seqs = self._seqs
         while True:
             # Relaxed load (``AtomicCounter.load`` minus its lock, same
             # yield point): the CAS below is the atomic step, and a
@@ -122,8 +121,8 @@ class MPSCQueue(Generic[T]):
             if _dst._scheduler is not None:
                 _dst.yield_point("counter.load")
             pos = ticket._value
-            cell = self._cells[pos & self._mask]
-            dif = cell.seq - pos
+            i = pos & self._mask
+            dif = seqs[i] - pos
             if dif == 0:
                 ok, _ = ticket.compare_and_swap(pos, pos + 1)
                 if ok:
@@ -138,15 +137,15 @@ class MPSCQueue(Generic[T]):
                         # might never be read again.  Publish a
                         # tombstone (the ring must stay well-formed) and
                         # reject, rather than lose the item.
-                        cell.value = _TOMBSTONE
-                        cell.seq = pos + 1
+                        self._vals[i] = _TOMBSTONE
+                        seqs[i] = pos + 1
                         raise QueueClosed(
                             "command queue closed during enqueue"
                         )
-                    cell.value = value
+                    self._vals[i] = value
                     if _dst._scheduler is not None:
                         _dst.yield_point("queue.enqueue.publish")
-                    cell.seq = pos + 1  # publish
+                    seqs[i] = pos + 1  # publish
                     return
             elif dif < 0:
                 raise QueueFull(
@@ -172,18 +171,19 @@ class MPSCQueue(Generic[T]):
         if depth > self.occupancy_hwm:
             self.occupancy_hwm = depth if depth <= mask else mask + 1
         out: list[T] = []
-        cells = self._cells
+        seqs = self._seqs
+        vals = self._vals
         left = -1 if limit is None else limit
         while left:
             if _dst._scheduler is not None:
                 _dst.yield_point("queue.dequeue")
             pos = self._dequeue_pos
-            cell = cells[pos & mask]
-            if cell.seq - (pos + 1) != 0:
+            i = pos & mask
+            if seqs[i] - (pos + 1) != 0:
                 break
-            value = cell.value
-            cell.value = None  # drop the reference promptly
-            cell.seq = pos + mask + 1  # recycle the slot
+            value = vals[i]
+            vals[i] = None  # drop the reference promptly
+            seqs[i] = pos + mask + 1  # recycle the cell
             self._dequeue_pos = pos + 1
             if value is _TOMBSTONE:
                 # A producer rejected by a concurrent close() published
@@ -228,9 +228,9 @@ class MPSCQueue(Generic[T]):
                 # stays finite.  Every claimed ticket publishes a
                 # value or a tombstone, so this cannot deadlock.
                 pos = self._dequeue_pos
-                cell = self._cells[pos & self._mask]
+                seqs, i = self._seqs, pos & self._mask
                 want = pos + 1
-                _dst.wait_until(lambda: cell.seq == want)
+                _dst.wait_until(lambda: seqs[i] == want)
                 continue
             now = time.perf_counter()
             if deadline is None:

@@ -8,7 +8,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import OffloadError, RecoveryPolicy, offloaded
+from repro.core import (
+    OffloadError,
+    OffloadRequestPool,
+    RecoveryPolicy,
+    offloaded,
+)
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule
 from tests.conftest import run_world_mt
 
@@ -66,6 +71,40 @@ class TestOneDeadShard:
         )
 
 
+    def test_crashing_shard_is_dead_when_its_failure_is_published(
+        self, monkeypatch
+    ):
+        """The crashing command's failure is the first one published,
+        and by then its shard reads dead: a caller reacting to the
+        failure cannot route its next command to the dying shard."""
+        plan = FaultPlan(
+            [FaultRule(FaultAction.ENGINE_CRASH, rank=0, count=1)]
+        )
+        shards: list = []
+        dead_at_fail: list[int] = []
+        fail = OffloadRequestPool.fail
+
+        def watched_fail(pool, idx, error):
+            dead_at_fail.append(sum(e.dead is not None for e in shards))
+            fail(pool, idx, error)
+
+        monkeypatch.setattr(OffloadRequestPool, "fail", watched_fail)
+        rec = RecoveryPolicy(degrade=False, poll_interval=5e-3)
+
+        def prog(comm):
+            comm.world.install_faults(plan)
+            with offloaded(
+                comm, pool_size=2, recovery=rec, op_timeout=10.0
+            ) as oc:
+                shards.extend(oc.engine.engines)
+                with pytest.raises(OffloadError):
+                    oc.iprobe(0, tag=0)
+            return True
+
+        assert all(run_world_mt(1, prog, zero_copy=True, timeout=60))
+        assert dead_at_fail[0] == 1
+
+
 class TestAllShardsDead:
     def test_degraded_inline_zero_copy_ops_still_complete(self):
         """Every shard dead → the facade degrades to inline issuance;
@@ -86,9 +125,15 @@ class TestAllShardsDead:
                     # each failing dispatch kills the shard that ran
                     # it; routing then only offers the survivor, so
                     # two failures leave no shard alive
-                    for _ in range(2):
+                    for i in range(2):
                         with pytest.raises(OffloadError):
                             oc.iprobe(0, tag=1)
+                        if i == 0:
+                            # no wait: a shard is dead before its
+                            # crashing command's failure is visible
+                            shards = oc.engine.engines
+                            dead = [e.dead is not None for e in shards]
+                            assert dead.count(True) == 1, dead
                     _await_pool_dead(oc.engine)
                 out = oc.allreduce(np.full(32, float(comm.rank + 1)))
                 np.testing.assert_array_equal(out, np.full(32, 3.0))

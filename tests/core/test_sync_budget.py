@@ -6,7 +6,10 @@ waiter deque.  These tests count constructions, not time: every
 ``threading.Condition()`` (which ``Event()`` also goes through) made
 anywhere in the process while a warmed ``isend``/``irecv``/``wait``
 window runs on two ranks — application threads and engine threads
-alike — and while a request pool is built.
+alike — and while a request pool is built.  A pool builds a slot only
+when its index is first handed out, so they also count the slots a
+pool has built: none at construction, and about a window's worth after
+one window of traffic.
 """
 
 import threading
@@ -43,14 +46,14 @@ def conditions(monkeypatch):
     return made
 
 
-def _exchange(oc, peer: int, n: int) -> None:
+def _exchange(oc, peer: int, n: int, window: int = _WINDOW) -> None:
     out = np.arange(64, dtype=np.uint8)
-    into = np.empty((_WINDOW, 64), dtype=np.uint8)
-    for base in range(0, n, _WINDOW):
+    into = np.empty((window, 64), dtype=np.uint8)
+    for base in range(0, n, window):
         reqs = [
-            oc.irecv(into[i], peer, tag=base + i) for i in range(_WINDOW)
+            oc.irecv(into[i], peer, tag=base + i) for i in range(window)
         ]
-        reqs += [oc.isend(out, peer, tag=base + i) for i in range(_WINDOW)]
+        reqs += [oc.isend(out, peer, tag=base + i) for i in range(window)]
         for req in reqs:
             req.wait(timeout=30)
         assert (into == out).all()
@@ -89,3 +92,25 @@ def test_request_pool_builds_no_condition_per_slot(conditions):
     conditions.counting = True
     OffloadRequestPool(4096)
     assert conditions == []
+
+
+def test_request_pool_builds_no_slot_at_construction():
+    pool = OffloadRequestPool(4096)
+    assert len(pool._slots) == 0
+    pool.release(pool.alloc())
+    # the first hand-out builds one refill chunk, not the pool
+    assert len(pool._slots) == pool._cache_size
+
+
+def test_a_message_window_builds_about_a_window_of_slots():
+    """64 receives and 64 sends in flight per rank, plus what the
+    per-thread caches park: far below the pool's 4096."""
+
+    def prog(comm):
+        with offloaded(comm) as oc:
+            _exchange(oc, 1 - comm.rank, 64, window=64)
+            return oc.engine.pool.capacity, len(oc.engine.pool._slots)
+
+    for capacity, built in run_world_mt(2, prog):
+        assert capacity == 4096
+        assert 128 <= built <= 256

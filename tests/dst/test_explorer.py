@@ -1,6 +1,11 @@
 """Tests for the schedule explorer: finding planted bugs, exhausting
-small schedule trees, replaying failures from tokens, and the counter /
-linearizability plumbing."""
+small schedule trees, replaying failures from tokens, the counter /
+linearizability plumbing, and placement (every virtual thread on the
+first CPU of the caller's mask)."""
+
+import os
+
+import pytest
 
 from repro.dst import hooks
 from repro.dst.explorer import (
@@ -147,3 +152,53 @@ class TestPlumbing:
     def test_uninstalls_scheduler_after_each_run(self):
         Explorer(RacyProgram, strategy="random", schedules=5).run()
         assert hooks.current() is None
+
+
+class _MaskProgram:
+    """Two virtual threads that record the CPU mask they run on."""
+
+    def __init__(self, masks: list) -> None:
+        self.masks = masks
+
+    def setup(self, sched) -> None:
+        def body() -> None:
+            hooks.yield_point("x")
+            self.masks.append(os.sched_getaffinity(0))
+
+        sched.spawn(body, name="a")
+        sched.spawn(body, name="b")
+
+    def check(self) -> None:
+        pass
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="no affinity call"
+)
+class TestPlacement:
+    def test_virtual_threads_run_on_the_first_cpu_of_the_callers_mask(
+        self,
+    ):
+        launch = os.sched_getaffinity(0)
+        masks: list = []
+        res = Explorer(lambda: _MaskProgram(masks), schedules=3).run()
+        assert not res.found and res.runs == 3
+        assert masks == [{min(launch)}] * 6
+        assert os.sched_getaffinity(0) == launch  # the caller's, as is
+
+    def test_a_refused_binding_explores_unbound(self, monkeypatch):
+        def refuse(pid, cpus) -> None:
+            raise OSError("not permitted")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        launch = os.sched_getaffinity(0)
+        masks: list = []
+        res = Explorer(lambda: _MaskProgram(masks), schedules=2).run()
+        assert not res.found and masks == [launch] * 4
+
+    def test_an_error_in_exploration_reaches_the_caller(self):
+        def broken() -> None:
+            raise RuntimeError("no program")
+
+        with pytest.raises(RuntimeError, match="no program"):
+            Explorer(broken, schedules=1).run()

@@ -6,15 +6,19 @@ and the ownership ledger flips exactly once per ``alloc`` and once per
 ``release``.  These tests drive that with seeded thread interleavings
 on a pool small enough that refills and spills happen all the time, and
 pin the thread-exit leak: a stash lives in ``threading.local``, and the
-slots parked in it must survive their thread.
+slots parked in it must survive their thread.  A slot is built the
+first time its index leaves the shared list: racing refills of a fresh
+pool build each slot once, and a built slot never moves.
 """
 
 import sys
 import threading
+import time
 
 import pytest
 
-from repro.core.request_pool import OffloadRequestPool
+from repro.core import request_pool
+from repro.core.request_pool import OffloadRequestPool, _Slot
 from repro.lockfree.freelist import DoubleFree, FreeListExhausted
 from repro.util.rng import seeded_rng
 
@@ -176,3 +180,66 @@ class TestThreadExit:
         t.join(timeout=30)
         assert sorted(got) == list(range(64))
         assert pool.allocated == 64
+
+
+class TestSlotsBuiltOnHandOut:
+    @pytest.mark.parametrize("cache_size", [8, 0])
+    def test_racing_refills_build_each_slot_once(
+        self, cache_size, monkeypatch
+    ):
+        """Two threads take slots from fresh pools at the same moment:
+        every index handed out has exactly one slot, the one it was
+        handed out with, and nothing past the highest index is built.
+        Building a slot gives the GIL away, so refills overlap."""
+
+        class _YieldingSlot(_Slot):
+            __slots__ = ()
+
+            def __init__(self) -> None:
+                super().__init__()
+                time.sleep(0)
+
+        monkeypatch.setattr(request_pool, "_Slot", _YieldingSlot)
+        per_thread = 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                pool = OffloadRequestPool(4096, cache_size=cache_size)
+                start = threading.Barrier(2)
+                seen: list[list] = [[], []]
+
+                def taker(tid: int) -> None:
+                    start.wait(timeout=30)
+                    for _ in range(per_thread):
+                        idx = pool.alloc()
+                        seen[tid].append((idx, pool.slot(idx)))
+
+                threads = [
+                    threading.Thread(target=taker, args=(t,))
+                    for t in range(2)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive(), "taker hung"
+                got = seen[0] + seen[1]
+                indices = sorted(idx for idx, _ in got)
+                assert indices == list(range(2 * per_thread))
+                assert len(pool._slots) == 2 * per_thread
+                assert len(set(map(id, pool._slots))) == 2 * per_thread
+                assert all(pool.slot(idx) is s for idx, s in got)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_replaced_slot_stays_in_place_across_growth(self):
+        """A DST harness swaps in its own slot object after the
+        hand-out; building the slots behind it must not move it."""
+        pool = OffloadRequestPool(64)
+        idx = pool.alloc()
+        mine = pool._slots[idx] = _Slot()
+        held = [pool.alloc() for _ in range(40)]
+        assert len(pool._slots) > idx + 8  # grown since the swap
+        assert pool.slot(idx) is mine
+        assert len({id(pool.slot(i)) for i in held + [idx]}) == 41
