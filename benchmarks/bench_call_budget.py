@@ -23,7 +23,9 @@ comprehensions stopped being calls in 3.12), hence the 15 % band stated
 with each call count; entries per command depend on how many commands
 the engine finds queued when it wakes, hence its wider one; envelopes
 and copies per message are exact (one each per message plus the
-window's token).  The hard limits — 115 calls (48 application, 66
+window's token); ``timed_wakes_stream`` / ``timed_wakes_blocking`` —
+engine parks the safety tick ended with work waiting, a hand-off no
+doorbell carried — are 0.  The hard limits — 115 calls (48 application, 66
 engine), 64 plain, 1.85 × plain, 0.1 entries per command — are
 asserted in ``tests/core/test_call_budget.py``.
 """
@@ -90,6 +92,8 @@ def test_call_budget(bench_trajectory):
         ),
         ("envelopes_per_msg", round(offload.envelopes / n, 3), 0.02),
         ("copies_per_msg", round(offload.copies / n, 3), 0.02),
+        ("timed_wakes_stream", offload.timed_wakes, 0.0),
+        ("timed_wakes_blocking", blocking.timed_wakes, 0.0),
     ):
         bench_trajectory.metric(
             "call_budget",

@@ -12,7 +12,9 @@ it counts what ``telemetry=False`` does.  Counts, unlike timings,
 repeat from run to run on a drifting box (to a few tenths of a call
 per message: only the number of engine-loop iterations varies).
 :func:`measure_blocking` counts the blocking path the same way: calls
-per 8 B ``send``/``recv`` round trip through ``offloaded()``.
+per 8 B ``send``/``recv`` round trip through ``offloaded()``.  Both
+also read the engines' ``timed_wakes``: a hand-off the safety tick
+carried instead of a doorbell.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ class CallCount:
     #: engine ``stats()`` deltas over the measured windows (offloaded)
     substrate_entries: int = 0
     commands: int = 0
+    #: engine parks that ended on the tick and then found work: a
+    #: hand-off no doorbell carried (0 when every one rings)
+    timed_wakes: int = 0
     #: ``ProgressEngine.counters()`` deltas, both ranks, same windows
     envelopes: int = 0
     copies: int = 0
@@ -151,6 +156,7 @@ def measure_blocking(rounds: int = 400) -> CallCount:
     round trips): rank 0 sends then receives, rank 1 the reverse —
     the ``pingpong`` workload's shape."""
     gate = threading.Barrier(2)
+    timed: list[int] = []
 
     def prog(comm, hook):
         buf = np.zeros(1, dtype=np.int64)  # 8 B
@@ -167,10 +173,14 @@ def measure_blocking(rounds: int = 400) -> CallCount:
 
         with offloaded(comm, pool_size=1) as c:
             trips(20)  # warm: caches, lazy imports
+            before = c.engine.stats()["timed_wakes"]
             _hooked(hook, gate, lambda: trips(rounds))
+            timed.append(c.engine.stats()["timed_wakes"] - before)
         return True
 
-    return _counted(prog, rounds)
+    count = _counted(prog, rounds)
+    count.timed_wakes = sum(timed)
+    return count
 
 
 def measure(
@@ -214,6 +224,7 @@ def measure(
     for delta in stats:
         count.substrate_entries += delta.get("substrate_entries", 0)
         count.commands += delta.get("commands_processed", 0)
+        count.timed_wakes += delta.get("timed_wakes", 0)
         count.envelopes += delta["envelopes_handled"]
         count.copies += delta["payload_copies"]
     return count

@@ -37,6 +37,7 @@ from repro.core.request_pool import (
 from repro.dst import hooks as _dst
 from repro.lockfree.atomics import Doorbell
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
+from repro.mpisim.requests import TICK
 from repro.mpisim.world import thread_cpus
 from repro import obs
 
@@ -48,10 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Commands drained per loop iteration (one ``drain`` call) before the
 #: single per-batch progress sweep.
 _BATCH = 64
-#: Safety tick: the longest the loop parks without looking around.
-#: Every hand-off has a doorbell (DESIGN.md §17); the tick only keeps
-#: ``heartbeat`` and fault-plan maturation alive.
-_TICK = 1e-3
+#: Safety tick, the one every driven wait in ``mpisim`` uses: the
+#: longest the loop parks without looking around.  Every hand-off has
+#: a doorbell (DESIGN.md §17); the tick only keeps ``heartbeat`` and
+#: fault-plan maturation alive.
+_TICK = TICK
 _NEVER = float("inf")
 #: The engine's own counters, each a plain int attribute bumped where
 #: its event happens (DESIGN.md §9); ``stats()`` adds what the ring,

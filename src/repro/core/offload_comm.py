@@ -34,6 +34,7 @@ from repro.core.request_pool import (
     raise_typed,
     recovery_wait,
 )
+from repro.lockfree.atomics import Doorbell, DoneWord
 from repro.mpisim import datatypes
 from repro.mpisim.constants import (
     ANY_SOURCE,
@@ -41,6 +42,7 @@ from repro.mpisim.constants import (
     ThreadLevel,
 )
 from repro.mpisim.reduce_ops import ReduceOp, SUM
+from repro.mpisim.requests import drive
 from repro.mpisim.status import Status
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,10 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.communicator import Communicator
 
 K = CommandKind
-
-#: Longest :func:`offload_waitany` sleeps between scans of its handles.
-_WAITANY_SLICE = 1e-3
-
 
 class OffloadCommunicator:
     """Drop-in communicator whose MPI calls run on the offload thread.
@@ -294,14 +292,11 @@ class OffloadCommunicator:
         tag: int = ANY_TAG,
         timeout: float | None = None,
     ) -> Status:
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        while True:
-            st = self.iprobe(source, tag)
-            if st is not None:
-                return st
-            if deadline is not None and time.perf_counter() > deadline:
-                raise TimeoutError("probe timed out")
-            time.sleep(1e-5)
+        st = self.iprobe(source, tag)
+        if st is None:
+            step = lambda: self.iprobe(source, tag)  # noqa: E731
+            st = drive((self.inner.engine,), step, timeout, "probe")
+        return st
 
     # ---------------------------------------------------------------- objects
 
@@ -650,20 +645,27 @@ def offload_waitany(
 ) -> tuple[int, Status]:
     """Wait until one handle completes; returns its index and status.
 
-    Between scans the caller parks on the first handle, in slices: that
-    handle completing wakes it at once, any other is seen one slice
-    later.  ``timeout`` bounds the whole wait.
+    Between scans one bell is parked on every handle's done word (the
+    ``DoneWord`` protocol) and the first completion rings it: a bell,
+    since two may complete together and a lock released twice raises.
+    ``timeout`` bounds the whole wait.
     """
     if not requests:
         raise ValueError("offload_waitany on empty list")
     deadline = None if timeout is None else time.perf_counter() + timeout
+    # a degraded call's handle is a substrate request: its own word
+    words = [r if isinstance(r, DoneWord) else r.word for r in requests]
     while True:
         for i, r in enumerate(requests):
             if r.done:
                 return i, r.wait()
-        step = _WAITANY_SLICE
-        if deadline is not None:
-            step = min(step, deadline - time.perf_counter())
-            if step <= 0:
-                raise TimeoutError("offload_waitany: nothing completed")
-        requests[0].park(step)
+        left = -1.0 if deadline is None else deadline - time.perf_counter()
+        if deadline is not None and left <= 0:
+            raise TimeoutError("offload_waitany: nothing completed")
+        bell = Doorbell()
+        for w in words:
+            w._register(bell)
+        if not any(w.done for w in words):
+            bell.wait(left)
+        for w in words:
+            w._deregister(bell)

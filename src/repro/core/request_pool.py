@@ -434,10 +434,11 @@ class OffloadRequest:
         self._check_fresh()
         self._pool.register_continuation(self._idx, self._generation, fn)
 
-    def park(self, timeout: float) -> bool:
-        """Block up to ``timeout`` for completion *without* consuming
-        the request (the slot stays allocated); True once done."""
-        return self._check_fresh().flag.wait(timeout)
+    @property
+    def word(self) -> AtomicFlag:
+        """The slot's done word, to park on *without* consuming the
+        request (``offload_waitany``)."""
+        return self._check_fresh().flag
 
     def test(self) -> tuple[bool, Status | None]:
         """Flag check only; frees the slot on completion."""

@@ -54,7 +54,7 @@ from repro.dst.linearize import (
     QueueSpec,
     RequestPoolSpec,
 )
-from repro.lockfree.atomics import AtomicFlag, DoneWord
+from repro.lockfree.atomics import AtomicFlag, Doorbell, DoneWord
 from repro.lockfree.freelist import (
     DoubleFree,
     FreeList,
@@ -1181,6 +1181,125 @@ class ParkVsRingProgram:
 
 
 # ---------------------------------------------------------------------------
+# wait-vs-arrival
+# ---------------------------------------------------------------------------
+
+
+class _SteppedDoorbell(Doorbell):
+    """The real :class:`Doorbell` with a choice point before every
+    ring, clear and park, and a park that blocks cooperatively with *no*
+    timeout: under DST the safety tick cannot paper over a lost
+    wake-up, it surfaces as a deadlock."""
+
+    __slots__ = ()
+
+    def set(self) -> None:
+        _dst.yield_point("bell.set")
+        super().set()
+
+    def clear(self) -> None:
+        _dst.yield_point("bell.clear")
+        super().clear()
+
+    def wait(self, timeout: float) -> bool:
+        _dst.yield_point("bell.wait")
+        _dst.wait_until(self.is_set)
+        return True
+
+
+class _DeafDoorbell(_SteppedDoorbell):
+    """The broken protocol, injected from here: the bell is registered
+    when its owner parks, *after* the look — a ring before that finds
+    nobody to ring."""
+
+    __slots__ = ()
+
+    def set(self) -> None:
+        _dst.yield_point("bell.set")
+
+    def wait(self, timeout: float) -> bool:
+        self.__class__ = _SteppedDoorbell  # registered only now
+        return _SteppedDoorbell.wait(self, timeout)
+
+
+class _SteppedWaitEngine(ProgressEngine):
+    """Rank 0's progress engine with a choice point before each pump,
+    between a pump and the look that follows it, before each
+    registration and before each arrival's publish.  A bell registered
+    on it becomes a :class:`_SteppedDoorbell` (the driven wait builds
+    its own; the class is swapped in place, slots unchanged)."""
+
+    _bell_class: type = _SteppedDoorbell
+
+    def add_doorbell(self, bell: Doorbell) -> None:
+        _dst.yield_point("wait.register")
+        bell.__class__ = self._bell_class
+        super().add_doorbell(bell)
+
+    def progress(self) -> int:
+        _dst.yield_point("wait.pump")
+        handled = super().progress()
+        _dst.yield_point("wait.look")  # the caller looks next
+        return handled
+
+    def inject(self, env: Envelope) -> None:
+        _dst.yield_point("arrival.publish")
+        super().inject(env)
+
+
+class _LateRegisterEngine(_SteppedWaitEngine):
+    """The registration in the broken order: a waiter's bell hears no
+    ring until its owner parks."""
+
+    _bell_class = _DeafDoorbell
+
+
+class WaitVsArrivalProgram:
+    """``Request.wait`` — the driven wait every blocking substrate call
+    and probe goes through — against an arrival.
+
+    Rank 0 has a receive posted; its thread waits on it: pump → look,
+    and on the miss register → clear → pump → look → park.  Rank 1's
+    thread sends the matching eager message: its arrival at rank 0 is a
+    publish (the inbox append) then a ring of rank 0's bells, and it may
+    land anywhere in that sequence.  The waiter's own pump then matches
+    it and completes the receive, which rings its bell once more.
+
+    Invariant: the wait returns with the sender's bytes and takes its
+    bell back.  A lost wake-up parks the waiter for ever while nobody
+    else has anything left to do: the scheduler reports the deadlock.
+    """
+
+    def __init__(self, fix_disabled: bool, nbytes: int = 64) -> None:
+        self.world = World(2, ThreadLevel.MULTIPLE)
+        engine = self.world.engines[0]
+        engine.__class__ = (
+            _LateRegisterEngine if fix_disabled else _SteppedWaitEngine
+        )
+        self.engine = engine
+        self.sent = np.arange(nbytes, dtype=np.uint8)
+        self.received = np.zeros(nbytes, dtype=np.uint8)
+        self.req = self.world.comm_world(0).irecv(self.received, 1, tag=4)
+
+    def setup(self, sched: Any) -> None:
+        sched.spawn(self.req.wait, name="waiter")
+        sched.spawn(
+            lambda: self.world.comm_world(1).isend(self.sent, 0, tag=4),
+            name="arrival",
+        )
+
+    def check(self) -> None:
+        if not self.req.done:
+            raise InvariantViolation("wait returned on a pending receive")
+        if not (self.received == self.sent).all():
+            raise InvariantViolation(
+                "receive completed without the sender's payload"
+            )
+        if self.engine._doorbells:
+            raise InvariantViolation("the waiter left its bell behind")
+
+
+# ---------------------------------------------------------------------------
 # flag-park-vs-set
 # ---------------------------------------------------------------------------
 
@@ -1869,6 +1988,18 @@ CORPUS: dict[str, Target] = {
             regression=True,
             schedules=20_000,
             tree=170,
+        ),
+        Target(
+            name="wait-vs-arrival",
+            description=(
+                "driven wait registering its bell after the look: an "
+                "arrival published and rung into the gap finds no bell "
+                "and the waiter parks on a message it already has"
+            ),
+            make=WaitVsArrivalProgram,
+            regression=True,
+            schedules=20_000,
+            tree=105,
         ),
         Target(
             name="flag-park-vs-set",

@@ -317,6 +317,11 @@ class Doorbell:
         except RuntimeError:
             pass  # two first ringers raced; one token is enough
 
+    #: A bell is also a park token several done words may release
+    #: (``offload_waitany``): a second release is a no-op, where a
+    #: plain lock's would raise on the completer.
+    release = set
+
     def clear(self) -> None:
         self._flag = False
         self._token.acquire(False)

@@ -43,7 +43,7 @@ from repro.mpisim.exceptions import (
     ThreadLevelError,
 )
 from repro.mpisim.reduce_ops import ReduceOp, SUM
-from repro.mpisim.requests import Request
+from repro.mpisim.requests import Request, drive
 from repro.mpisim.status import Status
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -320,15 +320,12 @@ class Communicator:
         tag: int = ANY_TAG,
         timeout: float | None = None,
     ) -> Status:
-        """Blocking probe."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        while True:
-            st = self.iprobe(source, tag)
-            if st is not None:
-                return st
-            if deadline is not None and time.perf_counter() > deadline:
-                raise TimeoutError("probe timed out")
-            time.sleep(1e-5)
+        """Blocking probe: parks between tries until an arrival rings."""
+        st = self.iprobe(source, tag)
+        if st is None:
+            step = lambda: self.iprobe(source, tag)  # noqa: E731
+            st = drive((self.engine,), step, timeout, "probe")
+        return st
 
     # ------------------------------------------------------------------- objects
 

@@ -3,27 +3,28 @@
 A :class:`Request` belongs to exactly one rank's progress engine.
 Testing or waiting on it pumps that engine, which is what gives the
 substrate real MPI progress semantics: *nothing moves unless somebody
-calls into the library* — the pathology the offload thread cures.
+calls into the library* — the pathology the offload thread cures.  A
+wait is its test repeated, parked on a doorbell in between (:func:`drive`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.lockfree.atomics import DoneWord
+from repro.lockfree.atomics import Doorbell, DoneWord
 from repro.mpisim.exceptions import MPIError
 from repro.mpisim.status import EMPTY_STATUS, Status
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpisim.progress import ProgressEngine
 
-#: How long a waiter sleeps between progress pumps.  Completion set by a
-#: peer thread wakes the parked waiter immediately.
-_WAIT_SLICE = 1e-4
-_now = time.perf_counter
+#: Safety tick: the longest a driven wait, and the offload engine's loop,
+#: parks without looking around.  Every hand-off rings a doorbell; the
+#: tick only keeps fault-plan delay maturation and DST threads moving.
+TICK = 1e-3
 
 
 class Request(DoneWord):
@@ -92,25 +93,14 @@ class Request(DoneWord):
 
         ``timeout`` is a safety net for tests; production MPI has none.
         """
-        deadline = None if timeout is None else _now() + timeout
-        while True:
-            if self.engine is not None:
-                self.engine.progress()
-            if self.done:
-                if self.error is not None:
-                    raise self.error
-                assert self.status is not None
-                return self.status
-            remaining = _WAIT_SLICE
-            if deadline is not None:
-                remaining = min(remaining, deadline - _now())
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"request did not complete within {timeout}s"
-                    )
-            # the real park even on a DST virtual thread: this loop
-            # must come back to pump progress after one slice
-            self.park(remaining)
+        if self.engine is not None:
+            self.engine.progress()
+        if not self.done:
+            drive(_engines((self,)), lambda: self.test()[1], timeout, "wait")
+        if self.error is not None:
+            raise self.error
+        assert self.status is not None
+        return self.status
 
     def cancel(self) -> bool:
         """Attempt to cancel; only unmatched receives are cancellable."""
@@ -232,15 +222,12 @@ def testall(requests: Sequence[Request]) -> tuple[bool, list[Status] | None]:
     """True plus statuses when every request is complete."""
     for e in _engines(requests):
         e.progress()
-    if all(r.done for r in requests):
-        out = []
-        for r in requests:
-            if r.error is not None:
-                raise r.error
-            assert r.status is not None
-            out.append(r.status)
-        return True, out
-    return False, None
+    if not all(r.done for r in requests):
+        return False, None
+    for r in requests:
+        if r.error is not None:
+            raise r.error
+    return True, [r.status for r in requests]
 
 
 def testany(
@@ -261,23 +248,15 @@ def waitall(
     requests: Sequence[Request], timeout: float | None = None
 ) -> list[Status]:
     """Wait for every request; statuses in request order."""
-    deadline = None if timeout is None else _now() + timeout
-    engines = _engines(requests)
-    while True:
-        for e in engines:
-            e.progress()
-        if all(r.done for r in requests):
-            out = []
-            for r in requests:
-                if r.error is not None:
-                    raise r.error
-                assert r.status is not None
-                out.append(r.status)
-            return out
-        if deadline is not None and _now() > deadline:
+    out = testall(requests)[1]
+    if out is None:
+        step = lambda: testall(requests)[1]  # noqa: E731
+        try:
+            out = drive(_engines(requests), step, timeout, "waitall")
+        except TimeoutError:
             pending = sum(not r.done for r in requests)
             raise TimeoutError(f"waitall: {pending} request(s) pending")
-        _sleep_slice()
+    return out
 
 
 def waitany(
@@ -286,20 +265,11 @@ def waitany(
     """Wait until some request completes; returns its index and status."""
     if not requests:
         raise ValueError("waitany on empty request list")
-    deadline = None if timeout is None else _now() + timeout
-    engines = _engines(requests)
-    while True:
-        for e in engines:
-            e.progress()
-        for i, r in enumerate(requests):
-            if r.done:
-                if r.error is not None:
-                    raise r.error
-                assert r.status is not None
-                return i, r.status
-        if deadline is not None and _now() > deadline:
-            raise TimeoutError("waitany: no request completed")
-        _sleep_slice()
+    i = testany(requests)[0]
+    if i is None:
+        step = lambda: testany(requests)[0]  # noqa: E731
+        i = drive(_engines(requests), step, timeout, "waitany")
+    return i, requests[i].status
 
 
 def waitsome(
@@ -320,5 +290,35 @@ def waitsome(
     return indices, statuses
 
 
-def _sleep_slice() -> None:
-    time.sleep(_WAIT_SLICE / 10)
+def drive(
+    engines: Sequence["ProgressEngine"],
+    step: Callable[[], Any],
+    timeout: float | None,
+    what: str,
+) -> Any:
+    """The miss path of every blocking wait: repeat ``step`` (pump, then
+    look) until it returns something other than None, and return that.
+
+    A doorbell is registered on every engine in ``engines`` (rung after
+    each arrival and each completion it owns), then clear → step → park
+    (DESIGN.md §17): a ring after the clear cuts the park short, and
+    what was published before it, the step sees."""
+    deadline = None if timeout is None else time.perf_counter() + timeout
+    bell = Doorbell()
+    for e in engines:
+        e.add_doorbell(bell)
+    try:
+        while True:
+            bell.clear()
+            got = step()
+            if got is not None:
+                return got
+            left = TICK
+            if deadline is not None:
+                left = min(left, deadline - time.perf_counter())
+                if left <= 0:
+                    raise TimeoutError(f"{what}: pending after {timeout}s")
+            bell.wait(left)
+    finally:
+        for e in engines:
+            e.remove_doorbell(bell)

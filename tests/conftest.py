@@ -32,6 +32,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.lockfree.atomics import Doorbell, DoneWord
+from repro.mpisim import requests as rq
 from repro.mpisim.constants import THREAD_FUNNELED, THREAD_MULTIPLE
 from repro.mpisim.world import World
 from repro.util.rng import seeded_rng
@@ -241,3 +243,36 @@ def run_world_mt(nranks, fn, *args, **kwargs):
     return run_world(
         nranks, fn, *args, thread_level=THREAD_MULTIPLE, **kwargs
     )
+
+
+class ParkCounter:
+    """Counts, per thread, every way a thread can block: a doorbell
+    park, a done-word park, a sleep."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.by_thread: dict[int, int] = {}
+        monkeypatch.setattr(Doorbell, "wait", self._counting(Doorbell.wait))
+        monkeypatch.setattr(
+            DoneWord, "_block", staticmethod(self._counting(DoneWord._block))
+        )
+        monkeypatch.setattr(time, "sleep", self._counting(time.sleep))
+
+    def _counting(self, fn):
+        def park(*args, **kwargs):
+            me = threading.get_ident()
+            self.by_thread[me] = self.by_thread.get(me, 0) + 1
+            return fn(*args, **kwargs)
+
+        return park
+
+    def of_current_thread(self) -> int:
+        return self.by_thread.get(threading.get_ident(), 0)
+
+
+@pytest.fixture
+def parks(monkeypatch) -> ParkCounter:
+    """Count parks with the driven waits' safety tick stretched to
+    seconds: a wait that polled, or that missed a ring and slept the
+    tick out, shows as many parks or as a timeout."""
+    monkeypatch.setattr(rq, "TICK", 5.0)
+    return ParkCounter(monkeypatch)

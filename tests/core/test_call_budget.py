@@ -25,7 +25,12 @@ from collections import Counter
 
 import pytest
 
-from repro.bench.call_budget import ENGINE_THREAD, Hook, measure
+from repro.bench.call_budget import (
+    ENGINE_THREAD,
+    Hook,
+    measure,
+    measure_blocking,
+)
 from repro.core import EnginePool, offloaded
 from repro.core.commands import Command, CommandKind
 from repro.core.engine_pool import ShardRouter
@@ -102,6 +107,15 @@ def test_telemetry_keeps_no_second_set_of_counters():
     }
     assert not mirror, mirror
     assert traced.per_msg <= TELEMETRY_BUDGET, traced.report()
+
+
+def test_every_hand_off_rings_a_doorbell(counts):
+    """No engine park of the streaming or the blocking exchange ends
+    on the safety tick with work waiting (``timed_wakes``): every
+    submit, arrival and completion rang the loop's doorbell."""
+    offload, _ = counts
+    assert offload.timed_wakes == 0
+    assert measure_blocking(rounds=100).timed_wakes == 0
 
 
 def test_one_substrate_entry_per_drained_run(counts):

@@ -12,12 +12,13 @@ surfaces as ``timed_wakes > 0`` (work found by the timer instead of a
 doorbell) rather than as a latency one would have to eyeball.
 """
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import EnginePool, OffloadRequest, offloaded
+from repro.core import EnginePool, OffloadRequest, offload_waitany, offloaded
 from repro.core import engine as engine_mod
 from repro.core.commands import Command, CommandKind
 
@@ -158,3 +159,53 @@ class TestDoorbells:
         assert sibling_done == 0  # the sibling tracked nothing itself
         assert timed == 0
         assert rung >= 1
+
+
+class TestFacadeWaits:
+    def test_waitany_is_rung_by_any_handle(self, parks):
+        """Two pending handles; the second completes from a timer about
+        50 ms later.  One bell parked on both done words is rung by it,
+        where a park on the first handle alone wakes once per slice."""
+
+        def prog(comm):
+            with offloaded(comm, pool_size=1) as oc:
+                bufs = [np.zeros(1, dtype=np.int64) for _ in range(2)]
+                handles = [oc.irecv(b, 0, tag=i) for i, b in enumerate(bufs)]
+                late = threading.Timer(
+                    0.05, oc.send, (np.full(1, 5, dtype=np.int64), 0, 1)
+                )
+                late.start()
+                before = parks.of_current_thread()
+                idx, _ = offload_waitany(handles, timeout=30)
+                n = parks.of_current_thread() - before
+                late.join(30)
+                oc.send(np.zeros(1, dtype=np.int64), 0, 0)
+                handles[0].wait(timeout=30)
+                return idx, int(bufs[1][0]), n
+
+        (idx, value, n), = run_world_mt(1, prog)
+        assert (idx, value) == (1, 5)
+        assert 1 <= n <= 2, f"{n} parks"
+
+    def test_probe_costs_one_command_per_arrival(self, parks):
+        """The facade's blocking probe parks between IPROBE commands on
+        a bell its rank's progress engine rings: a late arrival costs a
+        few commands, not one every few microseconds."""
+
+        def prog(comm):
+            with offloaded(comm, pool_size=1) as oc:
+                if comm.rank == 1:
+                    time.sleep(0.05)
+                    oc.send(np.arange(4, dtype=np.int64), 0, tag=8)
+                    return None
+                engine = oc.engine.route()
+                before = engine.commands_processed
+                st = oc.probe(1, 8, timeout=30)
+                probes = engine.commands_processed - before
+                buf = np.zeros(4, dtype=np.int64)
+                oc.recv(buf, 1, 8)
+                return st.tag, buf.tolist(), probes
+
+        (tag, data, probes), _ = run_world_mt(2, prog)
+        assert (tag, data) == (8, [0, 1, 2, 3])
+        assert 1 <= probes <= 4, f"{probes} IPROBE commands"

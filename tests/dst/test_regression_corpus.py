@@ -50,6 +50,7 @@ class TestCorpusRegistry:
             "continuation-double-fire",
             "continuation-vs-release",
             "park-vs-ring",
+            "wait-vs-arrival",
             "flag-park-vs-set",
             "revoke-vs-post-recv",
             "land-vs-drain",
@@ -60,7 +61,7 @@ class TestCorpusRegistry:
 
     def test_regression_and_oracle_counts(self):
         regressions = [t for t in CORPUS.values() if t.regression]
-        assert len(regressions) == 14
+        assert len(regressions) == 15
         assert len(CORPUS) - len(regressions) == 3
 
     def test_oracle_targets_reject_fix_disabled(self):
@@ -330,6 +331,26 @@ class TestWakeUpProtocol:
         assert Explorer(lambda: target.make(False)).replay(token) is None
 
 
+class TestDrivenWaitProtocol:
+    """A blocking substrate wait's register → clear → pump → look →
+    park (DESIGN.md §17) against an arrival's publish → ring."""
+
+    def test_no_schedule_loses_an_arrival(self):
+        fixed = run_target("wait-vs-arrival")
+        assert not fixed.result.found and fixed.expected
+        assert fixed.result.exhausted
+
+    def test_registering_after_the_look_is_rediscovered(self):
+        broken = run_target("wait-vs-arrival", fix_disabled=True)
+        assert broken.result.found and broken.expected
+        # the waiter parks for ever on a message it already has
+        assert "blocked" in str(broken.result.failure.error)
+        token = broken.result.failure.token
+        target = CORPUS["wait-vs-arrival"]
+        assert Explorer(lambda: target.make(True)).replay(token) is not None
+        assert Explorer(lambda: target.make(False)).replay(token) is None
+
+
 class TestLandedQueueProtocol:
     """The asyncio bridge's publish → ring against the drain's clear →
     look (DESIGN.md §16–§17): two completers, one loop."""
@@ -421,9 +442,9 @@ class TestDeepTier:
             (o.target, o.fix_disabled, o.result.found) for o in wrong
         ]
         # both directions ran: planted bugs found, fixed code clean
-        assert sum(o.fix_disabled for o in outcomes) == 14
-        assert len(outcomes) == 31
+        assert sum(o.fix_disabled for o in outcomes) == 15
+        assert len(outcomes) == 33
         snap = counters.snapshot()
         assert snap["schedules_explored"] > 0
         assert snap["lin_histories_checked"] > 0
-        assert snap["dst_violations"] == 14
+        assert snap["dst_violations"] == 15

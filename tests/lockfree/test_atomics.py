@@ -181,7 +181,7 @@ class TestAtomicFlag:
 
     def test_timed_out_waiter_deregisters_itself(self):
         f = AtomicFlag()
-        for _ in range(50):  # offload_waitany / _recovery_wait slices
+        for _ in range(50):  # recovery_wait slices
             assert f.wait(timeout=1e-4) is False
         assert f._waiters is None
         f.set()
@@ -237,10 +237,10 @@ class TestAtomicFlag:
 
 class TestRequestWake:
     def test_foreign_completion_wakes_a_waiter_in_one_wake(self, monkeypatch):
-        """`Request.wait` parks between progress pumps; a completion
-        from another thread must end the park itself, not wait for the
-        slice to run out (stretched here to make the difference
-        unmistakable)."""
+        """`Request.wait` parks between progress pumps on a doorbell
+        its engine rings; a completion from another thread must end the
+        park itself, not wait for the tick to run out (stretched here
+        to make the difference unmistakable)."""
         from repro.mpisim import requests as rq
 
         class _IdleEngine:
@@ -249,13 +249,20 @@ class TestRequestWake:
             def progress(self):
                 return 0
 
-        monkeypatch.setattr(rq, "_WAIT_SLICE", 5.0)
-        req = rq.Request(_IdleEngine())
+            def add_doorbell(self, bell):
+                self._doorbells += (bell,)
+
+            def remove_doorbell(self, bell):
+                self._doorbells = ()
+
+        monkeypatch.setattr(rq, "TICK", 5.0)
+        engine = _IdleEngine()
+        req = rq.Request(engine)
         status = rq.Status(0, 0, 0)
         done_at = []
 
         def complete():
-            _until(lambda: req._waiters is not None)  # parked
+            _until(lambda: engine._doorbells)  # the waiter's bell is up
             done_at.append(time.perf_counter())
             req._complete(status)
 
@@ -298,6 +305,19 @@ class TestDoorbell:
         t0 = time.perf_counter()
         assert not bell.wait(0.05)
         assert time.perf_counter() - t0 >= 0.04
+
+    def test_a_bell_parked_on_two_words_survives_both_completers(self):
+        """`offload_waitany` parks one bell as the token on every
+        handle's done word; two completing together release it twice,
+        which a plain lock would answer with a RuntimeError."""
+        first, second = AtomicFlag(), AtomicFlag()
+        bell = Doorbell()
+        first._register(bell)
+        second._register(bell)
+        first.set()
+        second.set()
+        assert bell.wait(0)
+        assert first._waiters is None and second._waiters is None
 
     def test_ring_wakes_a_parked_owner(self):
         bell = Doorbell()
