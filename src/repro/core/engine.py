@@ -42,7 +42,6 @@ from repro.mpisim.world import thread_cpus
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.plan import FaultPlan
     from repro.mpisim.communicator import Communicator
     from repro.mpisim.requests import Request
 
@@ -130,7 +129,6 @@ class OffloadEngine:
         request_pool: OffloadRequestPool,
         queue_capacity: int = 4096,
         telemetry: bool | None = None,
-        faults: "FaultPlan | None" = None,
         recovery: RecoveryPolicy | None = None,
     ) -> None:
         self.comm = comm
@@ -154,9 +152,9 @@ class OffloadEngine:
         self._prev_funnel: int | None = None
         # -- fault injection + recovery (both None in normal operation:
         # every hook site is a single `is None` check) --------------------
-        if faults is None:
-            faults = comm.world.fault_plan
-        self._faults = faults
+        #: the world's plan (`World.install_faults`, before the engines
+        #: start) is the only way one reaches the command scope
+        self._faults = comm.world.fault_plan
         self.recovery = recovery
         #: bumped once per loop iteration; sampled by EngineWatchdog
         self.heartbeat = 0

@@ -184,7 +184,6 @@ class EnginePool:
         pool_capacity: int = 4096,
         queue_capacity: int = 4096,
         telemetry: bool | None = None,
-        faults=None,
         recovery=None,
     ) -> None:
         if pool_size < 1:
@@ -206,7 +205,6 @@ class EnginePool:
                 self.pool,
                 queue_capacity=queue_capacity,
                 telemetry=telemetry,
-                faults=faults,
                 recovery=recovery,
             )
             for _ in range(pool_size)

@@ -54,12 +54,9 @@ def offloaded(
     pool_capacity: int = 4096,
     queue_capacity: int = 4096,
     telemetry: bool | None = None,
-    faults=None,
     recovery=None,
-    op_timeout: float | None = None,
     pool_size: int | None = None,
     router: str = "dest",
-    zero_copy: bool | None = None,
 ) -> Iterator[OffloadCommunicator]:
     """Context manager: spawn offload thread(s) for ``comm``'s rank,
     yield the interposed communicator, and tear them down on exit (the
@@ -69,13 +66,13 @@ def offloaded(
     default for these engines: whether their final snapshots are filed
     in the registry (nothing else; the counters are always on).
 
-    ``faults`` installs a :class:`repro.faults.plan.FaultPlan` on the
-    engines, ``recovery`` a :class:`repro.core.recovery.RecoveryPolicy`,
-    and ``op_timeout`` stamps every offloaded call with a deadline —
-    all three default to off (zero overhead).  Teardown tolerates a
-    dead engine: pending work has already been failed with typed
-    errors, so exit does not raise on top of the application's own
-    handling.
+    ``recovery`` installs a :class:`repro.core.recovery.RecoveryPolicy`
+    on the engines (its per-command deadline stamps every offloaded
+    call); it defaults to off (zero overhead).  A fault plan is
+    the world's: :meth:`~repro.mpisim.world.World.install_faults`
+    before entering.  Teardown tolerates a dead engine: pending work
+    has already been failed with typed errors, so exit does not raise
+    on top of the application's own handling.
 
     ``pool_size``/``router`` configure the rank's
     :class:`~repro.core.engine_pool.EnginePool`: one engine (the
@@ -88,13 +85,8 @@ def offloaded(
     single-threaded worlds keep working when the suite-wide default is
     raised.
 
-    ``zero_copy`` toggles the substrate's zero-copy data plane
-    (DESIGN.md §14) for this rank's progress engine for the duration
-    of the context, restoring the previous setting on exit.  The
-    toggle is rank-wide: it affects every send posted by this rank
-    while the context is active, including ones made outside the
-    offloaded communicator.  ``None`` (default) leaves the world's
-    setting untouched."""
+    The zero-copy data plane (DESIGN.md §14) is a setting of the
+    :class:`~repro.mpisim.world.World`; this context leaves it alone."""
     effective_pool = pool_size if pool_size is not None else DEFAULT_POOL_SIZE
     if pool_size is None and effective_pool > 1:
         # Default-derived width: clamp rather than raise so the
@@ -108,29 +100,20 @@ def offloaded(
         )
         if level < ThreadLevel.MULTIPLE:
             effective_pool = 1
-    restore_zero_copy: bool | None = None
-    if zero_copy is not None:
-        restore_zero_copy = comm.engine.zero_copy
-        comm.engine.zero_copy = zero_copy
+    engine = EnginePool(
+        comm,
+        pool_size=effective_pool,
+        router=router,
+        pool_capacity=pool_capacity,
+        queue_capacity=queue_capacity,
+        telemetry=telemetry,
+        recovery=recovery,
+    )
+    engine.start()
     try:
-        engine = EnginePool(
-            comm,
-            pool_size=effective_pool,
-            router=router,
-            pool_capacity=pool_capacity,
-            queue_capacity=queue_capacity,
-            telemetry=telemetry,
-            faults=faults,
-            recovery=recovery,
-        )
-        engine.start()
-        try:
-            yield OffloadCommunicator(comm, engine, op_timeout)
-        finally:
-            _teardown(engine)
+        yield OffloadCommunicator(comm, engine)
     finally:
-        if restore_zero_copy is not None:
-            comm.engine.zero_copy = restore_zero_copy
+        _teardown(engine)
 
 
 def _teardown(engine: EnginePool) -> None:

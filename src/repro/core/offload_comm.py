@@ -59,10 +59,10 @@ class OffloadCommunicator:
     (one shard for the paper's one offload thread); each call goes to
     the shard that carries its stream.
 
-    ``op_timeout`` (optional) stamps every command with an absolute
-    deadline; the engine terminal-fails commands that miss it with
-    :class:`~repro.core.recovery.OffloadTimeout`, so no operation can
-    outlive ``op_timeout`` once the engine has seen it.
+    The pool's :class:`~repro.core.recovery.RecoveryPolicy` owns the
+    deadline: with its ``op_timeout`` set, every command is stamped with
+    an absolute deadline, and the engine terminal-fails commands that
+    miss it with :class:`~repro.core.recovery.OffloadTimeout`.
 
     When the pool carries a :class:`~repro.core.recovery.RecoveryPolicy`
     with ``degrade=True``, calls issued *after* their shard died run
@@ -72,15 +72,12 @@ class OffloadCommunicator:
     as :class:`~repro.core.request_pool.OffloadRequest`.
     """
 
-    def __init__(
-        self,
-        comm: "Communicator",
-        engine: "EnginePool",
-        op_timeout: float | None = None,
-    ) -> None:
+    def __init__(self, comm: "Communicator", engine: "EnginePool") -> None:
         self.inner = comm
         self.engine = engine
-        self.op_timeout = op_timeout
+        rec = engine.recovery
+        #: read once here so `_call` checks one attribute per command
+        self.op_timeout = None if rec is None else rec.op_timeout
 
     # ------------------------------------------------------------- identity
 
@@ -477,7 +474,7 @@ class OffloadCommunicator:
     def dup(self) -> "OffloadCommunicator":
         """Collective duplicate executed on the offload thread."""
         new_inner = self._run(self.inner.dup)
-        return OffloadCommunicator(new_inner, self.engine, self.op_timeout)
+        return OffloadCommunicator(new_inner, self.engine)
 
     def split(
         self, color: int | None, key: int = 0
@@ -485,7 +482,7 @@ class OffloadCommunicator:
         new_inner = self._run(self.inner.split, color, key)
         if new_inner is None:
             return None
-        return OffloadCommunicator(new_inner, self.engine, self.op_timeout)
+        return OffloadCommunicator(new_inner, self.engine)
 
     # ------------------------------------------------------ fault tolerance
 
@@ -525,7 +522,7 @@ class OffloadCommunicator:
         """
         new_inner = self.inner.shrink(timeout=timeout)
         self.engine.remap_shrunk(self.inner, new_inner)
-        return OffloadCommunicator(new_inner, self.engine, self.op_timeout)
+        return OffloadCommunicator(new_inner, self.engine)
 
     def flush(self) -> None:
         """Wait until every previously submitted operation completed.

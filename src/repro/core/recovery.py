@@ -11,9 +11,9 @@ module is the caller-side half of surviving either case:
 * :class:`RetryPolicy` — exponential-backoff re-driving of idempotent
   commands that failed with a transient error (off by default).
 * :class:`RecoveryPolicy` — the bundle an engine is constructed with:
-  an optional retry policy, a watchdog bound, and whether the facade
-  should *degrade* to inline (FUNNELED-style) issuance when the engine
-  dies instead of raising.
+  an optional retry policy, a per-command deadline, a watchdog bound,
+  and whether the facade should *degrade* to inline (FUNNELED-style)
+  issuance when the engine dies instead of raising.
 * :class:`EngineWatchdog` — samples the engine's heartbeat counter
   from a caller thread; if the heartbeat does not advance within the
   bound while work is pending, the engine is declared wedged and
@@ -96,6 +96,10 @@ class RecoveryPolicy:
     retry:
         Re-drive idempotent commands that failed transiently
         (``None`` = fail them immediately, the default).
+    op_timeout:
+        Deadline, in seconds after submission, of every facade command
+        (``dup``/``split``/``shrink`` facades included); a command that
+        misses it fails with :class:`OffloadTimeout` (``None`` = none).
     watchdog_timeout:
         Declare the engine wedged when its heartbeat has not advanced
         for this many seconds while a caller is waiting (``None`` = no
@@ -120,10 +124,22 @@ class RecoveryPolicy:
     """
 
     retry: RetryPolicy | None = None
+    op_timeout: float | None = None
     watchdog_timeout: float | None = None
     degrade: bool = False
     poll_interval: float = 0.02
     rank_failure: str = "fail"
+
+    def __post_init__(self) -> None:
+        if self.rank_failure not in ("fail", "shrink"):
+            raise ValueError(
+                f"rank_failure must be 'fail' or 'shrink', "
+                f"not {self.rank_failure!r}"
+            )
+        for name in ("op_timeout", "watchdog_timeout", "poll_interval"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, not {value!r}")
 
 
 class EngineWatchdog:

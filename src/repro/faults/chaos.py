@@ -286,7 +286,7 @@ def _rank_program(
     comm,
     rounds: int,
     payload_bytes: int,
-    op_timeout: float,
+    recovery: RecoveryPolicy,
     reports: list,
     lock: threading.Lock,
     pool_size: int = 1,
@@ -308,21 +308,12 @@ def _rank_program(
     sbuf = np.full(n, rank % 251, dtype=np.uint8)
     rbuf = np.empty(n, dtype=np.uint8)
     acc = np.ones(8, dtype=np.int64)
-    recovery = RecoveryPolicy(
-        retry=RetryPolicy(
-            max_retries=3, base_backoff=1e-4, max_backoff=5e-3
-        ),
-        watchdog_timeout=max(2.0, 2 * op_timeout),
-        degrade=True,
-        poll_interval=2e-3,
-    )
     # The caller-side wait budget sits well above the engine deadline,
     # so the engine's typed OffloadTimeout always fires first.
-    wait_budget = 4 * op_timeout + 1.0
+    wait_budget = 4 * recovery.op_timeout + 1.0
     with offloaded(
         comm,
         recovery=recovery,
-        op_timeout=op_timeout,
         pool_size=pool_size if pool_size > 1 else None,
         router=router,
     ) as oc:
@@ -416,13 +407,19 @@ def run_serve_chaos(
         op_timeout=op_timeout,
         run_timeout=run_timeout,
     )
+    recovery = RecoveryPolicy(
+        retry=RetryPolicy(max_retries=2, base_backoff=1e-4),
+        watchdog_timeout=max(10.0, 4 * op_timeout),
+        degrade=True,
+        poll_interval=2e-3,
+    )
     if plan is None:
         plan = default_plan(1, seed=seed, profile=profile)
     hangs: list[int] = []
     unexpected: dict[int, str] = {}
     report = None
     try:
-        report = run_loadgen(config, faults=plan, recovery=True)
+        report = run_loadgen(config, faults=plan, recovery=recovery)
     except WorldError as we:
         for rank, exc in we.failures.items():
             if isinstance(exc, TimeoutError):
@@ -531,6 +528,17 @@ def run_chaos(
         )
     if profile == "shard-crash" and pool_size == 1:
         pool_size = 4
+    # One policy for every rank: built here, so a malformed deadline
+    # raises before any rank starts.
+    recovery = RecoveryPolicy(
+        retry=RetryPolicy(
+            max_retries=3, base_backoff=1e-4, max_backoff=5e-3
+        ),
+        op_timeout=op_timeout,
+        watchdog_timeout=max(2.0, 2 * op_timeout),
+        degrade=True,
+        poll_interval=2e-3,
+    )
     if plan is None:
         plan = default_plan(nranks, seed=seed, profile=profile)
     if pool_size > 1:
@@ -560,7 +568,7 @@ def run_chaos(
             _rank_program,
             rounds,
             payload_bytes,
-            op_timeout,
+            recovery,
             reports,
             lock,
             pool_size,

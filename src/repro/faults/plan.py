@@ -225,9 +225,8 @@ class FaultPlan:
     """An ordered set of :class:`FaultRule`\\ s with a seeded RNG.
 
     Install on a world with :meth:`World.install_faults
-    <repro.mpisim.world.World.install_faults>` (or pass ``faults=`` to
-    :class:`~repro.core.engine.OffloadEngine` /
-    :func:`~repro.core.interpose.offloaded` for engine-only scope).
+    <repro.mpisim.world.World.install_faults>`, before the offload
+    engines are built: they read ``world.fault_plan`` at construction.
 
     For each event, the *first* matching rule that fires wins; later
     rules are not consulted for that event.  Injection counts are kept

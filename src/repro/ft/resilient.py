@@ -85,7 +85,6 @@ def _rank_loop(
     results_lock: threading.Lock,
     offload: bool,
     recovery: RecoveryPolicy | None,
-    op_timeout: float,
     max_restarts: int,
     ft_timeout: float,
 ) -> None:
@@ -158,8 +157,8 @@ def _rank_loop(
     if offload:
         from repro.core.interpose import offloaded
 
-        rec = recovery or RecoveryPolicy(rank_failure="shrink")
-        with offloaded(comm, recovery=rec, op_timeout=op_timeout) as oc:
+        rec = recovery or RecoveryPolicy(op_timeout=1.0, rank_failure="shrink")
+        with offloaded(comm, recovery=rec) as oc:
             blob = _epoch_loop(oc)
     else:
         blob = _epoch_loop(comm)
@@ -174,7 +173,6 @@ def run_resilient(
     store: CheckpointStore | None = None,
     offload: bool = False,
     recovery: RecoveryPolicy | None = None,
-    op_timeout: float = 1.0,
     max_restarts: int | None = None,
     ft_timeout: float = 30.0,
     run_timeout: float = 120.0,
@@ -193,7 +191,8 @@ def run_resilient(
         failures, so detection reaches the driver as a typed step
         failure.
     recovery:
-        Offload-mode :class:`RecoveryPolicy` override.
+        Offload-mode :class:`RecoveryPolicy` override (default: a 1 s
+        ``op_timeout`` and ``rank_failure="shrink"``).
     max_restarts:
         Recovery cycles before a rank gives up (default: one per
         possible death, ``nranks``).
@@ -216,7 +215,6 @@ def run_resilient(
             results_lock,
             offload,
             recovery,
-            op_timeout,
             max_restarts,
             ft_timeout,
             timeout=run_timeout,

@@ -22,7 +22,6 @@ from repro.lockfree.atomics import (
     Doorbell,
 )
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
-from repro.lockfree.spsc_ring import SPSCRing
 from repro.lockfree.freelist import FreeList, FreeListExhausted
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "MPSCQueue",
     "QueueClosed",
     "QueueFull",
-    "SPSCRing",
     "FreeList",
     "FreeListExhausted",
 ]

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from repro import obs
 from repro.core import offloaded
-from repro.core.recovery import RecoveryPolicy, RetryPolicy
+from repro.core.recovery import RecoveryPolicy
 from repro.core.request_pool import OffloadError
 from repro.mpisim.exceptions import MPIError
 from repro.mpisim.world import World
@@ -72,6 +72,7 @@ class LoadgenConfig:
     tenant_queue_depth: int = 128
     slo_p50_ms: float | None = 50.0
     slo_p99_ms: float | None = 500.0
+    #: per-command deadline (s) of the engines' recovery policy
     op_timeout: float | None = 5.0
     run_timeout: float = 120.0
 
@@ -217,22 +218,21 @@ async def _drive(
 def run_loadgen(
     config: LoadgenConfig,
     faults: "Any | None" = None,
-    recovery: "RecoveryPolicy | bool | None" = None,
+    recovery: RecoveryPolicy | None = None,
 ) -> LoadgenReport:
     """One seeded loadgen run on a private single-rank world.
 
     ``faults`` installs a :class:`~repro.faults.plan.FaultPlan` on the
-    world (the chaos harness passes its profile plan); ``recovery``
-    may be a policy, ``True`` for a sensible default, or ``None``.
+    world (the chaos harness passes its profile plan).  The engines
+    carry one :class:`~repro.core.recovery.RecoveryPolicy`: ``recovery``
+    (or a default one) with ``config.op_timeout`` as its deadline.
     """
     from repro.mpisim.constants import ThreadLevel
 
-    if recovery is True:
-        recovery = RecoveryPolicy(
-            retry=RetryPolicy(max_retries=2, base_backoff=1e-4),
-            watchdog_timeout=max(10.0, 4 * (config.op_timeout or 1.0)),
-            degrade=True,
-            poll_interval=2e-3,
+    if config.op_timeout is not None:
+        recovery = replace(
+            RecoveryPolicy() if recovery is None else recovery,
+            op_timeout=config.op_timeout,
         )
     world = World(1, thread_level=ThreadLevel.MULTIPLE)
     if faults is not None:
@@ -244,8 +244,7 @@ def run_loadgen(
         with offloaded(
             comm,
             pool_size=config.pool_size if config.pool_size > 1 else None,
-            op_timeout=config.op_timeout,
-            recovery=recovery if recovery else None,
+            recovery=recovery,
         ) as oc:
             engine = AsyncOffloadEngine(oc)
             frontend = ServingFrontend(

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import OffloadTimeout, offloaded
+from repro.core import OffloadTimeout, RecoveryPolicy, offloaded
 from repro.core.request_pool import (
     ContinuationError,
     OffloadError,
@@ -306,7 +306,8 @@ class TestThroughOffloaded:
 
     def test_timeout_path_fires_with_typed_error(self):
         def prog(comm):
-            with offloaded(comm, op_timeout=0.2) as oc:
+            rec = RecoveryPolicy(op_timeout=0.2)
+            with offloaded(comm, recovery=rec) as oc:
                 delivered = threading.Event()
                 errors: list[BaseException] = []
                 req = oc.irecv(np.empty(1), 0, tag=404)  # never sent

@@ -44,15 +44,15 @@ class TestOneDeadShard:
         plan = FaultPlan(
             [FaultRule(FaultAction.ENGINE_CRASH, rank=1, count=1)]
         )
-        rec = RecoveryPolicy(degrade=True, poll_interval=5e-3)
+        rec = RecoveryPolicy(
+            op_timeout=10.0, degrade=True, poll_interval=5e-3
+        )
 
         def prog(comm):
             if comm.rank == 0:
                 comm.world.install_faults(plan)
             comm.barrier()
-            with offloaded(
-                comm, pool_size=2, recovery=rec, op_timeout=10.0
-            ) as oc:
+            with offloaded(comm, pool_size=2, recovery=rec) as oc:
                 if comm.rank == 1:
                     with pytest.raises(OffloadError):
                         oc.iprobe(0, tag=1)  # first dispatch → crash
@@ -89,13 +89,13 @@ class TestOneDeadShard:
             fail(pool, idx, error)
 
         monkeypatch.setattr(OffloadRequestPool, "fail", watched_fail)
-        rec = RecoveryPolicy(degrade=False, poll_interval=5e-3)
+        rec = RecoveryPolicy(
+            op_timeout=10.0, degrade=False, poll_interval=5e-3
+        )
 
         def prog(comm):
             comm.world.install_faults(plan)
-            with offloaded(
-                comm, pool_size=2, recovery=rec, op_timeout=10.0
-            ) as oc:
+            with offloaded(comm, pool_size=2, recovery=rec) as oc:
                 shards.extend(oc.engine.engines)
                 with pytest.raises(OffloadError):
                     oc.iprobe(0, tag=0)
@@ -112,15 +112,15 @@ class TestAllShardsDead:
         plan = FaultPlan(
             [FaultRule(FaultAction.ENGINE_CRASH, rank=1, count=2)]
         )
-        rec = RecoveryPolicy(degrade=True, poll_interval=5e-3)
+        rec = RecoveryPolicy(
+            op_timeout=10.0, degrade=True, poll_interval=5e-3
+        )
 
         def prog(comm):
             if comm.rank == 0:
                 comm.world.install_faults(plan)
             comm.barrier()
-            with offloaded(
-                comm, pool_size=2, recovery=rec, op_timeout=10.0
-            ) as oc:
+            with offloaded(comm, pool_size=2, recovery=rec) as oc:
                 if comm.rank == 1:
                     # each failing dispatch kills the shard that ran
                     # it; routing then only offers the survivor, so
@@ -159,13 +159,13 @@ class TestAllShardsDead:
         plan = FaultPlan(
             [FaultRule(FaultAction.ENGINE_CRASH, rank=0, count=2)]
         )
-        rec = RecoveryPolicy(degrade=False, poll_interval=5e-3)
+        rec = RecoveryPolicy(
+            op_timeout=10.0, degrade=False, poll_interval=5e-3
+        )
 
         def prog(comm):
             comm.world.install_faults(plan)
-            with offloaded(
-                comm, pool_size=2, recovery=rec, op_timeout=10.0
-            ) as oc:
+            with offloaded(comm, pool_size=2, recovery=rec) as oc:
                 for _ in range(2):
                     with pytest.raises(OffloadError):
                         oc.iprobe(0, tag=0)

@@ -120,9 +120,8 @@ class TestMidBatchCrash:
             plan = FaultPlan(
                 [FaultRule(FaultAction.ENGINE_CRASH, after=crash_at, count=1)]
             )
-            engine, oc = _preloaded_engine(
-                comm, faults=plan, telemetry=True
-            )
+            comm.world.install_faults(plan)
+            engine, oc = _preloaded_engine(comm, telemetry=True)
             handles = [
                 oc.isend(np.array([float(i)]), 0, tag=i) for i in range(n)
             ]
@@ -162,7 +161,8 @@ class TestMidBatchCrash:
             plan = FaultPlan(
                 [FaultRule(FaultAction.ENGINE_CRASH, after=crash_at, count=1)]
             )
-            engine, oc = _preloaded_engine(comm, faults=plan, telemetry=True)
+            comm.world.install_faults(plan)
+            engine, oc = _preloaded_engine(comm, telemetry=True)
             bufs = [np.full(1, -1.0) for _ in range(4)]
             handles = [
                 oc.isend(np.array([10.0]), 0, tag=0),
@@ -207,7 +207,8 @@ class TestMidBatchCrash:
             plan = FaultPlan(
                 [FaultRule(FaultAction.ENGINE_CRASH, after=crash_at, count=1)]
             )
-            engine, oc = _preloaded_engine(comm, faults=plan, telemetry=True)
+            comm.world.install_faults(plan)
+            engine, oc = _preloaded_engine(comm, telemetry=True)
             handles = [
                 oc.isend(np.array([float(i)]), 0, tag=i) for i in range(n)
             ]

@@ -98,10 +98,11 @@ class TestKeywordPlumbing:
         from repro.core import RecoveryPolicy
         from repro.faults import FaultPlan
 
-        plan, recovery = FaultPlan([]), RecoveryPolicy()
+        plan, recovery = FaultPlan([]), RecoveryPolicy(op_timeout=12.5)
         obs.drain_snapshots()
 
         def prog(comm):
+            comm.world.install_faults(plan)
             with offloaded(
                 comm,
                 pool_size=pool_size,
@@ -109,9 +110,7 @@ class TestKeywordPlumbing:
                 queue_capacity=32,
                 pool_capacity=64,
                 telemetry=True,
-                faults=plan,
                 recovery=recovery,
-                op_timeout=12.5,
             ) as oc:
                 assert oc.op_timeout == 12.5
                 holder = oc.engine
@@ -141,3 +140,48 @@ class TestKeywordPlumbing:
         facade = keywords(offloaded)
         assert keywords(OffloadEngine.__init__) - facade == {"request_pool"}
         assert keywords(EnginePool.__init__) - facade == set()
+
+    def test_each_setting_has_one_owner(self):
+        """The deadline is the policy's, the fault plan and the
+        zero-copy plane the world's: no constructor on the offload
+        path takes them a second time."""
+        import inspect
+
+        from repro.core import EnginePool, OffloadEngine
+        from repro.core.offload_comm import OffloadCommunicator
+
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert params(offloaded) == [
+            "comm", "pool_capacity", "queue_capacity", "telemetry",
+            "recovery", "pool_size", "router",
+        ]
+        assert params(EnginePool.__init__) == [
+            "self", "comm", "pool_size", "router", "pool_capacity",
+            "queue_capacity", "telemetry", "recovery",
+        ]
+        assert params(OffloadEngine.__init__) == [
+            "self", "comm", "request_pool", "queue_capacity", "telemetry",
+            "recovery",
+        ]
+        assert params(OffloadCommunicator.__init__) == [
+            "self", "comm", "engine",
+        ]
+
+    @pytest.mark.parametrize("keyword", ["zero_copy", "faults", "op_timeout"])
+    def test_removed_keyword_raises_type_error(self, keyword):
+        from repro.core import EnginePool, OffloadEngine, OffloadRequestPool
+        from repro.core.offload_comm import OffloadCommunicator
+        from repro.mpisim import THREAD_MULTIPLE, World
+
+        comm = World(1, THREAD_MULTIPLE).comm_world(0)
+        pool = EnginePool(comm)  # never started
+        with pytest.raises(TypeError):
+            offloaded(comm, **{keyword: None})
+        with pytest.raises(TypeError):
+            EnginePool(comm, **{keyword: None})
+        with pytest.raises(TypeError):
+            OffloadEngine(comm, OffloadRequestPool(8), **{keyword: None})
+        with pytest.raises(TypeError):
+            OffloadCommunicator(comm, pool, **{keyword: None})

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import offload_waitall, offloaded
+from repro.core import RecoveryPolicy, offload_waitall, offloaded
 from repro.mpisim.persistent import (
     PersistentRecv,
     PersistentSend,
@@ -40,7 +40,8 @@ class TestOffloadWaitall:
         def prog(comm):
             # op_timeout bounds the engine-side lifetime of the stuck
             # receives so teardown stays clean after the caller bails
-            with offloaded(comm, op_timeout=2.0) as oc:
+            rec = RecoveryPolicy(op_timeout=2.0)
+            with offloaded(comm, recovery=rec) as oc:
                 bufs = [np.empty(1) for _ in range(3)]
                 reqs = [oc.irecv(bufs[i], 0, tag=100 + i) for i in range(3)]
 

@@ -100,21 +100,6 @@ class TestOffloadedHappyPath:
 
 
 class TestKnobPlumbing:
-    def test_offloaded_sets_and_restores_flag(self):
-        world = World(1, THREAD_MULTIPLE)  # default: classic path
-        comm = world.comm_world(0)
-        assert comm.engine.zero_copy is False
-        with offloaded(comm, zero_copy=True):
-            assert comm.engine.zero_copy is True
-        assert comm.engine.zero_copy is False
-
-    def test_offloaded_can_disable_for_the_scope(self):
-        world = World(1, THREAD_MULTIPLE, zero_copy=True)
-        comm = world.comm_world(0)
-        with offloaded(comm, zero_copy=False):
-            assert comm.engine.zero_copy is False
-        assert comm.engine.zero_copy is True
-
     def test_offloaded_none_leaves_world_setting(self):
         world = World(1, THREAD_MULTIPLE, zero_copy=True)
         comm = world.comm_world(0)

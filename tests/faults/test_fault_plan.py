@@ -259,6 +259,26 @@ class TestZeroOverhead:
 
         assert all(run_world(1, prog))
 
+    def test_installed_plan_is_the_command_hooks_only_source(self):
+        """A plan installed with ``World.install_faults`` before
+        ``offloaded()`` is the one every shard's command hook consults;
+        the call site has no second way to hand one in."""
+        plan = FaultPlan(
+            [FaultRule(FaultAction.COMMAND_ERROR, kind="isend", count=1)]
+        )
+
+        def prog(comm):
+            comm.world.install_faults(plan)
+            with pytest.raises(TypeError):
+                offloaded(comm, faults=FaultPlan())
+            with offloaded(comm, pool_size=2) as oc:
+                assert all(e._faults is plan for e in oc.engine.engines)
+                with pytest.raises(OffloadError):
+                    oc.isend(np.ones(1), 0, tag=1).wait(timeout=10)
+            return plan.stats()["fault_command_error"]
+
+        assert run_world_mt(1, prog) == [1]
+
     def test_engine_adopts_world_plan(self):
         plan = FaultPlan()
 

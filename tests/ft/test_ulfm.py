@@ -187,7 +187,8 @@ class TestOffloadFacade:
 
     def test_offloaded_op_on_revoked_comm_fails_typed(self):
         def prog(comm):
-            with offloaded(comm, op_timeout=5.0) as oc:
+            rec = RecoveryPolicy(op_timeout=5.0)
+            with offloaded(comm, recovery=rec) as oc:
                 oc.agree(1)  # revoke-immune sync (see TestRevoke)
                 oc.revoke()
                 assert oc.revoked
@@ -203,7 +204,8 @@ class TestOffloadFacade:
 
     def test_facade_shrink_returns_working_facade(self):
         def prog(comm):
-            with offloaded(comm, op_timeout=5.0) as oc:
+            rec = RecoveryPolicy(op_timeout=5.0)
+            with offloaded(comm, recovery=rec) as oc:
                 oc.agree(1)  # revoke-immune sync (see TestRevoke)
                 oc.revoke()
                 new = oc.shrink()
@@ -220,7 +222,7 @@ class TestOffloadFacade:
         over the corpse) sees typed CommRevokedError and can recover.
         """
         dead_evt = threading.Event()
-        rec = RecoveryPolicy(rank_failure="shrink")
+        rec = RecoveryPolicy(op_timeout=5.0, rank_failure="shrink")
 
         def prog(comm):
             if comm.rank == 2:
@@ -230,7 +232,7 @@ class TestOffloadFacade:
                 dead_evt.set()
                 raise comm.world.dead_ranks[2]
             assert dead_evt.wait(10)
-            with offloaded(comm, recovery=rec, op_timeout=5.0) as oc:
+            with offloaded(comm, recovery=rec) as oc:
                 with pytest.raises(OffloadError) as ei:
                     oc.recv(np.empty(1), 2, tag=3)
                 # Either this rank tripped over the corpse itself

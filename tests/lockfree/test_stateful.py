@@ -23,7 +23,6 @@ from repro.core.request_pool import OffloadError, OffloadRequest, \
     OffloadRequestPool
 from repro.lockfree.freelist import FreeList, FreeListExhausted
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueFull
-from repro.lockfree.spsc_ring import SPSCRing
 from repro.util.rng import seeded_rng
 
 pytestmark = pytest.mark.deadline(150)
@@ -95,41 +94,10 @@ class QueueMachine(RuleBasedStateMachine):
         assert len(self.q) == len(self.model)
 
 
-class RingMachine(RuleBasedStateMachine):
-    """SPSC ring vs a bounded FIFO list model (capacity - 1 usable)."""
-
-    def __init__(self):
-        super().__init__()
-        self.r = SPSCRing(CAP)
-        self.model: list[int] = []
-        self.counter = 0
-
-    @rule()
-    def enqueue(self):
-        ok = self.r.try_enqueue(self.counter)
-        assert ok == (len(self.model) < CAP - 1)
-        if ok:
-            self.model.append(self.counter)
-        self.counter += 1
-
-    @rule()
-    def dequeue(self):
-        ok, item = self.r.try_dequeue()
-        if self.model:
-            assert ok and item == self.model.pop(0)
-        else:
-            assert not ok
-
-    @invariant()
-    def occupancy_matches(self):
-        assert len(self.r) == len(self.model)
-
-
 TestFreeListStateful = FreeListMachine.TestCase
 TestQueueStateful = QueueMachine.TestCase
-TestRingStateful = RingMachine.TestCase
 
-for cls in (TestFreeListStateful, TestQueueStateful, TestRingStateful):
+for cls in (TestFreeListStateful, TestQueueStateful):
     cls.settings = settings(max_examples=60, deadline=None)
 
 

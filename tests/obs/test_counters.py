@@ -135,8 +135,12 @@ def _exchange(oc) -> None:
     oc.flush()
 
 
-def _engine_counters(**kw) -> list[dict]:
+def _engine_counters(plan=None, **kw) -> list[dict]:
     def prog(comm):
+        if plan is not None:
+            if comm.rank == 0:
+                comm.world.install_faults(plan)
+            comm.barrier()  # installed before either rank's engine
         with offloaded(comm, **kw) as oc:
             _exchange(oc)
             return oc.engine.telemetry_snapshot()["counters"]
@@ -178,7 +182,7 @@ def emitted() -> list[dict]:
     return [
         *_engine_counters(pool_size=1),
         *_engine_counters(pool_size=2),
-        *_engine_counters(pool_size=1, faults=plan),
+        *_engine_counters(plan, pool_size=1),
         _served_counters(),
     ]
 

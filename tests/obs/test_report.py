@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import OffloadTimeout, offloaded
+from repro.core import OffloadTimeout, RecoveryPolicy, offloaded
 from repro.core.offload_comm import OffloadCommunicator
 from repro.core.request_pool import OffloadError
 
@@ -44,7 +44,11 @@ def _mixed_terminal_states(telemetry: bool):
             r.wait(timeout=30)
             with pytest.raises(OffloadError):
                 oc.isend(np.ones(8), comm.size + 5, tag=0).wait(timeout=30)
-            hurried = OffloadCommunicator(oc.inner, oc.engine, op_timeout=0.05)
+            # a facade reads its pool's policy once, at construction:
+            # this one alone carries the short deadline
+            oc.engine.recovery = RecoveryPolicy(op_timeout=0.05)
+            hurried = OffloadCommunicator(oc.inner, oc.engine)
+            oc.engine.recovery = None
             with pytest.raises(OffloadTimeout):
                 hurried.irecv(np.empty(8), 0, tag=99).wait(timeout=30)
             oc.flush()

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import OffloadTimeout, offloaded
+from repro.core import OffloadTimeout, RecoveryPolicy, offloaded
 from repro.core.commands import Command, CommandKind
 from repro.core.request_pool import OffloadEngineDied, OffloadRequest
 
@@ -85,7 +85,8 @@ class TestBridge:
 
     def test_timeout_raises_typed_into_await(self):
         def prog(comm):
-            with offloaded(comm, op_timeout=0.2) as oc:
+            rec = RecoveryPolicy(op_timeout=0.2)
+            with offloaded(comm, recovery=rec) as oc:
                 engine = AsyncOffloadEngine(oc)
 
                 async def main() -> bool:
@@ -152,7 +153,9 @@ class TestBridge:
 
     def test_cancelled_awaiter_still_consumes_slot(self):
         def prog(comm):
-            with offloaded(comm, op_timeout=0.3, telemetry=True) as oc:
+            with offloaded(
+                comm, recovery=RecoveryPolicy(op_timeout=0.3), telemetry=True
+            ) as oc:
                 engine = AsyncOffloadEngine(oc)
 
                 async def main() -> bool:
