@@ -1,9 +1,9 @@
 """Benchmark harness helpers.
 
-Each ``bench_*`` file regenerates one paper table/figure via its
-experiment module and asserts the paper's qualitative claims.  Runs
-are single-shot (``pedantic``): the quantity of interest is the
-artifact itself, not Python-level timing jitter.
+``bench_experiments.py`` regenerates every paper table/figure via its
+experiment module and asserts the paper's qualitative claims; the
+other ``bench_*`` files measure the real offload stack and write
+``BENCH_<name>.json`` artifacts through :class:`BenchTrajectory`.
 
 Run with::
 
@@ -104,61 +104,3 @@ def fine_gil_slices():
     sys.setswitchinterval(1e-4)
     yield
     sys.setswitchinterval(prev)
-
-
-@pytest.fixture
-def engine_telemetry():
-    """Enable engine telemetry for this benchmark and collect the final
-    snapshots of every offload engine that ran inside it.
-
-    Engines created while telemetry is enabled record a snapshot into
-    the :mod:`repro.obs.report` registry at stop(); this fixture clears
-    the registry up front and drains it afterwards, yielding a mutable
-    holder whose ``snapshots``/``merged`` fields are filled in on exit.
-    """
-    from repro import obs
-
-    class _Holder:
-        snapshots: list = []
-        merged: dict = {}
-
-    holder = _Holder()
-    obs.drain_snapshots()  # discard anything stale from earlier runs
-    with obs.telemetry(True):
-        yield holder
-    holder.snapshots = obs.drain_snapshots()
-    holder.merged = obs.merge(holder.snapshots)
-
-
-@pytest.fixture
-def regenerate(benchmark, engine_telemetry):
-    """Run an experiment under the benchmark fixture, print its table,
-    and run its qualitative checks.
-
-    Engine telemetry is enabled for the duration, so BENCH_*.json runs
-    carry engine counters alongside timings: any offload engine spun up
-    by the experiment lands in ``extra_info["telemetry"]`` (analytic
-    simtime experiments that run no engines record nothing).
-    """
-
-    def _run(exp_id: str, fast: bool = True):
-        from repro import obs
-        from repro.experiments import load
-
-        mod = load(exp_id)
-        table = benchmark.pedantic(
-            lambda: mod.run(fast=fast), iterations=1, rounds=1
-        )
-        print()
-        print(table.render())
-        mod.check(table)
-        benchmark.extra_info["rows"] = len(table.rows)
-        snapshots = obs.drain_snapshots()
-        if snapshots:
-            merged = obs.merge(snapshots)
-            benchmark.extra_info["telemetry"] = merged
-            print()
-            print(obs.render(merged, title=f"{exp_id} engine telemetry"))
-        return table
-
-    return _run

@@ -18,10 +18,10 @@ application threads issue MPI calls concurrently.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import deque
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from repro.core.commands import ISSUE, Command, CommandKind
@@ -54,6 +54,11 @@ _BATCH = 64
 #: fault-plan maturation alive.
 _TICK = TICK
 _NEVER = float("inf")
+#: Stand-ins for the request of a ledger entry that posted none: a
+#: FLUSH waiting for its shard to go idle, a retry waiting out its
+#: backoff.  Never done, nothing to cancel.
+_FENCE = SimpleNamespace(done=False, cancel=lambda: None)
+_BACKOFF = SimpleNamespace(done=False, cancel=lambda: None)
 #: The engine's own counters, each a plain int attribute bumped where
 #: its event happens (DESIGN.md §9); ``stats()`` adds what the ring,
 #: the request pool and the progress engine already hold.
@@ -143,12 +148,11 @@ class OffloadEngine:
         #: its rank's one CPU under `World.run` (DESIGN.md §21)
         self.cpus: list[int] | None = None
         self._wake = Doorbell()
-        #: earliest deadline among in-flight operations (last sweep)
-        self._next_deadline = _NEVER
         self._dead: BaseException | None = None
-        #: posted operations not yet complete: (inner request, command)
-        self._in_flight: list[tuple["Request", Command]] = []
-        self._flushes: list[Command] = []
+        #: the ledger, one entry per command drained and not terminal:
+        #: (posted request or `_FENCE`/`_BACKOFF`, command, due), with
+        #: ``due`` its deadline or end of backoff, else None
+        self._held: list[tuple["Request", Command, float | None]] = []
         self._prev_funnel: int | None = None
         # -- fault injection + recovery (both None in normal operation:
         # every hook site is a single `is None` check) --------------------
@@ -158,9 +162,6 @@ class OffloadEngine:
         self.recovery = recovery
         #: bumped once per loop iteration; sampled by EngineWatchdog
         self.heartbeat = 0
-        #: retry heap: (due_time, seq, command)
-        self._retries: list[tuple[float, int, Command]] = []
-        self._retry_seq = 0
         self._trip_lock = threading.Lock()
         #: file the final snapshot in the `repro.obs` registry
         self.telemetry = obs.enabled() if telemetry is None else telemetry
@@ -297,8 +298,11 @@ class OffloadEngine:
         Read from the caller's thread without synchronization (the
         engine may be mutating concurrently) — diagnostic only.
         """
-        out = [_describe(cmd) for _, cmd in list(self._in_flight)]
-        out += [f"retry {_describe(cmd)}" for *_, cmd in list(self._retries)]
+        out = [
+            f"retry {_describe(cmd)}" if inner is _BACKOFF
+            else _describe(cmd)
+            for inner, cmd, _ in list(self._held)
+        ]
         queued = len(self.queue)
         if queued:
             out.append(f"{queued} queued command(s)")
@@ -387,11 +391,11 @@ class OffloadEngine:
                 # set and the park at the bottom returns at once —
                 # whether or not the look found work.
                 self._wake.clear()
-                did = 0
+                work = self.commands_processed + self.completions
                 # One drain call pulls a whole batch off the ring; it
                 # is fully issued before the single progress pump +
-                # retry/deadline sweep below, so the per-iteration
-                # overhead is paid once per *batch*, not per command.
+                # ledger pass below, so the per-iteration overhead is
+                # paid once per *batch*, not per command.
                 # A look that finds nothing costs nothing (DESIGN.md
                 # §20): the drain's first step — is the next cell
                 # published? — is made here, so an empty ring is no call
@@ -401,7 +405,6 @@ class OffloadEngine:
                 batch = queue.drain(_BATCH) if published else ()
                 more = False
                 if batch:
-                    did += len(batch)
                     more = len(batch) == _BATCH
                     self._drained.extend(batch)
                     self.batch_dequeues += 1
@@ -409,17 +412,8 @@ class OffloadEngine:
                         self.batch_size_hwm = len(batch)
                     if self._process_batch():
                         shutdown = True
-                did += self._sweep()
-                if self._retries:
-                    did += self._run_due_retries()
-                if self._flushes:
-                    self._check_flushes()
-                if (
-                    shutdown
-                    and queue.empty()
-                    and not self._in_flight
-                    and not self._retries
-                ):
+                due = self._sweep()
+                if shutdown and not self._held and queue.empty():
                     # Close the ring *before* the final look: a racing
                     # submit either committed before the close (its
                     # command surfaces in drain_closed and is processed
@@ -431,17 +425,17 @@ class OffloadEngine:
                         break
                     self._drained.extend(tail)
                     self._process_batch()
-                if timed_out and did:
+                if (
+                    timed_out
+                    and self.commands_processed + self.completions != work
+                ):
                     self.timed_wakes += 1
                 timed_out = False
                 if more:
                     # The rest of a deep ring: no bell announces it.
                     continue
                 # Park until a doorbell rings (at once if one already
-                # has), a retry or deadline falls due, or the tick.
-                due = self._next_deadline
-                if self._retries:
-                    due = min(due, self._retries[0][0])
+                # has), a held entry falls due, or the tick.
                 timed_out = not self._wake.wait(
                     _TICK
                     if due == _NEVER
@@ -458,7 +452,7 @@ class OffloadEngine:
             self._fail_pending(self._die(exc))
         finally:
             progress_engine.remove_doorbell(self._wake)
-            self._publish(len(self._in_flight))
+            self._publish(len(self._held))
             # Restore the funnel designation only if we still hold it —
             # a degraded facade may have re-pointed it at an app thread.
             if world.funnel_thread(rank) == threading.get_ident():
@@ -529,7 +523,7 @@ class OffloadEngine:
                     cmd.deadline is not None
                     and time.perf_counter() > cmd.deadline
                 ):
-                    # Sat in the queue (or the retry heap) too long.
+                    # Sat in the ring (or out a retry backoff) too long.
                     self.completions += 1
                     self._expire(cmd)
                 elif (
@@ -633,8 +627,9 @@ class OffloadEngine:
             cmd.attempts += 1
             self.retries += 1
             due = time.perf_counter() + rec.retry.backoff(cmd.attempts)
-            self._retry_seq += 1
-            heapq.heappush(self._retries, (due, self._retry_seq, cmd))
+            if cmd.deadline is not None and cmd.deadline < due:
+                due = cmd.deadline  # expires then, not after the backoff
+            self._held.append((_BACKOFF, cmd, due))
             return
         self._fail(cmd, exc)
 
@@ -665,16 +660,6 @@ class OffloadEngine:
         self.completions += 1
         self.pool.fail(cmd.slot, exc)
 
-    def _run_due_retries(self) -> int:
-        """Re-drive retry-scheduled commands whose backoff elapsed."""
-        now = time.perf_counter()
-        n = 0
-        while self._retries and self._retries[0][0] <= now:
-            _, _, cmd = heapq.heappop(self._retries)
-            n += 1
-            self._post_run([cmd])
-        return n
-
     def _expire(self, cmd: Command) -> None:
         """Publish ``cmd``'s missed deadline (counted by the caller)."""
         self.deadline_expirations += 1
@@ -695,7 +680,7 @@ class OffloadEngine:
         """
         kind = cmd.kind
         if kind is CommandKind.FLUSH:
-            self._flushes.append(cmd)
+            self._held.append((_FENCE, cmd, cmd.deadline))
         elif cmd.comm is None and kind is not CommandKind.CALL:
             raise ValueError(f"{kind.name} command carries no communicator")
         elif kind.immediate:
@@ -715,19 +700,22 @@ class OffloadEngine:
             self.completions += 1
             self._finish(inner, cmd)
             return
-        self._in_flight.append((inner, cmd))
+        self._held.append((inner, cmd, cmd.deadline))
 
     # ------------------------------------------------------------ progress
 
-    def _sweep(self) -> int:
-        """One ``Testany``-style pass over all in-flight operations.
+    def _sweep(self) -> float:
+        """One ``Testany``-style pass over the ledger; returns the
+        soonest time a held entry falls due, which bounds the park.
 
-        The progress pump runs even with nothing locally in flight:
-        this rank may be the *target* of one-sided operations or
-        rendezvous handshakes that need servicing (the offload thread
-        doubles as the RMA asynchronous-progress agent, §7) — when it
-        has something to do: an arrival in the inbox, a schedule-based
-        collective to advance, a fault plan to consult.
+        The pump runs even with nothing held: this rank may be the
+        *target* of one-sided operations or rendezvous handshakes (the
+        offload thread doubles as the RMA progress agent, §7) — when an
+        arrival, a schedule-based collective or a fault plan needs it.
+        Each entry is then looked at once: a finished request completes,
+        one past its deadline expires, a retry whose backoff ended is
+        re-posted (those due together in the order they failed), and
+        fences go once nothing else is held and the ring is empty.
         """
         pe = self.comm.engine
         if pe._inbox or pe._active_nbc or pe.faults is not None:
@@ -736,31 +724,61 @@ class OffloadEngine:
             # Poisoned while pumping (watchdog trip during an injected
             # stall): stop touching completion state — the loop exit
             # path fails everything pending exactly once.
-            return 0
-        in_flight = self._in_flight
-        gone: list[int] = []  # positions done or past their deadline
+            return _NEVER
+        held = self._held
+        gone: list[int] = []  # positions done, expired or due a re-post
+        again: list[Command] = []  # the due retries among them
+        soonest = _NEVER
         depth = 0
-        if in_flight:
+        if held:
             self.progress_sweeps += 1
-            # In-flight depth only grows between sweeps, so its
-            # high-water mark is always the depth some sweep starts with.
-            depth = len(in_flight)
+            # The ledger only grows between sweeps, so its high-water
+            # mark is always the depth some sweep starts with.
+            depth = len(held)
             if depth > self.max_in_flight:
                 self.max_in_flight = depth
             now = -1.0
-            soonest = _NEVER
-            for i, (inner, cmd) in enumerate(in_flight):
+            for i, (inner, cmd, due) in enumerate(held):
                 if inner.done:
                     gone.append(i)
-                elif cmd.deadline is not None:
+                elif due is not None:
                     if now < 0.0:
                         now = time.perf_counter()
-                    if now > cmd.deadline:
+                    if now > due:
                         gone.append(i)
-                    elif cmd.deadline < soonest:
-                        soonest = cmd.deadline
-            self._next_deadline = soonest
-        if not gone:
+                        if inner is _BACKOFF:
+                            again.append(cmd)
+                    elif due < soonest:
+                        soonest = due
+        if gone:
+            # Count and drop, publish, and only then complete: whoever
+            # sees one of these completions reads a tally that holds it.
+            n = len(gone) - len(again)
+            drop = set(gone)
+            self._held = [e for i, e in enumerate(held) if i not in drop]
+            self.completions += n
+            self._publish(depth - n)
+            for i in gone:
+                inner, cmd, _ = held[i]
+                if inner.done:
+                    self._finish(inner, cmd)
+                elif inner is not _BACKOFF:
+                    # Past its deadline: cancel what can be cancelled
+                    # (only receives), then fail the waiter.
+                    try:
+                        inner.cancel()
+                    except Exception:  # noqa: BLE001
+                        pass
+                    self._expire(cmd)
+            if again:
+                # Re-drained, so a crash leaves none of them unowned.
+                kept = len(self._held)
+                self._drained.extend(again)
+                self._process_batch()
+                for *_, due in self._held[kept:]:
+                    if due is not None and due < soonest:
+                        soonest = due
+        else:
             tally = self._tally
             if (
                 self.completions != tally[2]
@@ -769,27 +787,20 @@ class OffloadEngine:
                 # the batch drained or completed something: the balance
                 # counts moved since the last publish
                 self._publish(depth)
-            return 0
-        # Count and drop, publish, and only then complete: whoever sees
-        # one of these completions reads a tally that holds it.
-        n = len(gone)
-        drop = set(gone)
-        self._in_flight = [e for i, e in enumerate(in_flight) if i not in drop]
-        self.completions += n
-        self._publish(depth - n)
-        for i in gone:
-            inner, cmd = in_flight[i]
-            if inner.done:
-                self._finish(inner, cmd)
-            else:
-                # Past its deadline: cancel what can be cancelled (only
-                # receives), then fail the waiter with OffloadTimeout.
-                try:
-                    inner.cancel()
-                except Exception:  # noqa: BLE001
-                    pass
-                self._expire(cmd)
-        return n
+        held = self._held
+        if (
+            held
+            and held[-1][0] is _FENCE
+            and self.queue.empty()
+            and all(inner is _FENCE for inner, _, _ in held)
+        ):
+            # Idle: nothing but fences held, nothing left in the ring.
+            self._held = []
+            self.completions += len(held)
+            self._publish(0)
+            for _, cmd, _ in held:
+                self.pool.complete(cmd.slot, None)
+        return soonest
 
     def _finish(self, inner: "Request", cmd: Command) -> None:
         """Publish ``inner``'s outcome to ``cmd``'s slot (counted by
@@ -802,16 +813,6 @@ class OffloadEngine:
         else:
             self.pool.complete(cmd.slot, inner.status)
 
-    def _check_flushes(self) -> None:
-        if not self._flushes or self._in_flight or not self.queue.empty():
-            return
-        flushes = self._flushes
-        self._flushes = []
-        self.completions += len(flushes)
-        self._publish(0)  # as a sweep does: before they are visible
-        for cmd in flushes:
-            self.pool.complete(cmd.slot, None)
-
     def _fail_pending(self, exc: BaseException) -> None:
         """Engine died: fail everything in flight, drained and queued.
 
@@ -822,20 +823,13 @@ class OffloadEngine:
         command.
         """
         self.queue.close()
-        for _, cmd in self._in_flight:
-            self._fail(cmd, exc)
-        self._in_flight.clear()
-        # A mid-batch crash leaves the unprocessed tail of the batch in
-        # `_drained` (already counted as drained); append everything
-        # still committed to the ring behind it.
-        backlog = list(self._drained)
+        # Everything held, then the tail a mid-batch crash leaves in
+        # `_drained` (already counted as drained), then the ring's rest.
+        backlog = [cmd for _, cmd, _ in self._held]
+        self._held = []
+        backlog.extend(self._drained)
         self._drained.clear()
         backlog.extend(self.queue.drain_closed())
-        # So were the commands waiting on a flush or out a retry
-        # backoff, which no loop will re-drive now.
-        backlog += self._flushes + [cmd for *_, cmd in self._retries]
-        self._flushes.clear()
-        self._retries.clear()
         for cmd in backlog:
             if cmd.kind is CommandKind.SHUTDOWN:
                 self.control_commands += 1
@@ -843,17 +837,14 @@ class OffloadEngine:
                 self._fail(cmd, exc)
         self._publish(0)
 
-    def _publish(self, in_flight: int) -> None:
+    def _publish(self, pending: int) -> None:
         """Publish the balance law's counts as one value, ``_tally``.
 
         Called where every drained command is accounted for: by a sweep
-        or a flush check before what it completes is visible, and when
-        the loop ends.  ``in_flight`` is the posted depth; commands
-        waiting on a flush or a retry backoff are drained but not
-        terminal, so they count as pending too.
+        before what it completes is visible, and when the loop ends.
+        ``pending`` is the ledger's depth: every command drained and
+        not yet terminal.
         """
-        if self._flushes or self._retries:
-            in_flight += len(self._flushes) + len(self._retries)
         queue = self.queue
         drained = queue.dequeue_count
         self._tally = (
@@ -861,7 +852,7 @@ class OffloadEngine:
             drained,
             self.completions,
             self.control_commands,
-            in_flight,
+            pending,
         )
 
     # ------------------------------------------------------------ stats

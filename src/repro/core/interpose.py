@@ -51,8 +51,6 @@ def interpose(comm: "Communicator", engine: EnginePool) -> OffloadCommunicator:
 @contextlib.contextmanager
 def offloaded(
     comm: "Communicator",
-    pool_capacity: int = 4096,
-    queue_capacity: int = 4096,
     telemetry: bool | None = None,
     recovery=None,
     pool_size: int | None = None,
@@ -83,7 +81,9 @@ def offloaded(
     is None the module default (:data:`DEFAULT_POOL_SIZE`) applies but
     is silently clamped to 1 below ``MPI_THREAD_MULTIPLE`` so
     single-threaded worlds keep working when the suite-wide default is
-    raised.
+    raised.  The request pool's and the rings' sizes are the
+    :class:`~repro.core.engine_pool.EnginePool`'s: build one and
+    :func:`interpose` it to set them.
 
     The zero-copy data plane (DESIGN.md §14) is a setting of the
     :class:`~repro.mpisim.world.World`; this context leaves it alone."""
@@ -104,8 +104,6 @@ def offloaded(
         comm,
         pool_size=effective_pool,
         router=router,
-        pool_capacity=pool_capacity,
-        queue_capacity=queue_capacity,
         telemetry=telemetry,
         recovery=recovery,
     )

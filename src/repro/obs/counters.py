@@ -49,7 +49,7 @@ COUNTER_GLOSSARY: dict[str, str] = {
     "(producer contention)",
     "testany_sweeps": "engine loop iterations, each pumping progress "
     "over in-flight requests (the §3.2 Testany loop; the heartbeat)",
-    "progress_sweeps": "Testany passes that found requests in flight",
+    "progress_sweeps": "Testany passes that found held work",
     "completions": "commands that reached a terminal state (completed, "
     "failed, expired, or flushed)",
     "doorbell_wakes": "parks of the engine loop ended by a doorbell "
@@ -59,7 +59,8 @@ COUNTER_GLOSSARY: dict[str, str] = {
     "an expired deadline, a matured fault delay; otherwise a wake "
     "source someone forgot to ring)",
     "control_commands": "engine-control commands (SHUTDOWN)",
-    "max_in_flight": "peak number of simultaneously in-flight requests",
+    "max_in_flight": "peak number of commands held drained and not yet "
+    "terminal (in flight, retrying or fencing)",
     "batch_dequeues": "non-empty batch drains of the command ring "
     "(one per engine loop iteration that found work)",
     "batch_size_hwm": "largest single batch drained from the ring",

@@ -38,6 +38,11 @@ def _wakes(engine) -> tuple[int, int]:
     return engine.doorbell_wakes, engine.timed_wakes
 
 
+def _posted(engine) -> bool:
+    """Does ``engine`` hold a posted receive (not merely a queued one)?"""
+    return any(p.startswith("irecv") for p in engine.pending_work())
+
+
 def _settle(predicate, budget: float = 10.0) -> None:
     deadline = time.perf_counter() + budget
     while not predicate():
@@ -55,7 +60,7 @@ class TestPark:
             with offloaded(comm, pool_size=1, telemetry=True) as oc:
                 engine = oc.engine.route()
                 req = oc.irecv(np.empty(8, dtype=np.uint8), 0, tag=3)
-                _settle(lambda: engine._in_flight)
+                _settle(lambda: _posted(engine))
                 beats0 = engine.heartbeat
                 pumps0 = comm.engine.progress_calls
                 t0 = time.perf_counter()
@@ -144,7 +149,7 @@ class TestDoorbells:
                         tag=7,
                     )
                 )
-                _settle(lambda: owner._in_flight)
+                _settle(lambda: _posted(owner))
                 progress.inject = progress._inbox.append  # no ring
                 try:
                     comm.isend(np.arange(8, dtype=np.uint8), 0, tag=7)

@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import offloaded
+from repro.core import EnginePool, interpose
 from repro.util.rng import seeded_rng
 
 from tests.conftest import run_world_mt
@@ -57,7 +57,8 @@ def _receiver(oc, tag: int) -> int:
 
 def _prog(comm, seed_round: int):
     # small rings: constant backpressure
-    with offloaded(comm, pool_size=4, queue_capacity=16) as oc:
+    with EnginePool(comm, pool_size=4, queue_capacity=16) as pool:
+        oc = interpose(comm, pool)
         results = [None] * NSTREAMS
         if comm.rank == 0:
             work = _sender
