@@ -20,6 +20,10 @@ Default-derived widths are clamped to 1 inside worlds below
 ``MPI_THREAD_MULTIPLE`` (the pool needs concurrent MPI), so FUNNELED
 tests keep passing unchanged while every ``run_world_mt`` test truly
 exercises routing across shards.
+A ``run_world_mt`` test that builds its own
+:class:`~repro.core.engine_pool.EnginePool` (the ring and request-pool
+sizes are its keywords alone) takes the ``engine_pool_size`` fixture
+and passes it as ``pool_size``.
 """
 
 import os
