@@ -35,8 +35,9 @@ from repro.core.request_pool import (
     OffloadRequestPool,
 )
 from repro.dst import hooks as _dst
-from repro.lockfree.atomics import Doorbell
+from repro.lockfree.atomics import AtomicFlag, Doorbell
 from repro.lockfree.mpsc_queue import MPSCQueue, QueueClosed, QueueFull
+from repro.mpisim.exceptions import RankDeadError
 from repro.mpisim.requests import TICK
 from repro.mpisim.world import thread_cpus
 from repro import obs
@@ -54,11 +55,19 @@ _BATCH = 64
 #: fault-plan maturation alive.
 _TICK = TICK
 _NEVER = float("inf")
-#: Stand-ins for the request of a ledger entry that posted none: a
-#: FLUSH waiting for its shard to go idle, a retry waiting out its
-#: backoff.  Never done, nothing to cancel.
-_FENCE = SimpleNamespace(done=False, cancel=lambda: None)
+#: Stand-in for the request of a ledger entry that posted none: a
+#: retry waiting out its backoff.  Never done, nothing to cancel.
 _BACKOFF = SimpleNamespace(done=False, cancel=lambda: None)
+
+
+class _Fence(list):
+    """A held FLUSH's stand-in request: the commands it waits out."""
+
+    __slots__ = ()
+    done = False
+    cancel = staticmethod(_BACKOFF.cancel)
+
+
 #: The engine's own counters, each a plain int attribute bumped where
 #: its event happens (DESIGN.md §9); ``stats()`` adds what the ring,
 #: the request pool and the progress engine already hold.
@@ -93,16 +102,12 @@ def _describe(cmd: Command) -> str:
     return desc
 
 
-def _is_rank_dead(exc: BaseException) -> bool:
+def _is_rank_dead(exc: BaseException | None) -> bool:
     """Is ``exc`` (or its cause chain) a substrate RankDeadError?"""
-    from repro.mpisim.exceptions import RankDeadError
-
-    seen = 0
-    while exc is not None and seen < 8:
-        if isinstance(exc, RankDeadError):
-            return True
+    for _ in range(8):
+        if exc is None or isinstance(exc, RankDeadError):
+            return exc is not None
         exc = exc.__cause__ or exc.__context__
-        seen += 1
     return False
 
 
@@ -149,11 +154,13 @@ class OffloadEngine:
         self.cpus: list[int] | None = None
         self._wake = Doorbell()
         self._dead: BaseException | None = None
+        #: the death word, set once this shard will complete nothing more
+        self.death = AtomicFlag()
         #: the ledger, one entry per command drained and not terminal:
-        #: (posted request or `_FENCE`/`_BACKOFF`, command, due), with
+        #: (posted request or `_Fence`/`_BACKOFF`, command, due), with
         #: ``due`` its deadline or end of backoff, else None
         self._held: list[tuple["Request", Command, float | None]] = []
-        self._prev_funnel: int | None = None
+        self._fences = 0  #: FLUSH entries in the ledger
         # -- fault injection + recovery (both None in normal operation:
         # every hook site is a single `is None` check) --------------------
         #: the world's plan (`World.install_faults`, before the engines
@@ -176,10 +183,6 @@ class OffloadEngine:
     # ------------------------------------------------------------ lifecycle
 
     @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    @property
     def dead(self) -> BaseException | None:
         return self._dead
 
@@ -192,10 +195,9 @@ class OffloadEngine:
             name=f"offload-rank-{self.comm.engine.rank}",
             daemon=True,
         )
-        started = threading.Event()
-        self._started_evt = started
+        self._started_evt = threading.Event()
         self._thread.start()
-        started.wait()
+        self._started_evt.wait()
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
@@ -237,47 +239,35 @@ class OffloadEngine:
         self, reason: str = "engine aborted", join_timeout: float = 5.0
     ) -> None:
         """Force-stop: fail everything pending and kill the loop."""
-        exc = OffloadEngineDied(reason)
+        self._poison(OffloadEngineDied(reason), join_timeout)
+
+    def watchdog_trip(self, reason: str) -> None:
+        """A caller detected a wedged/vanished engine thread: poison
+        the engine, as :meth:`abort` does, unless it is already dead."""
+        with self._trip_lock:
+            if self._dead is not None:
+                return
+            self.watchdog_trips += 1
+            self._dead = OffloadEngineDied(f"watchdog tripped: {reason}")
+        self._poison(self._dead, 0.2)
+
+    def _poison(self, exc: BaseException, join_timeout: float) -> None:
+        """Mark the death, ring the loop, join it briefly, then fail
+        the backlog here if the thread is gone.  A wedged thread fails
+        it itself when it wakes (the ring is single-consumer): only the
+        death word is published, and every recovery waiter unblocks."""
         self._dead = exc
         self._wake.set()
         thread = self._thread
         if thread is not None:
             thread.join(join_timeout)
             if thread.is_alive():
-                # Wedged mid-operation: the queue is single-consumer, so
-                # only the engine thread may drain it.  It fails all
-                # pending work itself the moment it wakes and observes
-                # `_dead`; recovery-aware waiters observe `dead` and do
-                # not block on that.
+                self.death.set()
                 return
             self._thread = None
         self._fail_pending(exc)
         if self.telemetry:
             obs.record_snapshot(self.telemetry_snapshot())
-
-    def watchdog_trip(self, reason: str) -> None:
-        """A caller detected a wedged/vanished engine thread.
-
-        Poisons the engine (every subsequent ``submit`` raises and
-        every recovery-aware waiter unblocks with
-        :class:`OffloadEngineDied`) and, if the thread is already gone,
-        fails all pending work immediately.  A wedged-but-alive thread
-        fails its own pending work when it next wakes — the command
-        queue is single-consumer, so nobody else may drain it.
-        """
-        with self._trip_lock:
-            if self._dead is not None:
-                return
-            self.watchdog_trips += 1
-            exc = OffloadEngineDied(f"watchdog tripped: {reason}")
-            self._dead = exc
-        self._wake.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(0.2)
-            if thread.is_alive():
-                return
-        self._fail_pending(exc)
 
     def _die(self, exc: BaseException) -> BaseException:
         """Mark the engine dead of ``exc`` (once per crash: see
@@ -372,7 +362,7 @@ class OffloadEngine:
         world = self.comm.world
         rank = self.comm.engine.rank
         self.cpus = thread_cpus()
-        self._prev_funnel = world.funnel_thread(rank)
+        prev_funnel = world.funnel_thread(rank)
         world.set_funnel_thread(rank, threading.get_ident())
         shutdown = False
         timed_out = False
@@ -456,7 +446,7 @@ class OffloadEngine:
             # Restore the funnel designation only if we still hold it —
             # a degraded facade may have re-pointed it at an app thread.
             if world.funnel_thread(rank) == threading.get_ident():
-                world.set_funnel_thread(rank, self._prev_funnel)
+                world.set_funnel_thread(rank, prev_funnel)
 
     # ------------------------------------------------------------ processing
 
@@ -680,7 +670,10 @@ class OffloadEngine:
         """
         kind = cmd.kind
         if kind is CommandKind.FLUSH:
-            self._held.append((_FENCE, cmd, cmd.deadline))
+            # Held commands (not fences) came before it; the ring, after.
+            ahead = _Fence(c for _, c, _ in self._held if c.kind is not kind)
+            self._held.append((ahead, cmd, cmd.deadline))
+            self._fences += 1
         elif cmd.comm is None and kind is not CommandKind.CALL:
             raise ValueError(f"{kind.name} command carries no communicator")
         elif kind.immediate:
@@ -715,7 +708,7 @@ class OffloadEngine:
         Each entry is then looked at once: a finished request completes,
         one past its deadline expires, a retry whose backoff ended is
         re-posted (those due together in the order they failed), and
-        fences go once nothing else is held and the ring is empty.
+        fences go once nothing they fence is held.
         """
         pe = self.comm.engine
         if pe._inbox or pe._active_nbc or pe.faults is not None:
@@ -787,20 +780,26 @@ class OffloadEngine:
                 # the batch drained or completed something: the balance
                 # counts moved since the last publish
                 self._publish(depth)
-        held = self._held
-        if (
-            held
-            and held[-1][0] is _FENCE
-            and self.queue.empty()
-            and all(inner is _FENCE for inner, _, _ in held)
-        ):
-            # Idle: nothing but fences held, nothing left in the ring.
-            self._held = []
-            self.completions += len(held)
-            self._publish(0)
-            for _, cmd, _ in held:
-                self.pool.complete(cmd.slot, None)
+        if self._fences:
+            self._release_fences()
         return soonest
+
+    def _release_fences(self) -> None:
+        """Complete every held FLUSH none of whose fenced commands is
+        held any more (a retry keeps its command across re-posts)."""
+        held = self._held
+        live = {id(cmd) for _, cmd, _ in held}
+        fences = [e for e in held if type(e[0]) is _Fence]
+        for fence, _, _ in fences:
+            fence[:] = [c for c in fence if id(c) in live]
+        ready = [cmd for fence, cmd, _ in fences if not fence]
+        self._fences = len(fences) - len(ready)
+        if ready:
+            self._held = [e for e in held if type(e[0]) is not _Fence or e[0]]
+            self.completions += len(ready)
+            self._publish(len(self._held))
+            for cmd in ready:
+                self.pool.complete(cmd.slot, None)
 
     def _finish(self, inner: "Request", cmd: Command) -> None:
         """Publish ``inner``'s outcome to ``cmd``'s slot (counted by
@@ -814,13 +813,13 @@ class OffloadEngine:
             self.pool.complete(cmd.slot, inner.status)
 
     def _fail_pending(self, exc: BaseException) -> None:
-        """Engine died: fail everything in flight, drained and queued.
+        """Engine died: fail everything in flight, drained and queued,
+        then publish the death word.
 
         Closes the command ring first, so a submit racing this teardown
         either commits its command before the final drain snapshot
         (failed here, below) or gets a typed :class:`OffloadEngineDied`
-        from ``submit`` — the close/enqueue race can no longer lose a
-        command.
+        from ``submit``: the close/enqueue race cannot lose a command.
         """
         self.queue.close()
         # Everything held, then the tail a mid-batch crash leaves in
@@ -836,6 +835,7 @@ class OffloadEngine:
             else:
                 self._fail(cmd, exc)
         self._publish(0)
+        self.death.set()
 
     def _publish(self, pending: int) -> None:
         """Publish the balance law's counts as one value, ``_tally``.

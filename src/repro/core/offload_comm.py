@@ -34,7 +34,7 @@ from repro.core.request_pool import (
     raise_typed,
     recovery_wait,
 )
-from repro.lockfree.atomics import Doorbell, DoneWord
+from repro.lockfree.atomics import DoneWord, park_any
 from repro.mpisim import datatypes
 from repro.mpisim.constants import (
     ANY_SOURCE,
@@ -642,10 +642,9 @@ def offload_waitany(
 ) -> tuple[int, Status]:
     """Wait until one handle completes; returns its index and status.
 
-    Between scans one bell is parked on every handle's done word (the
-    ``DoneWord`` protocol) and the first completion rings it: a bell,
-    since two may complete together and a lock released twice raises.
-    ``timeout`` bounds the whole wait.
+    Between scans the caller parks on every handle's done word at once
+    (:func:`~repro.lockfree.atomics.park_any`) and the first completion
+    wakes it.  ``timeout`` bounds the whole wait.
     """
     if not requests:
         raise ValueError("offload_waitany on empty list")
@@ -656,13 +655,7 @@ def offload_waitany(
         for i, r in enumerate(requests):
             if r.done:
                 return i, r.wait()
-        left = -1.0 if deadline is None else deadline - time.perf_counter()
-        if deadline is not None and left <= 0:
+        left = None if deadline is None else deadline - time.perf_counter()
+        if left is not None and left <= 0:
             raise TimeoutError("offload_waitany: nothing completed")
-        bell = Doorbell()
-        for w in words:
-            w._register(bell)
-        if not any(w.done for w in words):
-            bell.wait(left)
-        for w in words:
-            w._deregister(bell)
+        park_any(words, left)

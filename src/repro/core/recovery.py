@@ -103,15 +103,13 @@ class RecoveryPolicy:
     watchdog_timeout:
         Declare the engine wedged when its heartbeat has not advanced
         for this many seconds while a caller is waiting (``None`` = no
-        watchdog).  Detection latency is bounded by
-        ``watchdog_timeout + poll_interval``.
+        watchdog).  Waiters sample the heartbeat every quarter of it,
+        so detection takes at most ``1.25 * watchdog_timeout``.
     degrade:
         When the engine is dead, issue *new* facade calls inline on the
         calling thread (the FUNNELED fallback) instead of raising.
         Commands already submitted still fail with
         ``OffloadEngineDied``.
-    poll_interval:
-        Caller-side sampling period for the done flag / heartbeat.
     rank_failure:
         What the engine does when a command fails with
         :class:`~repro.mpisim.exceptions.RankDeadError`.  ``"fail"``
@@ -127,7 +125,6 @@ class RecoveryPolicy:
     op_timeout: float | None = None
     watchdog_timeout: float | None = None
     degrade: bool = False
-    poll_interval: float = 0.02
     rank_failure: str = "fail"
 
     def __post_init__(self) -> None:
@@ -136,7 +133,7 @@ class RecoveryPolicy:
                 f"rank_failure must be 'fail' or 'shrink', "
                 f"not {self.rank_failure!r}"
             )
-        for name in ("op_timeout", "watchdog_timeout", "poll_interval"):
+        for name in ("op_timeout", "watchdog_timeout"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, not {value!r}")
@@ -147,11 +144,11 @@ class EngineWatchdog:
 
     Each engine increments ``engine.heartbeat`` once per loop
     iteration; callers hold one watchdog per wait, on the shard that
-    carries the awaited command, and call :meth:`check` each sampling
-    period.  A heartbeat frozen past the bound (with the thread either
-    wedged or vanished) trips the watchdog, which poisons the engine
-    via :meth:`OffloadEngine.watchdog_trip` — a shard-local event: its
-    pool survives and keeps routing around it.
+    carries the awaited command, and call :meth:`check` every quarter
+    of the bound.  A heartbeat frozen past the bound (with the thread
+    either wedged or vanished) trips the watchdog, which poisons the
+    engine via :meth:`OffloadEngine.watchdog_trip` — a shard-local
+    event: its pool survives and keeps routing around it.
     """
 
     __slots__ = ("engine", "timeout", "_beat", "_since")

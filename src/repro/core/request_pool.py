@@ -28,7 +28,7 @@ import time
 from typing import TYPE_CHECKING, Any
 
 from repro.dst import hooks as _dst
-from repro.lockfree.atomics import AtomicFlag
+from repro.lockfree.atomics import AtomicFlag, park_any
 from repro.lockfree.freelist import DoubleFree, FreeList, FreeListExhausted
 
 __all__ = [
@@ -501,44 +501,40 @@ def recovery_wait(
     engine: "OffloadEngine",
     timeout: float | None,
 ) -> None:
-    """Wait on ``slot``'s done flag while sampling ``engine``'s health
+    """Park on ``slot``'s done flag and ``engine``'s death word at once
     (the engine carries a :class:`~repro.core.recovery.RecoveryPolicy`).
 
-    Bounded-hang guarantee: if the engine dies (or the watchdog trips
-    it) with the slot pending, this raises :class:`OffloadEngineDied`
-    within ``watchdog_timeout + poll_interval`` — even for a command
-    the engine can no longer reach (wedged mid-dispatch).  The caller
-    must then *abandon* the slot, never release it: the wedged engine
-    thread may still hold a reference and complete it later, and
-    recycling it could corrupt a fresh allocation.  A dead engine's
-    pool is never reused, so the leak is bounded.
+    The park is timed only by ``timeout`` and, with a watchdog, by its
+    next heartbeat sample a quarter of ``watchdog_timeout`` away, so a
+    wedged shard is detected within ``1.25 * watchdog_timeout``.  With
+    the flag still clear when the death is published this raises
+    :class:`OffloadEngineDied`, and the caller must *abandon* the slot:
+    the wedged engine thread may still complete it later, and recycling
+    it could corrupt a fresh allocation (a dead engine's pool is never
+    reused, so the leak is bounded).
     """
     from repro.core.recovery import EngineWatchdog
 
-    rec = engine.recovery
-    assert rec is not None
-    flag = slot.flag
+    flag, death = slot.flag, engine.death
     deadline = None if timeout is None else time.perf_counter() + timeout
-    watchdog = (
-        EngineWatchdog(engine, rec.watchdog_timeout)
-        if rec.watchdog_timeout is not None
-        else None
-    )
-    while True:
-        step = rec.poll_interval
-        if deadline is not None:
-            step = min(step, deadline - time.perf_counter())
-            if step <= 0 and not flag.is_set():
-                raise TimeoutError(
-                    f"offloaded request (slot {idx}) pending after "
-                    f"{timeout}s"
-                )
-        if flag.wait(max(step, 0.0)):
-            return
-        if engine.dead is not None and not flag.is_set():
+    bound = engine.recovery.watchdog_timeout
+    watchdog = None if bound is None else EngineWatchdog(engine, bound)
+    sample = None if bound is None else bound / 4
+    while not flag.done:
+        if death.done:
             raise OffloadEngineDied(
                 f"offload engine terminated with slot {idx} pending: "
                 f"{engine.dead}"
             )
+        step = sample
+        if deadline is not None:
+            left = deadline - time.perf_counter()
+            if left <= 0:
+                raise TimeoutError(
+                    f"offloaded request (slot {idx}) pending after "
+                    f"{timeout}s"
+                )
+            step = left if step is None else min(step, left)
+        park_any((flag, death), step)
         if watchdog is not None:
             watchdog.check()

@@ -411,7 +411,6 @@ def run_serve_chaos(
         retry=RetryPolicy(max_retries=2, base_backoff=1e-4),
         watchdog_timeout=max(10.0, 4 * op_timeout),
         degrade=True,
-        poll_interval=2e-3,
     )
     if plan is None:
         plan = default_plan(1, seed=seed, profile=profile)
@@ -537,7 +536,6 @@ def run_chaos(
         op_timeout=op_timeout,
         watchdog_timeout=max(2.0, 2 * op_timeout),
         degrade=True,
-        poll_interval=2e-3,
     )
     if plan is None:
         plan = default_plan(nranks, seed=seed, profile=profile)

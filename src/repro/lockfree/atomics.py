@@ -318,8 +318,8 @@ class Doorbell:
             pass  # two first ringers raced; one token is enough
 
     #: A bell is also a park token several done words may release
-    #: (``offload_waitany``): a second release is a no-op, where a
-    #: plain lock's would raise on the completer.
+    #: (:func:`park_any`): a second release is a no-op, where a plain
+    #: lock's would raise on the completer.
     release = set
 
     def clear(self) -> None:
@@ -331,3 +331,18 @@ class Doorbell:
         if not self._flag:
             self._token.acquire(True, timeout)
         return self._flag
+
+
+def park_any(words, timeout: float | None = None) -> bool:
+    """Block until one of ``words`` is set or ``timeout`` seconds
+    passed; is one set?  :class:`DoneWord`'s register-then-look over
+    several words, with one bell (two words may publish together) that
+    is taken back from every word however the park ended."""
+    bell = Doorbell()
+    for w in words:
+        w._register(bell)
+    if not any(w.done for w in words):
+        bell.wait(-1.0 if timeout is None else max(0.0, timeout))
+    for w in words:
+        w._deregister(bell)
+    return any(w.done for w in words)

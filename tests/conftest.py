@@ -32,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.lockfree.atomics import Doorbell, DoneWord
+from repro.lockfree.atomics import Doorbell, DoneWord, park_any
 from repro.mpisim import requests as rq
 from repro.mpisim.constants import THREAD_FUNNELED, THREAD_MULTIPLE
 from repro.mpisim.world import World
@@ -242,6 +242,15 @@ def run_world(nranks, fn, *args, thread_level=THREAD_FUNNELED, **kwargs):
 def run_world_mt(nranks, fn, *args, **kwargs):
     return run_world(
         nranks, fn, *args, thread_level=THREAD_MULTIPLE, **kwargs
+    )
+
+
+def await_death(*engines, budget: float = 5.0) -> None:
+    """Park until one of ``engines`` (pool shards) has published its
+    death word: the shard failed everything it held, so its teardown is
+    over, not only its death marked."""
+    assert park_any([e.death for e in engines], budget), (
+        f"no shard died within {budget}s"
     )
 
 

@@ -3,8 +3,6 @@
 ``pool_size > 1`` engine pool (the three features compose; none of
 their pairwise tests exercise all three together)."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -15,25 +13,9 @@ from repro.core import (
     offloaded,
 )
 from repro.faults.plan import FaultAction, FaultPlan, FaultRule
-from tests.conftest import run_world_mt
+from tests.conftest import await_death, run_world_mt
 
 pytestmark = pytest.mark.deadline(120)
-
-
-def _await_pool_dead(pool, budget=5.0):
-    deadline = time.perf_counter() + budget
-    while pool.dead is None and time.perf_counter() < deadline:
-        time.sleep(0.002)
-    assert pool.dead is not None
-
-
-def _await_any_shard_dead(pool, budget=5.0):
-    deadline = time.perf_counter() + budget
-    while time.perf_counter() < deadline:
-        if any(e._dead is not None for e in pool.engines):
-            return
-        time.sleep(0.002)
-    raise AssertionError("no shard died within budget")
 
 
 class TestOneDeadShard:
@@ -44,9 +26,7 @@ class TestOneDeadShard:
         plan = FaultPlan(
             [FaultRule(FaultAction.ENGINE_CRASH, rank=1, count=1)]
         )
-        rec = RecoveryPolicy(
-            op_timeout=10.0, degrade=True, poll_interval=5e-3
-        )
+        rec = RecoveryPolicy(op_timeout=10.0, degrade=True)
 
         def prog(comm):
             if comm.rank == 0:
@@ -56,7 +36,7 @@ class TestOneDeadShard:
                 if comm.rank == 1:
                     with pytest.raises(OffloadError):
                         oc.iprobe(0, tag=1)  # first dispatch → crash
-                    _await_any_shard_dead(oc.engine)
+                    await_death(*oc.engine.engines)
                     assert oc.engine.dead is None  # pool still serving
                 out = oc.allreduce(np.full(64, float(comm.rank + 1)))
                 np.testing.assert_array_equal(out, np.full(64, 3.0))
@@ -89,9 +69,7 @@ class TestOneDeadShard:
             fail(pool, idx, error)
 
         monkeypatch.setattr(OffloadRequestPool, "fail", watched_fail)
-        rec = RecoveryPolicy(
-            op_timeout=10.0, degrade=False, poll_interval=5e-3
-        )
+        rec = RecoveryPolicy(op_timeout=10.0, degrade=False)
 
         def prog(comm):
             comm.world.install_faults(plan)
@@ -112,9 +90,7 @@ class TestAllShardsDead:
         plan = FaultPlan(
             [FaultRule(FaultAction.ENGINE_CRASH, rank=1, count=2)]
         )
-        rec = RecoveryPolicy(
-            op_timeout=10.0, degrade=True, poll_interval=5e-3
-        )
+        rec = RecoveryPolicy(op_timeout=10.0, degrade=True)
 
         def prog(comm):
             if comm.rank == 0:
@@ -134,7 +110,8 @@ class TestAllShardsDead:
                             shards = oc.engine.engines
                             dead = [e.dead is not None for e in shards]
                             assert dead.count(True) == 1, dead
-                    _await_pool_dead(oc.engine)
+                    for shard in oc.engine.engines:
+                        await_death(shard)
                 out = oc.allreduce(np.full(32, float(comm.rank + 1)))
                 np.testing.assert_array_equal(out, np.full(32, 3.0))
                 # p2p through the degraded path too
@@ -159,9 +136,7 @@ class TestAllShardsDead:
         plan = FaultPlan(
             [FaultRule(FaultAction.ENGINE_CRASH, rank=0, count=2)]
         )
-        rec = RecoveryPolicy(
-            op_timeout=10.0, degrade=False, poll_interval=5e-3
-        )
+        rec = RecoveryPolicy(op_timeout=10.0, degrade=False)
 
         def prog(comm):
             comm.world.install_faults(plan)
@@ -169,7 +144,8 @@ class TestAllShardsDead:
                 for _ in range(2):
                     with pytest.raises(OffloadError):
                         oc.iprobe(0, tag=0)
-                _await_pool_dead(oc.engine)
+                for shard in oc.engine.engines:
+                    await_death(shard)
                 with pytest.raises(OffloadEngineDied):
                     oc.allreduce(np.ones(4))
             return True

@@ -1,5 +1,8 @@
 """OffloadEngine internals: batching, flush ordering, routing, stats."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,40 @@ class TestFlushSemantics:
 
         res = run_world_mt(2, prog)
         assert res[0] == [float(i) for i in range(8)]
+
+    def test_flush_does_not_wait_for_what_came_after_it(self):
+        """A fence covers what its shard held when it was dispatched:
+        receive A, posted before ``flush``, matches at 0.5 s; receive
+        B, posted 0.2 s after ``flush`` began, matches at 2 s.  The
+        flush returns with A, while B is still pending."""
+
+        def prog(comm):
+            with offloaded(comm, pool_size=1) as oc:
+                a = oc.irecv(np.empty(1), 0, tag=1)
+                late = []
+
+                def poster():
+                    time.sleep(0.2)
+                    late.append(oc.irecv(np.empty(1), 0, tag=2))
+                    time.sleep(0.3)
+                    comm.send(np.ones(1), 0, tag=1)
+                    time.sleep(1.5)
+                    comm.send(np.ones(1), 0, tag=2)
+
+                t = threading.Thread(target=poster)
+                t.start()
+                t0 = time.perf_counter()
+                oc.flush()
+                fenced = time.perf_counter() - t0, a.done, late[0].done
+                t.join(10)
+                a.wait(timeout=10)
+                late[0].wait(timeout=10)
+                return fenced
+
+        ((waited, a_done, b_done),) = run_world_mt(1, prog)
+        assert a_done
+        assert not b_done, f"flush waited {waited:.3f}s, for B too"
+        assert waited < 1.5
 
     def test_flush_on_idle_engine_returns(self):
         def prog(comm):

@@ -16,14 +16,7 @@ from repro.core.offload_comm import OffloadCommunicator
 from repro.core.request_pool import OffloadEngineDied, OffloadRequest
 from repro.faults import FaultAction, FaultPlan, FaultRule
 
-from tests.conftest import run_world_mt
-
-
-def _await_dead(engine, budget=5.0):
-    deadline = time.perf_counter() + budget
-    while engine.dead is None and time.perf_counter() < deadline:
-        time.sleep(0.002)
-    assert engine.dead is not None
+from tests.conftest import await_death, run_world_mt
 
 
 class TestCommandErrors:
@@ -92,7 +85,7 @@ class TestEngineDeath:
             (engine,) = oc.engine.engines
             with pytest.raises(OffloadError):
                 oc.iprobe(0, tag=0)  # first command crashes the thread
-            _await_dead(engine)
+            await_death(engine)
             assert isinstance(engine.dead, OffloadEngineDied)
             with pytest.raises(OffloadEngineDied):
                 engine.submit(

@@ -21,31 +21,16 @@ from repro.core.engine import _BACKOFF, OffloadEngine
 from repro.core.offload_comm import OffloadCommunicator
 from repro.core.request_pool import OffloadEngineDied, recovery_wait
 from repro.faults import FaultAction, FaultPlan, FaultRule
+from repro.lockfree.atomics import DoneWord
 from repro.mpisim import THREAD_MULTIPLE, World
 from repro.mpisim.exceptions import WorldError
 
-from tests.conftest import run_world, run_world_mt
-
-
-def _await_dead(engine, budget=5.0):
-    """The crash is observed on the engine thread; give it a moment."""
-    deadline = time.perf_counter() + budget
-    while engine.dead is None and time.perf_counter() < deadline:
-        time.sleep(0.002)
-    assert engine.dead is not None
+from tests.conftest import await_death, run_world, run_world_mt
 
 
 def _retries(engine) -> list[str]:
     """The commands ``engine`` holds waiting out a retry backoff."""
     return [p for p in engine.pending_work() if p.startswith("retry ")]
-
-
-def _await_exit(engine, budget=5.0):
-    """A crashed engine is marked dead, and the crashing command's waiter
-    woken, *before* its loop fails the rest of what it held on the way
-    out (``OffloadEngine._fail_pending``); wait for the loop to end."""
-    engine._thread.join(budget)
-    assert not engine.running
 
 
 class TestRetryPolicy:
@@ -64,8 +49,6 @@ class TestRecoveryPolicyValidation:
         [
             ("rank_failure", "shrnk"),
             ("rank_failure", ""),
-            ("poll_interval", 0),
-            ("poll_interval", -0.01),
             ("op_timeout", 0),
             ("op_timeout", -1.0),
             ("op_timeout", float("nan")),
@@ -77,11 +60,16 @@ class TestRecoveryPolicyValidation:
         with pytest.raises(ValueError):
             RecoveryPolicy(**{field: value})
 
+    def test_poll_interval_is_gone(self):
+        """A recovery waiter parks on its slot and its shard's death; it
+        samples nothing on a period of its own."""
+        with pytest.raises(TypeError):
+            RecoveryPolicy(poll_interval=0.02)
+
     def test_well_formed_policy_accepted(self):
         rec = RecoveryPolicy(
             op_timeout=0.5,
             watchdog_timeout=1.0,
-            poll_interval=1e-3,
             rank_failure="shrink",
         )
         assert rec.op_timeout == 0.5
@@ -317,8 +305,7 @@ class TestRetry:
                     time.sleep(0.002)
                 with pytest.raises(OffloadError):
                     oc._run(lambda: None)  # the crash
-                _await_dead(engine)
-                _await_exit(engine)
+                await_death(engine)
                 slot = oc.engine.pool.slot(s._idx)
                 assert slot.flag.is_set()
                 assert isinstance(slot.error, OffloadEngineDied)
@@ -410,7 +397,7 @@ class TestHangReport:
                     time.sleep(0.002)
                 with pytest.raises(OffloadError):
                     oc._run(lambda: None)  # the crash
-                _await_dead(engine)
+                await_death(engine)
                 # an awaiter without a recovery policy (the asyncio
                 # bridge's) waits on a flag the dead shard never sets
                 flag = pool.pool.slot(s._idx).flag
@@ -440,7 +427,7 @@ class TestWatchdog:
         plan = FaultPlan(
             [FaultRule(FaultAction.STALL, rank=0, duration=1.5, count=1)]
         )
-        rec = RecoveryPolicy(watchdog_timeout=0.2, poll_interval=0.01)
+        rec = RecoveryPolicy(watchdog_timeout=0.2)
 
         def prog(comm):
             comm.world.install_faults(plan)
@@ -462,7 +449,7 @@ class TestWatchdog:
         # unmatched (DESIGN.md §17) — here six watchdog bounds.  Its
         # heartbeat must keep advancing (once per tick), or every
         # patient receiver would be poisoned.
-        rec = RecoveryPolicy(watchdog_timeout=0.05, poll_interval=0.01)
+        rec = RecoveryPolicy(watchdog_timeout=0.05)
 
         def prog(comm):
             with offloaded(comm, recovery=rec) as oc:
@@ -480,12 +467,80 @@ class TestWatchdog:
         assert all(run_world_mt(2, prog, timeout=60))
 
 
+class TestDeathWord:
+    """A recovery waiter parks on two words, its slot's flag and its
+    shard's death word, and wakes when either is published."""
+
+    def test_recovery_waiter_parks_once(self, monkeypatch):
+        """A 0.3 s wait for a match is one park: one registration on
+        each of the two words, not one per sampling period."""
+        registrations: dict[int, int] = {}
+        register = DoneWord._register
+
+        def counting(word, token):
+            me = threading.get_ident()
+            registrations[me] = registrations.get(me, 0) + 1
+            register(word, token)
+
+        monkeypatch.setattr(DoneWord, "_register", counting)
+        rec = RecoveryPolicy()
+
+        def prog(comm):
+            with offloaded(comm, recovery=rec) as oc:
+                if comm.rank == 1:
+                    time.sleep(0.3)
+                    oc.send(np.full(4, 3.0), 0, tag=9)
+                    return None
+                buf = np.empty(4)
+                oc.recv(buf, 1, tag=9)
+                assert buf.tolist() == [3.0] * 4
+                return registrations.get(threading.get_ident(), 0)
+
+        regs = run_world_mt(2, prog)[0]
+        assert 1 <= regs <= 2, f"{regs} registrations for one wait"
+
+    def test_abort_of_a_wedged_shard_wakes_its_waiter(self):
+        """``abort`` publishes the death of a shard wedged in a CALL:
+        the CALL's waiter raises at once, with no watchdog set."""
+        rec = RecoveryPolicy()
+
+        def prog(comm):
+            entered, gate = threading.Event(), threading.Event()
+            raised = []
+
+            def wedge():
+                entered.set()
+                gate.wait(30)
+
+            def waiter():
+                try:
+                    oc._run(wedge)
+                except OffloadEngineDied:
+                    raised.append(time.perf_counter())
+
+            with offloaded(comm, recovery=rec, pool_size=1) as oc:
+                (engine,) = oc.engine.engines
+                t = threading.Thread(target=waiter)
+                t.start()
+                try:
+                    assert entered.wait(10)
+                    t0 = time.perf_counter()
+                    engine.abort("test: wedged", join_timeout=0.05)
+                    t.join(10)
+                finally:
+                    gate.set()
+            return raised[0] - t0
+
+        (elapsed,) = run_world_mt(1, prog)
+        assert elapsed < 0.2, f"waiter raised {elapsed:.3f}s after abort"
+
+
 class TestDegradedMode:
     def test_collective_survives_one_dead_engine(self):
         plan = FaultPlan(
             [FaultRule(FaultAction.ENGINE_CRASH, rank=1, count=1)]
         )
-        rec = RecoveryPolicy(degrade=True, poll_interval=5e-3)
+        rec = RecoveryPolicy(degrade=True)
 
         def prog(comm):
             if comm.rank == 0:
@@ -495,7 +550,7 @@ class TestDegradedMode:
                 if comm.rank == 1:
                     with pytest.raises(OffloadError):
                         oc.iprobe(0, tag=1)  # first command → crash
-                    _await_dead(oc.engine.route())
+                    await_death(oc.engine.route())
                 # rank 0 offloaded, rank 1 inline: same collective
                 out = oc.allreduce(np.ones(1))
                 if comm.rank == 1:
@@ -509,7 +564,7 @@ class TestDegradedMode:
         plan = FaultPlan(
             [FaultRule(FaultAction.ENGINE_CRASH, rank=0, count=1)]
         )
-        rec = RecoveryPolicy(degrade=True, poll_interval=5e-3)
+        rec = RecoveryPolicy(degrade=True)
 
         def prog(comm):
             comm.world.install_faults(plan)
@@ -517,7 +572,7 @@ class TestDegradedMode:
                 with pytest.raises(OffloadError):
                     oc.iprobe(0, tag=0)
                 engine = oc.engine.route()
-                _await_dead(engine)
+                await_death(engine)
                 # inline issuance under FUNNELED: the calling thread must
                 # now hold the funnel designation the dead engine held
                 assert oc.allreduce(np.array([3.0]))[0] == 3.0
@@ -534,14 +589,14 @@ class TestDegradedMode:
         plan = FaultPlan(
             [FaultRule(FaultAction.ENGINE_CRASH, rank=0, count=1)]
         )
-        rec = RecoveryPolicy(degrade=False, poll_interval=5e-3)
+        rec = RecoveryPolicy(degrade=False)
 
         def prog(comm):
             comm.world.install_faults(plan)
             with offloaded(comm, recovery=rec) as oc:
                 with pytest.raises(OffloadError):
                     oc.iprobe(0, tag=0)
-                _await_dead(oc.engine.route())
+                await_death(oc.engine.route())
                 with pytest.raises(OffloadEngineDied):
                     oc.allreduce(np.ones(1))
             return True
@@ -554,7 +609,7 @@ class TestPoolRecovery:
     fails typed while sibling shards keep completing."""
 
     def test_wedged_shard_fails_pending_typed_siblings_survive(self):
-        rec = RecoveryPolicy(watchdog_timeout=0.2, poll_interval=0.01)
+        rec = RecoveryPolicy(watchdog_timeout=0.2)
 
         def prog(comm):
             gate = threading.Event()
@@ -654,7 +709,7 @@ class TestPoolRecovery:
         assert all(run_world_mt(1, prog, timeout=60))
 
     def test_flush_with_every_shard_dead_degrades(self):
-        rec = RecoveryPolicy(degrade=True, poll_interval=5e-3)
+        rec = RecoveryPolicy(degrade=True)
 
         def prog(comm):
             with offloaded(comm, pool_size=2, recovery=rec) as oc:

@@ -11,6 +11,7 @@ from repro.lockfree.atomics import (
     AtomicCounter,
     AtomicFlag,
     Doorbell,
+    park_any,
 )
 
 
@@ -181,7 +182,7 @@ class TestAtomicFlag:
 
     def test_timed_out_waiter_deregisters_itself(self):
         f = AtomicFlag()
-        for _ in range(50):  # recovery_wait slices
+        for _ in range(50):  # timed parks
             assert f.wait(timeout=1e-4) is False
         assert f._waiters is None
         f.set()
@@ -233,6 +234,49 @@ class TestAtomicFlag:
         assert not t.is_alive()
         assert got == list(range(n))
         assert f._waiters is None and turn._waiters is None
+
+
+class TestParkAny:
+    """One park on several words (`recovery_wait`, `offload_waitany`)."""
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_word_set_between_registration_and_look_wakes_it(self, which):
+        """Word ``which`` is set while the bell registers on the first
+        word: after its registration (the set rings the bell) or before
+        it (only the look after the registrations can catch it)."""
+        words = [None, AtomicFlag()]
+
+        class SetsWhileRegistering(AtomicFlag):
+            __slots__ = ()
+
+            def _register(self, token):
+                super()._register(token)
+                words[which].set()
+
+        words[0] = SetsWhileRegistering()
+        t0 = time.perf_counter()
+        assert park_any(words, 10.0) is True  # a lost wake-up waits 10 s
+        assert time.perf_counter() - t0 < 1.0
+        assert [w._waiters for w in words] == [None, None]
+
+    def test_timed_out_park_deregisters_from_every_word(self):
+        words = [AtomicFlag(), AtomicFlag()]
+        assert park_any(words, 0.01) is False
+        assert [w._waiters for w in words] == [None, None]
+        words[1].set()
+        assert park_any(words, 0.01) is True
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_either_word_wakes_a_parked_thread(self, which):
+        words = [AtomicFlag(), AtomicFlag()]
+        woke = []
+        t = threading.Thread(target=lambda: woke.append(park_any(words)))
+        t.start()
+        _until(lambda: all(w._waiters for w in words))
+        words[which].set()
+        t.join(10.0)
+        assert woke == [True]
+        assert [w._waiters for w in words] == [None, None]
 
 
 class TestRequestWake:
