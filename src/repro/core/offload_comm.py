@@ -1,19 +1,26 @@
 """Application-facing facade: an MPI interface backed by the offload
 engine.
 
-Mirrors :class:`repro.mpisim.communicator.Communicator`'s API so that
-application code is *unchanged* — it simply holds this object instead
-(see :mod:`repro.core.interpose`).  Every method serializes its
-parameters into a :class:`~repro.core.commands.Command` and enqueues it;
-the calling thread never enters MPI:
+Shares :class:`repro.mpisim.communicator.CommunicatorBase` with the
+plain :class:`~repro.mpisim.communicator.Communicator`, so application
+code is *unchanged* — it simply holds this object instead (see
+:mod:`repro.core.interpose`).  This class supplies only the primitives
+the base derives everything else from: point-to-point, ``iprobe``, the
+five nonblocking collectives, the ``_collective`` hook (a blocking
+collective with no nonblocking form runs as one ``CALL``), ``dup``/
+``split``/``win_create`` and the fault plane.  Every primitive
+serializes its parameters into a :class:`~repro.core.commands.Command`
+and enqueues it; the calling thread never enters MPI:
 
 * every call allocates a request-pool slot and submits a command
   through one path (``_call``); a nonblocking call returns an
   :class:`~repro.core.request_pool.OffloadRequest` on the slot
   immediately — the paper's constant ~140 ns post cost (Figure 4);
-* a blocking call is its nonblocking equivalent plus a wait on the
-  slot's done flag (§3.3; §3.1: the paper's caller spins on it, under
-  one GIL it parks, see DESIGN.md §17) — no handle is built for it;
+* a blocking point-to-point call, ``iprobe`` and a ``CALL`` are their
+  command plus a wait on the slot's done flag (§3.3; §3.1: the paper's
+  caller spins on it, under one GIL it parks, see DESIGN.md §17) — no
+  handle is built for them; a blocking collective with a nonblocking
+  form waits on that form's handle;
 * many application threads may call concurrently — the queue and pool
   are lock-free, which is the paper's ``MPI_THREAD_MULTIPLE`` story
   (§3.3, Figure 6).
@@ -35,14 +42,13 @@ from repro.core.request_pool import (
     recovery_wait,
 )
 from repro.lockfree.atomics import DoneWord, park_any
-from repro.mpisim import datatypes
+from repro.mpisim.communicator import CommunicatorBase
 from repro.mpisim.constants import (
     ANY_SOURCE,
     ANY_TAG,
     ThreadLevel,
 )
 from repro.mpisim.reduce_ops import ReduceOp, SUM
-from repro.mpisim.requests import drive
 from repro.mpisim.status import Status
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 K = CommandKind
 
-class OffloadCommunicator:
+class OffloadCommunicator(CommunicatorBase):
     """Drop-in communicator whose MPI calls run on the offload thread.
 
     ``engine`` is the rank's :class:`~repro.core.engine_pool.EnginePool`
@@ -92,6 +98,10 @@ class OffloadCommunicator:
     @property
     def group(self) -> tuple[int, ...]:
         return self.inner.group
+
+    @property
+    def _plain(self) -> "Communicator":
+        return self.inner
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"OffloadCommunicator({self.inner!r})"
@@ -153,10 +163,10 @@ class OffloadCommunicator:
         return payload
 
     def _run(self, fn, *args) -> Any:
-        """Run the collective ``fn(*args)`` on the offload thread and
-        return its result (a CALL: no nonblocking form in the
-        substrate).  The CALL carries this facade's communicator, so it
-        travels the communicator's collective stream."""
+        """Run ``fn(*args)`` on the offload thread and return its
+        result (a CALL: no nonblocking form in the substrate).  The
+        CALL carries this facade's communicator, so it travels the
+        communicator's collective stream."""
         return self._call(
             Command(
                 K.CALL,
@@ -166,6 +176,10 @@ class OffloadCommunicator:
             )
         )
 
+    def _collective(self, fn, *args) -> Any:
+        """The plain communicator's own hook, as one CALL."""
+        return self._run(self.inner._collective, fn, *args)
+
     def _coll(
         self,
         kind: CommandKind,
@@ -173,15 +187,14 @@ class OffloadCommunicator:
         buf2: Any = None,
         root: int = -1,
         op: ReduceOp | None = None,
-        wait: bool = True,
-    ) -> Any:
-        """Submit a collective of ``kind`` on this communicator."""
+    ) -> OffloadRequest:
+        """Submit the nonblocking collective ``kind``; return its handle."""
         return self._call(
             Command(
                 kind, self.inner, buf, buf2, root, 0, op,
                 self.engine.pool.alloc(),
             ),
-            wait,
+            False,
         )
 
     # --------------------------------------------------- degraded (FUNNELED)
@@ -253,24 +266,6 @@ class OffloadCommunicator:
             )
         )
 
-    def sendrecv(
-        self,
-        sendbuf: Any,
-        dest: int,
-        recvbuf: Any,
-        source: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-    ) -> Status:
-        # Validate the send before the receive is posted: a send that
-        # fails must not leave the receive behind to match the next
-        # message from ``source``.
-        self.inner._p2p_op(True, sendbuf, dest, sendtag)
-        rreq = self.irecv(recvbuf, source, recvtag)
-        sreq = self.isend(sendbuf, dest, sendtag)
-        sreq.wait()
-        return rreq.wait()
-
     # ---------------------------------------------------------------- probes
 
     def iprobe(
@@ -283,76 +278,13 @@ class OffloadCommunicator:
             )
         )
 
-    def probe(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-    ) -> Status:
-        st = self.iprobe(source, tag)
-        if st is None:
-            step = lambda: self.iprobe(source, tag)  # noqa: E731
-            st = drive((self.inner.engine,), step, timeout, "probe")
-        return st
-
-    # ---------------------------------------------------------------- objects
-
-    def send_obj(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self.send(datatypes.pack_object(obj), dest, tag)
-
-    def isend_obj(self, obj: Any, dest: int, tag: int = 0) -> OffloadRequest:
-        return self.isend(datatypes.pack_object(obj), dest, tag)
-
-    def recv_obj(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-    ) -> Any:
-        st = self.probe(source, tag, timeout=timeout)
-        buf = np.empty(st.count, dtype=np.uint8)
-        self.recv(buf, st.source, st.tag)
-        return datatypes.unpack_object(buf)
-
     # ------------------------------------------------------------ collectives
-    # Those with a nonblocking form submit it (blocking: and wait); the
-    # rest run as CALLs on the offload thread.
-
-    def barrier(self) -> None:
-        self._coll(K.IBARRIER)
 
     def ibarrier(self) -> OffloadRequest:
-        return self._coll(K.IBARRIER, wait=False)
-
-    def bcast(self, buf: np.ndarray, root: int = 0) -> None:
-        self._coll(K.IBCAST, buf, root=root)
+        return self._coll(K.IBARRIER)
 
     def ibcast(self, buf: np.ndarray, root: int = 0) -> OffloadRequest:
-        return self._coll(K.IBCAST, buf, root=root, wait=False)
-
-    def bcast_obj(self, obj: Any = None, root: int = 0) -> Any:
-        size_buf = np.zeros(1, dtype=np.int64)
-        if self.rank == root:
-            payload = datatypes.pack_object(obj)
-            size_buf[0] = payload.nbytes
-        self.bcast(size_buf, root)
-        if self.rank != root:
-            payload = np.empty(int(size_buf[0]), dtype=np.uint8)
-        self.bcast(payload, root)
-        return obj if self.rank == root else datatypes.unpack_object(payload)
-
-    def allreduce(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        op: ReduceOp = SUM,
-    ) -> np.ndarray:
-        if recvbuf is None:
-            recvbuf = np.empty_like(sendbuf)
-        elif recvbuf is sendbuf:
-            sendbuf = sendbuf.copy()  # in place
-        self._coll(K.IALLREDUCE, sendbuf, recvbuf, op=op)
-        return recvbuf
+        return self._coll(K.IBCAST, buf, root=root)
 
     def iallreduce(
         self,
@@ -360,22 +292,7 @@ class OffloadCommunicator:
         recvbuf: np.ndarray,
         op: ReduceOp = SUM,
     ) -> OffloadRequest:
-        return self._coll(K.IALLREDUCE, sendbuf, recvbuf, op=op, wait=False)
-
-    def gather(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        root: int = 0,
-    ) -> np.ndarray | None:
-        if self.rank != root:
-            recvbuf = None
-        elif recvbuf is None:
-            recvbuf = np.empty(
-                (self.size,) + sendbuf.shape, dtype=sendbuf.dtype
-            )
-        self._coll(K.IGATHER, sendbuf, recvbuf, root)
-        return recvbuf
+        return self._coll(K.IALLREDUCE, sendbuf, recvbuf, op=op)
 
     def igather(
         self,
@@ -383,91 +300,12 @@ class OffloadCommunicator:
         recvbuf: np.ndarray | None = None,
         root: int = 0,
     ) -> OffloadRequest:
-        return self._coll(K.IGATHER, sendbuf, recvbuf, root, wait=False)
-
-    def alltoall(
-        self, sendbuf: np.ndarray, recvbuf: np.ndarray | None = None
-    ) -> np.ndarray:
-        if recvbuf is None:
-            recvbuf = np.empty_like(sendbuf)
-        self._coll(K.IALLTOALL, sendbuf, recvbuf)
-        return recvbuf
+        return self._coll(K.IGATHER, sendbuf, recvbuf, root)
 
     def ialltoall(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray
     ) -> OffloadRequest:
-        return self._coll(K.IALLTOALL, sendbuf, recvbuf, wait=False)
-
-    def reduce(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        op: ReduceOp = SUM,
-        root: int = 0,
-    ) -> np.ndarray | None:
-        return self._run(self.inner.reduce, sendbuf, recvbuf, op, root)
-
-    def scatter(
-        self,
-        sendbuf: np.ndarray | None,
-        recvbuf: np.ndarray,
-        root: int = 0,
-    ) -> np.ndarray:
-        return self._run(self.inner.scatter, sendbuf, recvbuf, root)
-
-    def allgather(
-        self, sendbuf: np.ndarray, recvbuf: np.ndarray | None = None
-    ) -> np.ndarray:
-        return self._run(self.inner.allgather, sendbuf, recvbuf)
-
-    def reduce_scatter(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        op: ReduceOp = SUM,
-    ) -> np.ndarray:
-        return self._run(self.inner.reduce_scatter, sendbuf, recvbuf, op)
-
-    def scan(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        op: ReduceOp = SUM,
-    ) -> np.ndarray:
-        return self._run(self.inner.scan, sendbuf, recvbuf, op)
-
-    def gatherv(
-        self,
-        sendbuf: np.ndarray,
-        recvcounts,
-        recvbuf: np.ndarray | None = None,
-        root: int = 0,
-    ) -> np.ndarray | None:
-        return self._run(
-            self.inner.gatherv, sendbuf, recvcounts, recvbuf, root
-        )
-
-    def scatterv(
-        self,
-        sendbuf: np.ndarray | None,
-        sendcounts,
-        recvbuf: np.ndarray,
-        root: int = 0,
-    ) -> np.ndarray:
-        return self._run(
-            self.inner.scatterv, sendbuf, sendcounts, recvbuf, root
-        )
-
-    def alltoallv(
-        self,
-        sendbuf: np.ndarray,
-        sendcounts,
-        recvbuf: np.ndarray,
-        recvcounts,
-    ) -> np.ndarray:
-        return self._run(
-            self.inner.alltoallv, sendbuf, sendcounts, recvbuf, recvcounts
-        )
+        return self._coll(K.IALLTOALL, sendbuf, recvbuf)
 
     # ------------------------------------------------------ communicator algebra
 
@@ -560,21 +398,6 @@ class OffloadCommunicator:
         """
         eng = self.inner.engine
         return eng.payload_copies, eng.payload_zero_copy_hits
-
-    # ------------------------------------------------------------ persistent
-
-    def send_init(self, buf: Any, dest: int, tag: int = 0):
-        """Persistent send whose every ``start`` is an offloaded isend."""
-        from repro.mpisim.persistent import PersistentSend
-
-        return PersistentSend(self, buf, dest, tag)
-
-    def recv_init(
-        self, buf: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ):
-        from repro.mpisim.persistent import PersistentRecv
-
-        return PersistentRecv(self, buf, source, tag)
 
     # ------------------------------------------------------------- one-sided
 

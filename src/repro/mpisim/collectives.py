@@ -1,10 +1,12 @@
-"""Blocking collectives.
+"""Blocking collectives written over point-to-point.
 
-Those with a nonblocking form are a wait on it: barrier, bcast,
-allreduce, gather and alltoall run the schedules of
-:mod:`repro.mpisim.nbc` — one algorithm per collective.  The rest are
-written here over point-to-point, with the textbook algorithms
-production MPIs use at these scales:
+The blocking collectives with a nonblocking form (barrier, bcast,
+allreduce, gather, alltoall) are a wait on the schedules of
+:mod:`repro.mpisim.nbc`, written once in
+:class:`~repro.mpisim.communicator.CommunicatorBase`.  The rest are
+here, each a function of the plain communicator that either
+communicator runs through its ``_collective`` hook, with the textbook
+algorithms production MPIs use at these scales:
 
 * reduce — binomial tree;
 * scatter — linear rooted exchange;
@@ -13,6 +15,8 @@ production MPIs use at these scales:
 * scan — linear chain;
 * gatherv / scatterv / alltoallv — linear, variable counts.
 
+Each checks its own arguments (a root outside the communicator raises
+:class:`~repro.mpisim.exceptions.InvalidRankError`) before any traffic.
 All traffic runs on the communicator's *collective* context with a
 per-call sequence tag, so user point-to-point can never match it and
 back-to-back collectives cannot cross-talk.
@@ -20,13 +24,15 @@ back-to-back collectives cannot cross-talk.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.mpisim import nbc
-from repro.mpisim.communicator import Communicator
-from repro.mpisim.datatypes import pack_object, unpack_object
 from repro.mpisim.reduce_ops import ReduceOp, SUM
 from repro.mpisim.requests import waitall
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpisim.communicator import Communicator
 
 
 def _contig(arr: np.ndarray, name: str) -> np.ndarray:
@@ -35,30 +41,6 @@ def _contig(arr: np.ndarray, name: str) -> np.ndarray:
     if not arr.flags.c_contiguous:
         raise ValueError(f"{name} must be C-contiguous")
     return arr
-
-
-def barrier(comm: Communicator) -> None:
-    """Dissemination barrier."""
-    nbc.ibarrier(comm).wait()
-
-
-def bcast(comm: Communicator, buf: np.ndarray, root: int = 0) -> None:
-    """Binomial-tree broadcast; ``buf`` holds data at root, is filled
-    elsewhere."""
-    nbc.ibcast(comm, _contig(buf, "buf"), root).wait()
-
-
-def bcast_obj(comm: Communicator, obj=None, root: int = 0):
-    """Broadcast an arbitrary picklable object; returns it on all ranks."""
-    size_buf = np.zeros(1, dtype=np.int64)
-    if comm.rank == root:
-        payload = pack_object(obj)
-        size_buf[0] = payload.nbytes
-    bcast(comm, size_buf, root)
-    if comm.rank != root:
-        payload = np.empty(int(size_buf[0]), dtype=np.uint8)
-    bcast(comm, payload, root)
-    return obj if comm.rank == root else unpack_object(payload)
 
 
 def reduce(
@@ -72,6 +54,7 @@ def reduce(
 
     Returns the filled ``recvbuf`` at root, ``None`` elsewhere.
     """
+    comm._check_rank(root)
     sendbuf = _contig(sendbuf, "sendbuf")
     tag = comm.next_coll_tag()
     size, rank = comm.size, comm.rank
@@ -99,45 +82,6 @@ def reduce(
     return None
 
 
-def allreduce(
-    comm: Communicator,
-    sendbuf: np.ndarray,
-    recvbuf: np.ndarray | None = None,
-    op: ReduceOp = SUM,
-) -> np.ndarray:
-    """All-reduce: recursive doubling when ``size`` is a power of two,
-    otherwise binomial reduce followed by broadcast.  ``recvbuf`` may
-    be ``sendbuf`` (in place)."""
-    sendbuf = _contig(sendbuf, "sendbuf")
-    if recvbuf is None:
-        recvbuf = np.empty_like(sendbuf)
-    elif recvbuf is sendbuf:
-        sendbuf = sendbuf.copy()
-    nbc.iallreduce(comm, sendbuf, recvbuf, op).wait()
-    return recvbuf
-
-
-def gather(
-    comm: Communicator,
-    sendbuf: np.ndarray,
-    recvbuf: np.ndarray | None = None,
-    root: int = 0,
-) -> np.ndarray | None:
-    """Linear gather: ``recvbuf[i]`` receives rank ``i``'s ``sendbuf``.
-
-    Returns the filled ``recvbuf`` at root (allocated with a leading
-    ``size`` axis when ``None``), ``None`` elsewhere.
-    """
-    sendbuf = _contig(sendbuf, "sendbuf")
-    if comm.rank != root:
-        nbc.igather(comm, sendbuf, None, root).wait()
-        return None
-    if recvbuf is None:
-        recvbuf = np.empty((comm.size,) + sendbuf.shape, dtype=sendbuf.dtype)
-    nbc.igather(comm, sendbuf, _contig(recvbuf, "recvbuf"), root).wait()
-    return recvbuf
-
-
 def scatter(
     comm: Communicator,
     sendbuf: np.ndarray | None,
@@ -145,6 +89,7 @@ def scatter(
     root: int = 0,
 ) -> np.ndarray:
     """Linear scatter: rank ``i`` receives ``sendbuf[i]`` from root."""
+    comm._check_rank(root)
     recvbuf = _contig(recvbuf, "recvbuf")
     tag = comm.next_coll_tag()
     size, rank = comm.size, comm.rank
@@ -195,25 +140,6 @@ def allgather(
         rreq = comm._irecv_internal(flat[recv_idx], left, tag, ctx)
         sreq = comm._isend_internal(flat[send_idx], right, tag, ctx)
         waitall([sreq, rreq])
-    return recvbuf
-
-
-def alltoall(
-    comm: Communicator,
-    sendbuf: np.ndarray,
-    recvbuf: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fully posted pairwise exchange.
-
-    ``sendbuf`` must have a leading ``size`` axis; block ``i`` goes to
-    rank ``i`` and ``recvbuf[i]`` receives rank ``i``'s block for us.
-    This is the heaviest communication pattern in the paper's FFT and
-    CNN workloads.
-    """
-    sendbuf = _contig(sendbuf, "sendbuf")
-    if recvbuf is None:
-        recvbuf = np.empty_like(sendbuf)
-    nbc.ialltoall(comm, sendbuf, _contig(recvbuf, "recvbuf")).wait()
     return recvbuf
 
 
@@ -283,6 +209,7 @@ def gatherv(
     ``recvcounts[i]`` elements arrive from rank ``i``; at root they are
     packed contiguously in rank order.
     """
+    comm._check_rank(root)
     sendbuf = _contig(np.asarray(sendbuf).reshape(-1), "sendbuf")
     tag = comm.next_coll_tag()
     size, rank = comm.size, comm.rank
@@ -325,6 +252,7 @@ def scatterv(
     root: int = 0,
 ) -> np.ndarray:
     """Variable-count scatter (``MPI_Scatterv``), flat 1-D buffers."""
+    comm._check_rank(root)
     recvbuf = _contig(recvbuf.reshape(-1), "recvbuf")
     tag = comm.next_coll_tag()
     size, rank = comm.size, comm.rank

@@ -1,8 +1,14 @@
-"""The user-facing communicator: point-to-point, probes, collectives.
+"""The communicator surface: point-to-point, probes, collectives.
 
 Mirrors mpi4py conventions: buffer methods (``send``/``recv``/...)
 move NumPy arrays or buffer-protocol objects with zero pickling;
 ``*_obj`` variants move arbitrary picklable Python objects.
+
+:class:`CommunicatorBase` writes every operation that is derived from a
+communicator's primitives once; :class:`Communicator` (here) and the
+offload facade (:class:`repro.core.offload_comm.OffloadCommunicator`)
+each supply only the primitives, so the facade is a drop-in for the
+plain communicator by construction (paper §3.4).
 
 Thread-level rules (paper Section 1/3.3) are enforced at every entry
 point:
@@ -26,7 +32,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.dst import hooks as _dst
-from repro.mpisim import datatypes
+from repro.mpisim import collectives, datatypes, nbc
+from repro.mpisim.collectives import _contig
 from repro.mpisim.constants import (
     ANY_SOURCE,
     ANY_TAG,
@@ -42,8 +49,10 @@ from repro.mpisim.exceptions import (
     RankDeadError,
     ThreadLevelError,
 )
+from repro.mpisim.persistent import PersistentRecv, PersistentSend
 from repro.mpisim.reduce_ops import ReduceOp, SUM
 from repro.mpisim.requests import Request, drive
+from repro.mpisim.rma import Window
 from repro.mpisim.status import Status
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,7 +67,282 @@ _FT_CAND = 0  # candidate value for a round
 _FT_DECIDED = 1  # final value; receivers adopt and re-disseminate
 
 
-class Communicator:
+class CommunicatorBase:
+    """Every operation derived from a communicator's primitives.
+
+    A subclass supplies ``rank`` and ``size``, the point-to-point
+    primitives (``isend``/``irecv``/``send``/``recv``/``iprobe``), the
+    five nonblocking collectives (``ibarrier``/``ibcast``/
+    ``iallreduce``/``igather``/``ialltoall``) and one hook,
+    ``_collective(fn, *args)``, which runs ``fn(plain, *args)`` — a
+    function of :mod:`repro.mpisim.collectives` over the plain
+    communicator — as one MPI entry: on the calling thread for
+    :class:`Communicator`, as a ``CALL`` on the offload thread for the
+    facade.  A blocking collective with a nonblocking form is a buffer
+    prologue plus a wait on that form.
+    """
+
+    @property
+    def _plain(self) -> "Communicator":
+        """The plain communicator whose checks and progress engine
+        serve this one: itself, or the facade's ``inner``."""
+        return self
+
+    # ----------------------------------------------------------------- checking
+
+    def _check_rank(self, r: int, *, wildcard: bool = False) -> None:
+        if r == PROC_NULL:
+            return
+        if wildcard and r == ANY_SOURCE:
+            return
+        if not 0 <= r < self.size:
+            raise InvalidRankError(
+                f"rank {r} outside communicator of size {self.size}"
+            )
+
+    @staticmethod
+    def _check_tag(tag: int, *, wildcard: bool = False) -> None:
+        if wildcard and tag == ANY_TAG:
+            return
+        if not 0 <= tag <= MAX_USER_TAG:
+            raise InvalidTagError(f"tag {tag} out of range")
+
+    # ---------------------------------------------------------------------- p2p
+
+    def sendrecv(
+        self,
+        sendbuf: Any,
+        dest: int,
+        recvbuf: Any,
+        source: int,
+        sendtag: int = 0,
+        recvtag: int = ANY_TAG,
+    ) -> Status:
+        """Combined send+receive; deadlock-free for exchange patterns."""
+        # Validate the send before the receive is posted: a send that
+        # raises must not leave the receive behind to match the next
+        # message from ``source``.
+        self._plain._p2p_op(True, sendbuf, dest, sendtag)
+        rreq = self.irecv(recvbuf, source, recvtag)
+        sreq = self.isend(sendbuf, dest, sendtag)
+        sreq.wait()
+        return rreq.wait()
+
+    def probe(
+        self,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        timeout: float | None = None,
+    ) -> Status:
+        """Blocking probe: parks between tries until an arrival rings."""
+        st = self.iprobe(source, tag)
+        if st is None:
+            step = lambda: self.iprobe(source, tag)  # noqa: E731
+            st = drive((self._plain.engine,), step, timeout, "probe")
+        return st
+
+    def send_init(self, buf: Any, dest: int, tag: int = 0) -> PersistentSend:
+        """Create a persistent send bound to ``buf`` (``MPI_Send_init``);
+        fire with ``.start()`` (one ``isend`` of this communicator),
+        complete with ``.wait()``, repeat."""
+        self._check_rank(dest)
+        self._check_tag(tag)
+        return PersistentSend(self, buf, dest, tag)
+
+    def recv_init(
+        self, buf: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG
+    ) -> PersistentRecv:
+        """Create a persistent receive bound to ``buf``."""
+        self._check_rank(source, wildcard=True)
+        self._check_tag(tag, wildcard=True)
+        return PersistentRecv(self, buf, source, tag)
+
+    # ------------------------------------------------------------------ objects
+
+    def isend_obj(self, obj: Any, dest: int, tag: int = 0) -> Any:
+        """Nonblocking pickled-object send."""
+        return self.isend(datatypes.pack_object(obj), dest, tag)
+
+    def send_obj(self, obj: Any, dest: int, tag: int = 0) -> None:
+        """Blocking pickled-object send."""
+        self.send(datatypes.pack_object(obj), dest, tag)
+
+    def recv_obj(
+        self,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        timeout: float | None = None,
+    ) -> Any:
+        """Blocking pickled-object receive.
+
+        Probes for the matching message to size the buffer, then
+        receives it.  FIFO matching guarantees the subsequent receive
+        takes the same message the probe saw.
+        """
+        st = self.probe(source, tag, timeout=timeout)
+        buf = np.empty(st.count, dtype=np.uint8)
+        self.recv(buf, st.source, st.tag)
+        return datatypes.unpack_object(buf)
+
+    def bcast_obj(self, obj: Any = None, root: int = 0) -> Any:
+        """Broadcast an arbitrary picklable object; returns it on all
+        ranks (its size first, then its bytes)."""
+        size_buf = np.zeros(1, dtype=np.int64)
+        if self.rank == root:
+            payload = datatypes.pack_object(obj)
+            size_buf[0] = payload.nbytes
+        self.bcast(size_buf, root)
+        if self.rank != root:
+            payload = np.empty(int(size_buf[0]), dtype=np.uint8)
+        self.bcast(payload, root)
+        return obj if self.rank == root else datatypes.unpack_object(payload)
+
+    # ------------------------------------------- collectives with an I-form
+
+    def barrier(self) -> None:
+        """Dissemination barrier."""
+        self.ibarrier().wait()
+
+    def bcast(self, buf: np.ndarray, root: int = 0) -> None:
+        """Binomial-tree broadcast; ``buf`` holds data at root, is
+        filled elsewhere."""
+        self.ibcast(_contig(buf, "buf"), root).wait()
+
+    def allreduce(
+        self,
+        sendbuf: np.ndarray,
+        recvbuf: np.ndarray | None = None,
+        op: ReduceOp = SUM,
+    ) -> np.ndarray:
+        """All-reduce: recursive doubling when ``size`` is a power of
+        two, otherwise binomial reduce followed by broadcast.
+        ``recvbuf`` may be ``sendbuf`` (in place)."""
+        sendbuf = _contig(sendbuf, "sendbuf")
+        if recvbuf is None:
+            recvbuf = np.empty_like(sendbuf)
+        elif recvbuf is sendbuf:
+            sendbuf = sendbuf.copy()
+        self.iallreduce(sendbuf, recvbuf, op).wait()
+        return recvbuf
+
+    def gather(
+        self,
+        sendbuf: np.ndarray,
+        recvbuf: np.ndarray | None = None,
+        root: int = 0,
+    ) -> np.ndarray | None:
+        """Linear gather: ``recvbuf[i]`` receives rank ``i``'s
+        ``sendbuf``.
+
+        Returns the filled ``recvbuf`` at root (allocated with a leading
+        ``size`` axis when ``None``), ``None`` elsewhere.
+        """
+        sendbuf = _contig(sendbuf, "sendbuf")
+        if self.rank != root:
+            self.igather(sendbuf, None, root).wait()
+            return None
+        if recvbuf is None:
+            recvbuf = np.empty(
+                (self.size,) + sendbuf.shape, dtype=sendbuf.dtype
+            )
+        self.igather(sendbuf, _contig(recvbuf, "recvbuf"), root).wait()
+        return recvbuf
+
+    def alltoall(
+        self, sendbuf: np.ndarray, recvbuf: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Fully posted pairwise exchange.
+
+        ``sendbuf`` must have a leading ``size`` axis; block ``i`` goes
+        to rank ``i`` and ``recvbuf[i]`` receives rank ``i``'s block
+        for us.  This is the heaviest communication pattern in the
+        paper's FFT and CNN workloads.
+        """
+        sendbuf = _contig(sendbuf, "sendbuf")
+        if recvbuf is None:
+            recvbuf = np.empty_like(sendbuf)
+        self.ialltoall(sendbuf, _contig(recvbuf, "recvbuf")).wait()
+        return recvbuf
+
+    # ------------------------------- collectives over point-to-point (one hook)
+
+    def reduce(
+        self,
+        sendbuf: np.ndarray,
+        recvbuf: np.ndarray | None = None,
+        op: ReduceOp = SUM,
+        root: int = 0,
+    ) -> np.ndarray | None:
+        return self._collective(
+            collectives.reduce, sendbuf, recvbuf, op, root
+        )
+
+    def scatter(
+        self,
+        sendbuf: np.ndarray | None,
+        recvbuf: np.ndarray,
+        root: int = 0,
+    ) -> np.ndarray:
+        return self._collective(collectives.scatter, sendbuf, recvbuf, root)
+
+    def allgather(
+        self, sendbuf: np.ndarray, recvbuf: np.ndarray | None = None
+    ) -> np.ndarray:
+        return self._collective(collectives.allgather, sendbuf, recvbuf)
+
+    def reduce_scatter(
+        self,
+        sendbuf: np.ndarray,
+        recvbuf: np.ndarray | None = None,
+        op: ReduceOp = SUM,
+    ) -> np.ndarray:
+        return self._collective(
+            collectives.reduce_scatter, sendbuf, recvbuf, op
+        )
+
+    def scan(
+        self,
+        sendbuf: np.ndarray,
+        recvbuf: np.ndarray | None = None,
+        op: ReduceOp = SUM,
+    ) -> np.ndarray:
+        return self._collective(collectives.scan, sendbuf, recvbuf, op)
+
+    def gatherv(
+        self,
+        sendbuf: np.ndarray,
+        recvcounts,
+        recvbuf: np.ndarray | None = None,
+        root: int = 0,
+    ) -> np.ndarray | None:
+        return self._collective(
+            collectives.gatherv, sendbuf, recvcounts, recvbuf, root
+        )
+
+    def scatterv(
+        self,
+        sendbuf: np.ndarray | None,
+        sendcounts,
+        recvbuf: np.ndarray,
+        root: int = 0,
+    ) -> np.ndarray:
+        return self._collective(
+            collectives.scatterv, sendbuf, sendcounts, recvbuf, root
+        )
+
+    def alltoallv(
+        self,
+        sendbuf: np.ndarray,
+        sendcounts,
+        recvbuf: np.ndarray,
+        recvcounts,
+    ) -> np.ndarray:
+        return self._collective(
+            collectives.alltoallv, sendbuf, sendcounts, recvbuf, recvcounts
+        )
+
+
+class Communicator(CommunicatorBase):
     """Per-rank communicator handle.
 
     Instances are cheap views over a shared (group, context) identity;
@@ -148,23 +432,6 @@ class Communicator:
 
     # ----------------------------------------------------------------- checking
 
-    def _check_rank(self, r: int, *, wildcard: bool = False) -> None:
-        if r == PROC_NULL:
-            return
-        if wildcard and r == ANY_SOURCE:
-            return
-        if not 0 <= r < self.size:
-            raise InvalidRankError(
-                f"rank {r} outside communicator of size {self.size}"
-            )
-
-    @staticmethod
-    def _check_tag(tag: int, *, wildcard: bool = False) -> None:
-        if wildcard and tag == ANY_TAG:
-            return
-        if not 0 <= tag <= MAX_USER_TAG:
-            raise InvalidTagError(f"tag {tag} out of range")
-
     def _global(self, r: int) -> int:
         return r if r == PROC_NULL else self.group[r]
 
@@ -236,25 +503,6 @@ class Communicator:
         """Blocking buffer receive; returns the message status."""
         return self.irecv(buf, source, tag).wait()
 
-    def sendrecv(
-        self,
-        sendbuf: Any,
-        dest: int,
-        recvbuf: Any,
-        source: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-    ) -> Status:
-        """Combined send+receive; deadlock-free for exchange patterns."""
-        # Validate the send before the receive is posted: a send that
-        # raises must not leave the receive behind to match the next
-        # message from ``source``.
-        self._p2p_op(True, sendbuf, dest, sendtag)
-        rreq = self.irecv(recvbuf, source, recvtag)
-        sreq = self.isend(sendbuf, dest, sendtag)
-        sreq.wait()
-        return rreq.wait()
-
     def _localize_status(self, st: Status) -> Status:
         """Convert the engine's global source rank to a comm-local one."""
         local = self._local_rank
@@ -314,257 +562,21 @@ class Communicator:
         finally:
             self._exit()
 
-    def probe(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-    ) -> Status:
-        """Blocking probe: parks between tries until an arrival rings."""
-        st = self.iprobe(source, tag)
-        if st is None:
-            step = lambda: self.iprobe(source, tag)  # noqa: E731
-            st = drive((self.engine,), step, timeout, "probe")
-        return st
-
-    # ------------------------------------------------------------------- objects
-
-    def isend_obj(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking pickled-object send."""
-        return self.isend(datatypes.pack_object(obj), dest, tag)
-
-    def send_obj(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Blocking pickled-object send."""
-        self.isend_obj(obj, dest, tag).wait()
-
-    def recv_obj(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-    ) -> Any:
-        """Blocking pickled-object receive.
-
-        Probes for the matching message to size the buffer, then
-        receives it.  FIFO matching guarantees the subsequent receive
-        takes the same message the probe saw.
-        """
-        st = self.probe(source, tag, timeout=timeout)
-        buf = np.empty(st.count, dtype=np.uint8)
-        self.recv(buf, st.source, st.tag)
-        return datatypes.unpack_object(buf)
-
     # --------------------------------------------------------------- collectives
-    # Implemented in repro.mpisim.collectives / nbc; thin wrappers here.
 
-    def barrier(self) -> None:
-        from repro.mpisim import collectives
-
+    def _collective(self, fn, *args) -> Any:
+        """Run the collective ``fn(self, *args)`` as one MPI entry."""
         self._enter()
         try:
-            collectives.barrier(self)
+            return fn(self, *args)
         finally:
             self._exit()
-
-    def bcast(self, buf: Any, root: int = 0) -> None:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            self._check_rank(root)
-            collectives.bcast(self, buf, root)
-        finally:
-            self._exit()
-
-    def bcast_obj(self, obj: Any = None, root: int = 0) -> Any:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            self._check_rank(root)
-            return collectives.bcast_obj(self, obj, root)
-        finally:
-            self._exit()
-
-    def reduce(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        op: ReduceOp = SUM,
-        root: int = 0,
-    ) -> np.ndarray | None:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            self._check_rank(root)
-            return collectives.reduce(self, sendbuf, recvbuf, op, root)
-        finally:
-            self._exit()
-
-    def allreduce(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        op: ReduceOp = SUM,
-    ) -> np.ndarray:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            return collectives.allreduce(self, sendbuf, recvbuf, op)
-        finally:
-            self._exit()
-
-    def gather(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        root: int = 0,
-    ) -> np.ndarray | None:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            self._check_rank(root)
-            return collectives.gather(self, sendbuf, recvbuf, root)
-        finally:
-            self._exit()
-
-    def scatter(
-        self,
-        sendbuf: np.ndarray | None,
-        recvbuf: np.ndarray,
-        root: int = 0,
-    ) -> np.ndarray:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            self._check_rank(root)
-            return collectives.scatter(self, sendbuf, recvbuf, root)
-        finally:
-            self._exit()
-
-    def allgather(
-        self, sendbuf: np.ndarray, recvbuf: np.ndarray | None = None
-    ) -> np.ndarray:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            return collectives.allgather(self, sendbuf, recvbuf)
-        finally:
-            self._exit()
-
-    def alltoall(
-        self, sendbuf: np.ndarray, recvbuf: np.ndarray | None = None
-    ) -> np.ndarray:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            return collectives.alltoall(self, sendbuf, recvbuf)
-        finally:
-            self._exit()
-
-    def gatherv(
-        self,
-        sendbuf: np.ndarray,
-        recvcounts,
-        recvbuf: np.ndarray | None = None,
-        root: int = 0,
-    ) -> np.ndarray | None:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            self._check_rank(root)
-            return collectives.gatherv(self, sendbuf, recvcounts, recvbuf, root)
-        finally:
-            self._exit()
-
-    def scatterv(
-        self,
-        sendbuf: np.ndarray | None,
-        sendcounts,
-        recvbuf: np.ndarray,
-        root: int = 0,
-    ) -> np.ndarray:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            self._check_rank(root)
-            return collectives.scatterv(self, sendbuf, sendcounts, recvbuf, root)
-        finally:
-            self._exit()
-
-    def alltoallv(
-        self,
-        sendbuf: np.ndarray,
-        sendcounts,
-        recvbuf: np.ndarray,
-        recvcounts,
-    ) -> np.ndarray:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            return collectives.alltoallv(
-                self, sendbuf, sendcounts, recvbuf, recvcounts
-            )
-        finally:
-            self._exit()
-
-    def reduce_scatter(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        op: ReduceOp = SUM,
-    ) -> np.ndarray:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            return collectives.reduce_scatter(self, sendbuf, recvbuf, op)
-        finally:
-            self._exit()
-
-    def scan(
-        self,
-        sendbuf: np.ndarray,
-        recvbuf: np.ndarray | None = None,
-        op: ReduceOp = SUM,
-    ) -> np.ndarray:
-        from repro.mpisim import collectives
-
-        self._enter()
-        try:
-            return collectives.scan(self, sendbuf, recvbuf, op)
-        finally:
-            self._exit()
-
-    # ---------------------------------------------------- nonblocking collectives
 
     def ibarrier(self) -> Request:
-        from repro.mpisim import nbc
-
-        self._enter()
-        try:
-            return nbc.ibarrier(self)
-        finally:
-            self._exit()
+        return self._collective(nbc.ibarrier)
 
     def ibcast(self, buf: np.ndarray, root: int = 0) -> Request:
-        from repro.mpisim import nbc
-
-        self._enter()
-        try:
-            self._check_rank(root)
-            return nbc.ibcast(self, buf, root)
-        finally:
-            self._exit()
+        return self._collective(nbc.ibcast, buf, root)
 
     def iallreduce(
         self,
@@ -572,13 +584,7 @@ class Communicator:
         recvbuf: np.ndarray,
         op: ReduceOp = SUM,
     ) -> Request:
-        from repro.mpisim import nbc
-
-        self._enter()
-        try:
-            return nbc.iallreduce(self, sendbuf, recvbuf, op)
-        finally:
-            self._exit()
+        return self._collective(nbc.iallreduce, sendbuf, recvbuf, op)
 
     def igather(
         self,
@@ -586,25 +592,12 @@ class Communicator:
         recvbuf: np.ndarray | None = None,
         root: int = 0,
     ) -> Request:
-        from repro.mpisim import nbc
-
-        self._enter()
-        try:
-            self._check_rank(root)
-            return nbc.igather(self, sendbuf, recvbuf, root)
-        finally:
-            self._exit()
+        return self._collective(nbc.igather, sendbuf, recvbuf, root)
 
     def ialltoall(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray
     ) -> Request:
-        from repro.mpisim import nbc
-
-        self._enter()
-        try:
-            return nbc.ialltoall(self, sendbuf, recvbuf)
-        finally:
-            self._exit()
+        return self._collective(nbc.ialltoall, sendbuf, recvbuf)
 
     # ---------------------------------------------- fault tolerance (ULFM)
     # The fault-management plane: callable from any thread (no _enter —
@@ -894,9 +887,7 @@ class Communicator:
             cid_buf = np.empty(1, dtype=np.int64)
             if self.rank == 0:
                 cid_buf[0] = self.world.allocate_cid()
-            from repro.mpisim import collectives
-
-            collectives.bcast(self, cid_buf, 0)
+            nbc.ibcast(self, cid_buf, 0).wait()
             return Communicator(
                 self.world, self.engine, self.group, int(cid_buf[0])
             )
@@ -911,8 +902,6 @@ class Communicator:
         """
         self._enter()
         try:
-            from repro.mpisim import collectives
-
             # Exchange (color, key, global rank); None -> sentinel.
             mine = np.array(
                 [
@@ -930,7 +919,7 @@ class Communicator:
                 base_buf[0] = self.world.allocate_cid_block(
                     max(1, len(colors))
                 )
-            collectives.bcast(self, base_buf, 0)
+            nbc.ibcast(self, base_buf, 0).wait()
             if color is None:
                 return None
             members = [
@@ -946,38 +935,10 @@ class Communicator:
         finally:
             self._exit()
 
-    def translate_rank(self, local_rank: int) -> int:
-        """Map a comm-local rank to a world rank."""
-        self._check_rank(local_rank)
-        return self.group[local_rank]
-
-    def send_init(self, buf: Any, dest: int, tag: int = 0):
-        """Create a persistent send bound to ``buf`` (``MPI_Send_init``);
-        fire with ``.start()``, complete with ``.wait()``, repeat."""
-        from repro.mpisim.persistent import PersistentSend
-
-        self._check_rank(dest)
-        self._check_tag(tag)
-        return PersistentSend(self, buf, dest, tag)
-
-    def recv_init(self, buf: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Create a persistent receive bound to ``buf``."""
-        from repro.mpisim.persistent import PersistentRecv
-
-        self._check_rank(source, wildcard=True)
-        self._check_tag(tag, wildcard=True)
-        return PersistentRecv(self, buf, source, tag)
-
     def win_create(self, local: np.ndarray):
         """Collectively create a one-sided RMA window (see
         :mod:`repro.mpisim.rma`)."""
-        from repro.mpisim.rma import Window
-
-        self._enter()
-        try:
-            return Window.create(self, local)
-        finally:
-            self._exit()
+        return self._collective(Window.create, local)
 
     def progress(self) -> int:
         """Explicitly pump this rank's progress engine."""

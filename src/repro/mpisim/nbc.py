@@ -15,14 +15,16 @@ overlap; without one they advance only inside ``MPI_Wait``.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.mpisim.communicator import Communicator
 from repro.mpisim.reduce_ops import ReduceOp, SUM
 from repro.mpisim.requests import Request
 from repro.mpisim.status import EMPTY_STATUS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mpisim.communicator import Communicator
 
 #: A round: ``post()`` returns the round's sub-requests; ``finish()``
 #: runs after they all complete (may be ``None``).
@@ -118,6 +120,7 @@ def ibcast(
     comm: Communicator, buf: np.ndarray, root: int = 0
 ) -> NBCRequest:
     """Nonblocking binomial broadcast."""
+    comm._check_rank(root)
     tag = comm.next_coll_tag()
     size, rank = comm.size, comm.rank
     ctx = comm.ctx_coll
@@ -280,6 +283,7 @@ def igather(
     At root, ``recvbuf`` must be preallocated with a leading ``size``
     axis (the request cannot return a fresh array).
     """
+    comm._check_rank(root)
     tag = comm.next_coll_tag()
     size, rank = comm.size, comm.rank
     ctx = comm.ctx_coll

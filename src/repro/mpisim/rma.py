@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.mpisim import nbc
 from repro.mpisim.envelope import BufferRef
 from repro.mpisim.exceptions import MPIError
 from repro.mpisim.requests import Request
@@ -126,23 +127,19 @@ class Window:
     @classmethod
     def create(cls, comm: "Communicator", local: np.ndarray) -> "Window":
         """Collective window creation (allocates an agreed id)."""
-        from repro.mpisim import collectives
-
         wid_buf = np.empty(1, dtype=np.int64)
         if comm.rank == 0:
             wid_buf[0] = comm.world.allocate_cid()
-        collectives.bcast(comm, wid_buf, 0)
+        nbc.ibcast(comm, wid_buf, 0).wait()
         win = cls(comm, local, int(wid_buf[0]))
-        collectives.barrier(comm)
+        nbc.ibarrier(comm).wait()
         return win
 
     def free(self) -> None:
         """Collective window destruction."""
-        from repro.mpisim import collectives
-
         self.fence()
         self.comm.engine.unregister_window(self)
-        collectives.barrier(self.comm)
+        nbc.ibarrier(self.comm).wait()
 
     # ------------------------------------------------------------ plumbing
 
@@ -296,10 +293,8 @@ class Window:
         """Active-target epoch boundary: flush everything, then
         barrier.  Blocking with no nonblocking equivalent — the §3.3
         caveat call."""
-        from repro.mpisim import collectives
-
         self.flush(timeout=timeout)
-        collectives.barrier(self.comm)
+        nbc.ibarrier(self.comm).wait()
 
     def lock(
         self,

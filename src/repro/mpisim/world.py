@@ -366,9 +366,6 @@ class World:
 
     # -- diagnostics ----------------------------------------------------------------
 
-    def total_lock_contentions(self) -> int:
-        return sum(e.lock_contentions for e in self.engines)
-
     def total_bytes_sent(self) -> int:
         return sum(e.bytes_sent for e in self.engines)
 

@@ -416,6 +416,9 @@ class TestShutdownRace:
             oc = OffloadCommunicator(comm, engine)
             results = {"ok": 0, "rejected": 0, "failed": 0}
             lock = threading.Lock()
+            # set once a submit is accepted, so stop() races a flood
+            # already under way rather than every producer's first call
+            first_accepted = threading.Event()
 
             def producer(tid):
                 for i in range(60):
@@ -427,6 +430,7 @@ class TestShutdownRace:
                         with lock:
                             results["rejected"] += 1
                         continue
+                    first_accepted.set()
                     try:
                         h.wait(timeout=15)
                         with lock:
@@ -442,6 +446,7 @@ class TestShutdownRace:
             for t in threads:
                 t.start()
             # stop mid-flood; late submits race the ring close
+            first_accepted.wait(timeout=5)
             try:
                 engine.stop()
             except OffloadEngineDied:

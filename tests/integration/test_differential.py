@@ -29,6 +29,16 @@ OPS = (
     "scan",
     "iallreduce",
     "sendrecv_obj",
+    "bcast_obj",
+    "probe",
+    "reduce",
+    "scatter",
+    "allgather",
+    "reduce_scatter",
+    "gatherv",
+    "scatterv",
+    "alltoallv",
+    "persistent",
 )
 
 
@@ -84,18 +94,90 @@ def _run_sequence(comm, ops: list[str], seed: int) -> list:
             comm.isend_obj({"r": rank, "i": i}, right, tag=100 + i)
             got = comm.recv_obj(source=left, tag=100 + i, timeout=60)
             out.append(got)
+        elif op == "bcast_obj":
+            obj = {"i": i, "r": rank} if rank == i % n else None
+            out.append(comm.bcast_obj(obj, root=i % n))
+        elif op == "probe":
+            send = np.full((rank + i) % 3 + 1, float(i))
+            req = comm.isend(send, right, 200 + i)
+            st = comm.probe(source=left, tag=200 + i, timeout=60)
+            buf = np.empty(st.count // 8)
+            comm.recv(buf, st.source, st.tag)
+            req.wait()
+            out.append((st.source, st.tag, st.count, buf.tolist()))
+        elif op == "reduce":
+            r = comm.reduce(rng.standard_normal(3), root=i % n)
+            out.append(None if r is None else r.copy())
+        elif op == "scatter":
+            root = i % n
+            send = (
+                np.arange(n * 2, dtype=np.float64).reshape(n, 2) + i
+                if rank == root
+                else None
+            )
+            recv = np.empty(2)
+            comm.scatter(send, recv, root=root)
+            out.append(recv.copy())
+        elif op == "allgather":
+            g = comm.allgather(np.array([float(rank), float(i)]))
+            out.append(g.copy())
+        elif op == "reduce_scatter":
+            send = np.arange(n * 2.0).reshape(n, 2) * (rank + 1)
+            out.append(comm.reduce_scatter(send).copy())
+        elif op == "gatherv":
+            counts = [r + 1 for r in range(n)]
+            send = np.full(rank + 1, float(rank + i))
+            g = comm.gatherv(send, counts, root=0)
+            out.append(None if g is None else g.copy())
+        elif op == "scatterv":
+            root = i % n
+            counts = [r + 1 for r in range(n)]
+            send = (
+                np.arange(sum(counts), dtype=np.float64) + i
+                if rank == root
+                else None
+            )
+            recv = np.empty(rank + 1)
+            comm.scatterv(send, counts, recv, root=root)
+            out.append(recv.copy())
+        elif op == "alltoallv":
+            # rank p sends (p + q) % 2 + 1 elements to rank q: symmetric,
+            # so each rank's receive counts equal its send counts
+            counts = [(rank + r) % 2 + 1 for r in range(n)]
+            send = np.arange(sum(counts), dtype=np.float64) + 10 * rank + i
+            recv = np.empty(sum(counts))
+            comm.alltoallv(send, counts, recv, counts)
+            out.append(recv.copy())
+        elif op == "persistent":
+            send = rng.standard_normal(3)
+            recv = np.empty(3)
+            sreq = comm.send_init(send, right, tag=300 + i)
+            rreq = comm.recv_init(recv, left, tag=300 + i)
+            rreq.start()
+            sreq.start()
+            sreq.wait(timeout=60)
+            st = rreq.wait(timeout=60)
+            out.append((st.source, st.tag, recv.tolist()))
     return out
 
 
-def _results_for(mode: str, ops: list[str], seed: int):
-    def prog(comm):
-        if mode == "plain":
-            return _run_sequence(comm, ops, seed)
-        with offloaded(comm) as oc:
-            return _run_sequence(oc, ops, seed)
+def _run_both(body) -> tuple[list, list]:
+    """``body(comm)`` on every rank, once over the plain communicator
+    and once through the offload engine: both worlds' results."""
 
-    world = World(NRANKS, thread_level=THREAD_MULTIPLE)
-    return world.run(prog, timeout=120)
+    def prog(mode):
+        def run(comm):
+            if mode == "plain":
+                return body(comm)
+            with offloaded(comm) as oc:
+                return body(oc)
+
+        return run
+
+    return tuple(
+        World(NRANKS, thread_level=THREAD_MULTIPLE).run(prog(m), timeout=120)
+        for m in ("plain", "offload")
+    )
 
 
 def _assert_equal(a, b, ctx):
@@ -114,8 +196,7 @@ def _assert_equal(a, b, ctx):
     seed=st.integers(0, 10**6),
 )
 def test_offload_is_observationally_equivalent(ops, seed):
-    plain = _results_for("plain", ops, seed)
-    offl = _results_for("offload", ops, seed)
+    plain, offl = _run_both(lambda comm: _run_sequence(comm, ops, seed))
     for rank in range(NRANKS):
         for j, (a, b) in enumerate(zip(plain[rank], offl[rank])):
             _assert_equal(a, b, (rank, j, ops[j]))
@@ -124,8 +205,28 @@ def test_offload_is_observationally_equivalent(ops, seed):
 def test_long_mixed_sequence_smoke():
     """One long deterministic sequence touching every op type."""
     ops = list(OPS) * 2
-    plain = _results_for("plain", ops, seed=7)
-    offl = _results_for("offload", ops, seed=7)
+    plain, offl = _run_both(lambda comm: _run_sequence(comm, ops, seed=7))
     for rank in range(NRANKS):
         for j, (a, b) in enumerate(zip(plain[rank], offl[rank])):
             _assert_equal(a, b, (rank, j, ops[j]))
+
+
+@pytest.mark.parametrize("bad", ["list", "strided"])
+@pytest.mark.parametrize("op", ["allreduce", "alltoall", "gather", "bcast"])
+def test_invalid_buffer_raises_alike(op, bad):
+    """A blocking collective handed a list or a non-C-contiguous array
+    raises the same exception type on both communicators, before any
+    traffic (the buffer prologue is written once)."""
+
+    def body(comm):
+        n = comm.size
+        buf = [1.0] * (2 * n) if bad == "list" else np.zeros((n, 4))[:, ::2]
+        try:
+            getattr(comm, op)(buf)
+        except Exception as exc:
+            return type(exc)
+        return None
+
+    plain, offl = _run_both(body)
+    assert plain == offl
+    assert all(t in (TypeError, ValueError) for t in plain), plain
