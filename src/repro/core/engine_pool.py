@@ -86,16 +86,19 @@ class ShardRouter:
         self.misroutes = 0
 
     def stream_key(self, cmd: Command | None):
+        # A communicator's streams key on its cid and an int kind code
+        # (0 send, 1 receive, 2 collective): ints hash alike in every
+        # process, so placement does not vary with the str hash seed.
         if cmd is None or self.policy == "thread":
             return ("t", threading.get_ident())
         kind = cmd.kind
         if kind is CommandKind.ISEND:
-            return (id(cmd.comm), "s", cmd.peer)
+            return (cmd.comm.cid, 0, cmd.peer)
         if kind is CommandKind.IRECV or kind is CommandKind.IPROBE:
             # All receives of a communicator form ONE stream: a
             # wildcard receive may match any posted receive's sender,
             # so splitting them across shards could reorder matching.
-            return (id(cmd.comm), "r")
+            return (cmd.comm.cid, 1)
         if cmd.comm is None:
             # FLUSH, SHUTDOWN, a CALL on no communicator
             return ("t", threading.get_ident())
@@ -103,7 +106,7 @@ class ShardRouter:
         # communicator (gatherv, dup, split, win_create, ...): one
         # stream per communicator, since collective order is
         # rank-global.
-        return (id(cmd.comm), "c")
+        return (cmd.comm.cid, 2)
 
     def pinned(self, cmd: Command | None) -> int | None:
         """Shard index ``cmd``'s stream is pinned to, ``None`` on first
@@ -135,21 +138,17 @@ class ShardRouter:
             self._streams[key] = pick
             return pick
 
-    def release_comm(self, comm_id: int) -> int:
-        """Drop every stream keyed to communicator ``comm_id``.
+    def release_comm(self, cid: int) -> int:
+        """Drop every stream keyed to communicator ``cid``.
 
         Called after a shrink: the revoked communicator failed all of
         its streams' work typed, so their sticky assignments are dead
         weight — releasing them lets the shrunk communicator's streams
-        (a different ``id()``) start placement fresh.  Returns how many
+        (a different ``cid``) start placement fresh.  Returns how many
         stream pins were dropped.
         """
         with self._lock:
-            stale = [
-                key
-                for key in self._streams
-                if isinstance(key, tuple) and key[0] == comm_id
-            ]
+            stale = [key for key in self._streams if key[0] == cid]
             for key in stale:
                 del self._streams[key]
             return len(stale)
@@ -254,11 +253,11 @@ class EnginePool:
 
         ``old_comm`` has been revoked — every command it still owned
         failed typed — and ``new_comm`` is its shrunk replacement.  The
-        shrunk communicator is a distinct object, so its streams key
+        shrunk communicator has a cid of its own, so its streams key
         fresh in the router; all this must do is drop the dead pins so
         the table does not grow across repeated shrinks.  Returns the
         number of released stream pins."""
-        return self.router.release_comm(id(old_comm))
+        return self.router.release_comm(old_comm.cid)
 
     # -- the pool as a whole ---------------------------------------------
 

@@ -66,7 +66,7 @@ from repro.mpisim.constants import ThreadLevel
 from repro.mpisim.envelope import Envelope, EnvelopeKind
 from repro.mpisim.exceptions import CommRevokedError, MPIError
 from repro.mpisim.progress import ProgressEngine
-from repro.mpisim.status import EMPTY_STATUS
+from repro.mpisim.status import EMPTY_STATUS, Status
 from repro.mpisim.world import World
 from repro.serve.bridge import AsyncOffloadEngine, _Landed
 
@@ -83,6 +83,7 @@ class _FakeComm:
     engine = SimpleNamespace(
         rank=0, payload_copies=0, payload_zero_copy_hits=0
     )
+    cid = 0
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +614,93 @@ class EagerDeferredCopyProgram:
                 "receiver observed the sender's post-completion "
                 "scribble through a borrowed zero-copy buffer — the "
                 "eager send completed before the deferred copy ran"
+            )
+
+
+# ---------------------------------------------------------------------------
+# rendezvous-split-reuse
+# ---------------------------------------------------------------------------
+
+
+class _SenderCompletesSplitEngine(ProgressEngine):
+    """A rank that completes a split rendezvous as soon as its own
+    (head) half is copied, without waiting for the receiver's tail."""
+
+    def _handle_cts(self, env: Envelope) -> None:
+        super()._handle_cts(env)
+        for req in (env.send_req, env.recv_req):
+            if not req.done:
+                req._complete(Status(self.rank, env.tag, env.nbytes))
+
+
+class RendezvousSplitReuseProgram:
+    """Two rendezvous sends at once (a backlog: the receiver splits,
+    DESIGN.md §23) racing the sender's reuse of each buffer once its
+    send completes.  Invariants: rank 1 reads both original payloads,
+    and each request completes once — a rank's bell rings once per
+    arrival and once per completion of a request the rank owns."""
+
+    def __init__(self, fix_disabled: bool, nbytes: int = 64) -> None:
+        self.world = World(2, ThreadLevel.MULTIPLE, eager_threshold=16)
+        if fix_disabled:
+            self.world.engines[0].__class__ = _SenderCompletesSplitEngine
+        self.rings: list[list] = [[], []]
+        for engine, rings in zip(self.world.engines, self.rings):
+            engine.add_doorbell(
+                SimpleNamespace(_flag=False, set=lambda r=rings: r.append(1))
+            )
+        self.expected = [np.arange(nbytes, dtype=np.uint8) + i for i in (0, 7)]
+        self.reqs: list[list] = [[], []]
+        self.received: Any = None
+
+    def setup(self, sched: Any) -> None:
+        sends, recvs = self.reqs
+
+        def sender() -> None:
+            comm = self.world.comm_world(0)
+            bufs = [e.copy() for e in self.expected]
+            sends.extend(comm.isend(b, 1, tag=i) for i, b in enumerate(bufs))
+            for _ in range(40):
+                comm.engine.progress()
+                for req, buf in zip(sends, bufs):
+                    if req.done:
+                        buf[:] = 0xEE  # MPI contract: the buffer is ours
+                if all(r.done for r in sends):
+                    return
+                _dst.yield_point("split.send_pump")
+
+        def receiver() -> None:
+            comm = self.world.comm_world(1)
+            rbufs = [np.zeros_like(e) for e in self.expected]
+            for i, buf in enumerate(rbufs):
+                _dst.yield_point("split.recv_post")
+                recvs.append(comm.irecv(buf, 0, tag=i))
+            for _ in range(40):
+                if all(r.done for r in recvs):
+                    self.received = [b.copy() for b in rbufs]
+                    return
+                comm.engine.progress()
+                _dst.yield_point("split.recv_pump")
+
+        sched.spawn(sender, name="sender")
+        sched.spawn(receiver, name="receiver")
+
+    def check(self) -> None:
+        for engine, rings, mine in zip(
+            self.world.engines, self.rings, self.reqs
+        ):
+            due = engine.envelopes_handled + len(engine._inbox)
+            due += sum(r.done for r in mine)
+            if len(rings) != due:
+                raise InvariantViolation(
+                    f"rank {engine.rank}: {len(rings)} rings where arrivals "
+                    f"and completions make {due} — a request completed twice"
+                )
+        pairs = zip(self.received or (), self.expected)
+        if not all((got == want).all() for got, want in pairs):
+            raise InvariantViolation(
+                "receiver read the sender's post-completion scribble — a "
+                "split rendezvous completed before the receiver's half"
             )
 
 
@@ -1916,6 +2004,17 @@ CORPUS: dict[str, Target] = {
                 "buffer reuse races the deferred match-time copy"
             ),
             make=EagerDeferredCopyProgram,
+            regression=True,
+            strategy="random",
+            schedules=200,
+        ),
+        Target(
+            name="rendezvous-split-reuse",
+            description=(
+                "split rendezvous completed after the sender's half: "
+                "the sender's buffer reuse races the receiver's half"
+            ),
+            make=RendezvousSplitReuseProgram,
             regression=True,
             strategy="random",
             schedules=200,

@@ -10,8 +10,13 @@ Three envelope kinds implement the two transfer protocols:
   receive exists.
 * ``CTS`` (clear-to-send) — carries the matched receive request; the
   *sender's* progress engine performs the actual copy when it sees
-  this, then completes both requests.  This is where the "no progress
-  ⇒ no transfer" hazard of the paper's Section 2 lives.
+  this, then completes both requests.  When the sender has a backlog
+  of rendezvous sends, the receiver copies the tail half itself after
+  delivering the CTS and the sender copies only the head half
+  (``parties`` counts the halves still out, DESIGN.md §23).  Either
+  way the send completes only after the sender pumps: this is where
+  the "no progress ⇒ no transfer" hazard of the paper's Section 2
+  lives.
 
 Payloads are either an owned ``np.ndarray`` (the sender copied at post
 time — the classic eager data path) or a :class:`BufferRef`, the
@@ -119,6 +124,8 @@ class Envelope:
     send_req: "SendRequest | None" = None  # RTS / CTS / zero-copy EAGER
     recv_req: "RecvRequest | None" = None  # CTS only
     rma: object | None = None  # RMA only: an RMAMessage record
+    #: split CTS only: halves of the payload not yet copied (2 → 0)
+    parties: int = 0
     #: piggybacked revoke notice: cids the *sender* knows revoked,
     #: stamped by ``World._deliver`` so receivers learn of a revoke
     #: from any traffic, without a side channel (DESIGN.md §15)

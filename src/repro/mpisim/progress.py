@@ -9,9 +9,10 @@ counts lock contention so benchmarks can observe exactly that effect.
 Progress is *explicit*: envelopes delivered by peer ranks sit in this
 rank's inbox until some thread calls :meth:`progress` (directly, or via
 any blocking call / ``test`` / ``wait``).  In particular a rendezvous
-send posted with ``isend`` transfers **no data** until the sender side
-pumps progress after the receiver has matched — reproducing the
-overlap pathology the offload thread exists to fix.
+send posted with ``isend`` completes only when the sender side pumps
+progress after the receiver has matched (with a backlog the receiver
+moves half the bytes, DESIGN.md §23) — reproducing the overlap
+pathology the offload thread exists to fix.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.dst import hooks as _dst
 from repro.mpisim import datatypes
 from repro.mpisim.constants import DEFAULT_EAGER_THRESHOLD, PROC_NULL
 from repro.mpisim.envelope import BufferRef, Envelope, EnvelopeKind
@@ -44,6 +46,9 @@ from repro.mpisim.status import EMPTY_STATUS, Status
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lockfree.atomics import Doorbell
     from repro.mpisim.nbc import NBCRequest
+
+#: a split rendezvous's two parties count down under it (§23)
+_split_lock = threading.Lock()
 
 
 class ProgressEngine:
@@ -78,11 +83,16 @@ class ProgressEngine:
         self._doorbells: tuple[Doorbell, ...] = ()
         #: one-sided windows registered on this rank, by window id
         self._windows: dict[int, object] = {}
+        #: rendezvous sends not yet terminal: two or more are a backlog,
+        #: whose transfers the receiver splits (DESIGN.md §23)
+        self.rndv_pending: set[SendRequest] = set()
         # --- introspection counters -------------------------------------
         self.lock_contentions = 0
         self.progress_calls = 0
         self.eager_sends = 0
         self.rendezvous_sends = 0
+        #: rendezvous transfers this rank received split in halves
+        self.rendezvous_splits = 0
         self.bytes_sent = 0
         self.envelopes_handled = 0
         #: intermediate payload materializations (send-time eager
@@ -171,14 +181,7 @@ class ProgressEngine:
         if dst == PROC_NULL:
             return CompletedRequest()
         if self.dead_ranks and dst in self.dead_ranks:
-            exc = self.dead_ranks[dst]
-            raise RankDeadError(
-                f"send to rank {dst} cannot complete: rank is dead "
-                f"({exc})",
-                rank=dst,
-                rule_id=getattr(exc, "rule_id", None),
-                cid=context_id >> 1 if context_id >= 0 else None,
-            )
+            raise self._dead_peer(f"send to rank {dst}", dst, context_id)
         self._acquire()
         try:
             if self._revoked:
@@ -217,6 +220,7 @@ class ProgressEngine:
             # Rendezvous: hand off only a control message.
             self.rendezvous_sends += 1
             req = SendRequest(self, payload, dst, tag, context_id)
+            self.rndv_pending.add(req)  # before a bounce completes it
             env = Envelope(
                 kind=EnvelopeKind.RTS,
                 src=self.rank,
@@ -256,19 +260,11 @@ class ProgressEngine:
                 req.local = self.local_ranks.get(context_id)
             env = self._umq.match(source, tag, context_id)
             if env is None:
-                if (
-                    self.dead_ranks
-                    and source in self.dead_ranks
-                ):
+                if self.dead_ranks and source in self.dead_ranks:
                     # Nothing already arrived can satisfy it and the
                     # source can never send again: fail fast.
-                    exc = self.dead_ranks[source]
-                    raise RankDeadError(
-                        f"receive from rank {source} cannot complete: "
-                        f"rank is dead ({exc})",
-                        rank=source,
-                        rule_id=getattr(exc, "rule_id", None),
-                        cid=context_id >> 1 if context_id >= 0 else None,
+                    raise self._dead_peer(
+                        f"receive from rank {source}", source, context_id
                     )
                 self._prq.post(req)
             else:
@@ -367,6 +363,16 @@ class ProgressEngine:
 
     # -- dead-rank handling ------------------------------------------------
 
+    def _dead_peer(self, what: str, rank: int, context_id: int):
+        """The error of an operation posted against dead ``rank``."""
+        exc = self.dead_ranks[rank]
+        return RankDeadError(
+            f"{what} cannot complete: rank is dead ({exc})",
+            rank=rank,
+            rule_id=getattr(exc, "rule_id", None),
+            cid=context_id >> 1 if context_id >= 0 else None,
+        )
+
     def notify_rank_death(self, rank: int, exc: BaseException) -> None:
         """A peer rank died: fail everything here that depends on it.
 
@@ -391,8 +397,7 @@ class ProgressEngine:
             for env in self._umq.remove_where(
                 lambda e: e.src == rank and e.kind is EnvelopeKind.RTS
             ):
-                if env.send_req is not None and not env.send_req.done:
-                    env.send_req._fail(err)
+                self._poison_envelope(env, err)
         finally:
             self._release()
 
@@ -412,15 +417,12 @@ class ProgressEngine:
                     env = self._inbox.popleft()
                 except IndexError:
                     break
-                for req in (env.send_req, env.recv_req):
-                    if req is not None and not req.done:
-                        req._fail(err)
+                self._poison_envelope(env, err)
             for env in self._umq.remove_where(
                 lambda e: e.kind is EnvelopeKind.RTS
                 or e.send_req is not None
             ):
-                if env.send_req is not None and not env.send_req.done:
-                    env.send_req._fail(err)
+                self._poison_envelope(env, err)
             for req in self._prq.remove_where(lambda r: True):
                 req._fail(err)
         finally:
@@ -668,7 +670,8 @@ class ProgressEngine:
             req._complete(Status(env.src, env.tag, n))
         elif env.kind is EnvelopeKind.RTS:
             # Rendezvous: tell the sender where the data goes.  The
-            # sender's engine performs the copy when IT next progresses.
+            # sender's engine performs the copy (its head half, when
+            # split below) when IT next progresses.
             assert env.send_req is not None
             if env.nbytes > req.buffer.nbytes:
                 # Fail fast on truncation: notify both sides.
@@ -679,6 +682,13 @@ class ProgressEngine:
                 req._fail(exc)
                 env.send_req._fail(exc)
                 return
+            # A sender with another rendezvous send outstanding has a
+            # backlog its engine would copy one payload at a time: split
+            # this one, the receiver moving the tail half (§23).
+            split = (
+                len(env.send_req.engine.rndv_pending) >= 2
+                and req.buffer.flags.c_contiguous
+            )
             cts = Envelope(
                 kind=EnvelopeKind.CTS,
                 src=self.rank,
@@ -688,8 +698,14 @@ class ProgressEngine:
                 nbytes=env.nbytes,
                 send_req=env.send_req,
                 recv_req=req,
+                parties=2 if split else 0,
             )
             self._deliver(env.src, cts)
+            if split:
+                self.rendezvous_splits += 1
+                _dst.yield_point("rendezvous.split")
+                if not req.done:  # a bounced CTS failed it: hands off
+                    _move_half(cts, head=False)
         else:  # pragma: no cover - defensive
             raise MPIError(f"unexpected envelope kind {env.kind}")
 
@@ -704,6 +720,9 @@ class ProgressEngine:
         send_req = env.send_req
         recv_req = env.recv_req
         assert send_req is not None and recv_req is not None
+        if env.parties:  # split (§23): the head half is ours
+            _move_half(env, head=True)
+            return
         n = datatypes.copy_into(recv_req.buffer, send_req.payload)
         send_req._complete(EMPTY_STATUS)
         recv_req._complete(Status(send_req.engine.rank, env.tag, n))
@@ -750,6 +769,7 @@ class ProgressEngine:
             "lock_contentions": self.lock_contentions,
             "eager_sends": self.eager_sends,
             "rendezvous_sends": self.rendezvous_sends,
+            "rendezvous_splits": self.rendezvous_splits,
             "bytes_sent": self.bytes_sent,
             "envelopes_handled": self.envelopes_handled,
             "payload_copies": self.payload_copies,
@@ -760,6 +780,25 @@ class ProgressEngine:
         }
         out.update(self.pending_counts())
         return out
+
+
+def _move_half(cts: Envelope, head: bool) -> None:
+    """Copy one half of a split rendezvous (the sender's is the head).
+    The second half to land completes both requests, bar those a death
+    or bounce sweep made terminal first (DESIGN.md §23)."""
+    h = cts.nbytes // 2
+    part = slice(0, h) if head else slice(h, cts.nbytes)
+    src = cts.send_req.payload.reshape(-1).view(np.uint8)
+    dst = cts.recv_req.buffer.reshape(-1).view(np.uint8)
+    datatypes.copy_into(dst[part], src[part])
+    with _split_lock:
+        cts.parties -= 1
+        if cts.parties:
+            return
+    if not cts.send_req.done:
+        cts.send_req._complete(EMPTY_STATUS)
+    if not cts.recv_req.done:
+        cts.recv_req._complete(Status(cts.dst, cts.tag, cts.nbytes))
 
 
 def _rank_dead_error(rank: int, exc: BaseException) -> RankDeadError:

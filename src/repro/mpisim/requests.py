@@ -142,6 +142,11 @@ class SendRequest(Request):
         self.context_id = context_id
         self.nbytes = payload.nbytes
 
+    def _complete(self, status: Status) -> None:
+        # every terminal path (copy, split, fail, sweeps) passes here
+        self.engine.rndv_pending.discard(self)
+        Request._complete(self, status)
+
 
 class RecvRequest(Request):
     """Posted receive awaiting a match (or rendezvous data)."""

@@ -141,9 +141,7 @@ class World:
             rule_id=getattr(exc, "rule_id", None),
             cid=env.context_id >> 1 if env.context_id >= 0 else None,
         )
-        for req in (env.send_req, env.recv_req):
-            if req is not None and not req.done:
-                req._fail(err)
+        self.engines[env.src]._poison_envelope(env, err)
 
     # -- fault injection ---------------------------------------------------
 

@@ -7,6 +7,7 @@ collected; and a send that cannot be posted leaves no receive behind.
 """
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tests.conftest import run_world, run_world_mt
 
 class TestCallRouting:
     def test_call_on_a_communicator_keys_on_its_collective_stream(self):
-        comm = object()
+        comm = SimpleNamespace(cid=5)
         router = ShardRouter("dest")
         coll = router.stream_key(
             Command(CommandKind.IBARRIER, comm, slot=0)
@@ -30,7 +31,7 @@ class TestCallRouting:
         call = router.stream_key(
             Command(CommandKind.CALL, comm, slot=0, fn=lambda: None)
         )
-        assert call == coll == (id(comm), "c")
+        assert call == coll == (5, 2)
         # a CALL on no communicator stays on its thread's stream
         bare = router.stream_key(
             Command(CommandKind.CALL, slot=0, fn=lambda: None)

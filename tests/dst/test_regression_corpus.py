@@ -29,6 +29,10 @@ PORTED = {
     "engine-mid-batch-crash": (lambda p: p.engine, OffloadEngine),
     "routing-order": (lambda p: p.pool.router, ShardRouter),
     "eager-deferred-copy": (lambda p: p.world.engines[0], ProgressEngine),
+    "rendezvous-split-reuse": (
+        lambda p: p.world.engines[0],
+        ProgressEngine,
+    ),
     "agree-participant-crash": (lambda p: p.comms[0], Communicator),
     "shrink-inflight-eager": (lambda p: p.world.engines[1], ProgressEngine),
     "continuation-vs-crash": (lambda p: p.engine.pool, OffloadRequestPool),
@@ -44,6 +48,7 @@ class TestCorpusRegistry:
             "engine-mid-batch-crash",
             "routing-order",
             "eager-deferred-copy",
+            "rendezvous-split-reuse",
             "agree-participant-crash",
             "shrink-inflight-eager",
             "continuation-vs-crash",
@@ -61,7 +66,7 @@ class TestCorpusRegistry:
 
     def test_regression_and_oracle_counts(self):
         regressions = [t for t in CORPUS.values() if t.regression]
-        assert len(regressions) == 15
+        assert len(regressions) == 16
         assert len(CORPUS) - len(regressions) == 3
 
     def test_oracle_targets_reject_fix_disabled(self):
@@ -169,6 +174,19 @@ class TestZeroCopySmokeRegression:
         # the exact schedule that exposed the premature completion
         # passes once completion is deferred to the match-time copy
         assert Explorer(lambda: target.make(False)).replay(seed) is None
+
+
+class TestRendezvousSplitSmokeRegression:
+    """The split rendezvous's reuse race (DESIGN.md §23): a sender
+    completing after its own half is found within the target's budget,
+    and the production countdown is clean over it."""
+
+    def test_rendezvous_split_reuse_found_and_clean(self):
+        broken = run_target("rendezvous-split-reuse", fix_disabled=True)
+        assert broken.result.found and broken.expected
+        assert "scribble" in str(broken.result.failure)
+        fixed = run_target("rendezvous-split-reuse", fix_disabled=False)
+        assert not fixed.result.found and fixed.expected
 
 
 class TestFaultToleranceSmokeRegressions:
@@ -442,9 +460,9 @@ class TestDeepTier:
             (o.target, o.fix_disabled, o.result.found) for o in wrong
         ]
         # both directions ran: planted bugs found, fixed code clean
-        assert sum(o.fix_disabled for o in outcomes) == 15
-        assert len(outcomes) == 33
+        assert sum(o.fix_disabled for o in outcomes) == 16
+        assert len(outcomes) == 35
         snap = counters.snapshot()
         assert snap["schedules_explored"] > 0
         assert snap["lin_histories_checked"] > 0
-        assert snap["dst_violations"] == 15
+        assert snap["dst_violations"] == 16
